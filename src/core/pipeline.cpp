@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <functional>
 
 #include "checkers/graph/graph.hpp"
 #include "checkers/graph/rules.hpp"
@@ -70,8 +69,9 @@ Pipeline::Pipeline(const feature::FeatureModel& model,
     : model_(&model),
       exclusive_(std::move(exclusive)),
       product_line_(&product_line),
-      schemas_(&schemas),
-      options_(options) {}
+      options_(std::move(options)) {
+  options_.battery.schemas = &schemas;
+}
 
 PipelineResult Pipeline::run(const std::vector<VmSpec>& vms) {
   const Clock::time_point run_start = Clock::now();
@@ -91,7 +91,7 @@ PipelineResult Pipeline::run(const std::vector<VmSpec>& vms) {
       obs::ScopedScope scope_guard("allocation");
       obs::Span span("stage.allocation", "stage");
       checkers::ResourceAllocationChecker rac(*model_, exclusive_,
-                                              options_.backend);
+                                              options_.battery.backend);
       std::vector<std::set<std::string>> features;
       features.reserve(vms.size());
       for (const VmSpec& vm : vms) features.push_back(vm.features);
@@ -141,66 +141,18 @@ PipelineResult Pipeline::run(const std::vector<VmSpec>& vms) {
       if (u.tree == nullptr) return;
     }
 
-    // Stages 3+4 (+ lint): each stage is one chunk; sorted on arrival.
-    // `span_name` is the stage's span identity ("stage." + stage); both are
-    // literals because spans keep only the pointer until they record.
-    // Returns false when fail-fast ends the unit at this stage.
-    auto run_stage = [&](const char* stage, const char* span_name,
-                         const std::function<checkers::Findings()>& fn)
-        -> bool {
-      checkers::Findings f;
-      {
-        obs::ScopedScope scope_guard(stage);
-        obs::Span span(span_name, "stage");
-        f = fn();
-        obs::count("stage.findings", "stage", static_cast<int64_t>(f.size()));
+    // Stages 3+4 (+ lint, graph): the checker battery. Each stage's chunk is
+    // sorted on arrival, so the merged report is schedule-independent.
+    if (!is_platform || options_.check_platform) {
+      checkers::BatteryResult checked = checkers::run_battery(
+          *u.tree, options_.battery, nullptr, options_.fail_fast);
+      for (checkers::Findings& f : checked.stages) {
+        checkers::sort_by_location(f);
+        u.findings.insert(u.findings.end(), f.begin(), f.end());
       }
-      checkers::sort_by_location(f);
-      const bool had_errors = checkers::error_count(f) > 0;
-      u.findings.insert(u.findings.end(), f.begin(), f.end());
-      if (had_errors && options_.fail_fast) {
+      u.graph = std::move(checked.graph);
+      if (checked.stopped) {
         abort.store(true, std::memory_order_relaxed);
-        return false;
-      }
-      return true;
-    };
-
-    const bool check_this = !is_platform || options_.check_platform;
-    if (check_this && options_.check_lint) {
-      if (!run_stage("lint", "stage.lint", [&] {
-            return checkers::LintChecker().check(*u.tree);
-          })) {
-        return;
-      }
-    }
-    if (check_this && options_.check_graph) {
-      if (!run_stage("graph", "stage.graph", [&] {
-            u.graph = std::make_shared<const checkers::graph::DeviceGraph>(
-                checkers::graph::DeviceGraph::build(*u.tree));
-            checkers::graph::GraphChecker checker{
-                checkers::graph::RuleOptions{}};
-            return checker.check(*u.graph);
-          })) {
-        return;
-      }
-    }
-    if (check_this && options_.check_syntax) {
-      if (!run_stage("syntactic", "stage.syntactic", [&] {
-            checkers::SyntacticChecker syn(*schemas_, options_.backend);
-            return syn.check(*u.tree);
-          })) {
-        return;
-      }
-    }
-    if (check_this && options_.check_semantics) {
-      if (!run_stage("semantic", "stage.semantic", [&] {
-            checkers::SemanticOptions sem_options;
-            sem_options.solver_timeout_ms = options_.solver_timeout_ms;
-            sem_options.plan = options_.plan_queries;
-            sem_options.cache_dir = options_.cache_dir;
-            checkers::SemanticChecker sem(options_.backend, sem_options);
-            return sem.check(*u.tree);
-          })) {
         return;
       }
     }
@@ -289,7 +241,7 @@ PipelineResult Pipeline::run(const std::vector<VmSpec>& vms) {
   // Serial by design, after the deterministic merge: its findings always
   // follow every unit's, regardless of --jobs.
   const bool aborted = abort.load(std::memory_order_relaxed);
-  if (options_.check_graph && !aborted && vms.size() >= 2) {
+  if (options_.battery.graph && !aborted && vms.size() >= 2) {
     std::vector<checkers::graph::UnitGraph> vm_graphs;
     for (size_t idx = 0; idx < vms.size(); ++idx) {
       if (units[idx].graph != nullptr) {

@@ -5,8 +5,8 @@
 //   1. resource-allocation check (§IV-A) of the VM configurations
 //   2. delta activation/ordering/application -> one DTS per VM, plus the
 //      platform DTS derived from the union of VM selections (§III-A)
-//   3. syntactic check (§IV-B) of every generated DTS
-//   4. semantic check (§IV-C) of every generated DTS
+//   3+4. the checker battery (checkers/battery.hpp) on every generated
+//      DTS: lint, device graph, syntactic (§IV-B) and semantic (§IV-C)
 //   5. artifact emission: DTS text, DTB blobs, Bao platform + VM config C
 //
 // Every finding carries delta provenance, so a failing product names the
@@ -19,11 +19,9 @@
 #include <vector>
 
 #include "baogen/baogen.hpp"
+#include "checkers/battery.hpp"
 #include "checkers/finding.hpp"
-#include "checkers/lint.hpp"
 #include "checkers/resource_allocation.hpp"
-#include "checkers/semantic.hpp"
-#include "checkers/syntactic.hpp"
 #include "core/trace.hpp"
 #include "delta/delta.hpp"
 #include "feature/analysis.hpp"
@@ -38,15 +36,13 @@ struct VmSpec {
 };
 
 struct PipelineOptions {
-  smt::Backend backend = smt::Backend::kBuiltin;
+  /// The per-unit checker battery (checkers/battery.hpp): backend, stage
+  /// switches, semantic options. The cross-reference engine is off, and the
+  /// syntactic stage uses the Pipeline's schema set. With `battery.graph`,
+  /// the cross-unit exclusive-provider analysis also runs over the VM
+  /// graphs.
+  checkers::BatteryOptions battery{.crossref = false};
   bool check_allocation = true;
-  bool check_syntax = true;
-  bool check_semantics = true;
-  /// dtc-style structural warnings on every generated DTS.
-  bool check_lint = true;
-  /// Device-graph dataflow rules (checkers/graph/) on every generated DTS,
-  /// plus the cross-unit exclusive-provider analysis over the VM graphs.
-  bool check_graph = true;
   /// Also run the checkers on the derived platform DTS.
   bool check_platform = true;
   /// Emit DTB blobs for every generated DTS.
@@ -60,19 +56,6 @@ struct PipelineOptions {
   /// solver and diagnostics; results merge in VM declaration order, so
   /// findings, diagnostics and artifacts are byte-identical for any value.
   unsigned jobs = 1;
-  /// Per-tree wall-clock budget for the semantic checker's solver work, in
-  /// ms (0 = unlimited). Expiry yields a kSolverTimeout error finding.
-  uint64_t solver_timeout_ms = 0;
-  /// Route semantic-checker queries through the smt::QueryPlanner (sweep-
-  /// line / hash-bucket prefilters + batched assumption-guarded solving).
-  /// Findings are byte-identical either way; false restores the exhaustive
-  /// one-query-per-pair path for A/B comparison.
-  bool plan_queries = true;
-  /// Directory for the persistent query-result cache shared by every unit
-  /// (empty = no cache). With a warm cache the semantic stages issue zero
-  /// solver queries on unchanged input. See smt::QueryCache for the
-  /// invalidation scheme.
-  std::string cache_dir;
 };
 
 struct GeneratedVm {
@@ -127,7 +110,6 @@ class Pipeline {
   const feature::FeatureModel* model_;
   std::vector<feature::FeatureId> exclusive_;
   const delta::ProductLine* product_line_;
-  const schema::SchemaSet* schemas_;
   PipelineOptions options_;
 };
 

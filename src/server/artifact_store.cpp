@@ -1,5 +1,6 @@
 #include "server/artifact_store.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "dts/printer.hpp"
@@ -31,6 +32,22 @@ uint64_t delta_module_fingerprint(const delta::DeltaModule& m) {
 }
 
 // -- Cache<T> -----------------------------------------------------------
+
+namespace {
+
+template <typename T>
+bool reusable(const T& /*artifact*/) { return true; }
+
+/// A verdict whose solver work ran out of budget depends on timing, not on
+/// its key: it goes to the callers that asked, but is never published.
+bool reusable(const CheckArtifact& artifact) {
+  return std::none_of(artifact.findings.begin(), artifact.findings.end(),
+                      [](const checkers::Finding& f) {
+                        return f.kind == checkers::FindingKind::kSolverTimeout;
+                      });
+}
+
+}  // namespace
 
 template <typename T>
 std::shared_ptr<const T> ArtifactStore::Cache<T>::lookup(uint64_t key) {
@@ -71,7 +88,7 @@ std::shared_ptr<const T> ArtifactStore::Cache<T>::build_or_wait(
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (value != nullptr) {
+    if (value != nullptr && reusable(*value)) {
       auto [it, fresh] = entries_.insert_or_assign(key, value);
       (void)it;
       if (fresh) order_.push_back(key);

@@ -46,6 +46,7 @@
 #include <utility>
 #include <vector>
 
+#include "checkers/battery.hpp"
 #include "checkers/finding.hpp"
 #include "checkers/graph/graph.hpp"
 #include "delta/delta.hpp"
@@ -128,15 +129,12 @@ struct GraphArtifact {
   std::shared_ptr<const dts::Tree> source;
 };
 
-/// The verdict of one checker run over one tree under one option set.
-struct CheckArtifact {
+/// The verdict of one checker run over one tree under one option set, with
+/// the run's semantic-stage counters. A verdict with a solver-timeout
+/// finding is never published for reuse.
+struct CheckArtifact : checkers::SemanticCounters {
   uint64_t key = 0;  // fnv(tree/composed key, options fingerprint)
   checkers::Findings findings;
-  uint64_t solver_checks = 0;
-  uint64_t queries_issued = 0;
-  uint64_t queries_pruned = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_errors = 0;
 };
 
 struct AllocationArtifact {

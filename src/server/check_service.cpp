@@ -1,19 +1,11 @@
 #include "server/check_service.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <sstream>
 
-#include "checkers/crossref/rules.hpp"
-#include "checkers/graph/rules.hpp"
-#include "checkers/lint.hpp"
 #include "checkers/report.hpp"
-#include "checkers/semantic.hpp"
 #include "checkers/suppress.hpp"
-#include "checkers/syntactic.hpp"
 #include "dts/parser.hpp"
 #include "obs/obs.hpp"
-#include "obs/summary.hpp"
 #include "schema/builtin_schemas.hpp"
 #include "schema/yaml_lite.hpp"
 #include "support/strings.hpp"
@@ -21,26 +13,6 @@
 namespace llhsc::server {
 
 namespace {
-
-smt::Backend resolve_backend(const CheckRequest& request,
-                             std::string& error_text) {
-  if (request.backend == "z3") return smt::Backend::kZ3;
-  if (request.backend == "portfolio") return smt::Backend::kPortfolio;
-  if (request.backend != "builtin") {
-    error_text += "warning: unknown backend '" + request.backend +
-                  "', using builtin\n";
-  }
-  return smt::Backend::kBuiltin;
-}
-
-/// The CLI's --disable-rule / --rule-severity mapping, error text included
-/// byte-for-byte (one shared parser, checkers/crossref/rules.cpp). nullopt
-/// means reject with exit 2.
-std::optional<checkers::crossref::CrossRefOptions> crossref_options_from(
-    const CheckRequest& request, std::string& error_text) {
-  return checkers::crossref::parse_rule_options(
-      request.disable_rule, request.rule_severity, error_text);
-}
 
 void render_outcome(const CheckRequest& request,
                     const checkers::Findings& findings, CheckOutcome& out) {
@@ -75,104 +47,22 @@ void append_stats_line(const CheckRequest& request, const CheckArtifact& art,
 
 }  // namespace
 
-uint64_t check_options_fingerprint(const CheckRequest& request) {
-  std::ostringstream os;
-  os << request.backend << '\n'
-     << request.lint << request.crossref << request.graph << request.syntax
-     << request.semantics << '\n'
-     << request.disable_rule << '\n'
-     << request.rule_severity << '\n'
-     << support::fnv1a64(request.schemas_text) << '\n'
-     << request.solver_timeout_ms << '\n'
-     << request.plan << '\n'
-     << request.cache_dir << '\n';
-  return support::fnv1a64(os.str());
-}
-
-CheckArtifact run_checkers(const dts::Tree& tree, const CheckRequest& request,
-                           const schema::SchemaSet* schemas,
-                           const checkers::graph::DeviceGraph* graph) {
-  CheckArtifact art;
-  std::string scratch;  // backend warning already emitted by run_check
-  const smt::Backend backend = resolve_backend(request, scratch);
-
-  // The battery records into a local sink first: the artifact's counters are
-  // a reduction of that stream (the same obs::reduce behind --trace-json and
-  // the daemon stats reply), and the raw events then splice into whatever
-  // sink the caller installed so --profile sees per-query spans too.
-  obs::TraceSink* outer = obs::current_sink();
-  obs::TraceSink local;
-  {
-    obs::ScopedSink sink_guard(&local);
-    auto run_stage = [&](const char* stage, const char* span_name,
-                         const std::function<checkers::Findings()>& fn) {
-      obs::ScopedScope scope_guard(stage);
-      obs::Span span(span_name, "stage");
-      checkers::Findings f = fn();
-      obs::count("stage.findings", "stage", static_cast<int64_t>(f.size()));
-      art.findings.insert(art.findings.end(), f.begin(), f.end());
-    };
-
-    if (request.lint) {
-      run_stage("lint", "stage.lint",
-                [&] { return checkers::LintChecker().check(tree); });
-    }
-    if (request.crossref) {
-      run_stage("crossref", "stage.crossref", [&] {
-        auto xopts = crossref_options_from(request, scratch);
-        checkers::crossref::CrossRefChecker checker(
-            xopts ? *xopts : checkers::crossref::CrossRefOptions{});
-        return checker.check(tree);
-      });
-    }
-    if (request.graph) {
-      run_stage("graph", "stage.graph", [&] {
-        auto xopts = crossref_options_from(request, scratch);
-        checkers::graph::GraphChecker checker(
-            xopts ? *xopts : checkers::graph::RuleOptions{});
-        if (graph != nullptr) return checker.check(*graph);
-        const checkers::graph::DeviceGraph built =
-            checkers::graph::DeviceGraph::build(tree);
-        return checker.check(built);
-      });
-    }
-    if (request.syntax && schemas != nullptr) {
-      run_stage("syntactic", "stage.syntactic", [&] {
-        checkers::SyntacticChecker checker(*schemas, backend);
-        return checker.check(tree);
-      });
-    }
-    if (request.semantics) {
-      run_stage("semantic", "stage.semantic", [&] {
-        checkers::SemanticOptions sem_options;
-        sem_options.solver_timeout_ms = request.solver_timeout_ms;
-        sem_options.plan = request.plan;
-        sem_options.cache_dir = request.cache_dir;
-        checkers::SemanticChecker checker(backend, sem_options);
-        return checker.check(tree);
-      });
-    }
+uint64_t key_then_clamp(checkers::BatteryOptions& options,
+                        std::string_view schemas_text,
+                        const support::Deadline& deadline) {
+  const uint64_t key = fnv_combine(checkers::fingerprint(options),
+                                   support::fnv1a64(schemas_text));
+  uint64_t& budget = options.semantic.solver_timeout_ms;
+  if (!deadline.unlimited()) {
+    const uint64_t remaining = deadline.remaining_ms();
+    budget = std::max<uint64_t>(
+        1, budget == 0 ? remaining : std::min(budget, remaining));
   }
-
-  std::vector<obs::Event> events = local.take();
-  const obs::Summary summary = obs::reduce(events);
-  // The verdict counters keep their historical meaning: solver/planner work
-  // of the *semantic* stage (the syntactic checker's solver calls were never
-  // part of the --stats line).
-  auto semantic = [&](const char* name) {
-    int64_t v = summary.scoped("semantic", name);
-    return v < 0 ? 0u : static_cast<uint64_t>(v);
-  };
-  art.solver_checks = semantic("solver.checks");
-  art.queries_issued = semantic("planner.queries_issued");
-  art.queries_pruned = semantic("planner.queries_pruned");
-  art.cache_hits = semantic("planner.cache_hits");
-  art.cache_errors = semantic("planner.cache_errors");
-  if (outer != nullptr) outer->extend(std::move(events));
-  return art;
+  return key;
 }
 
-CheckOutcome run_check(const CheckRequest& request, ArtifactStore* store) {
+CheckOutcome run_check(const CheckRequest& request, ArtifactStore* store,
+                       const support::Deadline& deadline) {
   CheckOutcome out;
 
   if (request.format != "text" && request.format != "json" &&
@@ -182,7 +72,11 @@ CheckOutcome run_check(const CheckRequest& request, ArtifactStore* store) {
     out.exit_code = 2;
     return out;
   }
-  if (!crossref_options_from(request, out.error_text)) {
+  // The CLI's --disable-rule / --rule-severity mapping, error text included
+  // byte-for-byte (one shared parser, checkers/crossref/rules.cpp).
+  auto rules = checkers::crossref::parse_rule_options(
+      request.disable_rule, request.rule_severity, out.error_text);
+  if (!rules) {
     out.exit_code = 2;
     return out;
   }
@@ -230,9 +124,13 @@ CheckOutcome run_check(const CheckRequest& request, ArtifactStore* store) {
   }
 
   // The backend warning is emitted here — after the parse, like the CLI.
-  std::string backend_warning;
-  resolve_backend(request, backend_warning);
-  out.error_text += backend_warning;
+  checkers::BatteryOptions options{
+      .backend = smt::backend_from_name(request.backend, &out.error_text),
+      .lint = request.lint, .crossref = request.crossref,
+      .graph = request.graph, .syntax = request.syntax,
+      .semantics = request.semantics, .rules = std::move(*rules),
+      .semantic = {.solver_timeout_ms = request.solver_timeout_ms,
+                   .plan = request.plan, .cache_dir = request.cache_dir}};
 
   // Schema-set resolution before the (cacheable) checker battery, so an
   // exit-2 never has to come out of a cached verdict. Matches the CLI's
@@ -252,35 +150,36 @@ CheckOutcome run_check(const CheckRequest& request, ArtifactStore* store) {
     }
   }
 
+  options.schemas = &schemas;
+  const uint64_t options_key =
+      key_then_clamp(options, request.schemas_text, deadline);
+
   std::shared_ptr<const CheckArtifact> verdict;
   if (store != nullptr) {
     // tree_artifact->key is include-aware (see TreeArtifact::key): an
     // edited .dtsi re-parses the tree *and* lands here as a new verdict key.
-    const uint64_t key = fnv_combine(check_options_fingerprint(request),
-                                     tree_artifact->key);
+    const uint64_t key = fnv_combine(options_key, tree_artifact->key);
     verdict = store->unit_check(
         key,
         [&]() {
           // The device graph is its own keyed artifact (option-independent),
           // fetched only when the verdict actually rebuilds — a cache-hit
           // request never builds a graph.
-          std::shared_ptr<const GraphArtifact> graph_artifact;
+          std::shared_ptr<const checkers::graph::DeviceGraph> graph;
           if (request.graph) {
-            graph_artifact = store->graph(tree_artifact->key,
-                                          tree_artifact->tree);
+            graph = store->graph(tree_artifact->key, tree_artifact->tree)
+                        ->graph;
           }
-          CheckArtifact art = run_checkers(
-              *tree_artifact->tree, request,
-              request.syntax ? &schemas : nullptr,
-              graph_artifact != nullptr ? graph_artifact->graph.get()
-                                        : nullptr);
-          art.key = key;
-          return art;
+          const checkers::BatteryResult checked = checkers::run_battery(
+              *tree_artifact->tree, options, std::move(graph));
+          return CheckArtifact{checked.counters, key, checked.all()};
         },
         &out.trace.check_cache_hit);
   } else {
-    verdict = std::make_shared<const CheckArtifact>(run_checkers(
-        *tree_artifact->tree, request, request.syntax ? &schemas : nullptr));
+    const checkers::BatteryResult checked =
+        checkers::run_battery(*tree_artifact->tree, options);
+    verdict = std::make_shared<const CheckArtifact>(
+        CheckArtifact{checked.counters, 0, checked.all()});
   }
 
   // Suppression runs over a copy of the (possibly cached) verdict: inline

@@ -13,11 +13,13 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "schema/schema.hpp"
+#include "checkers/battery.hpp"
 #include "server/artifact_store.hpp"
+#include "support/deadline.hpp"
 
 namespace llhsc::server {
 
@@ -76,25 +78,19 @@ struct CheckOutcome {
 };
 
 /// Runs the full check flow. `store` may be null (the one-shot CLI path);
-/// with a store, parse/verdict artifacts are reused content-addressed.
+/// with a store, parse/verdict artifacts are reused content-addressed. A
+/// limited `deadline` (the daemon's request deadline) clamps the solver
+/// budget but not the verdict key.
 [[nodiscard]] CheckOutcome run_check(const CheckRequest& request,
-                                     ArtifactStore* store);
+                                     ArtifactStore* store,
+                                     const support::Deadline& deadline = {});
 
-/// The checker battery of run_check over an already-parsed tree — exposed so
-/// the session layer caches per-unit verdicts under composed-tree keys.
-/// `schemas` may be null only when request.syntax is false. Crossref rule
-/// strings must already be valid (run_check validates; the session layer
-/// does not use crossref). `graph` supplies a pre-built device graph for the
-/// graph stage (the store's keyed artifact); null builds one on demand when
-/// request.graph is set. Returns the artifact body (key left 0; the caller
-/// owns keying).
-[[nodiscard]] CheckArtifact run_checkers(
-    const dts::Tree& tree, const CheckRequest& request,
-    const schema::SchemaSet* schemas,
-    const checkers::graph::DeviceGraph* graph = nullptr);
-
-/// Canonical fingerprint of every request field that can change the
-/// *verdict* (format/quiet/stats excluded — they only change rendering).
-[[nodiscard]] uint64_t check_options_fingerprint(const CheckRequest& request);
+/// Returns the verdict key of everything besides the tree that can change a
+/// verdict: `options` and the schema text they were loaded from. Then clamps
+/// `options`' solver budget to what is left of `deadline` (never below 1
+/// ms); the key keeps the requested budget, so repeats still hit the store.
+[[nodiscard]] uint64_t key_then_clamp(checkers::BatteryOptions& options,
+                                      std::string_view schemas_text,
+                                      const support::Deadline& deadline);
 
 }  // namespace llhsc::server

@@ -1,6 +1,5 @@
 #include "server/runner.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace llhsc::server {
@@ -178,17 +177,10 @@ Json execute_request(const std::string& method, const Json& id,
                      const Json& params, const support::Deadline& deadline,
                      ArtifactStore& store, CheckCounters& counters) {
   if (method == "check") {
-    CheckRequest cr = check_request_from(params);
-    // The request deadline bounds solver work: the tighter of the client's
-    // solver budget and what is left of the deadline wins.
-    if (!deadline.unlimited()) {
-      const uint64_t remaining = deadline.remaining_ms();
-      cr.solver_timeout_ms = cr.solver_timeout_ms == 0
-                                 ? remaining
-                                 : std::min(cr.solver_timeout_ms, remaining);
-      if (cr.solver_timeout_ms == 0) cr.solver_timeout_ms = 1;
-    }
-    CheckOutcome outcome = run_check(cr, &store);
+    // The request deadline bounds solver work (key_then_clamp) without
+    // changing the verdict key, so repeated requests still hit the store.
+    CheckOutcome outcome =
+        run_check(check_request_from(params), &store, deadline);
     counters.checks.fetch_add(1, std::memory_order_relaxed);
     counters.solver_checks.fetch_add(outcome.trace.solver_checks,
                                      std::memory_order_relaxed);
@@ -202,15 +194,8 @@ Json execute_request(const std::string& method, const Json& id,
                                     std::memory_order_relaxed);
     return ok_response(id, check_outcome_json(outcome));
   }
-  SessionRequest sr = session_request_from(params);
-  if (!deadline.unlimited()) {
-    const uint64_t remaining = deadline.remaining_ms();
-    sr.solver_timeout_ms = sr.solver_timeout_ms == 0
-                               ? remaining
-                               : std::min(sr.solver_timeout_ms, remaining);
-    if (sr.solver_timeout_ms == 0) sr.solver_timeout_ms = 1;
-  }
-  SessionOutcome outcome = run_session_check(sr, store);
+  SessionOutcome outcome =
+      run_session_check(session_request_from(params), store, deadline);
   counters.sessions.fetch_add(1, std::memory_order_relaxed);
   return ok_response(id, session_outcome_json(outcome));
 }

@@ -14,11 +14,13 @@
 
 #include "server/artifact_store.hpp"
 #include "server/check_service.hpp"
-#include "server/json.hpp"
 #include "server/session.hpp"
 #include "support/deadline.hpp"
+#include "support/json.hpp"
 
 namespace llhsc::server {
+
+using support::Json;
 
 /// Cumulative check-work counters for `stats`, accumulated from each
 /// CheckOutcome's trace in whichever process ran the work. In worker mode

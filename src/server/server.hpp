@@ -62,8 +62,8 @@
 #include "obs/obs.hpp"
 #include "server/artifact_store.hpp"
 #include "server/histogram.hpp"
-#include "server/json.hpp"
 #include "server/runner.hpp"
+#include "support/json.hpp"
 #include "support/thread_pool.hpp"
 
 namespace llhsc::server {

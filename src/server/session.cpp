@@ -32,27 +32,11 @@ StoreStats stats_delta(const StoreStats& before, const StoreStats& after) {
   return d;
 }
 
-/// CheckRequest carrying the session's per-unit checker options. The
-/// cross-reference engine is off to match the pipeline's stage set.
-CheckRequest unit_check_request(const SessionRequest& request) {
-  CheckRequest cr;
-  cr.lint = request.lint;
-  cr.crossref = false;
-  cr.graph = request.graph;
-  cr.syntax = request.syntax;
-  cr.semantics = request.semantics;
-  cr.backend = request.backend;
-  cr.schemas_text = request.schemas_text;
-  cr.solver_timeout_ms = request.solver_timeout_ms;
-  cr.plan = request.plan;
-  cr.cache_dir = request.cache_dir;
-  return cr;
-}
-
 }  // namespace
 
 SessionOutcome run_session_check(const SessionRequest& request,
-                                 ArtifactStore& store) {
+                                 ArtifactStore& store,
+                                 const support::Deadline& deadline) {
   SessionOutcome out;
   const StoreStats before = store.stats();
   auto finish = [&]() {
@@ -87,8 +71,6 @@ SessionOutcome run_session_check(const SessionRequest& request,
     return finish();
   }
 
-  const CheckRequest unit_request = unit_check_request(request);
-
   // Schema-set parse errors reject the whole request up front, exactly once
   // — never from inside a cached verdict.
   schema::SchemaSet schemas;
@@ -105,6 +87,18 @@ SessionOutcome run_session_check(const SessionRequest& request,
       schemas = schema::builtin_schemas();
     }
   }
+
+  // The per-unit battery: the pipeline's stage set, so the cross-reference
+  // engine is off. Sessions never print the unknown-backend warning.
+  checkers::BatteryOptions options{
+      .backend = smt::backend_from_name(request.backend),
+      .lint = request.lint, .crossref = false, .graph = request.graph,
+      .syntax = request.syntax, .semantics = request.semantics,
+      .schemas = &schemas,
+      .semantic = {.solver_timeout_ms = request.solver_timeout_ms,
+                   .plan = request.plan, .cache_dir = request.cache_dir}};
+  const uint64_t options_key =
+      key_then_clamp(options, request.schemas_text, deadline);
 
   // -- Allocation (global over every product, like the pipeline's stage 1) --
   if (request.check_allocation) {
@@ -142,11 +136,8 @@ SessionOutcome run_session_check(const SessionRequest& request,
     auto alloc = store.allocation(alloc_key, [&]() {
       AllocationArtifact art;
       art.key = alloc_key;
-      checkers::ResourceAllocationChecker rac(
-          *model->model, exclusive,
-          request.backend == "z3"          ? smt::Backend::kZ3
-          : request.backend == "portfolio" ? smt::Backend::kPortfolio
-                                           : smt::Backend::kBuiltin);
+      checkers::ResourceAllocationChecker rac(*model->model, exclusive,
+                                              options.backend);
       std::vector<std::set<std::string>> features;
       features.reserve(request.products.size());
       for (const SessionProduct& p : request.products) {
@@ -197,10 +188,7 @@ SessionOutcome run_session_check(const SessionRequest& request,
           CheckArtifact art;
           art.key = lifted_key;
           lift::LiftOptions opts;
-          opts.backend = request.backend == "z3" ? smt::Backend::kZ3
-                         : request.backend == "portfolio"
-                             ? smt::Backend::kPortfolio
-                             : smt::Backend::kBuiltin;
+          opts.backend = options.backend;
           opts.max_configs = request.lifted_max_configs;
           opts.exclusive_features = request.exclusive;
           support::DiagnosticEngine diags;
@@ -285,26 +273,23 @@ SessionOutcome run_session_check(const SessionRequest& request,
       continue;
     }
 
-    const uint64_t check_key =
-        fnv_combine(check_options_fingerprint(unit_request), composed_key);
+    const uint64_t check_key = fnv_combine(options_key, composed_key);
     auto verdict = store.unit_check(
         check_key,
         [&]() {
           // The unit's device graph is a separate keyed artifact under the
           // composed key: a one-delta edit re-derives exactly the affected
           // units' composed trees, and therefore exactly their graphs.
-          std::shared_ptr<const GraphArtifact> graph_artifact;
-          if (unit_request.graph) {
-            graph_artifact = store.graph(composed_key, composed->tree);
+          std::shared_ptr<const checkers::graph::DeviceGraph> graph;
+          if (request.graph) {
+            graph = store.graph(composed_key, composed->tree)->graph;
           }
-          CheckArtifact art = run_checkers(
-              *composed->tree, unit_request,
-              unit_request.syntax ? &schemas : nullptr,
-              graph_artifact != nullptr ? graph_artifact->graph.get()
-                                        : nullptr);
-          art.key = check_key;
-          checkers::sort_by_location(art.findings);
-          return art;
+          const checkers::BatteryResult checked = checkers::run_battery(
+              *composed->tree, options, std::move(graph));
+          checkers::Findings findings = checked.all();
+          checkers::sort_by_location(findings);
+          return CheckArtifact{checked.counters, check_key,
+                               std::move(findings)};
         },
         &unit.check_cache_hit);
     unit.errors = checkers::error_count(verdict->findings);
@@ -322,8 +307,7 @@ SessionOutcome run_session_check(const SessionRequest& request,
   // so only a change to some product's tree recomputes it; the per-unit
   // graphs it reads are the same keyed artifacts the unit checks built.
   if (request.graph && product_graphs.size() >= 2) {
-    uint64_t cross_key = fnv_combine(
-        check_options_fingerprint(unit_request), 0x78756e69u /*"xuni"*/);
+    uint64_t cross_key = fnv_combine(options_key, 0x78756e69u /*"xuni"*/);
     for (const ProductGraphInput& pg : product_graphs) {
       cross_key = fnv_combine(support::fnv1a64(pg.name, cross_key),
                               pg.composed_key);

@@ -94,7 +94,10 @@ struct SessionOutcome {
   StoreStats cost;
 };
 
-[[nodiscard]] SessionOutcome run_session_check(const SessionRequest& request,
-                                               ArtifactStore& store);
+/// A limited `deadline` (the daemon's request deadline) clamps every unit's
+/// solver budget but not the verdict keys.
+[[nodiscard]] SessionOutcome run_session_check(
+    const SessionRequest& request, ArtifactStore& store,
+    const support::Deadline& deadline = {});
 
 }  // namespace llhsc::server

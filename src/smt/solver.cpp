@@ -21,6 +21,16 @@ std::string_view to_string(Backend b) {
   return "unknown";
 }
 
+Backend backend_from_name(std::string_view name, std::string* warning) {
+  if (name == "z3") return Backend::kZ3;
+  if (name == "portfolio") return Backend::kPortfolio;
+  if (name != "builtin" && warning != nullptr) {
+    *warning += "warning: unknown backend '" + std::string(name) +
+                "', using builtin\n";
+  }
+  return Backend::kBuiltin;
+}
+
 std::string_view to_string(CheckResult r) {
   switch (r) {
     case CheckResult::kSat: return "sat";

@@ -33,6 +33,11 @@ enum class CheckResult : uint8_t { kSat, kUnsat, kUnknown };
 enum class Backend : uint8_t { kBuiltin, kZ3, kPortfolio };
 
 [[nodiscard]] std::string_view to_string(Backend b);
+/// "builtin" | "z3" | "portfolio" -> Backend. Any other name falls back to
+/// kBuiltin and, when `warning` is given, appends the one-line
+/// "warning: unknown backend '<name>', using builtin" to it.
+[[nodiscard]] Backend backend_from_name(std::string_view name,
+                                        std::string* warning = nullptr);
 [[nodiscard]] std::string_view to_string(CheckResult r);
 
 struct SolverStats {

@@ -53,15 +53,9 @@ ParsedFlags parse_flags(const std::vector<FlagSpec>& specs, int argc,
     }
 
     const FlagSpec* spec = nullptr;
-    bool via_alias = false;
     for (const FlagSpec& s : specs) {
       if (body == s.name) {
         spec = &s;
-        break;
-      }
-      if (s.alias != nullptr && body == s.alias) {
-        spec = &s;
-        via_alias = true;
         break;
       }
     }
@@ -69,10 +63,6 @@ ParsedFlags parse_flags(const std::vector<FlagSpec>& specs, int argc,
       out.ok = false;
       out.error = "unknown option --" + std::string(body);
       return out;
-    }
-    if (via_alias) {
-      out.warnings.push_back("warning: --" + std::string(body) +
-                             " is deprecated; use --" + spec->name);
     }
 
     std::string value;

@@ -1,9 +1,7 @@
 // Table-driven CLI flag parser shared by the llhsc and llhscd binaries, so
 // every command spells common options the same way (--jobs, --cache-dir,
 // --solver-timeout-ms, --profile, …) and unknown or malformed flags fail
-// the same way everywhere (usage error, exit 2). Renamed options keep their
-// old spelling as a hidden deprecation alias that parses as the canonical
-// name and queues a one-line warning.
+// the same way everywhere (usage error, exit 2).
 #pragma once
 
 #include <cstdint>
@@ -23,9 +21,6 @@ enum class FlagKind : uint8_t {
 struct FlagSpec {
   const char* name;  // canonical spelling, without the leading "--"
   FlagKind kind = FlagKind::kString;
-  /// Hidden deprecated spelling (without "--"); parses as `name` and queues
-  /// a deprecation warning. nullptr = none.
-  const char* alias = nullptr;
 };
 
 struct ParsedFlags {
@@ -33,9 +28,6 @@ struct ParsedFlags {
   /// the caller should print usage and exit 2.
   bool ok = true;
   std::string error;
-  /// One line per deprecated alias used ("warning: --old is deprecated; use
-  /// --new"). Callers print these to stderr before doing any work.
-  std::vector<std::string> warnings;
   std::vector<std::string> positional;
 
   [[nodiscard]] bool has(std::string_view name) const;

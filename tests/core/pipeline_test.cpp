@@ -27,7 +27,7 @@ class PipelineTest : public ::testing::TestWithParam<smt::Backend> {
 
   Pipeline make_pipeline(const delta::ProductLine& line,
                          PipelineOptions opts = {}) {
-    opts.backend = GetParam();
+    opts.battery.backend = GetParam();
     return Pipeline(model, exclusive_cpus(model), line, schemas, opts);
   }
 
@@ -176,7 +176,7 @@ TEST_P(PipelineTest, ChecksCanBeDisabled) {
   support::DiagnosticEngine de;
   auto bad_pl = running_example_product_line(de, /*with_uart_clash=*/true);
   PipelineOptions opts;
-  opts.check_semantics = false;
+  opts.battery.semantics = false;
   Pipeline pipeline = make_pipeline(*bad_pl, opts);
   PipelineResult result = pipeline.run(
       {{"vm",
@@ -347,7 +347,7 @@ TEST_P(PipelineTest, PlannedFindingsByteIdenticalToExhaustive) {
   ASSERT_NE(broken_pl, nullptr) << de.render();
   auto run_with = [&](bool plan) {
     PipelineOptions opts;
-    opts.plan_queries = plan;
+    opts.battery.semantic.plan = plan;
     Pipeline pipeline = make_pipeline(*broken_pl, opts);
     return pipeline.run(paper_vms());
   };
@@ -392,7 +392,7 @@ TEST_P(PipelineTest, EightVmWorkloadCutsSolverChecksTenfold) {
   auto run_with = [&](bool plan) {
     PipelineOptions opts;
     opts.check_allocation = false;
-    opts.plan_queries = plan;
+    opts.battery.semantic.plan = plan;
     Pipeline pipeline = make_pipeline(*pl, opts);
     return pipeline.run(vms);
   };
@@ -429,7 +429,7 @@ TEST_P(PipelineTest, WarmCacheSecondRunIssuesZeroQueries) {
   std::filesystem::remove_all(cache_dir);
   auto run_once = [&] {
     PipelineOptions opts;
-    opts.cache_dir = cache_dir;
+    opts.battery.semantic.cache_dir = cache_dir;
     Pipeline pipeline = make_pipeline(*broken_pl, opts);
     return pipeline.run(paper_vms());
   };
@@ -470,7 +470,7 @@ TEST(PipelineRetentionTest, EightVmReportStableAndConflictsDoNotGrow) {
   }
   auto run_with = [&](smt::Backend backend) {
     PipelineOptions opts;
-    opts.backend = backend;
+    opts.battery.backend = backend;
     opts.check_allocation = false;
     Pipeline pipeline(model, exclusive_cpus(model), *pl, schemas, opts);
     return pipeline.run(vms);

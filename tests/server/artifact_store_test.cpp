@@ -136,6 +136,27 @@ TEST(ArtifactStore, UnitCheckGetOrBuild) {
   EXPECT_EQ(store.stats().unit_checks, 1u);
 }
 
+TEST(ArtifactStore, TimedOutVerdictIsNeverReused) {
+  ArtifactStore store;
+  int builds = 0;
+  auto build = [&]() {
+    ++builds;
+    CheckArtifact art;
+    art.key = 5;
+    checkers::Finding timeout;
+    timeout.kind = checkers::FindingKind::kSolverTimeout;
+    art.findings.push_back(timeout);
+    return art;
+  };
+  bool hit = true;
+  auto a = store.unit_check(5, build, &hit);
+  EXPECT_FALSE(hit);
+  ASSERT_EQ(a->findings.size(), 1u);
+  (void)store.unit_check(5, build, &hit);
+  EXPECT_FALSE(hit) << "a timed-out verdict depends on timing, not its key";
+  EXPECT_EQ(builds, 2);
+}
+
 TEST(ArtifactStore, FifoEvictionBoundsEachClass) {
   ArtifactStore store(/*capacity=*/2);
   auto build = [](uint64_t key) {

@@ -52,4 +52,7 @@ expect 2 "$LLHSC" frobnicate
 expect 2 "$LLHSC" demo --jobs banana --out "$TMP"
 expect 2 "$LLHSC" check "$TMP/vm1.dts" --solver-timeout-ms banana
 
+# The retired --serve spelling (now --socket) is an unknown flag -> 2.
+expect 2 "$LLHSC" check "$TMP/vm1.dts" --serve "$TMP/llhsc.sock"
+
 exit $fail

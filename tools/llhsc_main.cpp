@@ -53,11 +53,9 @@
 #include <sstream>
 
 #include "api/llhsc.hpp"
+#include "checkers/battery.hpp"
 #include "checkers/crossref/rules.hpp"
-#include "checkers/lint.hpp"
 #include "checkers/report.hpp"
-#include "checkers/semantic.hpp"
-#include "checkers/syntactic.hpp"
 #include "core/pipeline.hpp"
 #include "core/running_example.hpp"
 #include "dts/overlay.hpp"
@@ -106,12 +104,11 @@ bool write_file(const std::string& path, const std::vector<uint8_t>& data) {
                               data.size()));
 }
 
-/// Parses one command's flags. Deprecation warnings always print; a parse
-/// error prints and returns nullopt (the caller prints usage and exits 2).
+/// Parses one command's flags. A parse error prints and returns nullopt (the
+/// caller prints usage and exits 2).
 std::optional<ParsedFlags> parse_or_report(const std::vector<FlagSpec>& specs,
                                            int argc, char** argv) {
   ParsedFlags args = support::parse_flags(specs, argc, argv, 2);
-  for (const std::string& w : args.warnings) std::cerr << w << "\n";
   if (!args.ok) {
     std::cerr << args.error << "\n";
     return std::nullopt;
@@ -120,13 +117,11 @@ std::optional<ParsedFlags> parse_or_report(const std::vector<FlagSpec>& specs,
 }
 
 smt::Backend backend_from(const ParsedFlags& args) {
-  std::string name = args.value("backend", "builtin");
-  if (name == "z3") return smt::Backend::kZ3;
-  if (name == "portfolio") return smt::Backend::kPortfolio;
-  if (name != "builtin") {
-    std::cerr << "warning: unknown backend '" << name << "', using builtin\n";
-  }
-  return smt::Backend::kBuiltin;
+  std::string warning;
+  const smt::Backend backend =
+      smt::backend_from_name(args.value("backend", "builtin"), &warning);
+  std::cerr << warning;
+  return backend;
 }
 
 schema::SchemaSet schemas_from(const ParsedFlags& args) {
@@ -436,7 +431,7 @@ int cmd_check(int argc, char** argv) {
       {"solver-timeout-ms", FlagKind::kUint},
       {"no-plan", FlagKind::kBool},
       {"cache-dir"},
-      {"socket", FlagKind::kString, "serve"},
+      {"socket"},
       {"tcp"},
       {"tenant"},
       {"profile"},
@@ -586,13 +581,15 @@ int cmd_generate(int argc, char** argv) {
     return 1;
   }
 
-  smt::Backend backend = backend_from(args);
-  schema::SchemaSet schemas = schemas_from(args);
-  checkers::SyntacticChecker syn(schemas, backend);
-  checkers::SemanticChecker sem(backend);
-  checkers::Findings findings = syn.check(*tree);
-  checkers::Findings sem_f = sem.check(*tree);
-  findings.insert(findings.end(), sem_f.begin(), sem_f.end());
+  const smt::Backend backend = backend_from(args);
+  const schema::SchemaSet schemas = schemas_from(args);
+  const checkers::BatteryOptions options{.backend = backend,
+                                         .lint = false,
+                                         .crossref = false,
+                                         .graph = false,
+                                         .schemas = &schemas};
+  const checkers::Findings findings =
+      checkers::run_battery(*tree, options).all();
   std::cout << checkers::render(findings);
   if (checkers::error_count(findings) > 0) {
     std::cerr << "product rejected by the checkers\n";
@@ -642,11 +639,12 @@ int cmd_demo(int argc, char** argv) {
     return 2;
   }
   core::PipelineOptions opts;
-  opts.backend = backend_from(args);
+  opts.battery.backend = backend_from(args);
   opts.jobs = static_cast<unsigned>(args.uint_value("jobs", 1));
-  opts.solver_timeout_ms = args.uint_value("solver-timeout-ms", 0);
-  opts.plan_queries = !args.has("no-plan");
-  opts.cache_dir = args.value("cache-dir");
+  opts.battery.semantic.solver_timeout_ms =
+      args.uint_value("solver-timeout-ms", 0);
+  opts.battery.semantic.plan = !args.has("no-plan");
+  opts.battery.semantic.cache_dir = args.value("cache-dir");
   core::Pipeline pipeline(model, core::exclusive_cpus(model), *pl, schemas,
                           opts);
   core::PipelineResult result = pipeline.run(

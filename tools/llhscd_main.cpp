@@ -47,14 +47,13 @@ int main(int argc, char** argv) {
       {"queue-limit", FlagKind::kUint},
       {"tenant-quota", FlagKind::kUint},
       {"store-capacity", FlagKind::kUint},
-      {"deadline-ms", FlagKind::kUint, "default-deadline-ms"},
+      {"deadline-ms", FlagKind::kUint},
       {"max-line-bytes", FlagKind::kUint},
-      {"log-file", FlagKind::kString, "log"},
+      {"log-file"},
       {"profile"},
   };
   const llhsc::support::ParsedFlags args =
       llhsc::support::parse_flags(kFlags, argc, argv, 1);
-  for (const std::string& w : args.warnings) std::cerr << w << "\n";
   if (!args.ok) {
     std::cerr << args.error << "\n";
     return usage();
