@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <functional>
 #include <map>
-#include <memory>
 #include <unordered_map>
 
 #include "checkers/interval_baseline.hpp"
@@ -126,6 +125,21 @@ void extract_node_regions(const crossref::AnalysisContext& ctx,
   }
 }
 
+/// The value the solver's w-bit encoding actually sees (bv_const truncates).
+uint64_t mask_address(uint64_t value, uint32_t width) {
+  return width >= 64 ? value : (value & ((1ull << width) - 1));
+}
+
+/// Mirror of the solver's uadd_overflow verdict on masked base/size: true
+/// iff base + size >= 2^width, in which case [base, base+size) is empty in
+/// the w-bit encoding (the end wraps to or below the base) and the region
+/// cannot overlap anything.
+bool region_wraps(uint64_t base_m, uint64_t size_m, uint32_t width) {
+  if (size_m == 0) return false;
+  if (width >= 64) return base_m > UINT64_MAX - size_m;
+  return base_m + size_m >= (1ull << width);
+}
+
 }  // namespace
 
 std::string_view to_string(RegionClass c) {
@@ -144,16 +158,6 @@ bool overlap_is_fault(RegionClass a, RegionClass b) {
     return false;
   }
   return true;
-}
-
-uint64_t mask_address(uint64_t value, uint32_t width) {
-  return width >= 64 ? value : (value & ((1ull << width) - 1));
-}
-
-bool region_wraps(uint64_t base_m, uint64_t size_m, uint32_t width) {
-  if (size_m == 0) return false;
-  if (width >= 64) return base_m > UINT64_MAX - size_m;
-  return base_m + size_m >= (1ull << width);
 }
 
 Finding zero_size_finding(const MemRegion& r) {
@@ -205,7 +209,7 @@ Finding overlap_finding(const MemRegion& a, const MemRegion& b,
   return f;
 }
 
-Finding interrupt_collision_finding(const IrqClaim& a, const IrqClaim& b) {
+Finding interrupt_collision_finding(const Claim& a, const Claim& b) {
   Finding f;
   f.kind = FindingKind::kInterruptCollision;
   f.subject = b.path;
@@ -219,7 +223,7 @@ Finding interrupt_collision_finding(const IrqClaim& a, const IrqClaim& b) {
   return f;
 }
 
-Finding clock_collision_finding(const ClockClaim& a, const ClockClaim& b) {
+Finding clock_collision_finding(const Claim& a, const Claim& b) {
   Finding f;
   f.kind = FindingKind::kClockCollision;
   f.subject = b.path;
@@ -229,7 +233,7 @@ Finding clock_collision_finding(const ClockClaim& a, const ClockClaim& b) {
   f.location = b.location;
   f.base_a = b.tuple.empty() ? 0 : b.tuple[0];
   f.message = "clock " + std::to_string(f.base_a) +
-              " of provider phandle " + std::to_string(b.provider_phandle) +
+              " of provider phandle " + std::to_string(b.owner_phandle) +
               " already assigned by " + a.path;
   return f;
 }
@@ -256,7 +260,7 @@ std::vector<MemRegion> extract_regions(const crossref::AnalysisContext& ctx,
   return regions;
 }
 
-std::vector<IrqClaim> collect_interrupt_claims(const dts::Tree& tree) {
+std::vector<Claim> collect_interrupt_claims(const dts::Tree& tree) {
   // Pass 1: phandle -> #interrupt-cells, to know each claim's tuple stride.
   std::unordered_map<uint32_t, uint32_t> interrupt_cells;
   tree.visit([&](const std::string&, const dts::Node& node) {
@@ -273,7 +277,7 @@ std::vector<IrqClaim> collect_interrupt_claims(const dts::Tree& tree) {
 
   // Pass 2: walk with interrupt-parent inheritance (a node without its own
   // interrupt-parent uses the nearest ancestor's, per the DT spec).
-  std::vector<IrqClaim> claims;
+  std::vector<Claim> claims;
   std::function<void(const dts::Node&, const std::string&, uint32_t)> walk =
       [&](const dts::Node& node, const std::string& path, uint32_t parent) {
         if (const dts::Property* ip = node.find_property("interrupt-parent")) {
@@ -288,13 +292,13 @@ std::vector<IrqClaim> collect_interrupt_claims(const dts::Tree& tree) {
             if (it != interrupt_cells.end()) stride = it->second;
             for (size_t off = 0, e = 0; off < cells->size();
                  off += stride, ++e) {
-              IrqClaim claim;
+              Claim claim;
               claim.path = path;
               claim.provenance = !irq->provenance.empty() ? irq->provenance
                                                           : node.provenance();
               claim.location =
                   irq->location.valid() ? irq->location : node.location();
-              claim.parent_phandle = parent;
+              claim.owner_phandle = parent;
               claim.entry_index = e;
               const size_t n = std::min(stride, cells->size() - off);
               claim.tuple.reserve(n);
@@ -316,7 +320,7 @@ std::vector<IrqClaim> collect_interrupt_claims(const dts::Tree& tree) {
   return claims;
 }
 
-std::vector<ClockClaim> collect_clock_claims(const dts::Tree& tree) {
+std::vector<Claim> collect_clock_claims(const dts::Tree& tree) {
   // Pass 1: phandle -> #clock-cells. A provider without #clock-cells is a
   // single-clock provider (specifier length 0) per the clock bindings.
   std::unordered_map<uint32_t, uint32_t> clock_cells;
@@ -338,7 +342,7 @@ std::vector<ClockClaim> collect_clock_claims(const dts::Tree& tree) {
   // phandle ends the parse of that property: the stride past it is
   // unknowable, and the dangling reference is the cross-reference rules'
   // finding, not ours.
-  std::vector<ClockClaim> claims;
+  std::vector<Claim> claims;
   tree.visit([&](const std::string& path, const dts::Node& node) {
     const dts::Property* ac = node.find_property("assigned-clocks");
     if (ac == nullptr) return;
@@ -351,12 +355,12 @@ std::vector<ClockClaim> collect_clock_claims(const dts::Tree& tree) {
       auto it = clock_cells.find(phandle);
       if (it == clock_cells.end()) break;
       const size_t cc = it->second;
-      ClockClaim claim;
+      Claim claim;
       claim.path = path;
       claim.provenance =
           !ac->provenance.empty() ? ac->provenance : node.provenance();
       claim.location = ac->location.valid() ? ac->location : node.location();
-      claim.provider_phandle = phandle;
+      claim.owner_phandle = phandle;
       claim.entry_index = e;
       const size_t n = std::min(cc, cells->size() - off - 1);
       claim.tuple.reserve(n);
@@ -394,6 +398,100 @@ OverlapQuery build_overlap_query(smt::Solver& solver, const MemRegion& a,
       std::max(mask_address(a.base, width), mask_address(b.base, width));
   q.formulas.push_back(bv.eq(q.x, bv.bv_const(pin, width)));
   return q;
+}
+
+RegionScreen screen_regions(const std::vector<MemRegion>& regions,
+                            uint32_t width, bool warn_zero_size,
+                            Findings& out) {
+  RegionScreen screen;
+  for (size_t i = 0; i < regions.size(); ++i) {
+    const MemRegion& r = regions[i];
+    if (r.size == 0) {
+      if (warn_zero_size) out.push_back(zero_size_finding(r));
+      continue;
+    }
+    MemRegion m = r;
+    m.base = mask_address(m.base, width);
+    m.size = mask_address(m.size, width);
+    if (region_wraps(m.base, m.size, width)) {
+      out.push_back(wrap_finding(r, width));
+      continue;
+    }
+    screen.masked.push_back(std::move(m));
+    screen.index.push_back(i);
+  }
+  return screen;
+}
+
+ClaimPairs claim_pairs(const std::vector<Claim>& claims) {
+  std::map<std::pair<uint32_t, std::vector<uint64_t>>, std::vector<size_t>>
+      buckets;
+  std::map<std::pair<uint32_t, size_t>, uint64_t> comparable_groups;
+  for (size_t i = 0; i < claims.size(); ++i) {
+    buckets[{claims[i].owner_phandle, claims[i].tuple}].push_back(i);
+    ++comparable_groups[{claims[i].owner_phandle, claims[i].tuple.size()}];
+  }
+  ClaimPairs out;
+  for (const auto& [key, n] : comparable_groups) {
+    out.comparable += n * (n - 1) / 2;
+  }
+  for (const auto& [key, members] : buckets) {
+    for (size_t i = 0; i < members.size(); ++i) {
+      for (size_t j = i + 1; j < members.size(); ++j) {
+        out.candidates.emplace_back(members[i], members[j]);
+      }
+    }
+  }
+  std::sort(out.candidates.begin(), out.candidates.end());
+  return out;
+}
+
+ClaimQueries::ClaimQueries(smt::Solver& solver,
+                           const std::vector<Claim>& claims, std::string ns)
+    : solver_(&solver),
+      claims_(&claims),
+      ns_(std::move(ns)),
+      terms_(claims.size()) {}
+
+const std::vector<logic::BvTerm>& ClaimQueries::terms(size_t i) {
+  std::vector<logic::BvTerm>& t = terms_[i];
+  if (t.empty()) {
+    const std::string prefix = ns_ + "." + std::to_string(i) + ".";
+    t.reserve((*claims_)[i].tuple.size() + 1);
+    for (size_t k = 0; k <= (*claims_)[i].tuple.size(); ++k) {
+      t.push_back(solver_->bv_var(prefix + std::to_string(k), 32));
+    }
+  }
+  return t;
+}
+
+std::vector<logic::Formula> ClaimQueries::fixings(size_t i) {
+  auto& bv = solver_->bitvectors();
+  const Claim& c = (*claims_)[i];
+  const std::vector<logic::BvTerm>& t = terms(i);
+  std::vector<logic::Formula> fs;
+  fs.reserve(t.size());
+  fs.push_back(bv.eq(t[0], bv.bv_const(c.owner_phandle, 32)));
+  for (size_t k = 0; k < c.tuple.size(); ++k) {
+    fs.push_back(bv.eq(t[k + 1], bv.bv_const(c.tuple[k], 32)));
+  }
+  return fs;
+}
+
+std::vector<logic::Formula> ClaimQueries::build(size_t i, size_t j) {
+  auto& bv = solver_->bitvectors();
+  const std::vector<logic::Formula> fa = fixings(i);
+  const std::vector<logic::Formula> fb = fixings(j);
+  const std::vector<logic::BvTerm>& ta = terms(i);
+  const std::vector<logic::BvTerm>& tb = terms(j);
+  std::vector<logic::Formula> fs;
+  fs.reserve(ta.size() * 3);
+  for (size_t k = 0; k < ta.size(); ++k) {
+    fs.push_back(fa[k]);
+    fs.push_back(fb[k]);
+    fs.push_back(bv.eq(ta[k], tb[k]));
+  }
+  return fs;
 }
 
 SemanticChecker::SemanticChecker(smt::Backend backend, SemanticOptions options)
@@ -453,11 +551,13 @@ Findings SemanticChecker::check(const dts::Tree& tree) {
   out.insert(out.end(), overlap.begin(), overlap.end());
 
   if (options_.check_interrupts) {
-    Findings irq = check_interrupts(tree);
+    Findings irq = check_claims(collect_interrupt_claims(tree), "interrupt",
+                                interrupt_collision_finding);
     out.insert(out.end(), irq.begin(), irq.end());
   }
   if (options_.check_clocks) {
-    Findings clk = check_clocks(tree);
+    Findings clk = check_claims(collect_clock_claims(tree), "clock",
+                                clock_collision_finding);
     out.insert(out.end(), clk.begin(), clk.end());
   }
   return out;
@@ -468,353 +568,131 @@ Findings SemanticChecker::check_regions(const std::vector<MemRegion>& regions) {
   return check_regions_impl(regions);
 }
 
-OverlapQuery SemanticChecker::next_overlap_query(const MemRegion& a,
-                                                 const MemRegion& b) {
-  const std::string ns = "ov" + std::to_string(fresh_counter_++);
-  return build_overlap_query(solver_, a, b, options_.address_bits, ns);
+smt::QueryPlanner::Outcome SemanticChecker::decide(
+    std::span<const logic::Formula> fs, logic::BvTerm witness) {
+  if (options_.plan) return planner_.check(fs, witness);
+  smt::QueryPlanner::Outcome o;
+  o.result = solver_.check_assuming(fs);
+  if (o.result == smt::CheckResult::kSat && witness.valid()) {
+    o.witness = solver_.model_bv(witness);
+  }
+  return o;
 }
 
-// Interrupt uniqueness through the solver (the paper's conclusions name
-// interrupts alongside memory addresses as bit-vector-validated): two claims
-// under the same interrupt parent collide iff their full specifier tuples
-// are equal — cell by cell, tuple_a[k] == tuple_b[k] satisfiable with each
-// cell fixed to its instance value. Structurally this is equality, but
-// routing it through the solver keeps every semantic rule in one constraint
-// store (the paper's extensibility argument, §VI) and allows symbolic lines
-// later. In planned mode, a hash bucket on (parent, tuple) prefilters the
-// pairs: only claims sharing a bucket can collide, so every other pair is
-// pruned without a query, and the surviving queries go through the planner
-// (batched + cached).
-Findings SemanticChecker::check_interrupts(const dts::Tree& tree) {
+// Interrupt and clock uniqueness through the solver (the paper's
+// conclusions name interrupts alongside memory addresses as
+// bit-vector-validated): two claims collide iff they name the same owner
+// (interrupt parent / clock provider) and their full tuples are equal.
+// Structurally this is equality, but routing it through the solver keeps
+// every semantic rule in one constraint store (the paper's extensibility
+// argument, §VI) and allows symbolic lines later. The exhaustive path
+// queries every comparable pair; the planned path queries only pairs that
+// share an (owner, tuple) bucket and prunes the rest. Both walk pairs in
+// (i, j) order, so the findings are byte-identical.
+Findings SemanticChecker::check_claims(const std::vector<Claim>& claims,
+                                       const std::string& kind,
+                                       Finding (*collision)(const Claim&,
+                                                            const Claim&)) {
   Findings out;
-  auto& bv = solver_.bitvectors();
-  std::vector<IrqClaim> claims = collect_interrupt_claims(tree);
-
-  // Solver terms per claim, created on first use (terms are a solver-side
-  // concern; the claims themselves stay plain data shared with src/lift).
-  std::vector<std::vector<logic::BvTerm>> terms(claims.size());
-  auto ensure_terms = [&](size_t i) {
-    if (!terms[i].empty() || claims[i].tuple.empty()) return;
-    const std::string ns = "irq" + std::to_string(fresh_counter_++);
-    terms[i].reserve(claims[i].tuple.size());
-    for (size_t k = 0; k < claims[i].tuple.size(); ++k) {
-      terms[i].push_back(
-          bv.bv_var(ns + "." + claims[i].path + "." + std::to_string(k), 32));
-    }
-  };
-  auto comparable = [](const IrqClaim& a, const IrqClaim& b) {
-    return a.parent_phandle == b.parent_phandle &&
-           a.tuple.size() == b.tuple.size();
-  };
-
-  if (!options_.plan) {
-    // Exhaustive: fix every claim's cells globally, then one query per
-    // comparable pair.
+  ClaimQueries queries(solver_, claims,
+                       "cl" + std::to_string(fresh_counter_++));
+  std::vector<std::pair<size_t, size_t>> pairs;
+  if (options_.plan) {
+    ClaimPairs cp = claim_pairs(claims);
+    planner_.note_pruned(cp.comparable - cp.candidates.size());
+    pairs = std::move(cp.candidates);
+  } else {
+    // The exhaustive path shares its solver across every comparable pair,
+    // so it asserts the fixings once as facts: each query's assumed
+    // fixings are then true at level 0 and only its equalities are
+    // searched.
     for (size_t i = 0; i < claims.size(); ++i) {
-      ensure_terms(i);
-      for (size_t k = 0; k < claims[i].tuple.size(); ++k) {
-        solver_.add(bv.eq(terms[i][k], bv.bv_const(claims[i].tuple[k], 32)));
-      }
-    }
-    for (size_t i = 0; i < claims.size(); ++i) {
+      for (logic::Formula f : queries.fixings(i)) solver_.add(f);
       for (size_t j = i + 1; j < claims.size(); ++j) {
-        const IrqClaim& a = claims[i];
-        const IrqClaim& b = claims[j];
-        if (!comparable(a, b)) continue;
-        std::vector<logic::Formula> same;
-        same.reserve(a.tuple.size());
-        for (size_t k = 0; k < a.tuple.size(); ++k) {
-          same.push_back(bv.eq(terms[i][k], terms[j][k]));
-        }
-        smt::CheckResult irq_r = solver_.check_assuming(same);
-        if (query_timed_out(irq_r,
-                            "interrupt check of " + a.path + " vs " + b.path,
-                            out)) {
-          return out;
-        }
-        if (irq_r == smt::CheckResult::kSat) {
-          out.push_back(interrupt_collision_finding(a, b));
+        if (claims[i].owner_phandle == claims[j].owner_phandle &&
+            claims[i].tuple.size() == claims[j].tuple.size()) {
+          pairs.emplace_back(i, j);
         }
       }
     }
-    return out;
   }
-
-  // Planned: bucket claims by (parent, tuple). Claims in different buckets
-  // cannot collide (concrete unequal tuples), so only intra-bucket pairs
-  // reach the solver; the rest of the comparable pairs are pruned. Candidate
-  // pairs are processed in the exhaustive loop's (i, j) order so the
-  // findings come out byte-identical.
-  std::map<std::pair<uint32_t, std::vector<uint64_t>>, std::vector<size_t>>
-      buckets;
-  std::map<std::pair<uint32_t, size_t>, uint64_t> comparable_group_sizes;
-  for (size_t i = 0; i < claims.size(); ++i) {
-    buckets[{claims[i].parent_phandle, claims[i].tuple}].push_back(i);
-    ++comparable_group_sizes[{claims[i].parent_phandle,
-                              claims[i].tuple.size()}];
-  }
-  uint64_t comparable_pairs = 0;
-  for (const auto& [key, n] : comparable_group_sizes) {
-    comparable_pairs += n * (n - 1) / 2;
-  }
-  std::vector<std::pair<size_t, size_t>> candidates;
-  for (const auto& [key, members] : buckets) {
-    for (size_t i = 0; i < members.size(); ++i) {
-      for (size_t j = i + 1; j < members.size(); ++j) {
-        candidates.emplace_back(members[i], members[j]);
-      }
-    }
-  }
-  std::sort(candidates.begin(), candidates.end());
-  planner_.note_pruned(comparable_pairs - candidates.size());
-
-  for (const auto& [i, j] : candidates) {
-    const IrqClaim& a = claims[i];
-    const IrqClaim& b = claims[j];
-    ensure_terms(i);
-    ensure_terms(j);
-    // Self-contained query (cache-portable): the cell fixings ride along
-    // instead of being asserted globally.
-    std::vector<logic::Formula> fs;
-    fs.reserve(a.tuple.size() * 3);
-    for (size_t k = 0; k < a.tuple.size(); ++k) {
-      fs.push_back(bv.eq(terms[i][k], bv.bv_const(a.tuple[k], 32)));
-      fs.push_back(bv.eq(terms[j][k], bv.bv_const(b.tuple[k], 32)));
-      fs.push_back(bv.eq(terms[i][k], terms[j][k]));
-    }
-    smt::QueryPlanner::Outcome o = planner_.check(fs);
-    if (query_timed_out(o.result,
-                        "interrupt check of " + a.path + " vs " + b.path,
+  for (const auto& [i, j] : pairs) {
+    const Claim& a = claims[i];
+    const Claim& b = claims[j];
+    const smt::CheckResult r = decide(queries.build(i, j)).result;
+    if (query_timed_out(r, kind + " check of " + a.path + " vs " + b.path,
                         out)) {
       return out;
     }
-    if (o.result == smt::CheckResult::kSat) {
-      out.push_back(interrupt_collision_finding(a, b));
-    }
+    if (r == smt::CheckResult::kSat) out.push_back(collision(a, b));
   }
   return out;
 }
 
-// Clock-assignment uniqueness, the same query shape generalised from the
-// interrupt check (ROADMAP item 4's "generalise to clock providers"): two
-// assigned-clocks entries collide iff they name the same provider AND their
-// specifier tuples are equal. The provider equality rides along in the
-// formulas so every query is self-contained and non-empty even for
-// zero-cell providers (two pins of a single-clock provider still collide).
-// Planned mode buckets on (provider, tuple) with the exact pruned count,
-// exhaustive mode issues every comparable pair — findings byte-identical.
-Findings SemanticChecker::check_clocks(const dts::Tree& tree) {
-  Findings out;
-  auto& bv = solver_.bitvectors();
-  std::vector<ClockClaim> claims = collect_clock_claims(tree);
-
-  // One provider term + tuple terms per claim, created on first use.
-  std::vector<std::vector<logic::BvTerm>> terms(claims.size());
-  auto ensure_terms = [&](size_t i) {
-    if (!terms[i].empty()) return;
-    const std::string ns = "clk" + std::to_string(fresh_counter_++);
-    terms[i].reserve(claims[i].tuple.size() + 1);
-    terms[i].push_back(bv.bv_var(ns + "." + claims[i].path + ".ph", 32));
-    for (size_t k = 0; k < claims[i].tuple.size(); ++k) {
-      terms[i].push_back(
-          bv.bv_var(ns + "." + claims[i].path + "." + std::to_string(k), 32));
-    }
-  };
-  auto comparable = [](const ClockClaim& a, const ClockClaim& b) {
-    return a.provider_phandle == b.provider_phandle &&
-           a.tuple.size() == b.tuple.size();
-  };
-  auto query_formulas = [&](size_t i, size_t j) {
-    const ClockClaim& a = claims[i];
-    const ClockClaim& b = claims[j];
-    std::vector<logic::Formula> fs;
-    fs.reserve((a.tuple.size() + 1) * 3);
-    fs.push_back(
-        bv.eq(terms[i][0], bv.bv_const(a.provider_phandle, 32)));
-    fs.push_back(
-        bv.eq(terms[j][0], bv.bv_const(b.provider_phandle, 32)));
-    fs.push_back(bv.eq(terms[i][0], terms[j][0]));
-    for (size_t k = 0; k < a.tuple.size(); ++k) {
-      fs.push_back(bv.eq(terms[i][k + 1], bv.bv_const(a.tuple[k], 32)));
-      fs.push_back(bv.eq(terms[j][k + 1], bv.bv_const(b.tuple[k], 32)));
-      fs.push_back(bv.eq(terms[i][k + 1], terms[j][k + 1]));
-    }
-    return fs;
-  };
-
-  if (!options_.plan) {
-    for (size_t i = 0; i < claims.size(); ++i) {
-      for (size_t j = i + 1; j < claims.size(); ++j) {
-        const ClockClaim& a = claims[i];
-        const ClockClaim& b = claims[j];
-        if (!comparable(a, b)) continue;
-        ensure_terms(i);
-        ensure_terms(j);
-        smt::CheckResult clk_r = solver_.check_assuming(query_formulas(i, j));
-        if (query_timed_out(clk_r,
-                            "clock check of " + a.path + " vs " + b.path,
-                            out)) {
-          return out;
-        }
-        if (clk_r == smt::CheckResult::kSat) {
-          out.push_back(clock_collision_finding(a, b));
-        }
-      }
-    }
-    return out;
-  }
-
-  std::map<std::pair<uint32_t, std::vector<uint64_t>>, std::vector<size_t>>
-      buckets;
-  std::map<std::pair<uint32_t, size_t>, uint64_t> comparable_group_sizes;
-  for (size_t i = 0; i < claims.size(); ++i) {
-    buckets[{claims[i].provider_phandle, claims[i].tuple}].push_back(i);
-    ++comparable_group_sizes[{claims[i].provider_phandle,
-                              claims[i].tuple.size()}];
-  }
-  uint64_t comparable_pairs = 0;
-  for (const auto& [key, n] : comparable_group_sizes) {
-    comparable_pairs += n * (n - 1) / 2;
-  }
-  std::vector<std::pair<size_t, size_t>> candidates;
-  for (const auto& [key, members] : buckets) {
-    for (size_t i = 0; i < members.size(); ++i) {
-      for (size_t j = i + 1; j < members.size(); ++j) {
-        candidates.emplace_back(members[i], members[j]);
-      }
-    }
-  }
-  std::sort(candidates.begin(), candidates.end());
-  planner_.note_pruned(comparable_pairs - candidates.size());
-
-  for (const auto& [i, j] : candidates) {
-    const ClockClaim& a = claims[i];
-    const ClockClaim& b = claims[j];
-    ensure_terms(i);
-    ensure_terms(j);
-    smt::QueryPlanner::Outcome o = planner_.check(query_formulas(i, j));
-    if (query_timed_out(o.result,
-                        "clock check of " + a.path + " vs " + b.path, out)) {
-      return out;
-    }
-    if (o.result == smt::CheckResult::kSat) {
-      out.push_back(clock_collision_finding(a, b));
-    }
-  }
-  return out;
-}
-
+// Region disjointness. The exhaustive path decides every wrap check and
+// every fault-class pair of nonzero regions on the solver. The planned path
+// screens zero-size and wrapped regions concretely (one solver query pruned
+// per nonzero region) and sends only the pairs whose masked intervals the
+// sweep-line finds intersecting — exactly the pairs the solver can find
+// satisfiable — to the planner. Candidates come sorted (first, second), the
+// exhaustive loop's order.
 Findings SemanticChecker::check_regions_impl(
-    const std::vector<MemRegion>& regions) {
-  return options_.plan ? check_regions_planned(regions)
-                       : check_regions_exhaustive(regions);
-}
-
-Findings SemanticChecker::check_regions_exhaustive(
-    const std::vector<MemRegion>& regions) {
-  Findings out;
-  auto& bv = solver_.bitvectors();
-  uint32_t width = options_.address_bits;
-
-  for (const MemRegion& r : regions) {
-    if (r.size == 0) {
-      if (options_.warn_zero_size) out.push_back(zero_size_finding(r));
-      continue;
-    }
-    // Wrap-around: base + size must not overflow the address space.
-    auto base_t = bv.bv_const(r.base, width);
-    auto size_t_ = bv.bv_const(r.size, width);
-    solver_.push();
-    solver_.add(bv.uadd_overflow(base_t, size_t_));
-    smt::CheckResult wrap_r = solver_.check();
-    solver_.pop();
-    if (query_timed_out(wrap_r, "wrap-around check of " + r.path, out)) {
-      return out;
-    }
-    if (wrap_r == smt::CheckResult::kSat) {
-      out.push_back(wrap_finding(r, width));
-    }
-  }
-
-  // Pairwise disjointness via formula (7): find a witness address inside
-  // both ranges. Skipped pairs: a region against itself.
-  for (size_t i = 0; i < regions.size(); ++i) {
-    for (size_t j = i + 1; j < regions.size(); ++j) {
-      const MemRegion& a = regions[i];
-      const MemRegion& b = regions[j];
-      if (a.size == 0 || b.size == 0) continue;
-      if (!overlap_is_fault(a.region_class, b.region_class)) continue;
-      OverlapQuery q = next_overlap_query(a, b);
-      solver_.push();
-      for (logic::Formula f : q.formulas) solver_.add(f);
-      smt::CheckResult overlap_r = solver_.check();
-      bool overlaps = overlap_r == smt::CheckResult::kSat;
-      uint64_t witness = overlaps ? solver_.model_bv(q.x) : 0;
-      solver_.pop();
-      if (query_timed_out(overlap_r,
-                          "overlap check of " + a.path + " vs " + b.path,
-                          out)) {
-        return out;
-      }
-      if (overlaps) out.push_back(overlap_finding(a, b, witness));
-    }
-  }
-  return out;
-}
-
-Findings SemanticChecker::check_regions_planned(
     const std::vector<MemRegion>& regions) {
   Findings out;
   const uint32_t width = options_.address_bits;
-
-  // Shadow copy in the solver's w-bit semantics: bases and sizes masked,
-  // wrapped regions (whose in-range predicate is empty — see region_wraps)
-  // zeroed out so the sweep-line prefilter agrees with the encoding.
-  std::vector<MemRegion> shadow = regions;
-  for (MemRegion& s : shadow) {
-    s.base = mask_address(s.base, width);
-    s.size = mask_address(s.size, width);
-  }
-
-  for (size_t i = 0; i < regions.size(); ++i) {
-    const MemRegion& r = regions[i];
-    if (r.size == 0) {
-      if (options_.warn_zero_size) out.push_back(zero_size_finding(r));
-      continue;
+  std::vector<std::pair<size_t, size_t>> pairs;
+  if (options_.plan) {
+    RegionScreen screen =
+        screen_regions(regions, width, options_.warn_zero_size, out);
+    for (const OverlapPair& p : find_overlaps_sweepline(screen.masked)) {
+      pairs.emplace_back(screen.index[p.first], screen.index[p.second]);
     }
-    // The wrap check is concrete arithmetic: decided here, one solver query
-    // pruned relative to the exhaustive path.
-    planner_.note_pruned(1);
-    if (region_wraps(shadow[i].base, shadow[i].size, width)) {
-      out.push_back(wrap_finding(r, width));
-      shadow[i].size = 0;
+    // Queries the exhaustive path would issue: one wrap check per nonzero
+    // region plus every pair of nonzero regions whose class combination is
+    // a fault. Counted by class tally so the pruning counter is exact
+    // without an O(n^2) walk.
+    uint64_t nonzero = 0, ipc = 0, memory = 0;
+    for (const MemRegion& r : regions) {
+      if (r.size == 0) continue;
+      ++nonzero;
+      if (r.region_class == RegionClass::kIpc) ++ipc;
+      if (r.region_class == RegionClass::kMemory) ++memory;
+    }
+    const uint64_t queryable = nonzero * (nonzero - 1) / 2 - ipc * memory;
+    planner_.note_pruned(nonzero + queryable - pairs.size());
+  } else {
+    auto& bv = solver_.bitvectors();
+    for (const MemRegion& r : regions) {
+      if (r.size == 0) {
+        if (options_.warn_zero_size) out.push_back(zero_size_finding(r));
+        continue;
+      }
+      const logic::Formula wraps = bv.uadd_overflow(
+          bv.bv_const(r.base, width), bv.bv_const(r.size, width));
+      const smt::CheckResult r_wrap = decide({&wraps, 1}).result;
+      if (query_timed_out(r_wrap, "wrap-around check of " + r.path, out)) {
+        return out;
+      }
+      if (r_wrap == smt::CheckResult::kSat) {
+        out.push_back(wrap_finding(r, width));
+      }
+    }
+    for (size_t i = 0; i < regions.size(); ++i) {
+      for (size_t j = i + 1; j < regions.size(); ++j) {
+        if (regions[i].size != 0 && regions[j].size != 0 &&
+            overlap_is_fault(regions[i].region_class,
+                             regions[j].region_class)) {
+          pairs.emplace_back(i, j);
+        }
+      }
     }
   }
-
-  // Queries the exhaustive path would issue: every ordered pair of nonzero
-  // regions whose class combination is a fault. Counted by class tally so
-  // the pruning counter is exact without an O(n^2) walk.
-  uint64_t nonzero = 0, ipc = 0, memory = 0;
-  for (const MemRegion& r : regions) {
-    if (r.size == 0) continue;
-    ++nonzero;
-    if (r.region_class == RegionClass::kIpc) ++ipc;
-    if (r.region_class == RegionClass::kMemory) ++memory;
-  }
-  const uint64_t queryable = nonzero * (nonzero - 1) / 2 - ipc * memory;
-
-  // Sound prefilter: the sweep-line reports every pair whose masked
-  // intervals intersect, which is exactly the set of pairs the solver can
-  // find satisfiable — everything else is pruned. Candidates arrive sorted
-  // (first, second) lexicographically, the exhaustive loop's order.
-  std::vector<OverlapPair> candidates = find_overlaps_sweepline(shadow);
-  planner_.note_pruned(queryable - candidates.size());
-
-  for (const OverlapPair& pair : candidates) {
-    const MemRegion& a = regions[pair.first];
-    const MemRegion& b = regions[pair.second];
-    OverlapQuery q = next_overlap_query(a, b);
-    smt::QueryPlanner::Outcome o = planner_.check(q.formulas, q.x);
+  for (const auto& [i, j] : pairs) {
+    const MemRegion& a = regions[i];
+    const MemRegion& b = regions[j];
+    OverlapQuery q = build_overlap_query(
+        solver_, a, b, width, "ov" + std::to_string(fresh_counter_++));
+    smt::QueryPlanner::Outcome o = decide(q.formulas, q.x);
     if (query_timed_out(o.result,
                         "overlap check of " + a.path + " vs " + b.path,
                         out)) {

@@ -8,12 +8,13 @@
 // the collision witness address reported in each finding.
 //
 // Additional checks: base+size wrap-around (uadd_overflow), zero-size
-// regions, per-cell width violations, and interrupt-line uniqueness (the
-// "interrupts" extension named in the paper's conclusions).
+// regions, per-cell width violations, and interrupt-line and clock
+// uniqueness (the "interrupts" extension named in the paper's conclusions).
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "checkers/finding.hpp"
@@ -58,51 +59,29 @@ struct MemRegion {
 /// True when an overlap between the two classes is a fault.
 [[nodiscard]] bool overlap_is_fault(RegionClass a, RegionClass b);
 
-/// The value the solver's w-bit encoding actually sees (bv_const truncates).
-[[nodiscard]] uint64_t mask_address(uint64_t value, uint32_t width);
-
-/// Mirror of the solver's uadd_overflow verdict on masked base/size: true
-/// iff base + size >= 2^width, in which case [base, base+size) is empty in
-/// the w-bit encoding (the end wraps to or below the base) and the region
-/// cannot overlap anything.
-[[nodiscard]] bool region_wraps(uint64_t base_m, uint64_t size_m,
-                                uint32_t width);
-
-/// One claim per `interrupts` tuple of one node. Tuples are compared
-/// whole (all #interrupt-cells cells), tuple[0] is the line named in
-/// findings (matching the single-cell message format).
-struct IrqClaim {
+/// One uniqueness claim: an `interrupts` tuple under its interrupt parent,
+/// or an `assigned-clocks` entry under its clock provider. Two claims
+/// collide iff they name the same owner and their tuples are equal cell by
+/// cell; tuple[0] is the line/clock named in findings.
+struct Claim {
   std::string path;
   std::string provenance;
   support::SourceLocation location;
-  uint32_t parent_phandle = 0;
+  uint32_t owner_phandle = 0;  // interrupt parent / clock provider
   size_t entry_index = 0;
   std::vector<uint64_t> tuple;  // cells, masked to 32 bits
 };
 
-/// One claim per `assigned-clocks` entry of one node: the consumer pins the
-/// clock (provider, specifier-tuple). Entries stride per-provider — one
-/// phandle cell plus the provider's #clock-cells specifier cells. Entries
-/// whose provider phandle is unknown are skipped (the stride is unknowable;
-/// the cross-reference rules report the dangling phandle).
-struct ClockClaim {
-  std::string path;
-  std::string provenance;
-  support::SourceLocation location;
-  uint32_t provider_phandle = 0;
-  size_t entry_index = 0;
-  std::vector<uint64_t> tuple;  // specifier cells, masked to 32 bits
-};
-
 /// Collects one claim per `interrupts` tuple (stride = the interrupt
 /// parent's #interrupt-cells), resolving interrupt-parent by inheritance.
-[[nodiscard]] std::vector<IrqClaim> collect_interrupt_claims(
+[[nodiscard]] std::vector<Claim> collect_interrupt_claims(
     const dts::Tree& tree);
 
 /// Collects one claim per `assigned-clocks` entry (stride = 1 phandle cell +
-/// the provider's #clock-cells).
-[[nodiscard]] std::vector<ClockClaim> collect_clock_claims(
-    const dts::Tree& tree);
+/// the provider's #clock-cells). Entries whose provider phandle is unknown
+/// end the parse (the stride is unknowable; the cross-reference rules
+/// report the dangling phandle).
+[[nodiscard]] std::vector<Claim> collect_clock_claims(const dts::Tree& tree);
 
 // -- Finding builders, shared verbatim by the per-product checker and the
 // -- lifted family engine so both report byte-identical defects.
@@ -110,10 +89,23 @@ struct ClockClaim {
 [[nodiscard]] Finding wrap_finding(const MemRegion& r, uint32_t width);
 [[nodiscard]] Finding overlap_finding(const MemRegion& a, const MemRegion& b,
                                       uint64_t witness);
-[[nodiscard]] Finding interrupt_collision_finding(const IrqClaim& a,
-                                                  const IrqClaim& b);
-[[nodiscard]] Finding clock_collision_finding(const ClockClaim& a,
-                                              const ClockClaim& b);
+[[nodiscard]] Finding interrupt_collision_finding(const Claim& a,
+                                                  const Claim& b);
+[[nodiscard]] Finding clock_collision_finding(const Claim& a, const Claim& b);
+
+/// The concrete screen in front of the pairwise overlap obligation, shared
+/// by the planned checker and the lifted engine: zero-size regions yield a
+/// zero_size_finding (when `warn_zero_size`), regions whose masked
+/// base+size wraps the `width`-bit space yield a wrap_finding (their
+/// in-range predicate is empty, so they cannot overlap anything), and every
+/// other region survives in the solver's w-bit view for the sweep-line.
+struct RegionScreen {
+  std::vector<MemRegion> masked;  // survivors, base and size masked
+  std::vector<size_t> index;      // masked[k] is regions[index[k]]
+};
+[[nodiscard]] RegionScreen screen_regions(const std::vector<MemRegion>& regions,
+                                          uint32_t width, bool warn_zero_size,
+                                          Findings& out);
 
 /// The formula-(7) query for one region pair. The witness is pinned to
 /// max(base_a, base_b) (masked to `width`): for concrete non-wrapping
@@ -131,13 +123,51 @@ struct OverlapQuery {
                                                uint32_t width,
                                                const std::string& ns);
 
+/// The candidate pairs of claim uniqueness. Claims with a different owner
+/// or tuple arity are never compared; of the comparable pairs, only those
+/// in one (owner, tuple) bucket can collide, so the rest are pruned.
+struct ClaimPairs {
+  /// Same-bucket pairs (i < j), in the exhaustive loop's (i, j) order.
+  std::vector<std::pair<size_t, size_t>> candidates;
+  /// Pairs with the same owner and arity: the exhaustive query count.
+  uint64_t comparable = 0;
+};
+[[nodiscard]] ClaimPairs claim_pairs(const std::vector<Claim>& claims);
+
+/// Builds the equality queries over one claim set. Each claim's solver
+/// terms (owner, then one per tuple cell) are created once, on first use,
+/// and shared by every query that names the claim.
+class ClaimQueries {
+ public:
+  /// `ns` namespaces the variables; `claims` must outlive the builder.
+  ClaimQueries(smt::Solver& solver, const std::vector<Claim>& claims,
+               std::string ns);
+
+  /// The query for claims i and j: owner and every tuple cell equal, each
+  /// side fixed to its instance value so the query is self-contained
+  /// (cache-portable) and non-empty even for zero-cell clock providers.
+  [[nodiscard]] std::vector<logic::Formula> build(size_t i, size_t j);
+
+  /// Claim i's terms fixed to its instance values; build() interleaves
+  /// these with the pairwise equalities.
+  [[nodiscard]] std::vector<logic::Formula> fixings(size_t i);
+
+ private:
+  const std::vector<logic::BvTerm>& terms(size_t i);
+
+  smt::Solver* solver_;
+  const std::vector<Claim>* claims_;
+  std::string ns_;
+  std::vector<std::vector<logic::BvTerm>> terms_;  // per claim, lazily
+};
+
 struct SemanticOptions {
   /// Address space width in bits for the SMT encoding.
   uint32_t address_bits = 64;
   /// Treat zero-size regions as findings (warnings).
   bool warn_zero_size = true;
-  /// Memory banks from the same memory node are allowed to be adjacent but
-  /// not overlapping (always checked); devices never may overlap anything.
+  /// Check interrupt-line uniqueness: two claims of one full `interrupts`
+  /// tuple under the same interrupt parent are a configuration fault.
   bool check_interrupts = true;
   /// Check `assigned-clocks` uniqueness: two consumers pinning the same
   /// (provider, specifier) clock is a configuration fault, same shape as the
@@ -151,7 +181,7 @@ struct SemanticOptions {
   uint64_t solver_timeout_ms = 0;
   /// Route queries through the smt::QueryPlanner: structurally decidable
   /// queries (concrete wrap checks, pairs the sweep-line prefilter proves
-  /// disjoint, interrupt tuples in singleton hash buckets) never reach the
+  /// disjoint, claims in singleton (owner, tuple) buckets) never reach the
   /// solver, and surviving queries are batched onto one incremental
   /// instance under assumption guards. Findings are byte-identical either
   /// way (property-tested); false exists for A/B comparison and for tests
@@ -197,14 +227,16 @@ class SemanticChecker {
   }
 
  private:
-  Findings check_interrupts(const dts::Tree& tree);
-  Findings check_clocks(const dts::Tree& tree);
+  /// Interrupt or clock uniqueness over `claims`; `kind` names the check in
+  /// a timeout finding ("interrupt check of ...").
+  Findings check_claims(const std::vector<Claim>& claims,
+                        const std::string& kind,
+                        Finding (*collision)(const Claim&, const Claim&));
   Findings check_regions_impl(const std::vector<MemRegion>& regions);
-  Findings check_regions_exhaustive(const std::vector<MemRegion>& regions);
-  Findings check_regions_planned(const std::vector<MemRegion>& regions);
-  /// Member shim over the free build_overlap_query: supplies the solver and
-  /// a fresh_counter_-derived namespace.
-  OverlapQuery next_overlap_query(const MemRegion& a, const MemRegion& b);
+  /// Decides one query: through the planner, or — the exhaustive reference
+  /// path — directly on the solver with the formulas as assumptions.
+  smt::QueryPlanner::Outcome decide(std::span<const logic::Formula> fs,
+                                    logic::BvTerm witness = {});
   /// Starts one check() call's solver budget from options_.solver_timeout_ms.
   void arm_deadline();
   /// True when the last query was cut off; records a kSolverTimeout finding

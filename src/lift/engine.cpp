@@ -16,11 +16,12 @@
 //      applied to a core clone with the real (strict) apply — application
 //      failures become derivation-failure classes, successes are mined for
 //      regions/claims restricted to the component's own paths.
-//   5. Obligations: zero-size/wrap concretely, region pairs through guarded
-//      formula-(7) queries, interrupt/clock pairs through guarded equality
-//      queries — all on the one incremental solver, assumptions = the
-//      pattern's activation literals (+ no-derivation-failure), guards
-//      retired after each query (clause retention, PR 8).
+//   5. Obligations: zero-size/wrap through the shared region screen,
+//      region pairs (sweep-line-prefiltered formula-(7) queries) and
+//      interrupt/clock pairs (bucketed equality queries) through the one
+//      obligation layer, smt::QueryPlanner::check, on the one incremental
+//      solver — the presence condition is the variant's activation literals
+//      (+ no-derivation-failure).
 //   6. Expansion: each finding's violating configurations by all-SAT over
 //      the condition's own features, capped at max_configs.
 #include "lift/lift.hpp"
@@ -39,6 +40,7 @@
 #include "checkers/semantic.hpp"
 #include "feature/analysis.hpp"
 #include "obs/obs.hpp"
+#include "smt/query_plan.hpp"
 #include "support/strings.hpp"
 
 namespace llhsc::lift {
@@ -204,8 +206,8 @@ struct Variant {
 struct ClaimVariant {
   std::vector<DeltaLiteral> cond;
   std::vector<logic::Formula> cond_formulas;
-  std::vector<checkers::IrqClaim> irq;
-  std::vector<checkers::ClockClaim> clock;
+  std::vector<checkers::Claim> irq;
+  std::vector<checkers::Claim> clock;
 };
 
 struct Expansion {
@@ -223,7 +225,8 @@ class Engine {
         model_(model),
         opts_(opts),
         diags_(diags),
-        solver_(opts.backend) {}
+        solver_(opts.backend),
+        planner_(solver_, "") {}
 
   LiftedResult run() {
     obs::Span span("lift.check_family", "lift");
@@ -638,183 +641,88 @@ class Engine {
     obs::Span span("lift.obligations", "lift");
     const uint32_t width = opts_.address_bits;
 
-    // Flat region list across every variant, masked into the solver's w-bit
-    // view for the sweep-line prefilter (mirrors the planned per-product
-    // path byte for byte: raw size for zero-size, masked for wrap).
-    struct FlatRegion {
-      size_t variant;
-      MemRegion masked;
-      const MemRegion* orig;
-    };
-    std::vector<FlatRegion> flat;
+    // Every variant's screened regions in one masked list for the
+    // sweep-line prefilter; origin[k] = (variant, region index).
+    std::vector<MemRegion> shadow;
+    std::vector<std::pair<size_t, size_t>> origin;
     for (size_t vi = 0; vi < variants_.size(); ++vi) {
       Variant& v = variants_[vi];
-      for (Finding& f : v.extraction_findings) {
-        queue_finding(f, v.cond);
-      }
-      for (const MemRegion& r : v.regions) {
-        if (r.size == 0) {
-          if (opts_.warn_zero_size) {
-            Finding f = checkers::zero_size_finding(r);
-            queue_finding(f, v.cond);
-          }
-          continue;
-        }
-        MemRegion m = r;
-        m.base = checkers::mask_address(m.base, width);
-        m.size = checkers::mask_address(m.size, width);
-        if (checkers::region_wraps(m.base, m.size, width)) {
-          Finding f = checkers::wrap_finding(r, width);
-          queue_finding(f, v.cond);
-          continue;  // empty in the w-bit encoding: cannot overlap
-        }
-        flat.push_back({vi, std::move(m), &r});
+      Findings screened = std::move(v.extraction_findings);
+      checkers::RegionScreen screen = checkers::screen_regions(
+          v.regions, width, opts_.warn_zero_size, screened);
+      for (Finding& f : screened) queue_finding(f, v.cond);
+      for (size_t k = 0; k < screen.index.size(); ++k) {
+        shadow.push_back(std::move(screen.masked[k]));
+        origin.emplace_back(vi, screen.index[k]);
       }
     }
 
-    // Sweep-line prefilter over every variant's regions at once; pairs from
-    // the same component but different patterns are mutually exclusive and
-    // dropped here, everything else goes to the solver under its merged
-    // activation assumptions.
-    std::vector<MemRegion> shadow;
-    shadow.reserve(flat.size());
-    for (const FlatRegion& fr : flat) shadow.push_back(fr.masked);
+    // Pairs from the same component but different patterns are mutually
+    // exclusive and dropped here; everything else is decided under the
+    // merged presence condition of its two variants.
     for (const checkers::OverlapPair& pair :
          checkers::find_overlaps_sweepline(shadow)) {
-      const FlatRegion& a = flat[pair.first];
-      const FlatRegion& b = flat[pair.second];
-      const Variant& va = variants_[a.variant];
-      const Variant& vb = variants_[b.variant];
-      if (a.variant != b.variant && va.component == vb.component &&
+      const auto [ia, ra] = origin[pair.first];
+      const auto [ib, rb] = origin[pair.second];
+      const Variant& va = variants_[ia];
+      const Variant& vb = variants_[ib];
+      if (ia != ib && va.component == vb.component &&
           va.component != SIZE_MAX) {
         continue;  // different patterns of one component: never co-active
       }
-      discharge_overlap(*a.orig, *b.orig, va, vb);
-    }
-
-    discharge_claims();
-  }
-
-  void discharge_overlap(const MemRegion& a, const MemRegion& b,
-                         const Variant& va, const Variant& vb) {
-    ++result_.obligations;
-    obs::count("lift.obligations", "lift", 1);
-    auto& fa = solver_.formulas();
-    const uint32_t width = opts_.address_bits;
-    const std::string ns = "lift!ov" + std::to_string(fresh_counter_++);
-    checkers::OverlapQuery q =
-        checkers::build_overlap_query(solver_, a, b, width, ns);
-    logic::Formula g = solver_.bool_var(ns + ".g");
-    for (logic::Formula f : q.formulas) solver_.add(fa.mk_implies(g, f));
-    std::vector<logic::Formula> assume{g};
-    assume.insert(assume.end(), va.cond_formulas.begin(),
-                  va.cond_formulas.end());
-    for (logic::Formula f : vb.cond_formulas) {
-      if (std::find(assume.begin(), assume.end(), f) == assume.end()) {
-        assume.push_back(f);
+      const MemRegion& a = va.regions[ra];
+      const MemRegion& b = vb.regions[rb];
+      checkers::OverlapQuery q = checkers::build_overlap_query(
+          solver_, a, b, width, "lift!ov" + std::to_string(fresh_counter_++));
+      std::vector<logic::Formula> presence = va.cond_formulas;
+      for (logic::Formula f : vb.cond_formulas) {
+        if (std::find(presence.begin(), presence.end(), f) == presence.end()) {
+          presence.push_back(f);
+        }
+      }
+      smt::QueryPlanner::Outcome o =
+          discharge(q.formulas, q.x, std::move(presence));
+      if (o.result == smt::CheckResult::kSat) {
+        Finding f = checkers::overlap_finding(a, b, o.witness);
+        queue_finding(f, merge_conditions(va.cond, vb.cond));
       }
     }
-    assume.insert(assume.end(), not_fail_.begin(), not_fail_.end());
-    if (solver_.check_assuming(assume) == smt::CheckResult::kSat) {
-      // The witness is pinned at query construction (see semantic.hpp), so
-      // its value is known concretely — identical across backends.
-      const uint64_t witness = std::max(checkers::mask_address(a.base, width),
-                                        checkers::mask_address(b.base, width));
-      Finding f = checkers::overlap_finding(a, b, witness);
-      queue_finding(f, merge_conditions(va.cond, vb.cond));
-    }
-    solver_.retire(g);
-  }
 
-  /// Interrupt/clock uniqueness: claims only ever vary inside the one
-  /// component that owns the environment (every delta that can create,
-  /// remove, or re-interpret a claim carries the "<irq>"/"<clock>" marker),
-  /// so colliding pairs always live inside a single claim variant and the
-  /// obligation is a guarded equality query under that variant's condition.
-  void discharge_claims() {
-    auto& bv = solver_.bitvectors();
-    auto& fa = solver_.formulas();
+    // Interrupt/clock uniqueness: claims only ever vary inside the one
+    // component that owns the environment (every delta that can create,
+    // remove, or re-interpret a claim carries the "<irq>"/"<clock>"
+    // marker), so colliding pairs always live inside a single claim
+    // variant, decided under that variant's condition.
+    using Collision = Finding (*)(const checkers::Claim&,
+                                  const checkers::Claim&);
     for (const ClaimVariant& cv : claim_variants_) {
-      auto run_pairs = [&](const auto& claims, auto comparable, auto equal,
-                           auto make_terms, auto make_finding) {
-        for (size_t i = 0; i < claims.size(); ++i) {
-          for (size_t j = i + 1; j < claims.size(); ++j) {
-            if (!comparable(claims[i], claims[j])) continue;
-            if (!equal(claims[i], claims[j])) continue;  // bucket prefilter
-            ++result_.obligations;
-            obs::count("lift.obligations", "lift", 1);
-            const std::string ns =
-                "lift!cl" + std::to_string(fresh_counter_++);
-            logic::Formula g = solver_.bool_var(ns + ".g");
-            make_terms(ns, g, claims[i], claims[j]);
-            std::vector<logic::Formula> assume{g};
-            assume.insert(assume.end(), cv.cond_formulas.begin(),
-                          cv.cond_formulas.end());
-            assume.insert(assume.end(), not_fail_.begin(), not_fail_.end());
-            if (solver_.check_assuming(assume) == smt::CheckResult::kSat) {
-              Finding f = make_finding(claims[i], claims[j]);
-              queue_finding(f, cv.cond);
-            }
-            solver_.retire(g);
+      const std::pair<const std::vector<checkers::Claim>*, Collision> kinds[] =
+          {{&cv.irq, checkers::interrupt_collision_finding},
+           {&cv.clock, checkers::clock_collision_finding}};
+      for (const auto& [claims, collision] : kinds) {
+        checkers::ClaimQueries queries(
+            solver_, *claims, "lift!cl" + std::to_string(fresh_counter_++));
+        for (const auto& [i, j] : checkers::claim_pairs(*claims).candidates) {
+          smt::QueryPlanner::Outcome o =
+              discharge(queries.build(i, j), {}, cv.cond_formulas);
+          if (o.result == smt::CheckResult::kSat) {
+            Finding f = collision((*claims)[i], (*claims)[j]);
+            queue_finding(f, cv.cond);
           }
         }
-      };
-      run_pairs(
-          cv.irq,
-          [](const checkers::IrqClaim& a, const checkers::IrqClaim& b) {
-            return a.parent_phandle == b.parent_phandle &&
-                   a.tuple.size() == b.tuple.size();
-          },
-          [](const checkers::IrqClaim& a, const checkers::IrqClaim& b) {
-            return a.tuple == b.tuple;
-          },
-          [&](const std::string& ns, logic::Formula g,
-              const checkers::IrqClaim& a, const checkers::IrqClaim& b) {
-            for (size_t k = 0; k < a.tuple.size(); ++k) {
-              logic::BvTerm ta =
-                  bv.bv_var(ns + ".a" + std::to_string(k), 32);
-              logic::BvTerm tb =
-                  bv.bv_var(ns + ".b" + std::to_string(k), 32);
-              solver_.add(
-                  fa.mk_implies(g, bv.eq(ta, bv.bv_const(a.tuple[k], 32))));
-              solver_.add(
-                  fa.mk_implies(g, bv.eq(tb, bv.bv_const(b.tuple[k], 32))));
-              solver_.add(fa.mk_implies(g, bv.eq(ta, tb)));
-            }
-          },
-          checkers::interrupt_collision_finding);
-      run_pairs(
-          cv.clock,
-          [](const checkers::ClockClaim& a, const checkers::ClockClaim& b) {
-            return a.provider_phandle == b.provider_phandle &&
-                   a.tuple.size() == b.tuple.size();
-          },
-          [](const checkers::ClockClaim& a, const checkers::ClockClaim& b) {
-            return a.tuple == b.tuple;
-          },
-          [&](const std::string& ns, logic::Formula g,
-              const checkers::ClockClaim& a, const checkers::ClockClaim& b) {
-            logic::BvTerm pa = bv.bv_var(ns + ".pa", 32);
-            logic::BvTerm pb = bv.bv_var(ns + ".pb", 32);
-            solver_.add(fa.mk_implies(
-                g, bv.eq(pa, bv.bv_const(a.provider_phandle, 32))));
-            solver_.add(fa.mk_implies(
-                g, bv.eq(pb, bv.bv_const(b.provider_phandle, 32))));
-            solver_.add(fa.mk_implies(g, bv.eq(pa, pb)));
-            for (size_t k = 0; k < a.tuple.size(); ++k) {
-              logic::BvTerm ta =
-                  bv.bv_var(ns + ".a" + std::to_string(k), 32);
-              logic::BvTerm tb =
-                  bv.bv_var(ns + ".b" + std::to_string(k), 32);
-              solver_.add(
-                  fa.mk_implies(g, bv.eq(ta, bv.bv_const(a.tuple[k], 32))));
-              solver_.add(
-                  fa.mk_implies(g, bv.eq(tb, bv.bv_const(b.tuple[k], 32))));
-              solver_.add(fa.mk_implies(g, bv.eq(ta, tb)));
-            }
-          },
-          checkers::clock_collision_finding);
+      }
     }
+  }
+
+  /// One lifted obligation, decided by the planner under `presence` plus
+  /// the no-derivation-failure literals.
+  smt::QueryPlanner::Outcome discharge(std::span<const logic::Formula> fs,
+                                       logic::BvTerm witness,
+                                       std::vector<logic::Formula> presence) {
+    ++result_.obligations;
+    obs::count("lift.obligations", "lift", 1);
+    presence.insert(presence.end(), not_fail_.begin(), not_fail_.end());
+    return planner_.check(fs, witness, presence);
   }
 
   /// The exclusivity lift: a listed exclusive feature that *every*
@@ -989,6 +897,7 @@ class Engine {
   const LiftOptions& opts_;
   support::DiagnosticEngine& diags_;
   smt::Solver solver_;
+  smt::QueryPlanner planner_;  // cacheless: presence literals need that
   feature::Encoding enc_;
   std::vector<logic::Formula> activation_;  // a_d per delta index
   std::unique_ptr<dts::Tree> union_tree_;

@@ -7,8 +7,9 @@
 // component's feature-reachable activation patterns by projected all-SAT,
 // derives one small *slice* per pattern, and discharges every checker
 // obligation (region disjointness, wrap/zero-size, interrupt and clock
-// uniqueness) as a guarded formula whose assumptions are the pattern's
-// activation literals — all against a single solver instance that holds the
+// uniqueness) through the per-product checker's obligation layer
+// (smt::QueryPlanner::check) with the pattern's activation literals as the
+// presence condition — all against a single solver instance that holds the
 // feature-model axioms and the delta-activation biconditionals
 // a_d <-> when_d(features). Work is polynomial in components x patterns,
 // not in 2^n products; the differential harness (lift/differential.hpp)

@@ -1,5 +1,6 @@
 #include "smt/query_plan.hpp"
 
+#include <cassert>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -27,8 +28,11 @@ const std::string& QueryPlanner::cache_error() const {
   return cache_ == nullptr ? kEmpty : cache_->error();
 }
 
-QueryPlanner::Outcome QueryPlanner::check(std::span<const logic::Formula> fs,
-                                          logic::BvTerm witness_term) {
+QueryPlanner::Outcome QueryPlanner::check(
+    std::span<const logic::Formula> fs, logic::BvTerm witness_term,
+    std::span<const logic::Formula> presence) {
+  assert((presence.empty() || cache_ == nullptr) &&
+         "presence literals need a cacheless planner");
   obs::Span span("planner.check", "planner");
   Outcome outcome;
   std::string key;
@@ -56,6 +60,7 @@ QueryPlanner::Outcome QueryPlanner::check(std::span<const logic::Formula> fs,
     solver_->add(fa.mk_implies(guard, f));
   }
   std::vector<logic::Formula> assumptions{guard};
+  assumptions.insert(assumptions.end(), presence.begin(), presence.end());
   outcome.result = solver_->check_assuming(assumptions);
   ++stats_.queries_issued;
   obs::count("planner.queries_issued", "planner", 1);

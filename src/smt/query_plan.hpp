@@ -1,18 +1,22 @@
-// Query planner — the layer between the checkers and the solver. One
-// planner fronts one Solver and turns a stream of independent decision
-// queries (each a small formula set, optionally with a witness term) into
-// the cheapest sound sequence of backend calls:
+// Query planner — the one obligation layer between the checkers and the
+// solver. The per-product semantic checker and the lifted family engine
+// both decide their pairwise obligations (region disjointness, interrupt
+// and clock uniqueness) here; a per-product check is the lifted check under
+// the trivially-true presence condition. One planner fronts one Solver and
+// turns a stream of independent decision queries (each a small formula
+// set, optionally with a witness term and a presence condition) into the
+// cheapest sound sequence of backend calls:
 //
-//   1. The *checkers* prune structurally decidable queries before they get
+//   1. The *callers* prune structurally decidable queries before they get
 //      here (sweep-line interval prefilter for concrete regions, hash
-//      buckets for interrupt tuples) and report them via note_pruned(), so
-//      the trace still accounts for every query the exhaustive path would
-//      have issued.
+//      buckets for interrupt and clock claims) and report them via
+//      note_pruned(), so the trace still accounts for every query the
+//      exhaustive path would have issued.
 //   2. Surviving queries are *batched* onto the one solver instance: each
 //      query's formulas are guarded by a fresh assumption literal
-//      (g => f_i), decided with check_assuming({g}), and retired with
-//      add(!g) — shared structure stays asserted and encoded once, and no
-//      retired query constrains a later one. Both backends support
+//      (g => f_i), decided with check_assuming({g} + presence), and retired
+//      with add(!g) — shared structure stays asserted and encoded once, and
+//      no retired query constrains a later one. Both backends support
 //      assumptions natively, so this costs one check() per query instead of
 //      a push/encode/pop cycle.
 //   3. Decided queries are recorded in a persistent QueryCache (when a
@@ -21,7 +25,7 @@
 //      solver at all.
 //
 // Soundness of the division of labour: the planner never changes a
-// query's verdict — pruning is the checkers' responsibility (and covered by
+// query's verdict — pruning is the callers' responsibility (and covered by
 // the planned-vs-exhaustive property tests), batching is equisatisfiable by
 // construction (guards are fresh and never reused), and cache entries store
 // the witness, so findings are byte-identical across cold, batched, and
@@ -69,8 +73,16 @@ class QueryPlanner {
   /// must be self-contained: the planner asserts them only under a fresh
   /// guard, so nothing added directly to the solver by the caller may be
   /// required for the verdict to be cache-portable.
+  ///
+  /// `presence` is the query's presence condition: literals assumed next to
+  /// the guard, so the query is decided only in the models where they hold
+  /// (the lifted engine passes a variant's activation literals). Its
+  /// meaning rests on axioms the caller asserted in the solver, which the
+  /// cache key does not see — precondition: only a cacheless planner
+  /// (empty `cache_dir`) may be given presence literals.
   Outcome check(std::span<const logic::Formula> fs,
-                logic::BvTerm witness_term = {});
+                logic::BvTerm witness_term = {},
+                std::span<const logic::Formula> presence = {});
 
   /// Records queries a prefilter discharged without building them.
   void note_pruned(uint64_t n);

@@ -1,4 +1,4 @@
-// Clock-assignment uniqueness (checkers/semantic.cpp, check_clocks): two
+// Clock-assignment uniqueness (checkers/semantic.cpp, check_claims): two
 // consumers pinning the same (provider, specifier) clock is a fault, and
 // the planner's bucket prefilter — the sweep-line idea generalised to
 // clock-provider buckets — must keep verdicts byte-identical to the

@@ -303,6 +303,50 @@ TEST_P(QueryPlannerTest, WarmCacheReplaysVerdictAndWitness) {
   EXPECT_EQ(warm[1].result, CheckResult::kUnsat);
 }
 
+// The presence condition (the lifted engine's variant literals): a query
+// is decided only where its presence literals hold, with the literals
+// assumed next to the guard — never asserted — so nothing leaks into a
+// later query.
+TEST_P(QueryPlannerTest, PresenceConditionScopesOneQuery) {
+  Solver s(GetParam());
+  QueryPlanner planner(s, "");
+  logic::FormulaArena& fa = s.formulas();
+  const logic::Formula absent = s.bool_var("variant.absent");
+  s.add(fa.mk_not(absent));
+  const std::vector<logic::Formula> presence{absent};
+
+  IntervalQuery alone = make_interval_query(s, 0x1000, 0x100, 0x1080, 0x100);
+  EXPECT_EQ(planner.check(alone.fs, alone.x).result, CheckResult::kSat);
+  EXPECT_EQ(s.stats().checks, 1u);
+
+  IntervalQuery scoped = make_interval_query(s, 0x1000, 0x100, 0x1080, 0x100);
+  EXPECT_EQ(planner.check(scoped.fs, scoped.x, presence).result,
+            CheckResult::kUnsat)
+      << "a query is never decided where its presence condition is false";
+  EXPECT_EQ(s.stats().checks, 2u);
+
+  // The scoped query's guard is retired: a later unconditioned query,
+  // sat and unsat alike, is decided as if it were the first.
+  IntervalQuery later = make_interval_query(s, 0x0, 0x10, 0x8, 0x10);
+  EXPECT_EQ(planner.check(later.fs, later.x).result, CheckResult::kSat);
+  EXPECT_EQ(s.stats().checks, 3u);
+  IntervalQuery disjoint = make_interval_query(s, 0x1000, 0x100, 0x2000, 0x8);
+  EXPECT_EQ(planner.check(disjoint.fs, disjoint.x).result,
+            CheckResult::kUnsat);
+  EXPECT_EQ(s.stats().checks, 4u);
+
+  // A presence literal the axioms allow leaves the verdict alone.
+  const logic::Formula present = s.bool_var("variant.present");
+  const std::vector<logic::Formula> allowed{present};
+  IntervalQuery free_q = make_interval_query(s, 0x1000, 0x100, 0x1080, 0x100);
+  QueryPlanner::Outcome o = planner.check(free_q.fs, free_q.x, allowed);
+  EXPECT_EQ(o.result, CheckResult::kSat);
+  EXPECT_GE(o.witness, 0x1080u);
+  EXPECT_LT(o.witness, 0x1100u);
+  EXPECT_EQ(s.stats().checks, 5u) << "exactly one solver check per query";
+  EXPECT_EQ(planner.stats().queries_issued, 5u);
+}
+
 // Builtin-only: the CDCL loop polls the deadline, so an already-expired one
 // deterministically yields kUnknown (z3's 1ms floor may still decide a
 // trivial query, which is fine but not a stable test).
