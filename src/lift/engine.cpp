@@ -16,12 +16,14 @@
 //      applied to a core clone with the real (strict) apply — application
 //      failures become derivation-failure classes, successes are mined for
 //      regions/claims restricted to the component's own paths.
-//   5. Obligations: zero-size/wrap through the shared region screen,
+//   5. Obligations: zero-size/wrap through the shared region screen, then
 //      region pairs (sweep-line-prefiltered formula-(7) queries) and
-//      interrupt/clock pairs (bucketed equality queries) through the one
-//      obligation layer, smt::QueryPlanner::check, on the one incremental
-//      solver — the presence condition is the variant's activation literals
-//      (+ no-derivation-failure).
+//      interrupt/clock pairs (bucketed equality queries). Each obligation
+//      splits into its presence (the variants' activation literals plus
+//      no-derivation-failure), decided on the feature solver, and its body
+//      (the region or claim formulas), decided on a separate presence-free
+//      body solver through the one obligation layer, smt::QueryPlanner::check
+//      — once per distinct body, keyed by its canonical query text.
 //   6. Expansion: each finding's violating configurations by all-SAT over
 //      the condition's own features, capped at max_configs.
 #include "lift/lift.hpp"
@@ -40,6 +42,7 @@
 #include "checkers/semantic.hpp"
 #include "feature/analysis.hpp"
 #include "obs/obs.hpp"
+#include "smt/query_cache.hpp"
 #include "smt/query_plan.hpp"
 #include "support/strings.hpp"
 
@@ -210,6 +213,13 @@ struct ClaimVariant {
   std::vector<checkers::Claim> clock;
 };
 
+/// An obligation's body: self-contained formulas over the body solver,
+/// plus the term whose model value is the reported witness (if any).
+struct Body {
+  std::vector<logic::Formula> formulas;
+  logic::BvTerm witness;
+};
+
 struct Expansion {
   bool reachable = false;
   bool capped = false;
@@ -226,7 +236,8 @@ class Engine {
         opts_(opts),
         diags_(diags),
         solver_(opts.backend),
-        planner_(solver_, "") {}
+        body_solver_(opts.backend),
+        planner_(body_solver_, "") {}
 
   LiftedResult run() {
     obs::Span span("lift.check_family", "lift");
@@ -241,7 +252,8 @@ class Engine {
       check_exclusivity();
     }
     expand_findings();
-    result_.solver_checks = solver_.stats().checks;
+    result_.solver_checks =
+        solver_.stats().checks + body_solver_.stats().checks;
     result_.ok = ok_;
     sort_findings();
     return std::move(result_);
@@ -672,16 +684,18 @@ class Engine {
       }
       const MemRegion& a = va.regions[ra];
       const MemRegion& b = vb.regions[rb];
-      checkers::OverlapQuery q = checkers::build_overlap_query(
-          solver_, a, b, width, "lift!ov" + std::to_string(fresh_counter_++));
       std::vector<logic::Formula> presence = va.cond_formulas;
       for (logic::Formula f : vb.cond_formulas) {
         if (std::find(presence.begin(), presence.end(), f) == presence.end()) {
           presence.push_back(f);
         }
       }
-      smt::QueryPlanner::Outcome o =
-          discharge(q.formulas, q.x, std::move(presence));
+      smt::QueryPlanner::Outcome o = discharge(std::move(presence), [&] {
+        checkers::OverlapQuery q = checkers::build_overlap_query(
+            body_solver_, a, b, width,
+            "lift!ov" + std::to_string(fresh_counter_++));
+        return Body{std::move(q.formulas), q.x};
+      });
       if (o.result == smt::CheckResult::kSat) {
         Finding f = checkers::overlap_finding(a, b, o.witness);
         queue_finding(f, merge_conditions(va.cond, vb.cond));
@@ -701,10 +715,12 @@ class Engine {
            {&cv.clock, checkers::clock_collision_finding}};
       for (const auto& [claims, collision] : kinds) {
         checkers::ClaimQueries queries(
-            solver_, *claims, "lift!cl" + std::to_string(fresh_counter_++));
+            body_solver_, *claims,
+            "lift!cl" + std::to_string(fresh_counter_++));
         for (const auto& [i, j] : checkers::claim_pairs(*claims).candidates) {
-          smt::QueryPlanner::Outcome o =
-              discharge(queries.build(i, j), {}, cv.cond_formulas);
+          smt::QueryPlanner::Outcome o = discharge(cv.cond_formulas, [&] {
+            return Body{queries.build(i, j), {}};
+          });
           if (o.result == smt::CheckResult::kSat) {
             Finding f = collision((*claims)[i], (*claims)[j]);
             queue_finding(f, cv.cond);
@@ -714,15 +730,34 @@ class Engine {
     }
   }
 
-  /// One lifted obligation, decided by the planner under `presence` plus
-  /// the no-derivation-failure literals.
-  smt::QueryPlanner::Outcome discharge(std::span<const logic::Formula> fs,
-                                       logic::BvTerm witness,
-                                       std::vector<logic::Formula> presence) {
+  /// One lifted obligation. Its presence — `presence` plus the
+  /// no-derivation-failure literals — is decided on the feature solver; only
+  /// when some configuration satisfies it is the body built (by
+  /// `build_body`, on the body solver) and decided by the planner, once per
+  /// distinct body. The split is exact: a body mentions only concrete values
+  /// and its own fresh variables, none of the feature solver's, so
+  /// sat(axioms & presence & body) <=> sat(axioms & presence) & sat(body),
+  /// and the body alone pins the witness.
+  template <typename BuildBody>
+  smt::QueryPlanner::Outcome discharge(std::vector<logic::Formula> presence,
+                                       BuildBody build_body) {
     ++result_.obligations;
     obs::count("lift.obligations", "lift", 1);
     presence.insert(presence.end(), not_fail_.begin(), not_fail_.end());
-    return planner_.check(fs, witness, presence);
+    if (const smt::CheckResult r = solver_.check_assuming(presence);
+        r != smt::CheckResult::kSat) {
+      return {r};
+    }
+    const Body body = build_body();
+    auto [memo, fresh] = body_memo_.try_emplace(smt::canonical_query_text(
+        body_solver_.formulas(), body_solver_.bitvectors(), body.formulas,
+        body.witness));
+    if (fresh) {
+      memo->second = planner_.check(body.formulas, body.witness);
+    } else {
+      obs::count("lift.bodies_reused", "lift", 1);
+    }
+    return memo->second;
   }
 
   /// The exclusivity lift: a listed exclusive feature that *every*
@@ -896,8 +931,9 @@ class Engine {
   const feature::FeatureModel& model_;
   const LiftOptions& opts_;
   support::DiagnosticEngine& diags_;
-  smt::Solver solver_;
-  smt::QueryPlanner planner_;  // cacheless: presence literals need that
+  smt::Solver solver_;       // feature axioms, activations, presence
+  smt::Solver body_solver_;  // obligation bodies only
+  smt::QueryPlanner planner_;  // fronts body_solver_
   feature::Encoding enc_;
   std::vector<logic::Formula> activation_;  // a_d per delta index
   std::unique_ptr<dts::Tree> union_tree_;
@@ -911,6 +947,8 @@ class Engine {
   std::vector<size_t> pending_expand_;
   std::vector<size_t> derive_fail_finding_;
   std::map<std::string, Expansion> expansion_memo_;
+  /// Decided obligation bodies by canonical query text.
+  std::map<std::string, smt::QueryPlanner::Outcome> body_memo_;
   uint64_t fresh_counter_ = 0;
   LiftedResult result_;
   bool ok_ = true;

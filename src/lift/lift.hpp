@@ -1,19 +1,21 @@
 // Family-based (lifted) product-line checking: verify all 2^n variants of a
-// DTS product line in ONE incremental solver conversation instead of
-// deriving and checking every product (docs/lifting.md).
+// DTS product line in one incremental feature-solver conversation instead
+// of deriving and checking every product (docs/lifting.md).
 //
 // The engine decomposes the delta set into independent *components* (deltas
 // whose footprints touch overlapping parts of the tree), enumerates each
 // component's feature-reachable activation patterns by projected all-SAT,
 // derives one small *slice* per pattern, and discharges every checker
 // obligation (region disjointness, wrap/zero-size, interrupt and clock
-// uniqueness) through the per-product checker's obligation layer
-// (smt::QueryPlanner::check) with the pattern's activation literals as the
-// presence condition — all against a single solver instance that holds the
-// feature-model axioms and the delta-activation biconditionals
-// a_d <-> when_d(features). Work is polynomial in components x patterns,
-// not in 2^n products; the differential harness (lift/differential.hpp)
-// proves the verdicts equal per-product enumeration.
+// uniqueness) in two parts: its presence condition (the patterns'
+// activation literals, no derivation failure) on the feature solver, which
+// holds the feature-model axioms and the delta-activation biconditionals
+// a_d <-> when_d(features); and, when that presence is satisfiable, its
+// body through the per-product checker's obligation layer
+// (smt::QueryPlanner::check) on a presence-free body solver, once per
+// distinct body. Work is polynomial in components x patterns, not in 2^n
+// products; the differential harness (lift/differential.hpp) proves the
+// verdicts equal per-product enumeration.
 #pragma once
 
 #include <cstdint>
@@ -88,10 +90,11 @@ struct LiftedResult {
   uint64_t patterns = 0;
   uint64_t slices = 0;
   uint64_t obligations = 0;
+  /// Checks on the feature solver plus checks on the body solver.
   uint64_t solver_checks = 0;
 };
 
-/// Checks the whole family in one solver conversation. Structural problems
+/// Checks the whole family in one feature-solver conversation. Structural problems
 /// (delta ordering cycles, targets ambiguous somewhere in the family) are
 /// reported through `diags` and yield ok = false.
 [[nodiscard]] LiftedResult check_family(const delta::ProductLine& line,

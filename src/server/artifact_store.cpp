@@ -59,10 +59,17 @@ std::shared_ptr<const T> ArtifactStore::Cache<T>::lookup(uint64_t key) {
 template <typename T>
 std::shared_ptr<const T> ArtifactStore::Cache<T>::build_or_wait(
     uint64_t key, const Build& build, size_t capacity, bool& built,
-    uint64_t& evictions) {
+    uint64_t& evictions, const Validate& validate) {
   std::shared_ptr<InFlight> flight;
   {
     std::unique_lock<std::mutex> lock(mutex_);
+    // A concurrent build may have published (and left building_) between
+    // the caller's lookup and here: reuse it rather than building again.
+    if (auto entry = entries_.find(key);
+        entry != entries_.end() && (!validate || validate(*entry->second))) {
+      built = false;
+      return entry->second;
+    }
     auto it = building_.find(key);
     if (it != building_.end()) {
       // Another worker is already producing this artifact: share its build.
@@ -201,7 +208,8 @@ std::shared_ptr<const TreeArtifact> ArtifactStore::tree(
 
   bool built = false;
   uint64_t evictions = 0;
-  auto value = trees_.build_or_wait(key, build, capacity_, built, evictions);
+  auto value =
+      trees_.build_or_wait(key, build, capacity_, built, evictions, validate);
   // A waiter shares the builder's parse; its include edges were recorded
   // against the builder's sources, but the content hashes are what matter
   // and both requests supplied the same main source (same key).

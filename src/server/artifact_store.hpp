@@ -216,19 +216,25 @@ class ArtifactStore {
   class Cache {
    public:
     using Build = std::function<std::shared_ptr<const T>()>;
+    /// Whether a published value may still be reused (the tree cache's
+    /// include revalidation); null accepts every published value. Runs
+    /// under the cache lock, so it must not re-enter the store.
+    using Validate = std::function<bool(const T&)>;
 
     /// The published value for `key`, or null. Never blocks on builds.
     std::shared_ptr<const T> lookup(uint64_t key);
 
-    /// Runs `build` for `key` and publishes the result — unless another
-    /// thread is already building the same key, in which case this waits
-    /// for and returns that thread's result instead. `built` reports
+    /// Runs `build` for `key` and publishes the result — unless a value
+    /// `validate` accepts was published since the caller's lookup, or
+    /// another thread is already building the same key; then this returns
+    /// that value, waiting for the build if need be. `built` reports
     /// whether *this* call executed the builder. Publishing replaces any
     /// stale entry under the key and bumps `evictions` when the capacity
     /// bound pushes an old key out.
     std::shared_ptr<const T> build_or_wait(uint64_t key, const Build& build,
                                            size_t capacity, bool& built,
-                                           uint64_t& evictions);
+                                           uint64_t& evictions,
+                                           const Validate& validate = {});
 
    private:
     struct InFlight {

@@ -1,8 +1,5 @@
 #include "smt/query_plan.hpp"
 
-#include <cassert>
-#include <vector>
-
 #include "obs/obs.hpp"
 
 namespace llhsc::smt {
@@ -28,11 +25,8 @@ const std::string& QueryPlanner::cache_error() const {
   return cache_ == nullptr ? kEmpty : cache_->error();
 }
 
-QueryPlanner::Outcome QueryPlanner::check(
-    std::span<const logic::Formula> fs, logic::BvTerm witness_term,
-    std::span<const logic::Formula> presence) {
-  assert((presence.empty() || cache_ == nullptr) &&
-         "presence literals need a cacheless planner");
+QueryPlanner::Outcome QueryPlanner::check(std::span<const logic::Formula> fs,
+                                          logic::BvTerm witness_term) {
   obs::Span span("planner.check", "planner");
   Outcome outcome;
   std::string key;
@@ -59,9 +53,7 @@ QueryPlanner::Outcome QueryPlanner::check(
   for (logic::Formula f : fs) {
     solver_->add(fa.mk_implies(guard, f));
   }
-  std::vector<logic::Formula> assumptions{guard};
-  assumptions.insert(assumptions.end(), presence.begin(), presence.end());
-  outcome.result = solver_->check_assuming(assumptions);
+  outcome.result = solver_->check_assuming(std::span(&guard, 1));
   ++stats_.queries_issued;
   obs::count("planner.queries_issued", "planner", 1);
   if (outcome.result == CheckResult::kSat && witness_term.valid()) {

@@ -1,11 +1,12 @@
 // Query planner — the one obligation layer between the checkers and the
 // solver. The per-product semantic checker and the lifted family engine
 // both decide their pairwise obligations (region disjointness, interrupt
-// and clock uniqueness) here; a per-product check is the lifted check under
-// the trivially-true presence condition. One planner fronts one Solver and
-// turns a stream of independent decision queries (each a small formula
-// set, optionally with a witness term and a presence condition) into the
-// cheapest sound sequence of backend calls:
+// and clock uniqueness) here. Queries are presence-free: the lifted engine
+// decides an obligation's presence condition on its own feature solver and
+// brings only the obligation's body here, on a separate body solver
+// (docs/lifting.md). One planner fronts one Solver and turns a stream of
+// independent decision queries (each a small formula set, optionally with a
+// witness term) into the cheapest sound sequence of backend calls:
 //
 //   1. The *callers* prune structurally decidable queries before they get
 //      here (sweep-line interval prefilter for concrete regions, hash
@@ -14,7 +15,7 @@
 //      exhaustive path would have issued.
 //   2. Surviving queries are *batched* onto the one solver instance: each
 //      query's formulas are guarded by a fresh assumption literal
-//      (g => f_i), decided with check_assuming({g} + presence), and retired
+//      (g => f_i), decided with check_assuming({g}), and retired
 //      with add(!g) — shared structure stays asserted and encoded once, and
 //      no retired query constrains a later one. Both backends support
 //      assumptions natively, so this costs one check() per query instead of
@@ -73,16 +74,8 @@ class QueryPlanner {
   /// must be self-contained: the planner asserts them only under a fresh
   /// guard, so nothing added directly to the solver by the caller may be
   /// required for the verdict to be cache-portable.
-  ///
-  /// `presence` is the query's presence condition: literals assumed next to
-  /// the guard, so the query is decided only in the models where they hold
-  /// (the lifted engine passes a variant's activation literals). Its
-  /// meaning rests on axioms the caller asserted in the solver, which the
-  /// cache key does not see — precondition: only a cacheless planner
-  /// (empty `cache_dir`) may be given presence literals.
   Outcome check(std::span<const logic::Formula> fs,
-                logic::BvTerm witness_term = {},
-                std::span<const logic::Formula> presence = {});
+                logic::BvTerm witness_term = {});
 
   /// Records queries a prefilter discharged without building them.
   void note_pruned(uint64_t n);

@@ -1,6 +1,8 @@
 #include "server/artifact_store.hpp"
 
 #include <atomic>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -113,6 +115,66 @@ TEST(ArtifactStore, ConcurrentIdenticalRequestsShareOneBuild) {
   for (int i = 1; i < kThreads; ++i) {
     EXPECT_EQ(results[0].get(), results[i].get());
   }
+}
+
+// The race behind the shared-build guarantee, made deterministic: a
+// request's lookup finds only a stale tree (parsed against an older
+// include), and before it claims a build an identical request parses and
+// publishes a fresh one. The late request's include revalidation reads
+// its SourceManager, whose load observer runs the racing request at exactly
+// that point — after the late lookup, before its build_or_wait.
+struct RacingTreeRequests {
+  static constexpr const char* kTop = "/dts-v1/;\n/include/ \"frag.dtsi\"\n";
+
+  ArtifactStore store;
+  dts::SourceManager racer_sources;
+  dts::SourceManager late_sources;
+  std::shared_ptr<const TreeArtifact> racer;
+
+  RacingTreeRequests(const std::string& racer_frag,
+                     const std::string& late_frag) {
+    dts::SourceManager old_sources;
+    old_sources.register_file("frag.dtsi", "/ { a = <1>; };\n");
+    store.tree(kTop, "top.dts", old_sources);
+    racer_sources.register_file("frag.dtsi", racer_frag);
+    late_sources.register_file("frag.dtsi", late_frag);
+    // One shot: build_or_wait revalidates under its lock, where a nested
+    // request would deadlock.
+    late_sources.set_load_observer(
+        [this](const std::string&, const std::string&) {
+          if (racer == nullptr) {
+            racer = store.tree(kTop, "top.dts", racer_sources);
+          }
+        });
+  }
+};
+
+TEST(ArtifactStore, TreePublishedAfterLookupIsReused) {
+  RacingTreeRequests race("/ { a = <2>; };\n", "/ { a = <2>; };\n");
+  const uint64_t parses_before = race.store.stats().tree_parses;
+  bool hit = false;
+  auto late = race.store.tree(RacingTreeRequests::kTop, "top.dts",
+                              race.late_sources, &hit);
+  ASSERT_NE(race.racer, nullptr) << "the racing request never ran";
+  EXPECT_EQ(race.store.stats().tree_parses - parses_before, 1u)
+      << "the racing pair must share one parse";
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(late.get(), race.racer.get());
+}
+
+TEST(ArtifactStore, StaleTreePublishedAfterLookupIsRebuilt) {
+  // The racer publishes a tree over include content the late request no
+  // longer has: the re-check must revalidate it and parse again.
+  RacingTreeRequests race("/ { a = <2>; };\n", "/ { a = <3>; };\n");
+  const uint64_t parses_before = race.store.stats().tree_parses;
+  bool hit = true;
+  auto late = race.store.tree(RacingTreeRequests::kTop, "top.dts",
+                              race.late_sources, &hit);
+  ASSERT_NE(race.racer, nullptr) << "the racing request never ran";
+  EXPECT_EQ(race.store.stats().tree_parses - parses_before, 2u);
+  EXPECT_FALSE(hit);
+  EXPECT_NE(late.get(), race.racer.get());
+  EXPECT_NE(late->key, race.racer->key);
 }
 
 TEST(ArtifactStore, UnitCheckGetOrBuild) {

@@ -45,6 +45,16 @@ expect 2 "$LLHSC" check
 # Unknown --format -> 2.
 expect 2 "$LLHSC" check "$TMP/vm1.dts" --format yaml
 
+# check --lifted refuses the flags it cannot honour -> 2: it prints text
+# only, and it always runs locally.
+LIFTED=("$DATA/custom-sbc.dts" --lifted --deltas "$DATA/custom-sbc.deltas"
+        --model "$DATA/custom-sbc.fm")
+expect 2 "$LLHSC" check "${LIFTED[@]}" --format json
+expect 2 "$LLHSC" check "${LIFTED[@]}" --socket "$TMP/llhsc.sock"
+expect 2 "$LLHSC" check "${LIFTED[@]}" --tcp 127.0.0.1:1
+# ...while the plain lifted check of the clean running example -> 0.
+expect 0 "$LLHSC" check "${LIFTED[@]}"
+
 # Unknown command -> 2.
 expect 2 "$LLHSC" frobnicate
 

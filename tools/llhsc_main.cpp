@@ -48,6 +48,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -330,6 +331,25 @@ int serve_check(const std::string& socket_path, const std::string& tcp_spec,
   return static_cast<int>(result.at("exit_code").as_int(2));
 }
 
+/// Runs `fn`; with a non-empty `profile_path`, the run's event stream is
+/// exported there as Chrome-trace JSON afterwards. False (after saying
+/// why) when that file cannot be written.
+bool run_profiled(const std::string& profile_path,
+                  const std::function<void()>& fn) {
+  obs::TraceSink sink;
+  {
+    std::optional<obs::ScopedSink> sink_guard;
+    if (!profile_path.empty()) sink_guard.emplace(&sink);
+    fn();
+  }
+  if (profile_path.empty() ||
+      obs::write_chrome_trace(profile_path, sink.take())) {
+    return true;
+  }
+  std::cerr << "cannot write " << profile_path << "\n";
+  return false;
+}
+
 int usage_check() {
   std::cerr << "usage: llhsc check <file.dts> [--schemas f.yaml] "
                "[--backend builtin|z3|portfolio] [--format text|json|sarif] "
@@ -341,16 +361,29 @@ int usage_check() {
                "[--profile file]\n"
                "       llhsc check <core.dts> --lifted --deltas <f.deltas> "
                "--model <f.fm> [--backend b] [--exclusive f1,f2,...] "
-               "[--max-configs N] [--differential N] [--stats]\n";
+               "[--max-configs N] [--differential N] [--stats] "
+               "[--profile file]\n";
   return 2;
 }
 
 /// `llhsc check --lifted`: family-based checking of core+deltas+model in one
 /// solver conversation (docs/lifting.md). Exit 1 on findings with error
-/// severity or a refused/incomplete family, 0 otherwise.
+/// severity or a refused/incomplete family, 0 otherwise. Text output only,
+/// and always local: the flags it cannot honour are usage errors.
 int run_lifted_check(const ParsedFlags& args) {
   if (!args.has("deltas") || !args.has("model")) {
     std::cerr << "--lifted needs --deltas and --model\n";
+    return 2;
+  }
+  if (const std::string format = args.value("format", "text");
+      format != "text") {
+    std::cerr << "--lifted supports only --format text (got '" << format
+              << "')\n";
+    return 2;
+  }
+  if (args.has("socket") || args.has("tcp")) {
+    std::cerr << "--lifted runs locally; --socket and --tcp are not "
+                 "supported\n";
     return 2;
   }
   const std::string core_path = args.positional[0];
@@ -384,7 +417,13 @@ int run_lifted_check(const ParsedFlags& args) {
     auto t = support::trim(f);
     if (!t.empty()) opts.exclusive_features.emplace_back(t);
   }
-  lift::LiftedResult result = lift::check_family(line, *model, opts, diags);
+  // With --profile, the family check's lift.* and planner.check spans.
+  lift::LiftedResult result;
+  if (!run_profiled(args.value("profile"), [&] {
+        result = lift::check_family(line, *model, opts, diags);
+      })) {
+    return 2;
+  }
   std::cerr << diags.render();
   checkers::Findings flat = lift::flatten(result);
   std::cout << checkers::render(flat);
@@ -507,12 +546,8 @@ int cmd_check(int argc, char** argv) {
   // With --profile, the run's event stream (stage spans, per-query solver
   // spans, cache counters — or one client.request span when the work
   // happens in a daemon) is exported as Chrome-trace JSON afterwards.
-  const std::string profile_path = args.value("profile");
-  obs::TraceSink profile_sink;
-  int code;
-  {
-    std::optional<obs::ScopedSink> sink_guard;
-    if (!profile_path.empty()) sink_guard.emplace(&profile_sink);
+  int code = 0;
+  const bool profiled = run_profiled(args.value("profile"), [&] {
     if (args.has("socket") || args.has("tcp")) {
       obs::Span span("client.request", "client");
       if (span.active()) {
@@ -527,13 +562,8 @@ int cmd_check(int argc, char** argv) {
       std::cerr << outcome.error_text;
       code = outcome.exit_code;
     }
-  }
-  if (!profile_path.empty() &&
-      !obs::write_chrome_trace(profile_path, profile_sink.take())) {
-    std::cerr << "cannot write " << profile_path << "\n";
-    return 2;
-  }
-  return code;
+  });
+  return profiled ? code : 2;
 }
 
 int cmd_generate(int argc, char** argv) {
