@@ -80,7 +80,13 @@ BatteryResult run_battery(const dts::Tree& tree, const BatteryOptions& options,
     });
     run_stage(options.syntax && options.schemas != nullptr, "syntactic",
               "stage.syntactic", [&] {
-                return SyntacticChecker(*options.schemas, options.backend)
+                // The semantic stage's cache: --no-plan stays uncached.
+                SyntacticOptions syntactic;
+                if (options.semantic.plan) {
+                  syntactic.cache_dir = options.semantic.cache_dir;
+                }
+                return SyntacticChecker(*options.schemas, options.backend,
+                                        std::move(syntactic))
                     .check(tree);
               });
     run_stage(options.semantics, "semantic", "stage.semantic", [&] {
@@ -91,8 +97,8 @@ BatteryResult run_battery(const dts::Tree& tree, const BatteryOptions& options,
   std::vector<obs::Event> events = local.take();
   const obs::Summary summary = obs::reduce(events);
   // The counters keep their historical meaning: solver/planner work of the
-  // *semantic* stage (the syntactic checker's solver calls were never part
-  // of the --stats line).
+  // *semantic* stage (the syntactic stage's solver and planner work was
+  // never part of the --stats line).
   auto semantic = [&](const char* name) {
     const int64_t v = summary.scoped("semantic", name);
     return v < 0 ? 0u : static_cast<uint64_t>(v);

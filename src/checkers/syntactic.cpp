@@ -28,7 +28,15 @@ std::string provenance_of(const dts::Property& p, const dts::Node& n) {
 SyntacticChecker::SyntacticChecker(const schema::SchemaSet& schemas,
                                    smt::Backend backend,
                                    SyntacticOptions options)
-    : schemas_(&schemas), options_(options), solver_(backend) {}
+    : schemas_(&schemas),
+      options_(std::move(options)),
+      solver_(backend),
+      planner_(solver_, options_.cache_dir),
+      present_(solver_.bool_var("R")),
+      string_(solver_.bv_var("v", 32)),
+      cell_(solver_.bv_var("c", 64)),
+      count_(solver_.bv_var("n", 16)),
+      entries_(solver_.bv_var("k", 16)) {}
 
 uint32_t SyntacticChecker::intern(const std::string& s) {
   auto it = interned_.find(s);
@@ -36,6 +44,12 @@ uint32_t SyntacticChecker::intern(const std::string& s) {
   uint32_t id = static_cast<uint32_t>(interned_.size()) + 1;
   interned_.emplace(s, id);
   return id;
+}
+
+bool SyntacticChecker::violated(logic::Formula fact,
+                                logic::Formula constraint) {
+  const logic::Formula query[] = {fact, constraint};
+  return planner_.check(query).result == smt::CheckResult::kUnsat;
 }
 
 Findings SyntacticChecker::check(const dts::Tree& tree) {
@@ -88,24 +102,12 @@ void SyntacticChecker::check_schema(const dts::Tree& tree,
                                     Findings& out) {
   auto& fa = solver_.formulas();
   auto& bv = solver_.bitvectors();
-  const std::string ns = "n" + std::to_string(fresh_counter_++) + ".";
 
-  // --- presence predicate R(x) with instance closure (constraints 5+6) ---
-  std::unordered_map<std::string, logic::Formula> presence;
-  auto presence_of = [&](const std::string& name) {
-    auto it = presence.find(name);
-    if (it != presence.end()) return it->second;
-    logic::Formula var = solver_.bool_var(ns + "R(" + name + ")");
-    bool present = node.find_property(name) != nullptr;
-    solver_.add(present ? var : fa.mk_not(var));  // closure fact
-    presence.emplace(name, var);
-    return var;
-  };
-
-  // Required properties (constraints 2/3): R(x) must hold.
+  // Required properties (constraints 2/3): R(x) must hold, under the
+  // instance closure fact R(x) <-> x is present (constraints 5+6).
   for (const std::string& req : schema.required) {
-    std::vector<logic::Formula> assume{presence_of(req)};
-    if (solver_.check_assuming(assume) == smt::CheckResult::kUnsat) {
+    const bool present = node.find_property(req) != nullptr;
+    if (violated(present ? present_ : fa.mk_not(present_), present_)) {
       Finding f;
       f.kind = FindingKind::kMissingRequired;
       f.subject = path;
@@ -155,19 +157,13 @@ void SyntacticChecker::check_schema(const dts::Tree& tree,
       auto cells = reg->as_cells();
       if (cells) {
         uint32_t stride = entry_stride(tree, path, "reg");
-        auto cells_var = bv.bv_var(ns + "reg.cells", 16);
-        auto k = bv.bv_var(ns + "reg.entries", 16);
-        solver_.add(bv.eq(cells_var,
-                          bv.bv_const(cells->size() & 0xffff, 16)));
-        solver_.push();
-        solver_.add(bv.eq(cells_var,
-                          bv.bv_mul(k, bv.bv_const(stride, 16))));
-        solver_.add(bv.uge(k, bv.bv_const(1, 16)));
-        // Guard against multiplication wrap-around for large k.
-        solver_.add(bv.ule(k, bv.bv_const(4096, 16)));
-        bool shape_ok = solver_.check() == smt::CheckResult::kSat;
-        solver_.pop();
-        if (!shape_ok) {
+        const logic::Formula shape[] = {
+            bv.eq(count_, bv.bv_mul(entries_, bv.bv_const(stride, 16))),
+            bv.uge(entries_, bv.bv_const(1, 16)),
+            // Guard against multiplication wrap-around for large k.
+            bv.ule(entries_, bv.bv_const(4096, 16))};
+        if (violated(bv.eq(count_, bv.bv_const(cells->size() & 0xffff, 16)),
+                     fa.mk_and(shape))) {
           Finding f;
           f.kind = FindingKind::kRegShapeViolation;
           f.subject = path;
@@ -190,20 +186,16 @@ void SyntacticChecker::check_schema(const dts::Tree& tree,
     for (const auto& child : node.children()) {
       if (support::glob_match(rule.name_pattern, child->name())) ++count;
     }
-    auto count_var =
-        bv.bv_var(ns + "children(" + rule.name_pattern + ")", 16);
-    solver_.add(bv.eq(count_var, bv.bv_const(count, 16)));
     logic::Formula in_bounds = fa.make_true();
     if (rule.min_count) {
       in_bounds = fa.mk_and(
-          in_bounds, bv.uge(count_var, bv.bv_const(*rule.min_count, 16)));
+          in_bounds, bv.uge(count_, bv.bv_const(*rule.min_count, 16)));
     }
     if (rule.max_count) {
       in_bounds = fa.mk_and(
-          in_bounds, bv.ule(count_var, bv.bv_const(*rule.max_count, 16)));
+          in_bounds, bv.ule(count_, bv.bv_const(*rule.max_count, 16)));
     }
-    std::vector<logic::Formula> assume{in_bounds};
-    if (solver_.check_assuming(assume) == smt::CheckResult::kUnsat) {
+    if (violated(bv.eq(count_, bv.bv_const(count, 16)), in_bounds)) {
       Finding f;
       f.kind = FindingKind::kChildRuleViolation;
       f.subject = path;
@@ -221,7 +213,6 @@ void SyntacticChecker::check_property_values(
     const dts::Property& inst, uint32_t stride, Findings& out) {
   auto& fa = solver_.formulas();
   auto& bv = solver_.bitvectors();
-  const std::string ns = "p" + std::to_string(fresh_counter_++) + ".";
   const std::string delta = provenance_of(inst, node);
 
   auto add_finding = [&](FindingKind kind, std::string message) {
@@ -281,12 +272,11 @@ void SyntacticChecker::check_property_values(
   if (ps.const_string || !ps.enum_strings.empty() || ps.pattern) {
     if (!str && strs && strs->size() == 1) str = (*strs)[0];
     if (str) {
-      auto value_var = bv.bv_var(ns + "v(" + ps.name + ")", 32);
-      solver_.add(bv.eq(value_var, bv.bv_const(intern(*str), 32)));
+      const logic::Formula fact =
+          bv.eq(string_, bv.bv_const(intern(*str), 32));
       if (ps.const_string) {
-        std::vector<logic::Formula> assume{
-            bv.eq(value_var, bv.bv_const(intern(*ps.const_string), 32))};
-        if (solver_.check_assuming(assume) == smt::CheckResult::kUnsat) {
+        const uint32_t want = intern(*ps.const_string);
+        if (violated(fact, bv.eq(string_, bv.bv_const(want, 32)))) {
           add_finding(FindingKind::kConstMismatch,
                       "value \"" + *str + "\" must be \"" + *ps.const_string +
                           "\"");
@@ -295,10 +285,9 @@ void SyntacticChecker::check_property_values(
       if (!ps.enum_strings.empty()) {
         std::vector<logic::Formula> options;
         for (const std::string& e : ps.enum_strings) {
-          options.push_back(bv.eq(value_var, bv.bv_const(intern(e), 32)));
+          options.push_back(bv.eq(string_, bv.bv_const(intern(e), 32)));
         }
-        std::vector<logic::Formula> assume{fa.mk_or(options)};
-        if (solver_.check_assuming(assume) == smt::CheckResult::kUnsat) {
+        if (violated(fact, fa.mk_or(options))) {
           add_finding(FindingKind::kEnumViolation,
                       "value \"" + *str + "\" is not one of the " +
                           std::to_string(ps.enum_strings.size()) +
@@ -316,12 +305,9 @@ void SyntacticChecker::check_property_values(
   // --- const / enum over single-cell values ---
   if ((ps.const_cell || !ps.enum_cells.empty()) && cells &&
       cells->size() == 1) {
-    auto value_var = bv.bv_var(ns + "c(" + ps.name + ")", 64);
-    solver_.add(bv.eq(value_var, bv.bv_const((*cells)[0], 64)));
+    const logic::Formula fact = bv.eq(cell_, bv.bv_const((*cells)[0], 64));
     if (ps.const_cell) {
-      std::vector<logic::Formula> assume{
-          bv.eq(value_var, bv.bv_const(*ps.const_cell, 64))};
-      if (solver_.check_assuming(assume) == smt::CheckResult::kUnsat) {
+      if (violated(fact, bv.eq(cell_, bv.bv_const(*ps.const_cell, 64)))) {
         add_finding(FindingKind::kConstMismatch,
                     "value " + support::hex((*cells)[0]) + " must be " +
                         support::hex(*ps.const_cell));
@@ -330,10 +316,9 @@ void SyntacticChecker::check_property_values(
     if (!ps.enum_cells.empty()) {
       std::vector<logic::Formula> options;
       for (uint64_t e : ps.enum_cells) {
-        options.push_back(bv.eq(value_var, bv.bv_const(e, 64)));
+        options.push_back(bv.eq(cell_, bv.bv_const(e, 64)));
       }
-      std::vector<logic::Formula> assume{fa.mk_or(options)};
-      if (solver_.check_assuming(assume) == smt::CheckResult::kUnsat) {
+      if (violated(fact, fa.mk_or(options))) {
         add_finding(FindingKind::kEnumViolation,
                     "value " + support::hex((*cells)[0]) +
                         " is not in the allowed set");
@@ -344,20 +329,16 @@ void SyntacticChecker::check_property_values(
   // --- minimum / maximum over every cell value (manufacturer ranges) ---
   if ((ps.minimum || ps.maximum) && cells) {
     for (size_t i = 0; i < cells->size(); ++i) {
-      auto value_var =
-          bv.bv_var(ns + "cell" + std::to_string(i) + "(" + ps.name + ")", 64);
-      solver_.add(bv.eq(value_var, bv.bv_const((*cells)[i], 64)));
       logic::Formula in_range = fa.make_true();
       if (ps.minimum) {
         in_range = fa.mk_and(in_range,
-                             bv.uge(value_var, bv.bv_const(*ps.minimum, 64)));
+                             bv.uge(cell_, bv.bv_const(*ps.minimum, 64)));
       }
       if (ps.maximum) {
         in_range = fa.mk_and(in_range,
-                             bv.ule(value_var, bv.bv_const(*ps.maximum, 64)));
+                             bv.ule(cell_, bv.bv_const(*ps.maximum, 64)));
       }
-      std::vector<logic::Formula> assume{in_range};
-      if (solver_.check_assuming(assume) == smt::CheckResult::kUnsat) {
+      if (violated(bv.eq(cell_, bv.bv_const((*cells)[i], 64)), in_range)) {
         add_finding(FindingKind::kEnumViolation,
                     "cell " + std::to_string(i) + " value " +
                         support::hex((*cells)[i]) + " is outside [" +
@@ -373,19 +354,17 @@ void SyntacticChecker::check_property_values(
     uint32_t entries = stride == 0
                            ? static_cast<uint32_t>(cells->size())
                            : static_cast<uint32_t>(cells->size() / stride);
-    auto count_var = bv.bv_var(ns + "items(" + ps.name + ")", 16);
-    solver_.add(bv.eq(count_var, bv.bv_const(entries & 0xffff, 16)));
     logic::Formula in_bounds = fa.make_true();
     if (ps.min_items) {
       in_bounds = fa.mk_and(in_bounds,
-                            bv.uge(count_var, bv.bv_const(*ps.min_items, 16)));
+                            bv.uge(count_, bv.bv_const(*ps.min_items, 16)));
     }
     if (ps.max_items) {
       in_bounds = fa.mk_and(in_bounds,
-                            bv.ule(count_var, bv.bv_const(*ps.max_items, 16)));
+                            bv.ule(count_, bv.bv_const(*ps.max_items, 16)));
     }
-    std::vector<logic::Formula> assume{in_bounds};
-    if (solver_.check_assuming(assume) == smt::CheckResult::kUnsat) {
+    if (violated(bv.eq(count_, bv.bv_const(entries & 0xffff, 16)),
+                 in_bounds)) {
       add_finding(FindingKind::kItemCountViolation,
                   "entry count " + std::to_string(entries) +
                       " is outside [" +

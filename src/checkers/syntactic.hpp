@@ -5,11 +5,16 @@
 //   v_x       the property's value (32-bit bit-vector; strings interned)
 //   n_x       the property's reg-style entry count (bit-vector)
 //
-// Proof obligations extracted from the DT binding instance close the model:
-// R(x) <-> (x appears in the instance) — constraints (5)+(6) — and v_x/n_x
-// are fixed to the instance values. Each schema constraint is then checked
-// by entailment: the constraint is violated iff facts /\ constraint is
-// unsatisfiable. Both solver backends serve the checks.
+// Each schema constraint is decided as one self-contained query: the
+// instance fact that closes the model — R(x) <-> (x appears in the
+// instance), constraints (5)+(6), or v_x/n_x fixed to the instance value —
+// conjoined with the constraint. The constraint is violated iff that query
+// is unsatisfiable. Queries go through the one obligation layer,
+// smt::QueryPlanner, exactly like the semantic checker's: one Solver and
+// one planner per checker (the battery builds one per check), so a
+// constraint repeated on structurally identical instances (a ladder of
+// UARTs) reaches the solver once, and with a cache directory a warm rerun
+// reaches it not at all. Every backend serves the checks.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +24,7 @@
 #include "checkers/finding.hpp"
 #include "dts/tree.hpp"
 #include "schema/schema.hpp"
+#include "smt/query_plan.hpp"
 #include "smt/solver.hpp"
 
 namespace llhsc::checkers {
@@ -29,6 +35,11 @@ struct SyntacticOptions {
   /// Skip pure container nodes (no properties, only children) when warning
   /// about unmatched nodes.
   bool skip_empty_containers = true;
+  /// Directory for the persistent query-result cache (empty = no cache).
+  /// The battery passes the semantic stage's, so one --cache-dir serves
+  /// both stages. An unusable directory degrades to an uncached run; the
+  /// semantic stage reports it.
+  std::string cache_dir;
 };
 
 class SyntacticChecker {
@@ -53,6 +64,10 @@ class SyntacticChecker {
   /// (the C++ stand-in for the paper's Z3 string/hybrid-theory encoding).
   uint32_t intern(const std::string& s);
 
+  /// Decides one schema constraint against the instance `fact`: true when
+  /// fact /\ constraint is unsatisfiable, i.e. the constraint is violated.
+  bool violated(logic::Formula fact, logic::Formula constraint);
+
   void check_schema(const dts::Tree& tree, const dts::Node& node,
                     const std::string& path, const schema::NodeSchema& schema,
                     Findings& out);
@@ -65,8 +80,16 @@ class SyntacticChecker {
   const schema::SchemaSet* schemas_;
   SyntacticOptions options_;
   smt::Solver solver_;
+  smt::QueryPlanner planner_;
   std::unordered_map<std::string, uint32_t> interned_;
-  uint64_t fresh_counter_ = 0;
+  // The query variables, shared by every query: each query pins the ones it
+  // mentions with its own instance fact, and the planner retires a query
+  // before the next, so no query constrains another.
+  logic::Formula present_;  // R(x)
+  logic::BvTerm string_;    // v_x of a string (interned id)
+  logic::BvTerm cell_;      // v_x of one cell
+  logic::BvTerm count_;     // n_x: entries, cells or children
+  logic::BvTerm entries_;   // k in the reg-shape query cells == k * stride
 };
 
 }  // namespace llhsc::checkers

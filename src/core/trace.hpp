@@ -25,15 +25,19 @@ struct StageTrace {
   uint64_t solver_checks = 0;
   /// Findings this stage produced.
   size_t findings = 0;
-  // Query-planner counters (semantic stage only; zero elsewhere and when
-  // planning is disabled). queries_issued counts checks that reached the
-  // backend, queries_pruned the checks a prefilter decided structurally,
-  // cache_hits the checks answered from the persistent query cache.
+  // Query-planner counters of the two planner-backed stages, syntactic and
+  // semantic (zero elsewhere, and for semantic when planning is disabled).
+  // queries_issued counts checks that reached the backend, queries_pruned
+  // the checks a prefilter decided structurally (semantic only), cache_hits
+  // the checks answered from the persistent query cache. Checks the
+  // planner's in-memory memo answered are in none of the three.
   uint64_t queries_issued = 0;
   uint64_t queries_pruned = 0;
   uint64_t cache_hits = 0;
   /// 1 when this stage requested the persistent cache but could not use it
-  /// (unwritable/non-directory --cache-dir); the stage ran uncached.
+  /// (unwritable/non-directory --cache-dir); the stage ran uncached. Both
+  /// planner-backed stages count it; only the semantic stage reports it as
+  /// a finding.
   uint64_t cache_errors = 0;
 };
 

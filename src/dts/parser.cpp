@@ -38,6 +38,13 @@ std::optional<std::string> SourceManager::load(const std::string& name) const {
 
 namespace {
 
+/// Deepest node or expression nesting the parser accepts. Real trees nest a
+/// handful of levels; the bound keeps hostile input from exhausting the
+/// stack here and in every recursive pass over the parsed tree. Deeper
+/// input is one located dts-parse error, and parsing resumes after the
+/// offending body or parenthesis.
+constexpr int kMaxNesting = 256;
+
 // Parses directly into the target tree: duplicate node definitions merge as
 // they are encountered (dtc semantics), which also gives /delete-node/ and
 // /delete-property/ their correct "applies to everything seen so far"
@@ -136,6 +143,16 @@ class Parser {
   }
 
   void parse_node_body(Node& node) {
+    if (depth_ == kMaxNesting) {
+      diags_->error("dts-parse",
+                    "node '" + node.name() + "' nests deeper than " +
+                        std::to_string(kMaxNesting) + " levels",
+                    node.location());
+      skip_nested(TokenKind::kLBrace, TokenKind::kRBrace);
+      lexer_.next();  // the body's '}' (or the end of input)
+      return;
+    }
+    const NestingGuard nest(depth_);
     std::vector<support::Atom> labels;
     while (true) {
       Token t = lexer_.next();
@@ -389,6 +406,15 @@ class Parser {
   }
 
   uint64_t parse_expr_unary() {
+    if (depth_ == kMaxNesting) {
+      diags_->error("dts-parse",
+                    "expression nests deeper than " +
+                        std::to_string(kMaxNesting) + " levels",
+                    lexer_.peek().location);
+      skip_nested(TokenKind::kLParen, TokenKind::kRParen);
+      return 0;
+    }
+    const NestingGuard nest(depth_);
     Token t = lexer_.next();
     if (t.kind == TokenKind::kInt) return t.value;
     if (t.kind == TokenKind::kLParen) return parse_expression();
@@ -447,6 +473,37 @@ class Parser {
     }
   }
 
+  /// Counts one level of node or expression nesting for its lifetime.
+  struct NestingGuard {
+    explicit NestingGuard(int& depth) : depth(&depth) { ++*this->depth; }
+    ~NestingGuard() { --*depth; }
+    NestingGuard(const NestingGuard&) = delete;
+    NestingGuard& operator=(const NestingGuard&) = delete;
+    int* depth;
+  };
+
+  /// Skips, without recursing, everything up to the `close` token that ends
+  /// the current level and leaves it unconsumed; nested open/close pairs
+  /// are skipped whole. Stops early at the end of input, and inside an
+  /// expression also at the tokens that end a cell list or property.
+  void skip_nested(TokenKind open, TokenKind close) {
+    size_t depth = 0;
+    while (true) {
+      const Token& t = lexer_.peek();
+      if (t.kind == TokenKind::kEnd) return;
+      if (t.kind == close) {
+        if (depth == 0) return;
+        --depth;
+      } else if (t.kind == open) {
+        ++depth;
+      } else if (open == TokenKind::kLParen &&
+                 (t.kind == TokenKind::kRAngle || t.kind == TokenKind::kSemi)) {
+        return;
+      }
+      lexer_.next();
+    }
+  }
+
   void recover_to_semi() {
     while (true) {
       const Token& t = lexer_.peek();
@@ -463,6 +520,8 @@ class Parser {
   Lexer& lexer_;
   support::DiagnosticEngine* diags_;
   std::vector<support::Atom> pending_labels_;
+  /// Current node + expression nesting (see kMaxNesting).
+  int depth_ = 0;
 };
 
 }  // namespace

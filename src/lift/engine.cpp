@@ -22,8 +22,9 @@
 //      splits into its presence (the variants' activation literals plus
 //      no-derivation-failure), decided on the feature solver, and its body
 //      (the region or claim formulas), decided on a separate presence-free
-//      body solver through the one obligation layer, smt::QueryPlanner::check
-//      — once per distinct body, keyed by its canonical query text.
+//      body solver through the one obligation layer,
+//      smt::QueryPlanner::check, whose memo decides each distinct body (by
+//      canonical query text) once.
 //   6. Expansion: each finding's violating configurations by all-SAT over
 //      the condition's own features, capped at max_configs.
 #include "lift/lift.hpp"
@@ -42,7 +43,6 @@
 #include "checkers/semantic.hpp"
 #include "feature/analysis.hpp"
 #include "obs/obs.hpp"
-#include "smt/query_cache.hpp"
 #include "smt/query_plan.hpp"
 #include "support/strings.hpp"
 
@@ -733,9 +733,10 @@ class Engine {
   /// One lifted obligation. Its presence — `presence` plus the
   /// no-derivation-failure literals — is decided on the feature solver; only
   /// when some configuration satisfies it is the body built (by
-  /// `build_body`, on the body solver) and decided by the planner, once per
-  /// distinct body. The split is exact: a body mentions only concrete values
-  /// and its own fresh variables, none of the feature solver's, so
+  /// `build_body`, on the body solver) and decided by the planner, whose
+  /// memo answers a repeated body without a solver query. The split is
+  /// exact: a body mentions only concrete values and its own fresh
+  /// variables, none of the feature solver's, so
   /// sat(axioms & presence & body) <=> sat(axioms & presence) & sat(body),
   /// and the body alone pins the witness.
   template <typename BuildBody>
@@ -749,15 +750,7 @@ class Engine {
       return {r};
     }
     const Body body = build_body();
-    auto [memo, fresh] = body_memo_.try_emplace(smt::canonical_query_text(
-        body_solver_.formulas(), body_solver_.bitvectors(), body.formulas,
-        body.witness));
-    if (fresh) {
-      memo->second = planner_.check(body.formulas, body.witness);
-    } else {
-      obs::count("lift.bodies_reused", "lift", 1);
-    }
-    return memo->second;
+    return planner_.check(body.formulas, body.witness);
   }
 
   /// The exclusivity lift: a listed exclusive feature that *every*
@@ -947,8 +940,6 @@ class Engine {
   std::vector<size_t> pending_expand_;
   std::vector<size_t> derive_fail_finding_;
   std::map<std::string, Expansion> expansion_memo_;
-  /// Decided obligation bodies by canonical query text.
-  std::map<std::string, smt::QueryPlanner::Outcome> body_memo_;
   uint64_t fresh_counter_ = 0;
   LiftedResult result_;
   bool ok_ = true;

@@ -12,10 +12,11 @@
 // holds the feature-model axioms and the delta-activation biconditionals
 // a_d <-> when_d(features); and, when that presence is satisfiable, its
 // body through the per-product checker's obligation layer
-// (smt::QueryPlanner::check) on a presence-free body solver, once per
-// distinct body. Work is polynomial in components x patterns, not in 2^n
-// products; the differential harness (lift/differential.hpp) proves the
-// verdicts equal per-product enumeration.
+// (smt::QueryPlanner::check) on a presence-free body solver, whose memo
+// decides each distinct body once. Work is polynomial in components x
+// patterns, not in 2^n products; the differential harness
+// (lift/differential.hpp) proves the verdicts equal per-product
+// enumeration.
 #pragma once
 
 #include <cstdint>

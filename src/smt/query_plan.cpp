@@ -28,25 +28,30 @@ const std::string& QueryPlanner::cache_error() const {
 QueryPlanner::Outcome QueryPlanner::check(std::span<const logic::Formula> fs,
                                           logic::BvTerm witness_term) {
   obs::Span span("planner.check", "planner");
-  Outcome outcome;
-  std::string key;
+  auto record = [&](const Outcome& o) {
+    if (span.active()) {
+      span.arg("verdict", std::string(to_string(o.result)));
+      span.arg("from_cache", o.from_cache ? "true" : "false");
+    }
+    return o;
+  };
+  std::string key = canonical_query_text(
+      solver_->formulas(), solver_->bitvectors(), fs, witness_term);
+  if (auto it = memo_.find(key); it != memo_.end()) {
+    ++stats_.memo_hits;
+    obs::count("planner.memo_hits", "planner", 1);
+    return record(it->second);
+  }
+
   if (cache_enabled()) {
-    key = canonical_query_text(solver_->formulas(), solver_->bitvectors(), fs,
-                               witness_term);
     if (auto hit = cache_->lookup(key)) {
       ++stats_.cache_hits;
       obs::count("planner.cache_hits", "planner", 1);
-      outcome.result = hit->result;
-      outcome.witness = hit->witness;
-      outcome.from_cache = true;
-      if (span.active()) {
-        span.arg("verdict", std::string(to_string(outcome.result)));
-        span.arg("from_cache", "true");
-      }
-      return outcome;
+      return record(memo_[std::move(key)] = {hit->result, hit->witness, true});
     }
   }
 
+  Outcome outcome;
   logic::FormulaArena& fa = solver_->formulas();
   const logic::Formula guard =
       solver_->bool_var("qp.g" + std::to_string(guard_counter_++));
@@ -67,11 +72,7 @@ QueryPlanner::Outcome QueryPlanner::check(std::span<const logic::Formula> fs,
   if (cache_enabled() && outcome.result != CheckResult::kUnknown) {
     cache_->store(key, {outcome.result, outcome.witness});
   }
-  if (span.active()) {
-    span.arg("verdict", std::string(to_string(outcome.result)));
-    span.arg("from_cache", "false");
-  }
-  return outcome;
+  return record(memo_[std::move(key)] = outcome);
 }
 
 }  // namespace llhsc::smt

@@ -1,42 +1,50 @@
 // Query planner — the one obligation layer between the checkers and the
-// solver. The per-product semantic checker and the lifted family engine
-// both decide their pairwise obligations (region disjointness, interrupt
-// and clock uniqueness) here. Queries are presence-free: the lifted engine
-// decides an obligation's presence condition on its own feature solver and
-// brings only the obligation's body here, on a separate body solver
-// (docs/lifting.md). One planner fronts one Solver and turns a stream of
-// independent decision queries (each a small formula set, optionally with a
-// witness term) into the cheapest sound sequence of backend calls:
+// solver. Three callers decide every solver-backed obligation here:
+//   - the syntactic checker (§IV-B): one query per schema constraint, the
+//     instance fact plus the constraint;
+//   - the per-product semantic checker (§IV-C): region disjointness,
+//     interrupt and clock uniqueness;
+//   - the lifted family engine: each obligation *body* whose presence
+//     condition it already found satisfiable on its own feature solver
+//     (docs/lifting.md).
+// Queries are self-contained and presence-free. One planner fronts one
+// Solver and turns a stream of independent decision queries (each a small
+// formula set, optionally with a witness term) into the cheapest sound
+// sequence of backend calls:
 //
 //   1. The *callers* prune structurally decidable queries before they get
 //      here (sweep-line interval prefilter for concrete regions, hash
 //      buckets for interrupt and clock claims) and report them via
 //      note_pruned(), so the trace still accounts for every query the
 //      exhaustive path would have issued.
-//   2. Surviving queries are *batched* onto the one solver instance: each
-//      query's formulas are guarded by a fresh assumption literal
-//      (g => f_i), decided with check_assuming({g}), and retired
-//      with add(!g) — shared structure stays asserted and encoded once, and
-//      no retired query constrains a later one. Both backends support
-//      assumptions natively, so this costs one check() per query instead of
-//      a push/encode/pop cycle.
-//   3. Decided queries are recorded in a persistent QueryCache (when a
-//      cache directory is configured); a later run that builds a
-//      structurally identical query is answered without touching the
-//      solver at all.
+//   2. Each query that arrives is looked up in order:
+//        memo   — every query this planner already decided, keyed by its
+//                 full canonical text (smt::canonical_query_text), every
+//                 outcome including kUnknown;
+//        qc1    — the persistent QueryCache, when a cache directory is
+//                 configured (never stores kUnknown);
+//        solver — the query's formulas are guarded by a fresh assumption
+//                 literal (g => f_i), decided with check_assuming({g}),
+//                 and retired with add(!g): shared structure stays
+//                 asserted and encoded once, and no retired query
+//                 constrains a later one.
+//      A structurally identical query — same shape and constants, any
+//      variable names — is therefore decided at most once per planner and,
+//      with a warm cache, not at all.
 //
 // Soundness of the division of labour: the planner never changes a
 // query's verdict — pruning is the callers' responsibility (and covered by
 // the planned-vs-exhaustive property tests), batching is equisatisfiable by
-// construction (guards are fresh and never reused), and cache entries store
-// the witness, so findings are byte-identical across cold, batched, and
-// warm-cache runs.
+// construction (guards are fresh and never reused), and memo and cache
+// entries store the witness, so findings are byte-identical across cold,
+// batched, and warm-cache runs.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <unordered_map>
 
 #include "smt/query_cache.hpp"
 #include "smt/solver.hpp"
@@ -51,6 +59,9 @@ struct QueryPlanStats {
   uint64_t queries_pruned = 0;
   /// Queries answered from the persistent cache.
   uint64_t cache_hits = 0;
+  /// Queries answered from the in-memory memo: a structurally identical
+  /// query was already decided by this planner.
+  uint64_t memo_hits = 0;
   /// 1 when a cache directory was requested but could not be used (file in
   /// the way, unwritable, creation failure) — the run proceeded uncached.
   uint64_t cache_errors = 0;
@@ -66,8 +77,8 @@ class QueryPlanner {
     bool from_cache = false;
   };
 
-  /// `cache_dir` empty disables the persistent cache (batching and the
-  /// pruning counters still apply).
+  /// `cache_dir` empty disables the persistent cache (the memo, batching
+  /// and the pruning counters still apply).
   QueryPlanner(Solver& solver, const std::string& cache_dir);
 
   /// Decides the conjunction of `fs` as one batched query. The formulas
@@ -90,6 +101,8 @@ class QueryPlanner {
  private:
   Solver* solver_;
   std::unique_ptr<QueryCache> cache_;
+  /// Every outcome this planner decided, by canonical query text.
+  std::unordered_map<std::string, Outcome> memo_;
   QueryPlanStats stats_;
   uint64_t guard_counter_ = 0;
 };

@@ -692,13 +692,16 @@ TEST(SemanticTimeout, ExhaustedBudgetReportsOneTimeoutFinding) {
 
 // The planned path prunes structurally-disjoint queries, but queries that
 // survive the prefilter still respect the budget: pile up enough genuinely
-// overlapping pairs and the timeout finding fires exactly as before.
+// overlapping pairs and the timeout finding fires exactly as before. The
+// bases are pairwise distinct, so every surviving pair is a distinct query
+// the planner's memo cannot answer from an earlier one.
 TEST(SemanticTimeout, PlannedBudgetExhaustionStillReportsTimeout) {
   std::vector<MemRegion> regions;
   for (int i = 0; i < 64; ++i) {
     MemRegion r;
     r.path = "/r" + std::to_string(i);
-    r.base = 0x1000;  // all identical: every pair is a candidate
+    // Spread over 0x400 bytes, each 0x800 long: every pair overlaps.
+    r.base = 0x1000 + static_cast<uint64_t>(i) * 0x10;
     r.size = 0x800;
     r.region_class = RegionClass::kDevice;
     regions.push_back(std::move(r));

@@ -4,9 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <random>
+#include <set>
+#include <tuple>
+
 #include "dts/parser.hpp"
 #include "schema/builtin_schemas.hpp"
 #include "schema/yaml_lite.hpp"
+#include "support/strings.hpp"
 
 namespace llhsc::checkers {
 namespace {
@@ -331,10 +338,275 @@ TEST_P(SyntacticTest, SolverIsActuallyConsulted) {
       << "the checker must discharge constraints through the solver";
 }
 
+// Instances that differ only in values no constraint reads (unit address,
+// reg base) pose structurally identical queries, which the planner decides
+// once: a ladder of UARTs costs the solver what a single UART does.
+TEST_P(SyntacticTest, IdenticalInstancesCostOneInstanceOfSolverChecks) {
+  auto board = [](int uarts) {
+    std::string src =
+        "/ {\n    #address-cells = <1>;\n    #size-cells = <1>;\n";
+    for (int i = 0; i < uarts; ++i) {
+      const std::string addr = support::hex(0x10000000u + 0x1000u * i);
+      src += "    uart@" + addr.substr(2) + " { compatible = \"ns16550a\"; " +
+             "reg = <" + addr + " 0x100>; };\n";
+    }
+    return parse_ok(src + "};\n");
+  };
+  SyntacticChecker one(schemas, GetParam());
+  SyntacticChecker ladder(schemas, GetParam());
+  EXPECT_EQ(error_count(one.check(*board(1))), 0u);
+  EXPECT_EQ(error_count(ladder.check(*board(8))), 0u);
+  EXPECT_GT(one.solver_checks(), 0u);
+  EXPECT_EQ(ladder.solver_checks(), one.solver_checks());
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, SyntacticTest,
                          ::testing::ValuesIn(smt::all_backends()),
                          [](const ::testing::TestParamInfo<smt::Backend>& info) {
                            return std::string(smt::to_string(info.param));
+                         });
+
+// -- Property suite: random schemas and nodes against a direct oracle --
+//
+// Each seed draws one schema over "dev@*" nodes — string const/enum,
+// single-cell const/enum, per-cell minimum/maximum, reg minItems/maxItems,
+// the reg-shape rule, a child-count rule, required properties and, on some
+// seeds, additionalProperties: false — and a board whose values straddle
+// every bound. The oracle evaluates each constraint directly on the
+// concrete values; the checker must report exactly the same
+// (kind, subject, property) multiset through the solver.
+
+struct SchemaCase {
+  uint32_t seed;
+  smt::Backend backend;
+};
+
+// Names the parameter in test listings (gtest would otherwise print its
+// bytes, padding included).
+void PrintTo(const SchemaCase& c, std::ostream* os) {
+  *os << smt::to_string(c.backend) << "_seed" << c.seed;
+}
+
+using FindingKey = std::tuple<int, std::string, std::string>;
+
+struct RandomBoard {
+  schema::SchemaSet schemas;
+  std::string dts;
+  std::vector<FindingKey> expected;  // the oracle's verdict, sorted
+};
+
+RandomBoard random_board(uint32_t seed) {
+  std::mt19937 rng(seed);
+  auto pick = [&](uint32_t n) { return static_cast<uint32_t>(rng() % n); };
+  auto coin = [&] { return pick(2) == 0; };
+  const std::vector<std::string> words = {"alpha", "beta", "gamma", "delta"};
+
+  // -- the schema --
+  schema::PropertySchema mode;
+  mode.name = "mode";
+  mode.type = schema::PropertyType::kString;
+  if (coin()) {
+    mode.const_string = words[pick(4)];
+  } else {
+    for (const std::string& w : words) {
+      if (coin()) mode.enum_strings.push_back(w);
+    }
+    if (mode.enum_strings.empty()) mode.enum_strings.push_back(words[0]);
+  }
+  schema::PropertySchema level;
+  level.name = "level";
+  level.type = schema::PropertyType::kCells;
+  if (coin()) {
+    level.const_cell = pick(4);
+  } else {
+    for (uint64_t v = 0; v < 4; ++v) {
+      if (coin()) level.enum_cells.push_back(v);
+    }
+    if (level.enum_cells.empty()) level.enum_cells.push_back(0);
+  }
+  schema::PropertySchema freq;
+  freq.name = "freq";
+  freq.type = schema::PropertyType::kCells;
+  if (coin()) freq.minimum = pick(10);
+  if (!freq.minimum || coin()) freq.maximum = 10 + pick(10);
+  schema::PropertySchema reg;
+  reg.name = "reg";
+  reg.type = schema::PropertyType::kCells;
+  if (coin()) reg.min_items = 1 + pick(2);
+  if (coin()) reg.max_items = reg.min_items.value_or(1) + pick(2);
+  schema::ChildRule children;
+  children.name_pattern = "sub@*";
+  if (coin()) children.min_count = pick(2);
+  if (!children.min_count || coin()) {
+    children.max_count = children.min_count.value_or(0) + pick(3);
+  }
+  schema::SchemaBuilder builder("random");
+  builder.select_node_name("dev@*")
+      .property(mode)
+      .property(level)
+      .property(freq)
+      .property(reg)
+      .child(children);
+  for (const char* name : {"mode", "level", "reg"}) {
+    if (coin()) builder.require(name);
+  }
+  if (coin()) builder.no_additional_properties();
+  const schema::NodeSchema s = builder.build();
+  RandomBoard board;
+  board.schemas.add(s);
+
+  // -- the board and the oracle --
+  const uint32_t address_cells = 1 + pick(2);
+  const uint32_t size_cells = pick(2);
+  const uint32_t stride = address_cells + size_cells;
+  board.dts = "/ {\n    #address-cells = <" + std::to_string(address_cells) +
+              ">;\n    #size-cells = <" + std::to_string(size_cells) + ">;\n";
+  auto cells_text = [](const std::vector<uint64_t>& cells) {
+    std::string out = "<";
+    for (size_t i = 0; i < cells.size(); ++i) {
+      out += (i == 0 ? "" : " ") + std::to_string(cells[i]);
+    }
+    return out + ">";
+  };
+  auto expect = [&](FindingKind kind, const std::string& path,
+                    const std::string& property) {
+    board.expected.emplace_back(static_cast<int>(kind), path, property);
+  };
+  const uint32_t nodes = 3 + pick(4);
+  for (uint32_t n = 0; n < nodes; ++n) {
+    const std::string path = "/dev@" + std::to_string(n);
+    std::string body;
+    std::set<std::string> present;
+    if (pick(4) != 0) {
+      const std::string& v = words[pick(4)];
+      body += " mode = \"" + v + "\";";
+      present.insert("mode");
+      if (mode.const_string && v != *mode.const_string) {
+        expect(FindingKind::kConstMismatch, path, "mode");
+      }
+      if (!mode.enum_strings.empty() &&
+          std::find(mode.enum_strings.begin(), mode.enum_strings.end(), v) ==
+              mode.enum_strings.end()) {
+        expect(FindingKind::kEnumViolation, path, "mode");
+      }
+    }
+    if (pick(4) != 0) {
+      const uint64_t v = pick(5);
+      body += " level = <" + std::to_string(v) + ">;";
+      present.insert("level");
+      if (level.const_cell && v != *level.const_cell) {
+        expect(FindingKind::kConstMismatch, path, "level");
+      }
+      if (!level.enum_cells.empty() &&
+          std::find(level.enum_cells.begin(), level.enum_cells.end(), v) ==
+              level.enum_cells.end()) {
+        expect(FindingKind::kEnumViolation, path, "level");
+      }
+    }
+    if (pick(4) != 0) {
+      std::vector<uint64_t> cells(1 + pick(3));
+      for (uint64_t& c : cells) {
+        c = pick(25);
+        if ((freq.minimum && c < *freq.minimum) ||
+            (freq.maximum && c > *freq.maximum)) {
+          expect(FindingKind::kEnumViolation, path, "freq");
+        }
+      }
+      body += " freq = " + cells_text(cells) + ";";
+    }
+    if (pick(4) != 0) {
+      std::vector<uint64_t> cells(1 + pick(7));
+      for (uint64_t& c : cells) c = pick(0x100);
+      body += " reg = " + cells_text(cells) + ";";
+      present.insert("reg");
+      const uint64_t entries = cells.size() / stride;
+      if ((reg.min_items && entries < *reg.min_items) ||
+          (reg.max_items && entries > *reg.max_items)) {
+        expect(FindingKind::kItemCountViolation, path, "reg");
+      }
+      if (s.check_reg_shape && cells.size() % stride != 0) {
+        expect(FindingKind::kRegShapeViolation, path, "reg");
+      }
+    }
+    if (pick(4) == 0) {
+      body += " rogue = <1>;";
+      if (!s.additional_properties) {
+        expect(FindingKind::kUnknownProperty, path, "rogue");
+      }
+    }
+    const uint32_t subs = pick(4);
+    for (uint32_t c = 0; c < subs; ++c) {
+      body += " sub@" + std::to_string(c) + " { };";
+    }
+    if ((children.min_count && subs < *children.min_count) ||
+        (children.max_count && subs > *children.max_count)) {
+      expect(FindingKind::kChildRuleViolation, path, "");
+    }
+    for (const std::string& req : s.required) {
+      if (present.count(req) == 0) {
+        expect(FindingKind::kMissingRequired, path, req);
+      }
+    }
+    board.dts += "    dev@" + std::to_string(n) + " {" + body + " };\n";
+  }
+  board.dts += "};\n";
+  std::sort(board.expected.begin(), board.expected.end());
+  return board;
+}
+
+// Guards the generator: across the seeds every fault kind fires, so the
+// equivalence below covers each encoding.
+TEST(RandomSchema, SeedsProduceEveryFaultKind) {
+  std::set<int> kinds;
+  for (uint32_t seed = 1; seed <= 12; ++seed) {
+    for (const FindingKey& k : random_board(seed).expected) {
+      kinds.insert(std::get<0>(k));
+    }
+  }
+  for (FindingKind kind :
+       {FindingKind::kMissingRequired, FindingKind::kConstMismatch,
+        FindingKind::kEnumViolation, FindingKind::kItemCountViolation,
+        FindingKind::kRegShapeViolation, FindingKind::kChildRuleViolation,
+        FindingKind::kUnknownProperty}) {
+    EXPECT_EQ(kinds.count(static_cast<int>(kind)), 1u)
+        << "no seed produces finding kind " << static_cast<int>(kind);
+  }
+}
+
+class RandomSchemaTest : public ::testing::TestWithParam<SchemaCase> {};
+
+TEST_P(RandomSchemaTest, FindingsMatchTheDirectOracle) {
+  const RandomBoard board = random_board(GetParam().seed);
+  auto tree = parse_ok(board.dts);
+  ASSERT_NE(tree, nullptr);
+  SyntacticChecker checker(board.schemas, GetParam().backend);
+  const Findings found = checker.check(*tree);
+  std::vector<FindingKey> got;
+  for (const Finding& f : found) {
+    got.emplace_back(static_cast<int>(f.kind), f.subject, f.property);
+  }
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, board.expected) << board.dts << render(found);
+  EXPECT_GT(checker.solver_checks(), 0u);
+}
+
+std::vector<SchemaCase> schema_cases() {
+  std::vector<SchemaCase> cases;
+  for (uint32_t seed = 1; seed <= 12; ++seed) {
+    cases.push_back({seed, smt::Backend::kBuiltin});
+  }
+  for (uint32_t seed = 101; seed <= 106; ++seed) {
+    cases.push_back({seed, smt::Backend::kZ3});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, RandomSchemaTest,
+                         ::testing::ValuesIn(schema_cases()),
+                         [](const ::testing::TestParamInfo<SchemaCase>& info) {
+                           return std::string(
+                                      smt::to_string(info.param.backend)) +
+                                  "_seed" + std::to_string(info.param.seed);
                          });
 
 }  // namespace

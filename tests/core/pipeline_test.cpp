@@ -285,9 +285,9 @@ TEST_P(PipelineTest, TraceRecordsEveryStage) {
       EXPECT_TRUE(has(unit, stage)) << unit << "/" << stage;
     }
   }
-  // The solver-backed stages did real work. The syntactic checker issues
-  // solver checks directly; the semantic stage routes through the query
-  // planner, which on this clean example prunes every candidate — so its
+  // The solver-backed stages did real work. Both route through the query
+  // planner: the syntactic stage's constraints reach the solver, while on
+  // this clean example the semantic stage prunes every candidate — so its
   // evidence of work is the issued+pruned total, not solver_checks.
   for (const StageTrace& s : result.trace.stages) {
     if (s.stage == "syntactic") {
@@ -400,8 +400,8 @@ TEST_P(PipelineTest, EightVmWorkloadCutsSolverChecksTenfold) {
   PipelineResult exhaustive = run_with(false);
   EXPECT_EQ(checkers::render(planned.findings),
             checkers::render(exhaustive.findings));
-  // Only the semantic stage routes through the planner; the syntactic
-  // stage's solver calls are unaffected and excluded from the ratio.
+  // The ratio is the semantic stage's: --no-plan leaves the syntactic
+  // stage's queries unchanged, so they are excluded from it.
   auto semantic_checks = [](const PipelineResult& r) {
     uint64_t n = 0;
     for (const StageTrace& s : r.trace.stages) {

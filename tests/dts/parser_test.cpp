@@ -319,6 +319,59 @@ TEST(Parser, DeepNesting) {
   EXPECT_EQ(leaf_parent->find_property("leaf")->as_u32(), 7u);
 }
 
+// Hostile nesting — tens of thousands of node levels, or of parentheses
+// or unary operators in one cell expression — must end in one located
+// dts-parse error, not a stack overflow. Parsing resumes after the
+// offending body or parenthesis, so the rest of the file still parses.
+std::string nested_nodes(int depth) {
+  std::string src = "/ {";
+  for (int i = 0; i < depth; ++i) src += " a {";
+  for (int i = 0; i < depth; ++i) src += " };";
+  return src + " after { ok = <1>; }; };";
+}
+
+TEST(ParserNesting, DeepNodesAreOneLocatedError) {
+  support::DiagnosticEngine de;
+  auto tree = parse_dts(nested_nodes(20000), "deep.dts", de);
+  ASSERT_EQ(de.error_count(), 1u) << de.render();
+  const support::Diagnostic& d = de.diagnostics().front();
+  EXPECT_EQ(d.code, "dts-parse");
+  EXPECT_NE(d.message.find("nests deeper than"), std::string::npos);
+  EXPECT_TRUE(d.location.valid());
+  ASSERT_NE(tree, nullptr);
+  ASSERT_NE(tree->find("/after"), nullptr);
+  EXPECT_EQ(tree->find("/after")->find_property("ok")->as_u32(), 1u);
+}
+
+TEST(ParserNesting, DeepExpressionsAreOneLocatedError) {
+  for (const auto& [open, close] :
+       {std::pair<std::string, std::string>{"(", ")"}, {"(~", ")"},
+        {"~", ""}, {"(-", ")"}}) {
+    std::string expr;
+    for (int i = 0; i < 100000; ++i) expr += open;
+    expr += "1";
+    for (int i = 0; i < 100000; ++i) expr += close;
+    if (close.empty()) expr = "(" + expr + ")";
+    support::DiagnosticEngine de;
+    auto tree = parse_dts("/ { n { v = <" + expr + " 2>; w = <3>; }; };",
+                          "deep.dts", de);
+    ASSERT_EQ(de.error_count(), 1u) << open << ": " << de.render();
+    EXPECT_EQ(de.diagnostics().front().code, "dts-parse");
+    EXPECT_TRUE(de.diagnostics().front().location.valid());
+    ASSERT_NE(tree, nullptr);
+    EXPECT_EQ(tree->find("/n")->find_property("w")->as_u32(), 3u) << open;
+  }
+}
+
+TEST(ParserNesting, RealisticDepthsParseCleanly) {
+  auto tree = parse_ok(nested_nodes(200));
+  EXPECT_NE(tree->find("/after"), nullptr);
+  std::string expr = "1";
+  for (int i = 0; i < 100; ++i) expr = "(" + expr + " + 1)";
+  auto cells = parse_ok("/ { n { v = <" + expr + ">; }; };");
+  EXPECT_EQ(cells->find("/n")->find_property("v")->as_u32(), 101u);
+}
+
 TEST(Parser, UnitAddressFuzzyLookup) {
   SourceManager sm;
   sm.register_file("cpus.dtsi", kCpusDtsi);

@@ -318,7 +318,7 @@ TEST_P(LiftedSharedBodies, MatchesEnumerationAndShapeOracle) {
     EXPECT_EQ(c["planner.queries_issued"],
               static_cast<int64_t>(want.sat_bodies))
         << "one solver query per distinct body with a reachable presence";
-    EXPECT_EQ(c["planner.queries_issued"] + c["lift.bodies_reused"],
+    EXPECT_EQ(c["planner.queries_issued"] + c["planner.memo_hits"],
               static_cast<int64_t>(want.obligations - want.unsat_presence))
         << "an obligation whose presence is unsatisfiable decides no body";
 
@@ -399,7 +399,7 @@ TEST(LiftedPresence, UnreachablePresenceDecidesNoBody) {
   std::map<std::string, int64_t> c = counters(sink.take());
   EXPECT_EQ(c["lift.obligations"], 1);
   EXPECT_EQ(c["planner.queries_issued"], 0);
-  EXPECT_EQ(c["lift.bodies_reused"], 0);
+  EXPECT_EQ(c["planner.memo_hits"], 0);
   ASSERT_EQ(r.findings.size(), 1u);
   EXPECT_EQ(r.findings[0].finding.kind, checkers::FindingKind::kDeriveFailure);
   lift::DifferentialReport report =

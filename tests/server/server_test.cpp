@@ -1,9 +1,11 @@
 #include "server/server.hpp"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -542,40 +544,98 @@ TEST(Server, ConcurrentTcpAndUnixClients) {
   }
 }
 
+/// A named pipe served as an /include/ file. A check that includes it stays
+/// in flight — its parse blocked opening the pipe — until release() hands
+/// it the content, so a test controls exactly when that check can finish.
+class HeldInclude {
+ public:
+  HeldInclude() {
+    char tmpl[] = "/tmp/llhscd_held_XXXXXX";
+    dir_ = ::mkdtemp(tmpl);
+    path_ = dir_ + "/held.dtsi";
+    ready_ = ::mkfifo(path_.c_str(), 0600) == 0;
+  }
+  ~HeldInclude() {
+    release("");  // never leave a check (and the server's drain) blocked
+    ::unlink(path_.c_str());
+    ::rmdir(dir_.c_str());
+  }
+  HeldInclude(const HeldInclude&) = delete;
+  HeldInclude& operator=(const HeldInclude&) = delete;
+
+  [[nodiscard]] bool ready() const { return ready_; }
+  [[nodiscard]] const std::string& directory() const { return dir_; }
+
+  /// Waits (up to 10 s) for the including check to open the pipe, then
+  /// writes `content` and closes it. False when no reader ever came.
+  bool release(const std::string& content) {
+    if (released_ || !ready_) return released_;
+    for (int attempt = 0; attempt < 10000; ++attempt) {
+      // O_NONBLOCK: fails with ENXIO until the check's open is waiting.
+      const int fd = ::open(path_.c_str(), O_WRONLY | O_NONBLOCK);
+      if (fd >= 0) {
+        const bool written =
+            ::write(fd, content.data(), content.size()) ==
+            static_cast<ssize_t>(content.size());
+        ::close(fd);
+        released_ = true;
+        return written;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  }
+
+ private:
+  std::string dir_;
+  std::string path_;
+  bool ready_ = false;
+  bool released_ = false;
+};
+
 TEST(Server, TenantQuotaRejectsTheSecondAdmission) {
   ServerFixture fixture([](ServerOptions& options) {
     options.tenant_quota = 1;
     options.jobs = 2;
   });
+  // Declared after the fixture, so it releases any held check before the
+  // fixture drains the server.
+  HeldInclude held;
+  ASSERT_TRUE(held.ready());
   Client client(fixture.socket_path());
   ASSERT_TRUE(client.connected());
-  // A source that genuinely reaches the solver, so the first admission is
-  // still in flight when the loop processes the second line of the same
-  // read batch.
-  std::string slow(kDts);
-  slow.insert(slow.rfind("};"),
-              "    mmio@40800000 { reg = <0x40800000 0x1000000>; };\n"
-              "    mmio@40900000 { reg = <0x40900000 0x1000000>; };\n");
-  Json first = check_request(1, slow);
+  // The first check includes the held pipe, so it is still in flight when
+  // the loop processes the second line however fast checks run.
+  Json params = Json::object();
+  params.set("path", Json::string("test.dts"));
+  params.set("source", Json::string("/dts-v1/;\n/ {\n"
+                                    "    #address-cells = <1>;\n"
+                                    "    #size-cells = <1>;\n"
+                                    "    /include/ \"held.dtsi\"\n};\n"));
+  params.set("base_directory", Json::string(held.directory()));
+  Json first = Json::object();
+  first.set("id", Json::integer(1));
+  first.set("method", Json::string("check"));
+  first.set("params", std::move(params));
   first.set("tenant", Json::string("t1"));
-  Json second = check_request(2, slow);
+  Json second = check_request(2, kDts);
   second.set("tenant", Json::string("t1"));
   ASSERT_TRUE(client.send_line(first.dump() + "\n" + second.dump()));
-  bool saw_ok = false;
-  bool saw_quota = false;
-  for (int i = 0; i < 2; ++i) {
-    auto response = client.recv_response();
-    ASSERT_TRUE(response.has_value());
-    if (response->at("ok").as_bool(false)) {
-      saw_ok = true;
-    } else {
-      EXPECT_EQ(response->at("error").at("code").as_string(),
-                "quota_exceeded");
-      saw_quota = true;
-    }
-  }
-  EXPECT_TRUE(saw_ok);
-  EXPECT_TRUE(saw_quota);
+
+  auto rejected = client.recv_response();
+  ASSERT_TRUE(rejected.has_value());
+  EXPECT_EQ(rejected->at("id").as_int(), 2);
+  EXPECT_FALSE(rejected->at("ok").as_bool(true));
+  EXPECT_EQ(rejected->at("error").at("code").as_string(), "quota_exceeded");
+
+  ASSERT_TRUE(held.release("    memory@40000000 { device_type = \"memory\"; "
+                           "reg = <0x40000000 0x1000000>; };\n"));
+  auto admitted = client.recv_response();
+  ASSERT_TRUE(admitted.has_value());
+  EXPECT_EQ(admitted->at("id").as_int(), 1);
+  EXPECT_TRUE(admitted->at("ok").as_bool(false)) << admitted->dump();
+  EXPECT_EQ(admitted->at("result").at("exit_code").as_int(-1), 0)
+      << admitted->dump();
   // The quota releases with the admission. The release lands just after
   // the response is enqueued (responses are never reordered after drain
   // accounting), so retry briefly.

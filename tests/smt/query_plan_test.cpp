@@ -303,6 +303,44 @@ TEST_P(QueryPlannerTest, WarmCacheReplaysVerdictAndWitness) {
   EXPECT_EQ(warm[1].result, CheckResult::kUnsat);
 }
 
+// The memo: a query structurally identical to one this planner already
+// decided — same shape and constants, different variable names — is
+// answered without the solver, with the first outcome, witness included.
+TEST_P(QueryPlannerTest, MemoDecidesStructurallyIdenticalQueriesOnce) {
+  Solver s(GetParam());
+  QueryPlanner planner(s, "");
+  logic::BvArena& bv = s.bitvectors();
+  auto overlap_query = [&](const std::string& name, uint64_t base_b) {
+    IntervalQuery q;
+    q.x = bv.bv_var(name, 64);
+    for (auto [lo, hi] : {std::pair<uint64_t, uint64_t>{0x1000, 0x1100},
+                          {base_b, base_b + 0x100}}) {
+      q.fs.push_back(bv.uge(q.x, bv.bv_const(lo, 64)));
+      q.fs.push_back(bv.ult(q.x, bv.bv_const(hi, 64)));
+    }
+    return q;
+  };
+  const IntervalQuery first = overlap_query("ov0.x", 0x1080);
+  const IntervalQuery second = overlap_query("ov1.x", 0x1080);
+  const QueryPlanner::Outcome a = planner.check(first.fs, first.x);
+  const QueryPlanner::Outcome b = planner.check(second.fs, second.x);
+
+  EXPECT_EQ(a.result, CheckResult::kSat);
+  EXPECT_EQ(b.result, a.result);
+  EXPECT_EQ(b.witness, a.witness);
+  EXPECT_GE(a.witness, 0x1080u);
+  EXPECT_LT(a.witness, 0x1100u);
+  EXPECT_EQ(planner.stats().queries_issued, 1u);
+  EXPECT_EQ(planner.stats().memo_hits, 1u);
+  EXPECT_EQ(s.stats().checks, 1u);
+
+  // A different constant is a different query: it reaches the solver.
+  const IntervalQuery third = overlap_query("ov2.x", 0x2000);
+  EXPECT_EQ(planner.check(third.fs, third.x).result, CheckResult::kUnsat);
+  EXPECT_EQ(planner.stats().queries_issued, 2u);
+  EXPECT_EQ(planner.stats().memo_hits, 1u);
+}
+
 // Builtin-only: the CDCL loop polls the deadline, so an already-expired one
 // deterministically yields kUnknown (z3's 1ms floor may still decide a
 // trivial query, which is fine but not a stable test).
@@ -325,6 +363,21 @@ TEST(QueryPlannerDeadlineTest, ExpiredDeadlineIsNotCached) {
     EXPECT_EQ(o.result, CheckResult::kSat);
     EXPECT_FALSE(o.from_cache) << "kUnknown must never be served from cache";
   }
+}
+
+// The memo, unlike the persistent cache, keeps kUnknown: within one planner
+// a query that ran out of budget is not re-attempted.
+TEST(QueryPlannerDeadlineTest, MemoKeepsUnknownForThePlannersLifetime) {
+  Solver s(Backend::kBuiltin);
+  s.set_deadline(support::Deadline::after_ms(0));
+  QueryPlanner planner(s, "");
+  const IntervalQuery q1 = make_interval_query(s, 0x1000, 0x100, 0x1080, 0x100);
+  const IntervalQuery q2 = make_interval_query(s, 0x1000, 0x100, 0x1080, 0x100);
+  EXPECT_EQ(planner.check(q1.fs, q1.x).result, CheckResult::kUnknown);
+  EXPECT_EQ(planner.check(q2.fs, q2.x).result, CheckResult::kUnknown);
+  EXPECT_EQ(planner.stats().queries_issued, 1u);
+  EXPECT_EQ(planner.stats().memo_hits, 1u);
+  EXPECT_EQ(s.stats().checks, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, QueryPlannerTest,

@@ -5,7 +5,9 @@
 #
 # Two scenarios:
 #   1. `demo` twice into the same cache: the warm trace reports zero issued
-#      queries and the artifact directories diff clean.
+#      queries, its syntactic rows zero solver checks (schema constraints
+#      are cached like semantic obligations), and the artifact directories
+#      diff clean.
 #   2. `check` on the d3-truncation regression input (finding-rich, so real
 #      queries are issued and cached cold): the warm --stats line shows
 #      zero issued / nonzero cache hits, and the reports diff clean.
@@ -33,6 +35,17 @@ if grep -E '"queries_issued": [1-9]' "$TMP/warm-trace.json"; then
     echo "warm demo rerun still issued solver queries" >&2
     exit 1
 fi
+# Every warm syntactic row was answered without the solver.
+python3 - "$TMP/warm-trace.json" <<'PYEOF'
+import json, sys
+rows = [r for r in json.load(open(sys.argv[1]))["stages"]
+        if r["stage"] == "syntactic"]
+if not rows:
+    sys.exit("warm demo trace has no syntactic rows")
+busy = [r["unit"] for r in rows if r["solver_checks"] != 0]
+if busy:
+    sys.exit("warm syntactic rows still ran solver checks: %s" % busy)
+PYEOF
 
 # -- scenario 2: faulty input, so the cache actually carries verdicts --
 run_check() {

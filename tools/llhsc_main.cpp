@@ -12,9 +12,10 @@
 //       (cross-reference + device-graph) is in docs/rules.md; --no-graph
 //       skips the device-graph dataflow rules, --baseline suppresses the
 //       findings recorded in a baseline JSON file (docs/rules.md),
-//       --cache-dir persists semantic solver verdicts across runs
-//       (docs/performance.md), --no-plan disables the query planner,
-//       --stats prints the planner counters on stderr, --socket / --tcp
+//       --cache-dir persists syntactic and semantic solver verdicts across
+//       runs (docs/performance.md), --no-plan runs the exhaustive, uncached
+//       reference path, --stats prints the semantic planner counters on
+//       stderr, --socket / --tcp
 //       ship the request to a running llhscd over its Unix or TCP listener
 //       (--tenant names the admission-quota tenant), --profile writes a
 //       Chrome-trace JSON profile of the run (docs/observability.md).
