@@ -1,7 +1,9 @@
 #include "checkers/battery.hpp"
 
+#include <optional>
 #include <sstream>
 
+#include "checkers/crossref/context.hpp"
 #include "checkers/graph/rules.hpp"
 #include "checkers/lint.hpp"
 #include "checkers/syntactic.hpp"
@@ -50,11 +52,29 @@ BatteryResult run_battery(const dts::Tree& tree, const BatteryOptions& options,
   obs::TraceSink local;
   {
     obs::ScopedSink sink_guard(&local);
+    // One analysis context and one device graph per check (the graph may
+    // be the caller's), each built on a stage's first need, outside every
+    // stage's scope and span, and shared by every stage that reads it.
+    std::optional<crossref::AnalysisContext> ctx;
+    std::shared_ptr<const graph::DeviceGraph> device_graph =
+        std::move(prebuilt);
+    enum Needs : unsigned { kNothing = 0, kContext = 1, kGraph = 2 };
+    auto prepare = [&](unsigned needs) {
+      const bool build_graph = (needs & kGraph) != 0 && device_graph == nullptr;
+      if (((needs & kContext) != 0 || build_graph) && !ctx) ctx.emplace(tree);
+      if (build_graph) {
+        device_graph = std::make_shared<const graph::DeviceGraph>(
+            graph::DeviceGraph::build(*ctx));
+      }
+    };
+
     // `stage` and `span_name` are literals: spans keep only the pointer
     // until they record.
     auto run_stage = [&](bool enabled, const char* stage,
-                         const char* span_name, auto&& check) {
+                         const char* span_name, unsigned needs,
+                         auto&& check) {
       if (!enabled || result.stopped) return;
+      prepare(needs);
       Findings f;
       {
         obs::ScopedScope scope_guard(stage);
@@ -66,20 +86,19 @@ BatteryResult run_battery(const dts::Tree& tree, const BatteryOptions& options,
       result.stages.push_back(std::move(f));
     };
 
-    run_stage(options.lint, "lint", "stage.lint",
+    run_stage(options.lint, "lint", "stage.lint", kNothing,
               [&] { return LintChecker().check(tree); });
-    run_stage(options.crossref, "crossref", "stage.crossref", [&] {
-      return crossref::CrossRefChecker(options.rules).check(tree);
-    });
-    run_stage(options.graph, "graph", "stage.graph", [&] {
-      result.graph = prebuilt != nullptr
-                         ? std::move(prebuilt)
-                         : std::make_shared<const graph::DeviceGraph>(
-                               graph::DeviceGraph::build(tree));
-      return graph::GraphChecker(options.rules).check(*result.graph);
+    run_stage(options.crossref, "crossref", "stage.crossref",
+              kContext | kGraph, [&] {
+                return crossref::CrossRefChecker(options.rules)
+                    .check(*ctx, *device_graph);
+              });
+    run_stage(options.graph, "graph", "stage.graph", kGraph, [&] {
+      result.graph = device_graph;
+      return graph::GraphChecker(options.rules).check(*device_graph);
     });
     run_stage(options.syntax && options.schemas != nullptr, "syntactic",
-              "stage.syntactic", [&] {
+              "stage.syntactic", kNothing, [&] {
                 // The semantic stage's cache: --no-plan stays uncached.
                 SyntacticOptions syntactic;
                 if (options.semantic.plan) {
@@ -89,8 +108,8 @@ BatteryResult run_battery(const dts::Tree& tree, const BatteryOptions& options,
                                         std::move(syntactic))
                     .check(tree);
               });
-    run_stage(options.semantics, "semantic", "stage.semantic", [&] {
-      return SemanticChecker(options.backend, options.semantic).check(tree);
+    run_stage(options.semantics, "semantic", "stage.semantic", kContext, [&] {
+      return SemanticChecker(options.backend, options.semantic).check(*ctx);
     });
   }
 

@@ -6,6 +6,12 @@
 // (docs/observability.md). Every check path runs it: server::run_check,
 // daemon session units, core::Pipeline units and `llhsc generate`.
 //
+// One check builds one crossref::AnalysisContext and at most one
+// graph::DeviceGraph, each on first need and outside every stage's scope
+// and span (their spans are "context.build" and "graph.build"): the
+// crossref stage reads both, the graph stage the graph, and the semantic
+// stage the context. A caller's prebuilt graph is used as is.
+//
 // Findings come back per stage and unsorted; the order is each caller's
 // policy, pinned by golden files: run_check concatenates the stages, a
 // session unit sorts the whole unit, and the pipeline sorts each stage.
@@ -70,8 +76,9 @@ struct BatteryResult {
 };
 
 /// Runs the enabled stages over `tree`. `prebuilt` is an optional
-/// device graph of `tree` (the daemon store's keyed artifact). With
-/// `fail_fast`, a stage that reports an error ends the battery.
+/// device graph of `tree`, or of a tree with the same content (the daemon
+/// store's keyed artifact); the crossref and graph stages both read it.
+/// With `fail_fast`, a stage that reports an error ends the battery.
 [[nodiscard]] BatteryResult run_battery(
     const dts::Tree& tree, const BatteryOptions& options,
     std::shared_ptr<const graph::DeviceGraph> prebuilt = nullptr,

@@ -1,24 +1,13 @@
 #include "checkers/crossref/context.hpp"
 
-#include <algorithm>
 #include <map>
+
+#include "obs/obs.hpp"
 
 namespace llhsc::checkers::crossref {
 
-namespace {
-
-uint64_t combine_cells(const std::vector<uint64_t>& cells, size_t offset,
-                       uint32_t count) {
-  uint64_t value = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    value = (value << 32) | (cells[offset + i] & 0xffffffffull);
-  }
-  return value;
-}
-
-}  // namespace
-
 AnalysisContext::AnalysisContext(const dts::Tree& tree) : tree_(&tree) {
+  obs::Span span("context.build", "context");
   // Root record seeds the cells environment; its own declarations govern
   // its children (DT spec defaults 2/1 when absent).
   NodeRecord root_rec;
@@ -99,11 +88,11 @@ void AnalysisContext::index_subtree(const dts::Node& node,
           rec.child_sc <= 2) {
         for (size_t e = 0; e + stride <= cells->size(); e += stride) {
           RangeEntry entry;
-          entry.child_base = combine_cells(*cells, e, rec.child_ac);
+          entry.child_base = dts::combine_cells(*cells, e, rec.child_ac);
           entry.parent_base =
-              combine_cells(*cells, e + rec.child_ac, rec.reg_ac);
-          entry.size = combine_cells(*cells, e + rec.child_ac + rec.reg_ac,
-                                     rec.child_sc);
+              dts::combine_cells(*cells, e + rec.child_ac, rec.reg_ac);
+          entry.size = dts::combine_cells(
+              *cells, e + rec.child_ac + rec.reg_ac, rec.child_sc);
           rec.ranges.push_back(entry);
         }
         rec.identity_ranges = false;

@@ -1,7 +1,9 @@
-// AnalysisContext — the shared, indexed view of one dts::Tree that every
-// cross-reference rule (and the semantic checker's address extraction) reads
-// instead of re-walking the tree. Built once per tree in a single pre-order
-// pass, it provides:
+// AnalysisContext — the shared, indexed view of one dts::Tree that the
+// cross-reference rules, the device-graph build (checkers/graph/graph.hpp)
+// and the semantic checker's address extraction read instead of re-walking
+// the tree. checkers::run_battery builds one per check, outside every
+// stage, and hands it to all three; construction is the `context.build`
+// obs span. Built in a single pre-order pass, it provides:
 //   * phandle -> node, label -> node and path -> node indexes;
 //   * per-node structural facts: parent pointer, full path, the
 //     #address-cells / #size-cells governing the node's own `reg`
@@ -24,6 +26,12 @@
 #include "dts/tree.hpp"
 
 namespace llhsc::checkers::crossref {
+
+/// dtc emits 0 or 0xffffffff for a reference an overlay leaves open (-@):
+/// "no node yet" rather than a resolvable value.
+[[nodiscard]] constexpr bool is_phandle_placeholder(uint64_t cell) {
+  return cell == 0 || cell == 0xffffffffull;
+}
 
 /// One explicit-phandle collision: two or more nodes carry `value`.
 struct PhandleCollision {
@@ -49,11 +57,6 @@ class AnalysisContext {
   [[nodiscard]] const std::vector<PhandleCollision>& duplicate_phandles()
       const {
     return duplicates_;
-  }
-  /// Every phandle value owned by some node (collided or not).
-  [[nodiscard]] const std::unordered_map<uint32_t, const dts::Node*>&
-  phandle_index() const {
-    return phandle_index_;
   }
 
   // -- per-node facts --

@@ -8,44 +8,25 @@ namespace llhsc::checkers::crossref {
 
 namespace {
 
-// dtc emits 0 or 0xffffffff for references an overlay leaves open (-@);
-// both are "no node yet" rather than a resolvable value.
-constexpr uint64_t kPhandlePlaceholderHi = 0xffffffffull;
-
-const RuleInfo* rule(std::string_view id) {
-  const RuleInfo* r = find_rule(id);
-  // The catalog is closed; a miss is a programming error caught by tests.
-  return r;
+/// emit_finding() anchored at `prop` of `node`, or at the node itself when
+/// `prop` is null.
+Finding* emit_at(const CrossRefOptions& options, Findings& out,
+                 std::string_view id, std::string subject, std::string message,
+                 const dts::Node& node, const dts::Property* prop) {
+  const bool has_prop = prop != nullptr;
+  return emit_finding(
+      options, out, id, std::move(subject), std::move(message),
+      has_prop && prop->location.valid() ? prop->location : node.location(),
+      (has_prop && !prop->provenance.empty() ? prop->provenance
+                                             : node.provenance())
+          .str(),
+      has_prop ? prop->name.str() : std::string());
 }
 
-/// Emits one finding under `id`, honouring per-rule enable and severity
-/// overrides. Returns nullptr when the rule is disabled; otherwise the
-/// stored finding for extra fields.
-Finding* emit(const CrossRefOptions& options, Findings& out,
-              std::string_view id, std::string subject, std::string message,
-              const dts::Node* node, const dts::Property* prop) {
-  if (!options.enabled(id)) return nullptr;
-  const RuleInfo* info = rule(id);
-  if (info == nullptr) return nullptr;
-  Finding f;
-  f.kind = info->kind;
-  f.severity = info->default_severity;
-  auto ov = options.severity_overrides.find(std::string(id));
-  if (ov != options.severity_overrides.end()) f.severity = ov->second;
-  f.rule = std::string(id);
-  f.subject = std::move(subject);
-  f.message = std::move(message);
-  if (prop != nullptr) {
-    f.property = prop->name;
-    if (prop->location.valid()) f.location = prop->location;
-    if (!prop->provenance.empty()) f.delta = prop->provenance;
-  }
-  if (node != nullptr) {
-    if (!f.location.valid()) f.location = node->location();
-    if (f.delta.empty()) f.delta = node->provenance();
-  }
-  out.push_back(std::move(f));
-  return &out.back();
+/// `interrupts` edges route through the interrupt parent; every other edge
+/// decodes one phandle+args entry.
+bool is_interrupts_edge(const graph::Edge& e) {
+  return e.property == "interrupts";
 }
 
 // ---------------------------------------------------------------------------
@@ -58,10 +39,11 @@ void run_phandle_duplicate(const AnalysisContext& ctx,
     const dts::Node* first = col.holders.front();
     for (size_t i = 1; i < col.holders.size(); ++i) {
       const dts::Node* dup = col.holders[i];
-      Finding* f = emit(options, out, "phandle-duplicate", ctx.path_of(*dup),
-                        "phandle value " + std::to_string(col.value) +
-                            " is also carried by " + ctx.path_of(*first),
-                        dup, dup->find_property("phandle"));
+      Finding* f = emit_at(options, out, "phandle-duplicate",
+                           ctx.path_of(*dup),
+                           "phandle value " + std::to_string(col.value) +
+                               " is also carried by " + ctx.path_of(*first),
+                           *dup, dup->find_property("phandle"));
       if (f != nullptr) f->other_subject = ctx.path_of(*first);
     }
   }
@@ -70,137 +52,93 @@ void run_phandle_duplicate(const AnalysisContext& ctx,
 // ---------------------------------------------------------------------------
 // phandle-args-arity / phandle-dangling / provider-missing-cells
 //
-// Walks every phandle+args consumer property (clocks = <&p a b>, ...): each
-// entry starts with a phandle cell followed by as many argument cells as the
-// provider's #*-cells declares — the generic of_parse_phandle_with_args
-// contract.
+// One verdict per phandle+args consumer property (clocks = <&p a b>, ...),
+// read off the device graph's edges: each entry is a phandle cell followed
+// by as many argument cells as the provider's #*-cells declares — the
+// generic of_parse_phandle_with_args contract. The graph stops decoding a
+// property at its first broken entry, so that entry is the one reported.
 // ---------------------------------------------------------------------------
-const PhandleArgsSpec* spec_for_property(std::string_view name) {
-  for (const PhandleArgsSpec& spec : phandle_args_specs()) {
-    if (spec.is_suffix ? (support::ends_with(name, spec.property) &&
-                          name.size() > spec.property.size())
-                       : name == spec.property) {
-      return &spec;
-    }
-  }
-  return nullptr;
-}
-
-void run_phandle_args(const AnalysisContext& ctx,
+void run_phandle_args(const graph::DeviceGraph& g,
                       const CrossRefOptions& options, Findings& out) {
-  for (const auto& [path, node] : ctx.nodes()) {
-    for (const dts::Property& p : node->properties()) {
-      const PhandleArgsSpec* spec = spec_for_property(p.name);
-      if (spec == nullptr) continue;
-      auto cells = p.as_cells();
-      if (!cells || cells->empty()) continue;  // schema layer types it
-      size_t i = 0;
-      size_t entry = 0;
-      while (i < cells->size()) {
-        uint64_t ph = (*cells)[i];
-        const dts::Node* provider =
-            ph == 0 || ph == kPhandlePlaceholderHi
-                ? nullptr
-                : ctx.node_for_phandle(static_cast<uint32_t>(ph));
-        if (provider == nullptr) {
-          emit(options, out, "phandle-dangling", path,
-               "entry " + std::to_string(entry) + " of '" + p.name +
-                   "' references phandle " + std::to_string(ph) +
-                   ", which no node carries",
-               node, &p);
-          break;  // argument count unknowable; stop parsing this property
-        }
-        const dts::Property* pc =
-            provider->find_property(std::string(spec->cells_property));
-        std::optional<uint32_t> argc =
-            pc != nullptr ? pc->as_u32() : std::nullopt;
-        if (!argc) {
-          emit(options, out, "provider-missing-cells", path,
-               "entry " + std::to_string(entry) + " of '" + p.name +
-                   "' references " + ctx.path_of(*provider) +
-                   ", which declares no " + std::string(spec->cells_property),
-               node, &p);
-          break;
-        }
-        if (i + 1 + *argc > cells->size()) {
-          Finding* f = emit(
-              options, out, "phandle-args-arity", path,
-              "entry " + std::to_string(entry) + " of '" + p.name +
-                  "' needs " + std::to_string(*argc) + " argument cell(s) (" +
-                  std::string(spec->cells_property) + " of " +
-                  ctx.path_of(*provider) + ") but only " +
-                  std::to_string(cells->size() - i - 1) + " remain",
-              node, &p);
-          if (f != nullptr) f->other_subject = ctx.path_of(*provider);
-          break;
-        }
-        i += 1 + *argc;
-        ++entry;
-      }
+  for (const graph::Edge& e : g.edges()) {
+    if (is_interrupts_edge(e)) continue;
+    std::string message = "entry " + std::to_string(e.entry_index) + " of '" +
+                          e.property + "' ";
+    const char* id = nullptr;
+    std::string provider;
+    if (!e.resolved) {
+      id = "phandle-dangling";
+      message += "references phandle " + std::to_string(e.phandle_cell) +
+                 ", which no node carries";
+    } else if (e.missing_cells) {
+      id = "provider-missing-cells";
+      message += "references " + g.node(e.provider).path +
+                 ", which declares no " + std::string(e.cells_property);
+    } else if (e.truncated) {
+      id = "phandle-args-arity";
+      provider = g.node(e.provider).path;
+      message += "needs " + std::to_string(e.arity) + " argument cell(s) (" +
+                 std::string(e.cells_property) + " of " + provider +
+                 ") but only " + std::to_string(e.args) + " remain";
+    } else {
+      continue;
     }
+    Finding* f = emit_finding(options, out, id, g.node(e.consumer).path,
+                              std::move(message), e.location, e.provenance,
+                              e.property);
+    if (f != nullptr) f->other_subject = provider;
   }
 }
 
 // ---------------------------------------------------------------------------
 // interrupt-parent-dangling / interrupt-provider-missing-cells /
 // interrupt-cells-arity
+//
+// The dangling check reads the interrupt-parent property where it is
+// written; the other two read the node's `interrupts` edges, which route
+// through the effective interrupt provider (resolved interrupt-parent, else
+// the nearest interrupt-controller ancestor). An unresolved edge means the
+// parent dangles (reported here) or none applies.
 // ---------------------------------------------------------------------------
-
-/// The provider whose #interrupt-cells types `node`'s interrupts: the
-/// resolved interrupt-parent phandle, else the nearest ancestor marked
-/// interrupt-controller (the DT spec's implicit-parent fallback).
-const dts::Node* effective_interrupt_provider(const AnalysisContext& ctx,
-                                              const dts::Node& node) {
-  if (ctx.interrupt_parent_phandle(node)) return ctx.interrupt_parent(node);
-  for (const dts::Node* cur = ctx.parent_of(node); cur != nullptr;
-       cur = ctx.parent_of(*cur)) {
-    if (cur->find_property("interrupt-controller") != nullptr) return cur;
-  }
-  return nullptr;
-}
-
-void run_interrupts(const AnalysisContext& ctx, const CrossRefOptions& options,
-                    Findings& out) {
-  for (const auto& [path, node] : ctx.nodes()) {
+void run_interrupts(const AnalysisContext& ctx, const graph::DeviceGraph& g,
+                    const CrossRefOptions& options, Findings& out) {
+  for (const graph::GraphNode& node : g.nodes()) {
     // Dangling interrupt-parent is reported where the property is written,
     // not on every descendant that inherits it.
-    if (const dts::Property* ip = node->find_property("interrupt-parent")) {
-      if (auto ph = ip->as_u32()) {
-        if (*ph != 0 && *ph != kPhandlePlaceholderHi &&
-            ctx.node_for_phandle(*ph) == nullptr) {
-          emit(options, out, "interrupt-parent-dangling", path,
-               "interrupt-parent references phandle " + std::to_string(*ph) +
-                   ", which no node carries",
-               node, ip);
-        }
-      }
+    const dts::Property* ip = node.node->find_property("interrupt-parent");
+    const auto ph = ip != nullptr ? ip->as_u32() : std::nullopt;
+    if (ph && !is_phandle_placeholder(*ph) &&
+        ctx.node_for_phandle(*ph) == nullptr) {
+      emit_at(options, out, "interrupt-parent-dangling", node.path,
+              "interrupt-parent references phandle " + std::to_string(*ph) +
+                  ", which no node carries",
+              *node.node, ip);
     }
 
-    const dts::Property* irq = node->find_property("interrupts");
-    if (irq == nullptr) continue;
-    auto cells = irq->as_cells();
-    if (!cells || cells->empty()) continue;
-    const dts::Node* provider = effective_interrupt_provider(ctx, *node);
-    if (provider == nullptr) continue;  // dangling parent reported above
-    const dts::Property* ic = provider->find_property("#interrupt-cells");
-    std::optional<uint32_t> want =
-        ic != nullptr ? ic->as_u32() : std::nullopt;
-    if (!want || *want == 0) {
-      Finding* f = emit(options, out, "interrupt-provider-missing-cells", path,
-                        "interrupt provider " + ctx.path_of(*provider) +
-                            " declares no usable #interrupt-cells",
-                        node, irq);
-      if (f != nullptr) f->other_subject = ctx.path_of(*provider);
-      continue;
-    }
-    if (cells->size() % *want != 0) {
-      Finding* f = emit(
-          options, out, "interrupt-cells-arity", path,
-          "interrupts has " + std::to_string(cells->size()) +
-              " cell(s), not a multiple of #interrupt-cells=" +
-              std::to_string(*want) + " of " + ctx.path_of(*provider),
-          node, irq);
-      if (f != nullptr) f->other_subject = ctx.path_of(*provider);
+    for (uint32_t ei : node.out) {
+      const graph::Edge& e = g.edge(ei);
+      if (!is_interrupts_edge(e) || !e.resolved) continue;
+      const std::string& provider = g.node(e.provider).path;
+      const char* id = nullptr;
+      std::string message;
+      if (e.missing_cells) {
+        id = "interrupt-provider-missing-cells";
+        message = "interrupt provider " + provider +
+                  " declares no usable #interrupt-cells";
+      } else if (e.truncated) {
+        // The ragged tail follows entry_index whole tuples.
+        id = "interrupt-cells-arity";
+        message = "interrupts has " +
+                  std::to_string(e.entry_index * e.arity + e.args) +
+                  " cell(s), not a multiple of #interrupt-cells=" +
+                  std::to_string(e.arity) + " of " + provider;
+      } else {
+        continue;
+      }
+      Finding* f = emit_finding(options, out, id, node.path,
+                                std::move(message), e.location, e.provenance,
+                                e.property);
+      if (f != nullptr) f->other_subject = provider;
     }
   }
 }
@@ -227,10 +165,10 @@ void run_interrupt_cycles(const AnalysisContext& ctx,
     while (cur != nullptr && known_safe.find(cur) == known_safe.end()) {
       if (on_chain.find(cur) != on_chain.end()) {
         if (reported.insert(cur).second) {
-          emit(options, out, "interrupt-tree-cycle", ctx.path_of(*cur),
-               "interrupt-parent chain starting at " + path +
-                   " revisits this node — the interrupt tree has a cycle",
-               cur, cur->find_property("interrupt-parent"));
+          emit_at(options, out, "interrupt-tree-cycle", ctx.path_of(*cur),
+                  "interrupt-parent chain starting at " + path +
+                      " revisits this node — the interrupt tree has a cycle",
+                  *cur, cur->find_property("interrupt-parent"));
         }
         break;
       }
@@ -263,21 +201,16 @@ void run_ranges_coverage(const AnalysisContext& ctx,
     if (!cells) continue;
     uint32_t stride = ac + sc;
     for (size_t e = 0; (e + 1) * stride <= cells->size(); ++e) {
-      uint64_t base = 0, size = 0;
-      for (uint32_t i = 0; i < ac; ++i) {
-        base = (base << 32) | ((*cells)[e * stride + i] & 0xffffffffull);
-      }
-      for (uint32_t i = 0; i < sc; ++i) {
-        size = (size << 32) | ((*cells)[e * stride + ac + i] & 0xffffffffull);
-      }
+      const uint64_t base = dts::combine_cells(*cells, e * stride, ac);
+      const uint64_t size = dts::combine_cells(*cells, e * stride + ac, sc);
       if (size == 0) continue;
       if (!ctx.translate(*node, base, size)) {
         Finding* f =
-            emit(options, out, "ranges-coverage", path,
-                 "reg entry " + std::to_string(e) + " (" +
-                     support::hex(base) + "+" + support::hex(size) +
-                     ") is not covered by the ancestor buses' ranges",
-                 node, reg);
+            emit_at(options, out, "ranges-coverage", path,
+                    "reg entry " + std::to_string(e) + " (" +
+                        support::hex(base) + "+" + support::hex(size) +
+                        ") is not covered by the ancestor buses' ranges",
+                    *node, reg);
         if (f != nullptr) {
           f->base_a = base;
           f->size_a = size;
@@ -297,34 +230,17 @@ void run_ranges_coverage(const AnalysisContext& ctx,
 // structurally, without phandles.
 // ---------------------------------------------------------------------------
 void run_provider_orphan(const AnalysisContext& ctx,
+                         const graph::DeviceGraph& g,
                          const CrossRefOptions& options, Findings& out) {
-  // Phandle values actually referenced anywhere.
+  // Phandle values actually referenced anywhere: every decoded phandle+args
+  // entry, plus every interrupt-parent value.
   std::unordered_set<uint32_t> referenced;
+  for (const graph::Edge& e : g.edges()) {
+    if (!is_interrupts_edge(e)) referenced.insert(e.phandle);
+  }
   for (const auto& [path, node] : ctx.nodes()) {
-    (void)path;
-    for (const dts::Property& p : node->properties()) {
-      if (p.name == "interrupt-parent") {
-        if (auto v = p.as_u32()) referenced.insert(*v);
-        continue;
-      }
-      const PhandleArgsSpec* spec = spec_for_property(p.name);
-      if (spec == nullptr) continue;
-      auto cells = p.as_cells();
-      if (!cells) continue;
-      size_t i = 0;
-      while (i < cells->size()) {
-        uint32_t ph = static_cast<uint32_t>((*cells)[i]);
-        referenced.insert(ph);
-        const dts::Node* provider = ctx.node_for_phandle(ph);
-        const dts::Property* pc =
-            provider != nullptr
-                ? provider->find_property(std::string(spec->cells_property))
-                : nullptr;
-        std::optional<uint32_t> argc =
-            pc != nullptr ? pc->as_u32() : std::nullopt;
-        if (!argc) break;  // unknowable stride; arity rules reported it
-        i += 1 + *argc;
-      }
+    if (const dts::Property* ip = node->find_property("interrupt-parent")) {
+      if (auto v = ip->as_u32()) referenced.insert(*v);
     }
   }
 
@@ -343,10 +259,10 @@ void run_provider_orphan(const AnalysisContext& ctx,
     std::optional<uint32_t> value =
         ph != nullptr ? ph->as_u32() : std::nullopt;
     if (value && referenced.find(*value) != referenced.end()) continue;
-    emit(options, out, "provider-orphan", path,
-         "declares " + decl->name +
-             " but no phandle reference reaches this provider",
-         node, decl);
+    emit_at(options, out, "provider-orphan", path,
+            "declares " + decl->name +
+                " but no phandle reference reaches this provider",
+            *node, decl);
   }
 }
 
@@ -475,36 +391,65 @@ std::optional<CrossRefOptions> parse_rule_options(std::string_view disable_rule,
 }
 
 const std::vector<PhandleArgsSpec>& phandle_args_specs() {
+  using graph::EdgeKind;
   static const std::vector<PhandleArgsSpec> kSpecs = {
-      {"clocks", "#clock-cells", false},
-      {"gpios", "#gpio-cells", false},
-      {"-gpios", "#gpio-cells", true},
-      {"dmas", "#dma-cells", false},
-      {"resets", "#reset-cells", false},
-      {"pwms", "#pwm-cells", false},
-      {"phys", "#phy-cells", false},
-      {"mboxes", "#mbox-cells", false},
-      {"io-channels", "#io-channel-cells", false},
-      {"power-domains", "#power-domain-cells", false},
-      {"thermal-sensors", "#thermal-sensor-cells", false},
-      {"interrupts-extended", "#interrupt-cells", false},
+      {"clocks", "#clock-cells", EdgeKind::kClock},
+      {"gpios", "#gpio-cells", EdgeKind::kGpio},
+      {"-gpios", "#gpio-cells", EdgeKind::kGpio, true},
+      {"dmas", "#dma-cells", EdgeKind::kDma},
+      {"resets", "#reset-cells", EdgeKind::kReset},
+      {"pwms", "#pwm-cells", EdgeKind::kPwm},
+      {"phys", "#phy-cells", EdgeKind::kPhy},
+      {"mboxes", "#mbox-cells", EdgeKind::kMailbox},
+      {"io-channels", "#io-channel-cells", EdgeKind::kIoChannel},
+      {"power-domains", "#power-domain-cells", EdgeKind::kPowerDomain},
+      {"thermal-sensors", "#thermal-sensor-cells", EdgeKind::kThermalSensor},
+      {"interrupts-extended", "#interrupt-cells", EdgeKind::kInterrupt},
   };
   return kSpecs;
 }
 
+Finding* emit_finding(const CrossRefOptions& options, Findings& out,
+                      std::string_view id, std::string subject,
+                      std::string message,
+                      const support::SourceLocation& location,
+                      std::string delta, std::string property) {
+  if (!options.enabled(id)) return nullptr;
+  const RuleInfo* info = find_rule(id);
+  // The catalog is closed; a miss is a programming error caught by tests.
+  if (info == nullptr) return nullptr;
+  Finding f;
+  f.kind = info->kind;
+  f.severity = info->default_severity;
+  auto ov = options.severity_overrides.find(std::string(id));
+  if (ov != options.severity_overrides.end()) f.severity = ov->second;
+  f.rule = std::string(id);
+  f.subject = std::move(subject);
+  f.message = std::move(message);
+  f.location = location;
+  f.delta = std::move(delta);
+  f.property = std::move(property);
+  out.push_back(std::move(f));
+  return &out.back();
+}
+
 Findings CrossRefChecker::check(const dts::Tree& tree) const {
-  AnalysisContext ctx(tree);
-  return check(ctx);
+  return check(AnalysisContext(tree));
 }
 
 Findings CrossRefChecker::check(const AnalysisContext& ctx) const {
+  return check(ctx, graph::DeviceGraph::build(ctx));
+}
+
+Findings CrossRefChecker::check(const AnalysisContext& ctx,
+                                const graph::DeviceGraph& g) const {
   Findings out;
   run_phandle_duplicate(ctx, options_, out);
-  run_phandle_args(ctx, options_, out);
-  run_interrupts(ctx, options_, out);
+  run_phandle_args(g, options_, out);
+  run_interrupts(ctx, g, options_, out);
   run_interrupt_cycles(ctx, options_, out);
   run_ranges_coverage(ctx, options_, out);
-  run_provider_orphan(ctx, options_, out);
+  run_provider_orphan(ctx, g, options_, out);
   return out;
 }
 

@@ -1,9 +1,10 @@
 // Cross-reference rule registry + checker. Each rule has a stable id in the
 // style of dtc's -W names, a default severity, and a one-line summary (shown
-// in the SARIF rules metadata and docs/rules.md). Rules run over one shared
-// AnalysisContext; per-rule enable/severity comes from CrossRefOptions so
-// the CLI can map `--disable-rule a,b` / `--rule-severity a=warning`
-// directly onto it.
+// in the SARIF rules metadata and docs/rules.md). Rules run over the check's
+// shared AnalysisContext and device graph, whose edges the reference rules
+// read instead of decoding cells; per-rule enable/severity comes from
+// CrossRefOptions so the CLI can map `--disable-rule a,b` /
+// `--rule-severity a=warning` directly onto it.
 //
 // Rule catalog (see docs/rules.md for rationale and example fixes):
 //   phandle-dangling              E  phandle reference with no owning node
@@ -27,7 +28,9 @@
 
 #include "checkers/crossref/context.hpp"
 #include "checkers/finding.hpp"
+#include "checkers/graph/graph.hpp"
 #include "dts/tree.hpp"
+#include "support/diagnostics.hpp"
 
 namespace llhsc::checkers::crossref {
 
@@ -43,12 +46,14 @@ struct RuleInfo {
 /// Lookup by id; nullptr for unknown ids.
 [[nodiscard]] const RuleInfo* find_rule(std::string_view id);
 
-/// Phandle+args consumer properties and the provider cells property that
-/// fixes each entry's argument count ("clocks" -> "#clock-cells", ...).
-/// Suffix matching covers the "*-gpios" family (cs-gpios, enable-gpios).
+/// Phandle+args consumer properties, the provider cells property that
+/// fixes each entry's argument count ("clocks" -> "#clock-cells", ...) and
+/// the kind of the device-graph edges they decode into. Suffix matching
+/// covers the "*-gpios" family (cs-gpios, enable-gpios).
 struct PhandleArgsSpec {
   std::string_view property;       // exact name, or suffix when is_suffix
   std::string_view cells_property; // provider-side #*-cells
+  graph::EdgeKind kind;
   bool is_suffix = false;
 };
 [[nodiscard]] const std::vector<PhandleArgsSpec>& phandle_args_specs();
@@ -74,15 +79,29 @@ struct CrossRefOptions {
     std::string_view disable_rule, std::string_view rule_severity,
     std::string& error_text);
 
+/// Appends one finding of catalog rule `id` (a crossref or graph rule) at
+/// `location`, honouring the per-rule enable and severity overrides of
+/// `options`. Returns nullptr when the rule is disabled; otherwise the
+/// stored finding, for extra fields. The one emitter behind both rule sets.
+Finding* emit_finding(const CrossRefOptions& options, Findings& out,
+                      std::string_view id, std::string subject,
+                      std::string message,
+                      const support::SourceLocation& location,
+                      std::string delta, std::string property);
+
 class CrossRefChecker {
  public:
   explicit CrossRefChecker(CrossRefOptions options = {})
       : options_(std::move(options)) {}
 
-  /// Builds a context and runs every enabled rule.
+  /// Builds a context and a device graph, then runs every enabled rule.
   [[nodiscard]] Findings check(const dts::Tree& tree) const;
-  /// Runs over a pre-built context (shared with the semantic checker).
+  /// Runs over a pre-built context, building the device graph from it.
   [[nodiscard]] Findings check(const AnalysisContext& ctx) const;
+  /// Runs over the check's shared context and the device graph built from
+  /// the same tree (checkers::run_battery passes both).
+  [[nodiscard]] Findings check(const AnalysisContext& ctx,
+                               const graph::DeviceGraph& g) const;
 
  private:
   CrossRefOptions options_;

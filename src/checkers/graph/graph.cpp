@@ -1,5 +1,6 @@
 #include "checkers/graph/graph.hpp"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "checkers/crossref/rules.hpp"
@@ -9,9 +10,6 @@
 namespace llhsc::checkers::graph {
 
 namespace {
-
-// dtc's unresolved-reference placeholders (overlay -@ output).
-constexpr uint64_t kPhandlePlaceholderHi = 0xffffffffull;
 
 const crossref::PhandleArgsSpec* spec_for_property(std::string_view name) {
   for (const crossref::PhandleArgsSpec& spec :
@@ -48,13 +46,10 @@ NodeStatus status_of(const dts::Node& node) {
 }
 
 bool declares_provider_cells(const dts::Node& node) {
-  for (const crossref::PhandleArgsSpec& spec :
-       crossref::phandle_args_specs()) {
-    if (node.find_property(std::string(spec.cells_property)) != nullptr) {
-      return true;
-    }
-  }
-  return node.find_property("#interrupt-cells") != nullptr;
+  const auto& specs = crossref::phandle_args_specs();
+  return std::any_of(specs.begin(), specs.end(), [&](const auto& spec) {
+    return node.find_property(std::string(spec.cells_property)) != nullptr;
+  });
 }
 
 }  // namespace
@@ -75,23 +70,6 @@ std::string_view to_string(EdgeKind k) {
     case EdgeKind::kOther: return "other";
   }
   return "other";
-}
-
-EdgeKind edge_kind_for_cells(std::string_view cells_property) {
-  if (cells_property == "#clock-cells") return EdgeKind::kClock;
-  if (cells_property == "#interrupt-cells") return EdgeKind::kInterrupt;
-  if (cells_property == "#power-domain-cells") return EdgeKind::kPowerDomain;
-  if (cells_property == "#reset-cells") return EdgeKind::kReset;
-  if (cells_property == "#dma-cells") return EdgeKind::kDma;
-  if (cells_property == "#gpio-cells") return EdgeKind::kGpio;
-  if (cells_property == "#pwm-cells") return EdgeKind::kPwm;
-  if (cells_property == "#phy-cells") return EdgeKind::kPhy;
-  if (cells_property == "#mbox-cells") return EdgeKind::kMailbox;
-  if (cells_property == "#io-channel-cells") return EdgeKind::kIoChannel;
-  if (cells_property == "#thermal-sensor-cells") {
-    return EdgeKind::kThermalSensor;
-  }
-  return EdgeKind::kOther;
 }
 
 DeviceGraph DeviceGraph::build(const crossref::AnalysisContext& ctx) {
@@ -143,22 +121,24 @@ DeviceGraph DeviceGraph::build(const crossref::AnalysisContext& ctx) {
       const crossref::PhandleArgsSpec* spec = spec_for_property(p.name);
       if (spec == nullptr) continue;
       auto cells = p.as_cells();
-      if (!cells || cells->empty()) continue;
+      if (!cells || cells->empty()) continue;  // the schema layer types it
       size_t i = 0;
       size_t entry = 0;
       while (i < cells->size()) {
         Edge e;
         e.consumer = ci;
-        e.kind = edge_kind_for_cells(spec->cells_property);
+        e.kind = spec->kind;
         e.property = p.name;
         e.entry_index = entry;
+        e.cells_property = spec->cells_property;
         e.location = p.location.valid() ? p.location : node->location();
         e.provenance = !p.provenance.empty() ? p.provenance
                                              : node->provenance();
-        uint64_t ph = (*cells)[i];
+        const uint64_t ph = (*cells)[i];
         e.phandle = static_cast<uint32_t>(ph);
+        e.phandle_cell = ph;
         const dts::Node* provider =
-            ph == 0 || ph == kPhandlePlaceholderHi
+            crossref::is_phandle_placeholder(ph)
                 ? nullptr
                 : ctx.node_for_phandle(static_cast<uint32_t>(ph));
         if (provider == nullptr) {
@@ -175,11 +155,13 @@ DeviceGraph DeviceGraph::build(const crossref::AnalysisContext& ctx) {
         std::optional<uint32_t> argc =
             pc != nullptr ? pc->as_u32() : std::nullopt;
         if (!argc) {
-          link(std::move(e));  // provider-missing-cells; stride unknowable
+          e.missing_cells = true;
+          link(std::move(e));  // stride unknowable
           break;
         }
         e.arity = *argc;
-        if (i + 1 + *argc > cells->size()) {
+        e.args = std::min<size_t>(*argc, cells->size() - i - 1);
+        if (e.args < *argc) {
           e.truncated = true;
           link(std::move(e));
           break;
@@ -201,12 +183,14 @@ DeviceGraph DeviceGraph::build(const crossref::AnalysisContext& ctx) {
     proto.consumer = ci;
     proto.kind = EdgeKind::kInterrupt;
     proto.property = "interrupts";
+    proto.cells_property = "#interrupt-cells";
     proto.location = irq->location.valid() ? irq->location
                                            : node->location();
     proto.provenance = !irq->provenance.empty() ? irq->provenance
                                                 : node->provenance();
     if (auto ph = ctx.interrupt_parent_phandle(*node)) {
       proto.phandle = *ph;
+      proto.phandle_cell = *ph;
     }
     if (provider == nullptr) {
       link(std::move(proto));  // dangling/absent parent — one taint edge
@@ -220,28 +204,25 @@ DeviceGraph DeviceGraph::build(const crossref::AnalysisContext& ctx) {
     const dts::Property* ic = provider->find_property("#interrupt-cells");
     std::optional<uint32_t> want = ic != nullptr ? ic->as_u32() : std::nullopt;
     if (!want || *want == 0) {
-      link(std::move(proto));  // interrupt-provider-missing-cells shape
+      proto.missing_cells = true;
+      link(std::move(proto));
       continue;
     }
     proto.arity = *want;
-    size_t tuples = cells->size() / *want;
-    if (cells->size() % *want != 0) {
-      // The ragged tail is one truncated edge after the whole tuples.
-      for (size_t t = 0; t < tuples; ++t) {
-        Edge e = proto;
-        e.entry_index = t;
-        link(std::move(e));
-      }
-      Edge tail = proto;
-      tail.entry_index = tuples;
-      tail.truncated = true;
-      link(std::move(tail));
-      continue;
-    }
+    proto.args = *want;
+    const size_t tuples = cells->size() / *want;
     for (size_t t = 0; t < tuples; ++t) {
       Edge e = proto;
       e.entry_index = t;
       link(std::move(e));
+    }
+    if (cells->size() % *want != 0) {
+      // The ragged tail is one truncated edge after the whole tuples.
+      Edge tail = std::move(proto);
+      tail.entry_index = tuples;
+      tail.args = cells->size() % *want;
+      tail.truncated = true;
+      link(std::move(tail));
     }
   }
 
@@ -253,8 +234,7 @@ DeviceGraph DeviceGraph::build(const crossref::AnalysisContext& ctx) {
 }
 
 DeviceGraph DeviceGraph::build(const dts::Tree& tree) {
-  crossref::AnalysisContext ctx(tree);
-  return build(ctx);
+  return build(crossref::AnalysisContext(tree));
 }
 
 }  // namespace llhsc::checkers::graph

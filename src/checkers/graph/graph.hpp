@@ -1,7 +1,11 @@
-// Device-graph IR — the whole-tree dataflow view the per-edge cross-reference
-// rules cannot see. Built once per unit from the crossref::AnalysisContext
-// (one pre-order pass over the same indexes), it turns the DTS into a typed
-// property graph:
+// Device-graph IR — the one decoded form of every reference in a tree.
+// Built once per check from the check's crossref::AnalysisContext (one
+// pre-order pass over the same indexes), it turns the DTS into a typed
+// property graph. DeviceGraph::build is the only code that walks
+// phandle+args and `interrupts` tuples: the cross-reference rules read the
+// per-reference verdicts off its edges, and the dataflow rules
+// (checkers/graph/rules.hpp) read the whole-graph structure the per-edge
+// rules cannot see.
 //
 //   * one GraphNode per DT node, carrying its path, normalized status
 //     (okay / disabled, with ancestor disabling folded in — a node under a
@@ -33,8 +37,8 @@
 
 namespace llhsc::checkers::graph {
 
-/// The provider contract that types an edge (derived from the provider-side
-/// #*-cells property of the consumer property's spec).
+/// The provider contract that types an edge (crossref::phandle_args_specs()
+/// names the kind of each consumer property).
 enum class EdgeKind : uint8_t {
   kClock,
   kInterrupt,
@@ -51,12 +55,14 @@ enum class EdgeKind : uint8_t {
 };
 
 [[nodiscard]] std::string_view to_string(EdgeKind k);
-/// Maps a provider cells property ("#clock-cells") to its edge kind.
-[[nodiscard]] EdgeKind edge_kind_for_cells(std::string_view cells_property);
 
 /// One consumer->provider dependency: entry `entry_index` of the consumer's
-/// `property`. Unresolved edges (dangling phandle) keep provider == kNoNode;
-/// truncated edges ran out of argument cells against the provider's arity.
+/// `property`. Unresolved edges (placeholder or dangling phandle, or no
+/// interrupt parent) keep provider == kNoNode; missing_cells edges name a
+/// provider without a usable `cells_property` (absent, not a u32, or for
+/// `interrupts` 0), unlike a legitimate `#clock-cells = <0>`; truncated
+/// edges ran out of argument cells against the provider's arity. Decoding
+/// a property stops at its first edge of these three kinds.
 struct Edge {
   static constexpr uint32_t kNoNode = UINT32_MAX;
 
@@ -65,9 +71,13 @@ struct Edge {
   EdgeKind kind = EdgeKind::kOther;
   std::string property;        // consumer property name
   size_t entry_index = 0;      // which tuple within the property
-  uint32_t phandle = 0;        // raw referenced phandle value (0 = structural)
+  uint32_t phandle = 0;        // referenced phandle (interrupts: the parent's)
+  uint64_t phandle_cell = 0;   // as written: /bits/ 64 keeps the high bits
+  std::string_view cells_property;  // provider-side #*-cells (static text)
   uint32_t arity = 0;          // argument cells the provider demands
+  size_t args = 0;             // argument cells present: arity unless truncated
   bool resolved = false;       // provider index is valid
+  bool missing_cells = false;  // provider declares no usable cells_property
   bool truncated = false;      // specifier ran out of cells for `arity`
   support::SourceLocation location;  // of the consumer property
   std::string provenance;      // delta module of the consumer property
@@ -95,8 +105,8 @@ struct GraphNode {
 /// both deterministic, so analyses iterate without sorting.
 class DeviceGraph {
  public:
-  /// Builds from a pre-built context (shared with the crossref/semantic
-  /// checkers when available).
+  /// Builds from the check's context (checkers::run_battery shares one with
+  /// the crossref and semantic checkers). Records the `graph.build` span.
   [[nodiscard]] static DeviceGraph build(const crossref::AnalysisContext& ctx);
   /// Convenience: builds a private context first.
   [[nodiscard]] static DeviceGraph build(const dts::Tree& tree);

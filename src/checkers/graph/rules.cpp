@@ -17,30 +17,7 @@ namespace {
 
 constexpr uint32_t kUnset = UINT32_MAX;
 
-/// Emits one finding under `id`, honouring enable/severity overrides.
-/// Location/provenance come from graph facts rather than tree pointers so
-/// the rules never dereference the source tree.
-Finding* emit(const RuleOptions& options, Findings& out, std::string_view id,
-              std::string subject, std::string message,
-              const support::SourceLocation& location,
-              const std::string& provenance, const std::string& property) {
-  if (!options.enabled(id)) return nullptr;
-  const crossref::RuleInfo* info = crossref::find_rule(id);
-  if (info == nullptr) return nullptr;
-  Finding f;
-  f.kind = info->kind;
-  f.severity = info->default_severity;
-  auto ov = options.severity_overrides.find(std::string(id));
-  if (ov != options.severity_overrides.end()) f.severity = ov->second;
-  f.rule = std::string(id);
-  f.subject = std::move(subject);
-  f.message = std::move(message);
-  f.location = location;
-  f.delta = provenance;
-  f.property = property;
-  out.push_back(std::move(f));
-  return &out.back();
-}
+using crossref::emit_finding;
 
 std::string edge_note(const DeviceGraph& g, const Edge& e) {
   std::string note = "'" + e.property + "' entry " +
@@ -154,11 +131,11 @@ void run_provider_cycle(const DeviceGraph& g, const RuleOptions& options,
       }
       message += " " + a.path;
     }
-    Finding* f = emit(options, out, "graph-provider-cycle", a.path,
-                      std::move(message), a.location, a.provenance,
-                      cycle_edges.empty()
-                          ? std::string()
-                          : g.edge(cycle_edges.front()).property);
+    Finding* f = emit_finding(options, out, "graph-provider-cycle", a.path,
+                              std::move(message), a.location, a.provenance,
+                              cycle_edges.empty()
+                                  ? std::string()
+                                  : g.edge(cycle_edges.front()).property);
     if (f == nullptr) continue;
     if (comp->size() >= 2) {
       f->other_subject = g.node((*comp)[1]).path;
@@ -241,9 +218,9 @@ void run_status_propagation(const DeviceGraph& g, const RuleOptions& options,
                 std::to_string(dist[n]) + " hop(s))";
     }
     const Edge& first = g.edge(chain.front());
-    Finding* f = emit(options, out, "graph-status-propagation", node.path,
-                      std::move(message), first.location, first.provenance,
-                      first.property);
+    Finding* f = emit_finding(options, out, "graph-status-propagation",
+                              node.path, std::move(message), first.location,
+                              first.provenance, first.property);
     if (f == nullptr) continue;
     if (cause.resolved) f->other_subject = g.node(cause.provider).path;
     for (uint32_t ei : chain) f->flow.push_back(step_for_edge(g, g.edge(ei)));
@@ -281,9 +258,9 @@ void run_cells_arity(const DeviceGraph& g, const RuleOptions& options,
         "' entry " + std::to_string(e.entry_index) + ") violates the " +
         std::to_string(e.arity) + "-cell contract of provider " +
         provider.path;
-    Finding* f = emit(options, out, "graph-cells-arity", consumer.path,
-                      std::move(message), e.location, e.provenance,
-                      e.property);
+    Finding* f = emit_finding(options, out, "graph-cells-arity",
+                              consumer.path, std::move(message), e.location,
+                              e.provenance, e.property);
     if (f == nullptr) continue;
     f->other_subject = provider.path;
     f->flow.push_back(step_for_edge(g, e));
@@ -330,10 +307,11 @@ void run_orphan_provider(const DeviceGraph& g, const RuleOptions& options,
     const GraphNode& node = g.node(n);
     if (!node.is_provider || node.effectively_disabled) continue;
     if (demanded[n] || node.in.empty()) continue;
-    Finding* f = emit(options, out, "graph-orphan-provider", node.path,
-                      "provider is referenced, but only by consumers no "
-                      "enabled device transitively demands",
-                      node.location, node.provenance, std::string());
+    Finding* f = emit_finding(options, out, "graph-orphan-provider",
+                              node.path,
+                              "provider is referenced, but only by consumers "
+                              "no enabled device transitively demands",
+                              node.location, node.provenance, std::string());
     if (f == nullptr) continue;
     // Name the (dead) consumers — at most four, in edge order.
     size_t steps = 0;
@@ -402,7 +380,7 @@ Findings check_exclusive_providers(const std::vector<UnitGraph>& units,
       const DeviceGraph& fg = *units[first.unit_index].graph;
       const GraphNode& node = (*units[claim.unit_index].graph).node(claim.node);
       const Edge& edge = (*units[claim.unit_index].graph).edge(claim.edge);
-      Finding* f = emit(
+      Finding* f = emit_finding(
           options, out, "graph-exclusive-provider", path,
           "exclusive provider is claimed by unit '" +
               units[first.unit_index].unit + "' and unit '" +

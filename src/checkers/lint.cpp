@@ -29,14 +29,9 @@ std::optional<uint64_t> first_reg_address(const dts::Tree& tree,
   if (reg == nullptr) return std::nullopt;
   auto cells = reg->as_cells();
   if (!cells || cells->empty()) return std::nullopt;
-  auto [ac, sc] = tree.applicable_cells(path);
+  const uint32_t ac = tree.applicable_cells(path).first;
   if (ac == 0 || ac > 2 || cells->size() < ac) return std::nullopt;
-  uint64_t addr = 0;
-  for (uint32_t i = 0; i < ac; ++i) {
-    addr = (addr << 32) | ((*cells)[i] & 0xffffffffull);
-  }
-  (void)sc;
-  return addr;
+  return dts::combine_cells(*cells, 0, ac);
 }
 
 void lint_node(const dts::Tree& tree, const dts::Node& node,

@@ -33,15 +33,6 @@ RegionClass classify(const dts::Node& node) {
   return RegionClass::kDevice;
 }
 
-uint64_t combine_cells(const std::vector<uint64_t>& cells, size_t offset,
-                       uint32_t count) {
-  uint64_t value = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    value = (value << 32) | (cells[offset + i] & 0xffffffffull);
-  }
-  return value;
-}
-
 /// Extracts the regions of one node's reg through the shared context: the
 /// governing cells come from ctx.reg_cells (nearest-ancestor resolution) and
 /// the CPU-view base from ctx.translate (composition of every ancestor
@@ -89,8 +80,8 @@ void extract_node_regions(const crossref::AnalysisContext& ctx,
     MemRegion r;
     r.path = path;
     r.entry_index = e;
-    r.base = combine_cells(*cells, e * stride, ac);
-    r.size = combine_cells(*cells, e * stride + ac, sc);
+    r.base = dts::combine_cells(*cells, e * stride, ac);
+    r.size = dts::combine_cells(*cells, e * stride + ac, sc);
     r.local_base = r.base;
     r.location = reg->location.valid() ? reg->location : node.location();
     // Blame resolution: the delta that last wrote reg; else the delta that
@@ -138,6 +129,22 @@ bool region_wraps(uint64_t base_m, uint64_t size_m, uint32_t width) {
   if (size_m == 0) return false;
   if (width >= 64) return base_m > UINT64_MAX - size_m;
   return base_m + size_m >= (1ull << width);
+}
+
+/// phandle -> the holder's `cells` property (`fallback` when absent or not a
+/// u32); of two holders of one phandle, the later in document order wins.
+std::unordered_map<uint32_t, uint32_t> cells_by_phandle(const dts::Tree& tree,
+                                                        const char* cells,
+                                                        uint32_t fallback) {
+  std::unordered_map<uint32_t, uint32_t> out;
+  tree.visit([&](const std::string&, const dts::Node& node) {
+    const dts::Property* ph = node.find_property("phandle");
+    auto phv = ph != nullptr ? ph->as_u32() : std::nullopt;
+    if (!phv) return;
+    const dts::Property* c = node.find_property(cells);
+    out[*phv] = c != nullptr ? c->as_u32().value_or(fallback) : fallback;
+  });
+  return out;
 }
 
 }  // namespace
@@ -239,8 +246,7 @@ Finding clock_collision_finding(const Claim& a, const Claim& b) {
 }
 
 std::vector<MemRegion> extract_regions(const dts::Tree& tree, Findings& out) {
-  crossref::AnalysisContext ctx(tree);
-  return extract_regions(ctx, out);
+  return extract_regions(crossref::AnalysisContext(tree), out);
 }
 
 std::vector<MemRegion> extract_regions(const crossref::AnalysisContext& ctx,
@@ -262,18 +268,7 @@ std::vector<MemRegion> extract_regions(const crossref::AnalysisContext& ctx,
 
 std::vector<Claim> collect_interrupt_claims(const dts::Tree& tree) {
   // Pass 1: phandle -> #interrupt-cells, to know each claim's tuple stride.
-  std::unordered_map<uint32_t, uint32_t> interrupt_cells;
-  tree.visit([&](const std::string&, const dts::Node& node) {
-    const dts::Property* ph = node.find_property("phandle");
-    if (ph == nullptr) return;
-    auto phv = ph->as_u32();
-    if (!phv) return;
-    uint32_t ic = 1;
-    if (const dts::Property* icp = node.find_property("#interrupt-cells")) {
-      ic = icp->as_u32().value_or(1);
-    }
-    interrupt_cells[*phv] = ic == 0 ? 1 : ic;
-  });
+  const auto interrupt_cells = cells_by_phandle(tree, "#interrupt-cells", 1);
 
   // Pass 2: walk with interrupt-parent inheritance (a node without its own
   // interrupt-parent uses the nearest ancestor's, per the DT spec).
@@ -289,7 +284,9 @@ std::vector<Claim> collect_interrupt_claims(const dts::Tree& tree) {
           if (cells && !cells->empty()) {
             size_t stride = 1;
             auto it = interrupt_cells.find(parent);
-            if (it != interrupt_cells.end()) stride = it->second;
+            if (it != interrupt_cells.end() && it->second != 0) {
+              stride = it->second;
+            }
             for (size_t off = 0, e = 0; off < cells->size();
                  off += stride, ++e) {
               Claim claim;
@@ -323,18 +320,7 @@ std::vector<Claim> collect_interrupt_claims(const dts::Tree& tree) {
 std::vector<Claim> collect_clock_claims(const dts::Tree& tree) {
   // Pass 1: phandle -> #clock-cells. A provider without #clock-cells is a
   // single-clock provider (specifier length 0) per the clock bindings.
-  std::unordered_map<uint32_t, uint32_t> clock_cells;
-  tree.visit([&](const std::string&, const dts::Node& node) {
-    const dts::Property* ph = node.find_property("phandle");
-    if (ph == nullptr) return;
-    auto phv = ph->as_u32();
-    if (!phv) return;
-    uint32_t cc = 0;
-    if (const dts::Property* ccp = node.find_property("#clock-cells")) {
-      cc = ccp->as_u32().value_or(0);
-    }
-    clock_cells[*phv] = cc;
-  });
+  const auto clock_cells = cells_by_phandle(tree, "#clock-cells", 0);
 
   // Pass 2: one claim per assigned-clocks entry. The stride is per-entry —
   // one phandle cell plus that provider's #clock-cells — so a property can
@@ -531,6 +517,10 @@ bool SemanticChecker::query_timed_out(smt::CheckResult r,
 }
 
 Findings SemanticChecker::check(const dts::Tree& tree) {
+  return check(crossref::AnalysisContext(tree));
+}
+
+Findings SemanticChecker::check(const crossref::AnalysisContext& ctx) {
   Findings out;
   arm_deadline();
   // A requested-but-unusable cache degrades to a cold run, which is sound —
@@ -546,17 +536,17 @@ Findings SemanticChecker::check(const dts::Tree& tree) {
                 "; semantic checks ran without persistent caching";
     out.push_back(std::move(f));
   }
-  std::vector<MemRegion> regions = extract_regions(tree, out);
+  std::vector<MemRegion> regions = extract_regions(ctx, out);
   Findings overlap = check_regions_impl(regions);
   out.insert(out.end(), overlap.begin(), overlap.end());
 
   if (options_.check_interrupts) {
-    Findings irq = check_claims(collect_interrupt_claims(tree), "interrupt",
-                                interrupt_collision_finding);
+    Findings irq = check_claims(collect_interrupt_claims(ctx.tree()),
+                                "interrupt", interrupt_collision_finding);
     out.insert(out.end(), irq.begin(), irq.end());
   }
   if (options_.check_clocks) {
-    Findings clk = check_claims(collect_clock_claims(tree), "clock",
+    Findings clk = check_claims(collect_clock_claims(ctx.tree()), "clock",
                                 clock_collision_finding);
     out.insert(out.end(), clk.begin(), clk.end());
   }

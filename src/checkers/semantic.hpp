@@ -72,6 +72,13 @@ struct Claim {
   std::vector<uint64_t> tuple;  // cells, masked to 32 bits
 };
 
+// The claim collectors keep their own walk, not the device graph's edges:
+// their stride policy differs (an interrupt parent without a usable
+// #interrupt-cells has stride 1, a clock provider without #clock-cells 0
+// argument cells, a phandle carried twice means its last holder, and
+// `interrupts` has no implicit-controller fallback), so edges would
+// change verdicts.
+
 /// Collects one claim per `interrupts` tuple (stride = the interrupt
 /// parent's #interrupt-cells), resolving interrupt-parent by inheritance.
 [[nodiscard]] std::vector<Claim> collect_interrupt_claims(
@@ -211,8 +218,10 @@ class SemanticChecker {
   explicit SemanticChecker(smt::Backend backend = smt::Backend::kBuiltin,
                            SemanticOptions options = {});
 
-  /// Full semantic check of one tree.
+  /// Full semantic check of one tree (builds a private context).
   [[nodiscard]] Findings check(const dts::Tree& tree);
+  /// Full semantic check over the check's shared context.
+  [[nodiscard]] Findings check(const crossref::AnalysisContext& ctx);
 
   /// Disjointness check over pre-extracted regions (used by benches to sweep
   /// region counts without re-parsing).

@@ -83,6 +83,11 @@ class DeltaParser {
       } else if (t.kind == dts::TokenKind::kIdent && t.text == "when") {
         lexer_.next();
         module.when = parse_when_or();
+        if (when_too_deep_) {
+          when_too_deep_ = false;
+          skip_to_next_delta();
+          return std::nullopt;
+        }
       } else {
         break;
       }
@@ -248,6 +253,17 @@ class DeltaParser {
   }
 
   WhenExpr parse_when_unary() {
+    // Every '!' and '(' recurses through here, so one bound covers both.
+    // Past it, the levels unwind without reading on, and parse_delta skips
+    // the module.
+    if (when_depth_ == dts::kMaxNesting) {
+      error("when-expression nests deeper than " +
+                std::to_string(dts::kMaxNesting) + " levels",
+            lexer_.peek().location);
+      when_too_deep_ = true;
+      return WhenExpr::always();
+    }
+    const dts::NestingGuard nest(when_depth_);
     const dts::Token& t = lexer_.peek();
     if (t.kind == dts::TokenKind::kArith && t.text == "!") {
       lexer_.next();
@@ -256,6 +272,7 @@ class DeltaParser {
     if (t.kind == dts::TokenKind::kLParen) {
       lexer_.next();
       WhenExpr inner = parse_when_or();
+      if (when_too_deep_) return inner;
       dts::Token close = lexer_.next();
       if (close.kind != dts::TokenKind::kRParen) {
         error("expected ')' in when-expression", close.location);
@@ -283,6 +300,8 @@ class DeltaParser {
 
   dts::Lexer lexer_;
   support::DiagnosticEngine* diags_;
+  int when_depth_ = 0;  // current when-expression nesting (see kMaxNesting)
+  bool when_too_deep_ = false;
 };
 
 }  // namespace

@@ -19,6 +19,21 @@
 
 namespace llhsc::dts {
 
+/// Deepest nesting any parser over this lexer accepts (DTS node bodies and
+/// cell expressions, delta `when` conditions, feature-model bodies): a
+/// bound on the stack of the parser and of every recursive pass over its
+/// output. Deeper input is one located parse error.
+inline constexpr int kMaxNesting = 256;
+
+/// Holds one nesting level for its lifetime.
+struct NestingGuard {
+  explicit NestingGuard(int& depth) : depth(&depth) { ++*this->depth; }
+  ~NestingGuard() { --*depth; }
+  NestingGuard(const NestingGuard&) = delete;
+  NestingGuard& operator=(const NestingGuard&) = delete;
+  int* depth;
+};
+
 class SourceManager;  // parser.hpp; lexer only needs load()
 
 enum class TokenKind : uint8_t {

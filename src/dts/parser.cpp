@@ -38,13 +38,6 @@ std::optional<std::string> SourceManager::load(const std::string& name) const {
 
 namespace {
 
-/// Deepest node or expression nesting the parser accepts. Real trees nest a
-/// handful of levels; the bound keeps hostile input from exhausting the
-/// stack here and in every recursive pass over the parsed tree. Deeper
-/// input is one located dts-parse error, and parsing resumes after the
-/// offending body or parenthesis.
-constexpr int kMaxNesting = 256;
-
 // Parses directly into the target tree: duplicate node definitions merge as
 // they are encountered (dtc semantics), which also gives /delete-node/ and
 // /delete-property/ their correct "applies to everything seen so far"
@@ -143,6 +136,8 @@ class Parser {
   }
 
   void parse_node_body(Node& node) {
+    // Past kMaxNesting: one error, and parsing resumes after the offending
+    // body (in an expression, after the offending parenthesis).
     if (depth_ == kMaxNesting) {
       diags_->error("dts-parse",
                     "node '" + node.name() + "' nests deeper than " +
@@ -474,14 +469,6 @@ class Parser {
   }
 
   /// Counts one level of node or expression nesting for its lifetime.
-  struct NestingGuard {
-    explicit NestingGuard(int& depth) : depth(&depth) { ++*this->depth; }
-    ~NestingGuard() { --*depth; }
-    NestingGuard(const NestingGuard&) = delete;
-    NestingGuard& operator=(const NestingGuard&) = delete;
-    int* depth;
-  };
-
   /// Skips, without recursing, everything up to the `close` token that ends
   /// the current level and leaves it unconsumed; nested open/close pairs
   /// are skipped whole. Stops early at the end of input, and inside an

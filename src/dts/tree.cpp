@@ -4,6 +4,7 @@
 #include <cassert>
 #include <functional>
 #include <map>
+#include <unordered_map>
 
 #include "support/strings.hpp"
 
@@ -341,6 +342,9 @@ bool Tree::resolve_references(support::DiagnosticEngine& diags) {
     while (explicit_phandles.count(next_phandle) > 0) ++next_phandle;
     return next_phandle++;
   };
+  // Fresh phandles are written after the walk: a node whose cells reference
+  // its own label would otherwise grow the properties vector being iterated.
+  std::unordered_map<Node*, uint32_t> assigned;
   visit([&](const std::string& path, Node& n) {
     for (Property& p : n.properties()) {
       for (Chunk& chunk : p.chunks) {
@@ -364,10 +368,12 @@ bool Tree::resolve_references(support::DiagnosticEngine& diags) {
               // Malformed phandle already diagnosed in pass 1; don't make it
               // worse by overwriting the property.
               continue;
+            } else if (auto it = assigned.find(target); it != assigned.end()) {
+              phandle = it->second;
             } else {
               phandle = fresh_phandle();
               explicit_phandles.emplace(phandle, path_of(*target));
-              target->set_property(Property::cells("phandle", {phandle}));
+              assigned.emplace(target, phandle);
             }
             cell = Cell::literal(phandle);
           }
@@ -387,6 +393,9 @@ bool Tree::resolve_references(support::DiagnosticEngine& diags) {
       }
     }
   });
+  for (const auto& [target, phandle] : assigned) {
+    target->set_property(Property::cells("phandle", {phandle}));
+  }
   return ok;
 }
 

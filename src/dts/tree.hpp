@@ -113,6 +113,17 @@ struct Property {
   }
 };
 
+/// The number `count` big-endian cells from `offset` encode, each masked to
+/// 32 bits: a reg or ranges address or size under #address-/#size-cells.
+[[nodiscard]] inline uint64_t combine_cells(const std::vector<uint64_t>& cells,
+                                            size_t offset, uint32_t count) {
+  uint64_t value = 0;
+  for (uint32_t i = 0; i < count; ++i) {
+    value = (value << 32) | (cells[offset + i] & 0xffffffffull);
+  }
+  return value;
+}
+
 class Node {
  public:
   Node() = default;

@@ -200,7 +200,16 @@ class ModelParser {
     }
     dts::Token t = lexer_.next();
     if (t.kind == dts::TokenKind::kSemi) return true;
-    if (t.kind == dts::TokenKind::kLBrace) return parse_body(model, id);
+    if (t.kind == dts::TokenKind::kLBrace) {
+      if (depth_ == dts::kMaxNesting) {
+        error("feature '" + name.text + "' nests deeper than " +
+                  std::to_string(dts::kMaxNesting) + " levels",
+              name.location);
+        return false;
+      }
+      const dts::NestingGuard nest(depth_);
+      return parse_body(model, id);
+    }
     error("expected ';' or '{' after feature declaration", t.location);
     return false;
   }
@@ -225,6 +234,7 @@ class ModelParser {
   support::DiagnosticEngine* diags_;
   std::vector<PendingConstraint> pending_;
   bool failed_ = false;
+  int depth_ = 0;  // feature-body nesting below the root (see kMaxNesting)
 };
 
 void print_feature(std::ostringstream& os, const FeatureModel& model,

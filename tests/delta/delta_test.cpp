@@ -108,6 +108,47 @@ delta good2 { modifies / { y = <2>; } }
   EXPECT_EQ(deltas.back().name, "good2");
 }
 
+// A `when` condition nested past dts::kMaxNesting is one located error;
+// the parser skips that module without recursing further, and the module
+// after it still parses.
+TEST(DeltaParserNesting, DeepWhenConditionsAreOneLocatedError) {
+  for (const auto& [open, close] :
+       {std::pair<std::string, std::string>{"(", ")"}, {"!", ""},
+        {"!(", ")"}, {"(!", ")"}}) {
+    std::string when;
+    for (int i = 0; i < 100000; ++i) when += open;
+    when += "a";
+    for (int i = 0; i < 100000; ++i) when += close;
+    support::DiagnosticEngine de;
+    auto deltas = parse_deltas("delta deep when " + when +
+                                   " { modifies / { x = <1>; } }\n"
+                                   "delta next { modifies / { y = <2>; } }\n",
+                               "deep.deltas", de);
+    ASSERT_EQ(de.error_count(), 1u) << open << ": " << de.render();
+    EXPECT_EQ(de.diagnostics().front().code, "delta-parse");
+    EXPECT_NE(de.diagnostics().front().message.find("nests deeper than"),
+              std::string::npos);
+    EXPECT_TRUE(de.diagnostics().front().location.valid());
+    ASSERT_EQ(deltas.size(), 1u) << open;
+    EXPECT_EQ(deltas.front().name, "next");
+  }
+}
+
+TEST(DeltaParserNesting, RealisticDepthsAndFlatChainsParseCleanly) {
+  std::string nested = "a";
+  for (int i = 0; i < 100; ++i) nested = "!(" + nested + ")";
+  std::string chain = "a";
+  for (int i = 0; i < 1000; ++i) chain += " || b" + std::to_string(i);
+  for (const std::string& when : {nested, chain}) {
+    support::DiagnosticEngine de;
+    auto deltas = parse_deltas(
+        "delta d when " + when + " { modifies / { x = <1>; } }", "d", de);
+    ASSERT_FALSE(de.has_errors()) << de.render();
+    ASSERT_EQ(deltas.size(), 1u);
+    EXPECT_TRUE(deltas.front().when.evaluate({"a"}));
+  }
+}
+
 std::unique_ptr<dts::Tree> simple_core() {
   support::DiagnosticEngine de;
   auto t = dts::parse_dts(R"(

@@ -278,5 +278,35 @@ TEST(Tree, AutoAssignmentSkipsExplicitValues) {
   EXPECT_NE(*assigned, 1u) << "value 1 is explicitly taken";
 }
 
+TEST(Tree, SelfReferenceAssignsThePhandleAfterTheWalk) {
+  // The node's own cells name its label and it has no explicit phandle, so
+  // it gets a fresh one. `link` comes first and the properties vector is
+  // full: appending `phandle` during the walk would reallocate it under
+  // the iteration that still has to visit a-c (a heap-use-after-free under
+  // ASan); the phandle must be written after the walk.
+  Tree t;
+  Node& self = t.root().get_or_create_child("self");
+  self.add_label("me");
+  Property p;
+  p.name = "link";
+  p.chunks.push_back(Chunk::make_cells(
+      {Cell::reference("me"), Cell::literal(2), Cell::reference("me")}));
+  self.set_property(std::move(p));
+  for (const char* name : {"a", "b", "c"}) {
+    self.set_property(Property::cells(name, {1}));
+  }
+
+  support::DiagnosticEngine de;
+  ASSERT_TRUE(t.resolve_references(de)) << de.render();
+  const Property* ph = self.find_property("phandle");
+  ASSERT_NE(ph, nullptr);
+  ASSERT_TRUE(ph->as_u32().has_value());
+  auto cells = self.find_property("link")->as_cells();
+  ASSERT_TRUE(cells.has_value());
+  EXPECT_EQ(*cells, (std::vector<uint64_t>{*ph->as_u32(), 2, *ph->as_u32()}));
+  EXPECT_EQ(self.properties().back().name, "phandle")
+      << "the assigned phandle is appended after the existing properties";
+}
+
 }  // namespace
 }  // namespace llhsc::dts

@@ -168,5 +168,31 @@ TEST(TextFormat, ExcludesConstraint) {
   EXPECT_EQ(count_products(*m, solver), 3u);  // {}, {a}, {b}
 }
 
+std::string nested_model(int depth) {
+  std::string text = "model M {";
+  for (int i = 0; i < depth; ++i) text += " f" + std::to_string(i) + " {";
+  text += " leaf;";
+  for (int i = 0; i < depth; ++i) text += " }";
+  return text + " }\n";
+}
+
+// A feature body nested past dts::kMaxNesting is one located fm-parse
+// error instead of a stack overflow.
+TEST(ModelParserNesting, DeepModelIsOneLocatedError) {
+  support::DiagnosticEngine de;
+  EXPECT_FALSE(parse_model(nested_model(20000), "deep.fm", de).has_value());
+  ASSERT_EQ(de.error_count(), 1u) << de.render();
+  EXPECT_EQ(de.diagnostics().front().code, "fm-parse");
+  EXPECT_NE(de.diagnostics().front().message.find("nests deeper than"),
+            std::string::npos);
+  EXPECT_TRUE(de.diagnostics().front().location.valid());
+}
+
+TEST(ModelParserNesting, RealisticDepthsParseCleanly) {
+  auto m = parse_ok(nested_model(200));
+  ASSERT_TRUE(m.has_value());
+  EXPECT_TRUE(m->find("leaf").has_value());
+}
+
 }  // namespace
 }  // namespace llhsc::feature

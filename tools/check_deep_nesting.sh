@@ -1,11 +1,19 @@
 #!/usr/bin/env bash
-# Hostile nesting regression: a DTS nested 20 000 nodes deep and a cell
-# expression with 100 000 nested parentheses must each end in one located
-# [dts-parse] error (exit 1), never a crash. Checked two ways:
+# Hostile nesting regression. Each input must end in one located parse
+# error (exit 1), never a crash:
+#   * a DTS nested 20 000 nodes deep and a cell expression with 100 000
+#     nested parentheses ([dts-parse], `llhsc check`);
+#   * a delta `when` condition with 100 000 nested parentheses and one with
+#     100 000 chained '!' ([delta-parse], `llhsc check --lifted`);
+#   * a feature model 20 000 levels deep ([fm-parse], `llhsc check
+#     --lifted` and `llhsc products --model`).
+# Checked two ways:
 #   1. the one-shot CLI;
 #   2. an in-process llhscd (no forked workers, so a crash would take the
-#      daemon down): each check is answered with the same error bytes, and
-#      the daemon still answers ping afterwards and drains on SIGTERM.
+#      daemon down): each DTS check is answered with the same error bytes,
+#      each delta and model text sent in a lifted `session` request is
+#      answered with the CLI's error line and exit code 1, and the daemon
+#      still answers ping afterwards and drains on SIGTERM.
 # Usage: check_deep_nesting.sh <llhsc> <llhscd>
 set -eu
 
@@ -29,7 +37,42 @@ with open(out + "/deep-nodes.dts", "w") as f:
 n = 100000
 with open(out + "/deep-expr.dts", "w") as f:
     f.write("/dts-v1/;\n/ { x = <" + "(" * n + "1" + ")" * n + ">; };\n")
+body = " {\n    modifies / { x = <1>; }\n}\n"
+with open(out + "/deep-paren.deltas", "w") as f:
+    f.write("delta d when " + "(" * n + "a" + ")" * n + body)
+with open(out + "/deep-not.deltas", "w") as f:
+    f.write("delta d when " + "!" * n + "a" + body)
+with open(out + "/flat.deltas", "w") as f:
+    f.write("delta d when a" + body)
+with open(out + "/flat.fm", "w") as f:
+    f.write("model M {\n    a;\n}\n")
+n = 20000
+with open(out + "/deep.fm", "w") as f:
+    f.write("model M {\n" + "".join(" f%d {" % i for i in range(n)) +
+            " a;" + " }" * n + "\n}\n")
+with open(out + "/core.dts", "w") as f:
+    f.write("/dts-v1/;\n/ { #address-cells = <1>; #size-cells = <1>; };\n")
 PYEOF
+
+# expect_parse_error <name> <code> <file> <command...>: the command exits 1
+# with one located [<code>] "nests deeper than" error on stderr, saved as
+# $TMP/<name>.err.
+expect_parse_error() {
+    name="$1"; code="$2"; file="$3"; shift 3
+    status=0
+    "$@" > "$TMP/$name.out" 2> "$TMP/$name.err" || status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "$name: exited $status, want 1" >&2
+        cat "$TMP/$name.err" >&2
+        exit 1
+    fi
+    located="^$TMP/$file:[0-9]+:[0-9]+: error: \[$code\] .*nests deeper than"
+    if [ "$(grep -cE "$located" "$TMP/$name.err")" -ne 1 ]; then
+        echo "$name: want one located [$code] error" >&2
+        cat "$TMP/$name.err" >&2
+        exit 1
+    fi
+}
 
 # -- 1. one-shot CLI --
 for input in deep-nodes deep-expr; do
@@ -48,6 +91,18 @@ for input in deep-nodes deep-expr; do
         exit 1
     fi
 done
+
+expect_parse_error deep-paren delta-parse deep-paren.deltas \
+    "$LLHSC" check "$TMP/core.dts" --lifted \
+    --deltas "$TMP/deep-paren.deltas" --model "$TMP/flat.fm"
+expect_parse_error deep-not delta-parse deep-not.deltas \
+    "$LLHSC" check "$TMP/core.dts" --lifted \
+    --deltas "$TMP/deep-not.deltas" --model "$TMP/flat.fm"
+expect_parse_error deep-model fm-parse deep.fm \
+    "$LLHSC" check "$TMP/core.dts" --lifted \
+    --deltas "$TMP/flat.deltas" --model "$TMP/deep.fm"
+expect_parse_error deep-model-products fm-parse deep.fm \
+    "$LLHSC" products --model "$TMP/deep.fm"
 
 # -- 2. in-process daemon --
 SOCK="$TMP/d.sock"
@@ -69,19 +124,49 @@ for input in deep-nodes deep-expr; do
     cmp "$TMP/$input.out" "$TMP/$input.sock.out"
 done
 
-python3 - "$SOCK" <<'PYEOF'
+python3 - "$SOCK" "$TMP" <<'PYEOF'
 import json, socket, sys
-s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-s.settimeout(10.0)
-s.connect(sys.argv[1])
-s.sendall(b'{"id": 7, "method": "ping"}\n')
-data = b""
-while b"\n" not in data:
-    chunk = s.recv(65536)
-    if not chunk:
-        sys.exit("daemon closed the connection instead of answering ping")
-    data += chunk
-reply = json.loads(data.split(b"\n", 1)[0])
+sock, tmp = sys.argv[1], sys.argv[2]
+
+
+def request(obj):
+    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    s.settimeout(30.0)
+    s.connect(sock)
+    s.sendall((json.dumps(obj) + "\n").encode())
+    data = b""
+    while b"\n" not in data:
+        chunk = s.recv(1 << 20)
+        if not chunk:
+            sys.exit("daemon closed the connection on %s" % obj["method"])
+        data += chunk
+    return json.loads(data.split(b"\n", 1)[0])
+
+
+def text(name):
+    with open(tmp + "/" + name) as f:
+        return f.read()
+
+
+# Lifted sessions carry the delta and model texts on the wire; the reply
+# must hold the CLI's error line and exit code 1.
+for name, deltas, model in [("deep-paren", "deep-paren.deltas", "flat.fm"),
+                            ("deep-not", "deep-not.deltas", "flat.fm"),
+                            ("deep-model", "flat.deltas", "deep.fm")]:
+    reply = request({"id": 1, "method": "session", "params": {
+        "core_source": text("core.dts"), "core_name": tmp + "/core.dts",
+        "deltas_source": text(deltas), "deltas_name": tmp + "/" + deltas,
+        "model_source": text(model), "model_name": tmp + "/" + model,
+        "check_lifted": True,
+        "products": [{"name": "vm1", "features": ["a"]}]}})
+    if not reply.get("ok"):
+        sys.exit("%s: session failed: %r" % (name, reply))
+    result = reply["result"]
+    cli_line = text(name + ".err").splitlines()[0]
+    if result["exit_code"] != 1 or cli_line not in result["stderr"]:
+        sys.exit("%s: session reply %r lacks %r" % (name, result, cli_line))
+
+reply = request({"id": 7, "method": "ping"})
 if not (reply.get("ok") and reply["result"].get("pong")):
     sys.exit("bad ping reply: %r" % reply)
 PYEOF
@@ -91,4 +176,4 @@ status=0
 wait "$DAEMON_PID" || status=$?
 DAEMON_PID=""
 [ "$status" -eq 0 ] || { echo "daemon exited $status on SIGTERM" >&2; exit 1; }
-echo "deep nesting: CLI and daemon report one located error each"
+echo "deep nesting: CLI and daemon report one located error per input"
