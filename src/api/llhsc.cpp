@@ -1,10 +1,6 @@
-// Conversion shims between the self-owned api:: vocabulary and the server
-// implementation types. Every translation is a plain field copy — the shims
-// add no behaviour, so api:: callers and internal callers produce identical
-// results. This is the only file where both vocabularies are visible.
+// The api:: vocabulary is also the server layer's, so every entry point
+// here forwards its request to the implementation as is.
 #include "api/llhsc.hpp"
-
-#include <utility>
 
 #include "server/artifact_store.hpp"
 #include "server/check_service.hpp"
@@ -24,137 +20,6 @@ struct ApiAccess {
     return s.impl_->store;
   }
 };
-
-namespace {
-
-server::CheckRequest to_server(const CheckRequest& r) {
-  server::CheckRequest s;
-  s.path = r.path;
-  s.source = r.source;
-  s.base_directory = r.base_directory;
-  s.includes = r.includes;
-  s.format = r.format;
-  s.lint = r.lint;
-  s.crossref = r.crossref;
-  s.graph = r.graph;
-  s.syntax = r.syntax;
-  s.semantics = r.semantics;
-  s.quiet = r.quiet;
-  s.stats = r.stats;
-  s.backend = r.backend;
-  s.schemas_text = r.schemas_text;
-  s.schemas_path = r.schemas_path;
-  s.disable_rule = r.disable_rule;
-  s.rule_severity = r.rule_severity;
-  s.solver_timeout_ms = r.solver_timeout_ms;
-  s.plan = r.plan;
-  s.cache_dir = r.cache_dir;
-  s.baseline_text = r.baseline_text;
-  return s;
-}
-
-CheckResult from_server(server::CheckOutcome&& o) {
-  CheckResult r;
-  r.exit_code = o.exit_code;
-  r.status = error_code_of_exit(o.exit_code);
-  r.output = std::move(o.output);
-  r.error_text = std::move(o.error_text);
-  r.errors = o.errors;
-  r.warnings = o.warnings;
-  r.trace.tree_cache_hit = o.trace.tree_cache_hit;
-  r.trace.check_cache_hit = o.trace.check_cache_hit;
-  r.trace.solver_checks = o.trace.solver_checks;
-  r.trace.queries_issued = o.trace.queries_issued;
-  r.trace.queries_pruned = o.trace.queries_pruned;
-  r.trace.cache_hits = o.trace.cache_hits;
-  r.trace.cache_errors = o.trace.cache_errors;
-  r.trace.suppressed = o.trace.suppressed;
-  return r;
-}
-
-server::SessionRequest to_server(const SessionRequest& r) {
-  server::SessionRequest s;
-  s.core_source = r.core_source;
-  s.core_name = r.core_name;
-  s.deltas_source = r.deltas_source;
-  s.deltas_name = r.deltas_name;
-  s.model_source = r.model_source;
-  s.model_name = r.model_name;
-  s.base_directory = r.base_directory;
-  s.includes = r.includes;
-  for (const SessionProduct& p : r.products) {
-    s.products.push_back({p.name, p.features});
-  }
-  s.check_platform = r.check_platform;
-  s.check_allocation = r.check_allocation;
-  s.check_lifted = r.check_lifted;
-  s.lifted_max_configs = r.lifted_max_configs;
-  s.exclusive = r.exclusive;
-  s.backend = r.backend;
-  s.lint = r.lint;
-  s.graph = r.graph;
-  s.syntax = r.syntax;
-  s.semantics = r.semantics;
-  s.schemas_text = r.schemas_text;
-  s.solver_timeout_ms = r.solver_timeout_ms;
-  s.plan = r.plan;
-  s.cache_dir = r.cache_dir;
-  return s;
-}
-
-StoreStats from_server(const server::StoreStats& s) {
-  StoreStats r;
-  r.hits = s.hits;
-  r.misses = s.misses;
-  r.evictions = s.evictions;
-  r.tree_parses = s.tree_parses;
-  r.delta_parses = s.delta_parses;
-  r.model_parses = s.model_parses;
-  r.product_line_builds = s.product_line_builds;
-  r.derives = s.derives;
-  r.unit_checks = s.unit_checks;
-  r.graph_builds = s.graph_builds;
-  r.cross_checks = s.cross_checks;
-  r.lifted_checks = s.lifted_checks;
-  return r;
-}
-
-SessionResult from_server(server::SessionOutcome&& o) {
-  SessionResult r;
-  r.exit_code = o.exit_code;
-  r.status = error_code_of_exit(o.exit_code);
-  r.error_text = std::move(o.error_text);
-  for (server::SessionUnitResult& u : o.units) {
-    SessionUnitResult unit;
-    unit.name = std::move(u.name);
-    unit.composed_cache_hit = u.composed_cache_hit;
-    unit.check_cache_hit = u.check_cache_hit;
-    unit.errors = u.errors;
-    unit.warnings = u.warnings;
-    unit.report = std::move(u.report);
-    r.units.push_back(std::move(unit));
-  }
-  r.cost = from_server(o.cost);
-  return r;
-}
-
-server::ServerOptions to_server(const ServerOptions& o) {
-  server::ServerOptions s;
-  s.socket_path = o.socket_path;
-  s.tcp_listen = o.tcp_listen;
-  s.workers = o.workers;
-  s.jobs = o.jobs;
-  s.queue_limit = o.queue_limit;
-  s.tenant_quota = o.tenant_quota;
-  s.default_deadline_ms = o.default_deadline_ms;
-  s.store_capacity = o.store_capacity;
-  s.max_line_bytes = o.max_line_bytes;
-  s.log = o.log;
-  s.profile_path = o.profile_path;
-  return s;
-}
-
-}  // namespace
 
 const char* error_code_name(ErrorCode code) {
   switch (code) {
@@ -193,38 +58,31 @@ int exit_code_of(ErrorCode code) {
   }
 }
 
-ErrorCode error_code_of_exit(int exit_code) {
-  if (exit_code == 0) return ErrorCode::kOk;
-  if (exit_code == 1) return ErrorCode::kFindings;
-  return ErrorCode::kUsage;
-}
-
 CheckStore::CheckStore(size_t capacity)
     : impl_(std::make_unique<Impl>(capacity)) {}
 CheckStore::~CheckStore() = default;
 CheckStore::CheckStore(CheckStore&&) noexcept = default;
 CheckStore& CheckStore::operator=(CheckStore&&) noexcept = default;
 
-StoreStats CheckStore::stats() const {
-  return from_server(impl_->store.stats());
-}
+StoreStats CheckStore::stats() const { return impl_->store.stats(); }
 
 CheckResult run_check(const CheckRequest& request) {
-  return from_server(server::run_check(to_server(request), nullptr));
+  // A store local to the call: the one-shot check runs the daemon's code
+  // with nothing to reuse.
+  server::ArtifactStore store;
+  return server::run_check(request, store);
 }
 
 CheckResult run_check(const CheckRequest& request, CheckStore& store) {
-  return from_server(
-      server::run_check(to_server(request), &ApiAccess::store(store)));
+  return server::run_check(request, ApiAccess::store(store));
 }
 
 SessionResult run_session(const SessionRequest& request, CheckStore& store) {
-  return from_server(
-      server::run_session_check(to_server(request), ApiAccess::store(store)));
+  return server::run_session_check(request, ApiAccess::store(store));
 }
 
 int run_server(const ServerOptions& options) {
-  server::Server daemon(to_server(options));
+  server::Server daemon(options);
   return daemon.run();
 }
 

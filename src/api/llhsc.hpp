@@ -1,12 +1,14 @@
 // The public llhsc embedding API — the one entry point tools, benches and
-// external embedders program against. As of LLHSC_API_VERSION 2 the api::
-// vocabulary is self-owned: every struct below is defined here with explicit
-// fields, no `server/*.hpp` header is reachable from this file (CI asserts
-// that with an include-graph check), and internal refactors of the server
-// layer are no longer embedder-visible breaks. Conversion shims in
-// llhsc.cpp translate to the implementation types; the shims add no
-// behaviour, so the CLI, the daemon and an embedder calling this header
-// produce byte-identical reports for identical inputs.
+// external embedders program against, and the one vocabulary of a check, a
+// session and a daemon configuration: the server layer takes and returns
+// these structs directly (server::run_check, server::run_session_check,
+// server::Server, the daemon's JSON codecs and the artifact store), so the
+// CLI, the daemon and an embedder calling this header run the same code on
+// the same request value. The header stays std-only: no `server/*.hpp` (or
+// other internal) header is reachable from it, which CI asserts with an
+// include-graph check. An input only the server has (an artifact store, a
+// request deadline) is a separate parameter of the server call, never a
+// field here.
 //
 // Stability policy: docs/api.md. In short — fields are only ever added
 // (with defaults preserving old behaviour), never renamed or removed within
@@ -62,8 +64,14 @@ enum class ErrorCode {
 /// The process exit code a command reporting this outcome uses: 0 for kOk,
 /// 1 for kFindings, 2 for everything else (usage and daemon-side errors).
 [[nodiscard]] int exit_code_of(ErrorCode code);
-/// Classifies a check/session exit code (0/1/2) as an ErrorCode.
-[[nodiscard]] ErrorCode error_code_of_exit(int exit_code);
+/// Classifies a check/session exit code (0/1/2) as an ErrorCode. Inline so
+/// the server layer stamps every result's `status` without linking back to
+/// the library that wraps it.
+[[nodiscard]] inline ErrorCode error_code_of_exit(int exit_code) {
+  if (exit_code == 0) return ErrorCode::kOk;
+  if (exit_code == 1) return ErrorCode::kFindings;
+  return ErrorCode::kUsage;
+}
 
 /// Mirrors the `llhsc check` option surface. The caller reads the file (the
 /// daemon never touches the client's filesystem for the main source);
@@ -120,20 +128,21 @@ struct CheckResult {
   CheckTrace trace;
 };
 
-/// Artifact-store counters: what a call reused vs actually executed.
+/// Artifact-store counters: what a call reused vs actually executed (also
+/// the daemon's `stats` reply).
 struct StoreStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
-  uint64_t tree_parses = 0;
+  uint64_t tree_parses = 0;   // dts parses actually executed
   uint64_t delta_parses = 0;
   uint64_t model_parses = 0;
-  uint64_t product_line_builds = 0;
+  uint64_t product_line_builds = 0;  // core clones into ProductLine objects
   uint64_t derives = 0;       // composed-tree rebuilds actually executed
   uint64_t unit_checks = 0;   // per-unit checker runs actually executed
-  uint64_t graph_builds = 0;
-  uint64_t cross_checks = 0;
-  uint64_t lifted_checks = 0;
+  uint64_t graph_builds = 0;  // device-graph IR builds actually executed
+  uint64_t cross_checks = 0;  // cross-unit graph analyses actually executed
+  uint64_t lifted_checks = 0;  // family-based lifted analyses actually executed
 };
 
 struct SessionProduct {
@@ -159,7 +168,11 @@ struct SessionRequest {
   bool check_platform = false;
   /// Run the resource-allocation check over all products (needs a model).
   bool check_allocation = false;
-  /// Family-based lifted analysis over the whole line (docs/lifting.md).
+  /// Family-based lifted analysis over the WHOLE product line in one solver
+  /// conversation (needs a model; docs/lifting.md). The verdict is one
+  /// "*lifted*" unit covering every configuration, cached under the key of
+  /// core + every delta module + model + options, so an edit to any of them
+  /// re-runs exactly one family analysis.
   bool check_lifted = false;
   /// Cap on each lifted finding's configuration-class expansion.
   uint64_t lifted_max_configs = 8;
@@ -167,7 +180,7 @@ struct SessionRequest {
 
   std::string backend = "builtin";
   bool lint = true;
-  bool graph = true;
+  bool graph = true;  // device-graph rules, incl. the cross-unit analysis
   bool syntax = true;
   bool semantics = true;
   std::string schemas_text;  // "" = builtin schema set
@@ -224,8 +237,9 @@ struct ServerOptions {
   size_t max_line_bytes = 64 * 1024 * 1024;
   /// Trace/log sink; null = stderr.
   std::ostream* log = nullptr;
-  /// Chrome-trace profile written at shutdown ("" = no profiling;
-  /// in-process mode only).
+  /// Chrome-trace profile written at shutdown ("" = no profiling). In-process
+  /// mode only: forked workers run their checks in other processes, so
+  /// their spans are not exported (a warning is logged).
   std::string profile_path;
 };
 

@@ -63,8 +63,10 @@ BatteryResult run_battery(const dts::Tree& tree, const BatteryOptions& options,
       const bool build_graph = (needs & kGraph) != 0 && device_graph == nullptr;
       if (((needs & kContext) != 0 || build_graph) && !ctx) ctx.emplace(tree);
       if (build_graph) {
-        device_graph = std::make_shared<const graph::DeviceGraph>(
-            graph::DeviceGraph::build(*ctx));
+        device_graph = options.graph_source
+                           ? options.graph_source(*ctx)
+                           : std::make_shared<const graph::DeviceGraph>(
+                                 graph::DeviceGraph::build(*ctx));
       }
     };
 

@@ -10,7 +10,9 @@
 // graph::DeviceGraph, each on first need and outside every stage's scope
 // and span (their spans are "context.build" and "graph.build"): the
 // crossref stage reads both, the graph stage the graph, and the semantic
-// stage the context. A caller's prebuilt graph is used as is.
+// stage the context. A caller's prebuilt graph is used as is; a caller's
+// graph source (the daemon store's keyed graph artifact) is asked for the
+// graph on first need, with the check's one context.
 //
 // Findings come back per stage and unsorted; the order is each caller's
 // policy, pinned by golden files: run_check concatenates the stages, a
@@ -18,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -46,10 +49,16 @@ struct BatteryOptions {
   /// fingerprint(): callers key verdicts by the schema text instead.
   const schema::SchemaSet* schemas = nullptr;
   SemanticOptions semantic{};
+  /// Supplies the device graph from the check's context on a stage's first
+  /// need; null builds it here. Not part of fingerprint(): a graph is a
+  /// function of the tree alone.
+  std::function<std::shared_ptr<const graph::DeviceGraph>(
+      const crossref::AnalysisContext&)>
+      graph_source{};
 };
 
 /// Canonical hash of every option that can change a verdict (all fields
-/// except `schemas`).
+/// except `schemas` and `graph_source`).
 [[nodiscard]] uint64_t fingerprint(const BatteryOptions& options);
 
 /// Solver and planner work of the semantic stage (the --stats line).

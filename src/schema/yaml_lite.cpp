@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "dts/lexer.hpp"
 #include "support/strings.hpp"
 
 namespace llhsc::schema::yaml {
@@ -98,8 +99,16 @@ class Parser {
   }
 
   // Parses the block starting at the current position with the given indent.
+  // Every nesting level enters here: past kMaxNesting levels, one error ends
+  // the document, so recursion depth is bounded.
   Value parse_block(int indent) {
     if (pos_ >= lines_.size()) return Value{};
+    if (depth_ == dts::kMaxNesting) {
+      error("block nests deeper than " + std::to_string(dts::kMaxNesting) +
+            " levels");
+      return Value{};
+    }
+    const dts::NestingGuard nest(depth_);
     const Line& first = lines_[pos_];
     if (first.content.rfind("- ", 0) == 0 || first.content == "-") {
       return parse_seq(indent);
@@ -208,6 +217,8 @@ class Parser {
   support::DiagnosticEngine* diags_;
   size_t pos_ = 0;
   bool failed_ = false;
+  /// Current block nesting (see dts::kMaxNesting).
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -3,7 +3,8 @@
 // scalars and of maps ("- key: value" openers), quoted and plain scalars,
 // '#' comments, and multi-document streams separated by "---".
 // Not supported (by design): anchors, aliases, flow collections, multi-line
-// scalars, tags.
+// scalars, tags. Blocks nest at most dts::kMaxNesting (256) levels deep, the
+// DTS parser's limit; a deeper block is one located [yaml-parse] error.
 #pragma once
 
 #include <optional>

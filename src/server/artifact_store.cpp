@@ -127,7 +127,7 @@ template <typename T>
 std::shared_ptr<const T> ArtifactStore::get_or_build(
     Cache<T>& cache, uint64_t key,
     const std::function<std::shared_ptr<const T>()>& build, bool* was_hit,
-    uint64_t StoreStats::* built_counter) {
+    uint64_t api::StoreStats::* built_counter) {
   if (auto cached = cache.lookup(key)) {
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -248,7 +248,7 @@ std::shared_ptr<const DeltaArtifact> ArtifactStore::deltas(
         artifact->parse_errors = diags.has_errors();
         return artifact;
       },
-      was_hit, &StoreStats::delta_parses);
+      was_hit, &api::StoreStats::delta_parses);
 }
 
 std::shared_ptr<const ModelArtifact> ArtifactStore::model(
@@ -270,7 +270,7 @@ std::shared_ptr<const ModelArtifact> ArtifactStore::model(
         artifact->parse_errors = artifact->model == nullptr || diags.has_errors();
         return artifact;
       },
-      was_hit, &StoreStats::model_parses);
+      was_hit, &api::StoreStats::model_parses);
 }
 
 std::shared_ptr<const ProductLineArtifact> ArtifactStore::product_line(
@@ -287,7 +287,7 @@ std::shared_ptr<const ProductLineArtifact> ArtifactStore::product_line(
             core.tree->clone(), deltas.modules);
         return artifact;
       },
-      was_hit, &StoreStats::product_line_builds);
+      was_hit, &api::StoreStats::product_line_builds);
 }
 
 std::shared_ptr<const ComposedArtifact> ArtifactStore::composed(
@@ -298,7 +298,7 @@ std::shared_ptr<const ComposedArtifact> ArtifactStore::composed(
       [&]() {
         return std::make_shared<const ComposedArtifact>(build());
       },
-      was_hit, &StoreStats::derives);
+      was_hit, &api::StoreStats::derives);
 }
 
 std::shared_ptr<const CheckArtifact> ArtifactStore::unit_check(
@@ -306,7 +306,7 @@ std::shared_ptr<const CheckArtifact> ArtifactStore::unit_check(
   return get_or_build<CheckArtifact>(
       checks_, key,
       [&]() { return std::make_shared<const CheckArtifact>(build()); },
-      was_hit, &StoreStats::unit_checks);
+      was_hit, &api::StoreStats::unit_checks);
 }
 
 std::shared_ptr<const CheckArtifact> ArtifactStore::cross_check(
@@ -314,7 +314,7 @@ std::shared_ptr<const CheckArtifact> ArtifactStore::cross_check(
   return get_or_build<CheckArtifact>(
       checks_, key,
       [&]() { return std::make_shared<const CheckArtifact>(build()); },
-      was_hit, &StoreStats::cross_checks);
+      was_hit, &api::StoreStats::cross_checks);
 }
 
 std::shared_ptr<const CheckArtifact> ArtifactStore::lifted_check(
@@ -322,12 +322,12 @@ std::shared_ptr<const CheckArtifact> ArtifactStore::lifted_check(
   return get_or_build<CheckArtifact>(
       checks_, key,
       [&]() { return std::make_shared<const CheckArtifact>(build()); },
-      was_hit, &StoreStats::lifted_checks);
+      was_hit, &api::StoreStats::lifted_checks);
 }
 
 std::shared_ptr<const GraphArtifact> ArtifactStore::graph(
     uint64_t tree_key, const std::shared_ptr<const dts::Tree>& source,
-    bool* was_hit) {
+    bool* was_hit, const checkers::crossref::AnalysisContext* ctx) {
   // Salted so a graph key can never collide with the unit-check key derived
   // from the same tree key.
   const uint64_t key = fnv_combine(tree_key, 0x67726170U /*"grap"*/);
@@ -339,11 +339,12 @@ std::shared_ptr<const GraphArtifact> ArtifactStore::graph(
         artifact->key = key;
         artifact->graph =
             std::make_shared<const checkers::graph::DeviceGraph>(
-                checkers::graph::DeviceGraph::build(*source));
+                ctx != nullptr ? checkers::graph::DeviceGraph::build(*ctx)
+                               : checkers::graph::DeviceGraph::build(*source));
         artifact->source = source;
         return artifact;
       },
-      was_hit, &StoreStats::graph_builds);
+      was_hit, &api::StoreStats::graph_builds);
 }
 
 std::shared_ptr<const AllocationArtifact> ArtifactStore::allocation(
@@ -352,10 +353,10 @@ std::shared_ptr<const AllocationArtifact> ArtifactStore::allocation(
   return get_or_build<AllocationArtifact>(
       allocations_, key,
       [&]() { return std::make_shared<const AllocationArtifact>(build()); },
-      was_hit, &StoreStats::unit_checks);
+      was_hit, &api::StoreStats::unit_checks);
 }
 
-StoreStats ArtifactStore::stats() const {
+api::StoreStats ArtifactStore::stats() const {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   return stats_;
 }

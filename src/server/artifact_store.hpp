@@ -46,6 +46,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/llhsc.hpp"
 #include "checkers/battery.hpp"
 #include "checkers/finding.hpp"
 #include "checkers/graph/graph.hpp"
@@ -55,22 +56,6 @@
 #include "feature/model.hpp"
 
 namespace llhsc::server {
-
-/// Cumulative counters, exported through the daemon's `stats` method.
-struct StoreStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  uint64_t tree_parses = 0;   // dts parses actually executed
-  uint64_t delta_parses = 0;
-  uint64_t model_parses = 0;
-  uint64_t product_line_builds = 0;  // core clones into ProductLine objects
-  uint64_t derives = 0;       // composed-tree rebuilds actually executed
-  uint64_t unit_checks = 0;   // per-unit checker runs actually executed
-  uint64_t graph_builds = 0;  // device-graph IR builds actually executed
-  uint64_t cross_checks = 0;  // cross-unit graph analyses actually executed
-  uint64_t lifted_checks = 0;  // family-based lifted analyses actually executed
-};
 
 /// One parsed DTS with its include dependency edges.
 struct TreeArtifact {
@@ -201,15 +186,17 @@ class ArtifactStore {
       uint64_t key, const std::function<CheckArtifact()>& build,
       bool* was_hit = nullptr);
   /// Builds (or reuses) the device graph of the tree whose content key is
-  /// `tree_key`, keeping `source` alive alongside it.
+  /// `tree_key`, keeping `source` alive alongside it. A build reads `ctx`,
+  /// the check's analysis context of `source`, when the caller has one.
   std::shared_ptr<const GraphArtifact> graph(
       uint64_t tree_key, const std::shared_ptr<const dts::Tree>& source,
-      bool* was_hit = nullptr);
+      bool* was_hit = nullptr,
+      const checkers::crossref::AnalysisContext* ctx = nullptr);
   std::shared_ptr<const AllocationArtifact> allocation(
       uint64_t key, const std::function<AllocationArtifact()>& build,
       bool* was_hit = nullptr);
 
-  [[nodiscard]] StoreStats stats() const;
+  [[nodiscard]] api::StoreStats stats() const;
 
  private:
   template <typename T>
@@ -253,7 +240,7 @@ class ArtifactStore {
   std::shared_ptr<const T> get_or_build(
       Cache<T>& cache, uint64_t key,
       const std::function<std::shared_ptr<const T>()>& build, bool* was_hit,
-      uint64_t StoreStats::* built_counter);
+      uint64_t api::StoreStats::* built_counter);
 
   size_t capacity_;
   Cache<TreeArtifact> trees_;
@@ -266,7 +253,7 @@ class ArtifactStore {
   Cache<AllocationArtifact> allocations_;
 
   mutable std::mutex stats_mutex_;
-  StoreStats stats_;
+  api::StoreStats stats_;
 };
 
 }  // namespace llhsc::server

@@ -14,8 +14,8 @@ namespace llhsc::server {
 
 namespace {
 
-void render_outcome(const CheckRequest& request,
-                    const checkers::Findings& findings, CheckOutcome& out) {
+void render_outcome(const api::CheckRequest& request,
+                    const checkers::Findings& findings, api::CheckResult& out) {
   out.errors = checkers::error_count(findings);
   out.warnings = findings.size() - out.errors;
   if (request.format == "json") {
@@ -31,8 +31,9 @@ void render_outcome(const CheckRequest& request,
   out.exit_code = out.errors == 0 ? 0 : 1;
 }
 
-void append_stats_line(const CheckRequest& request, const CheckArtifact& art,
-                       size_t suppressed, CheckOutcome& out) {
+void append_stats_line(const api::CheckRequest& request,
+                       const CheckArtifact& art, size_t suppressed,
+                       api::CheckResult& out) {
   // With --no-semantics the solver counters are all zero, but the line still
   // prints: the suppressed count is meaningful for every stage.
   if (!request.stats) return;
@@ -45,25 +46,9 @@ void append_stats_line(const CheckRequest& request, const CheckArtifact& art,
                     ", suppressed: " + std::to_string(suppressed) + "\n";
 }
 
-}  // namespace
-
-uint64_t key_then_clamp(checkers::BatteryOptions& options,
-                        std::string_view schemas_text,
-                        const support::Deadline& deadline) {
-  const uint64_t key = fnv_combine(checkers::fingerprint(options),
-                                   support::fnv1a64(schemas_text));
-  uint64_t& budget = options.semantic.solver_timeout_ms;
-  if (!deadline.unlimited()) {
-    const uint64_t remaining = deadline.remaining_ms();
-    budget = std::max<uint64_t>(
-        1, budget == 0 ? remaining : std::min(budget, remaining));
-  }
-  return key;
-}
-
-CheckOutcome run_check(const CheckRequest& request, ArtifactStore* store,
+api::CheckResult check(const api::CheckRequest& request, ArtifactStore& store,
                        const support::Deadline& deadline) {
-  CheckOutcome out;
+  api::CheckResult out;
 
   if (request.format != "text" && request.format != "json" &&
       request.format != "sarif") {
@@ -95,28 +80,10 @@ CheckOutcome run_check(const CheckRequest& request, ArtifactStore* store,
   // Parse — identical failure contract to the CLI's parse_file_or_die:
   // exit 1 with the rendered diagnostics; parse *warnings* on a usable tree
   // are not rendered.
-  dts::SourceManager sources;
-  for (const auto& [name, content] : request.includes) {
-    sources.register_file(name, content);
-  }
-  if (!request.base_directory.empty()) {
-    sources.set_base_directory(request.base_directory);
-  }
-
-  std::shared_ptr<const TreeArtifact> tree_artifact;
-  if (store != nullptr) {
-    tree_artifact =
-        store->tree(request.source, request.path, sources,
-                    &out.trace.tree_cache_hit);
-  } else {
-    auto artifact = std::make_shared<TreeArtifact>();
-    support::DiagnosticEngine diags;
-    auto parsed = dts::parse_dts(request.source, request.path, sources, diags);
-    artifact->tree = std::move(parsed);
-    artifact->diagnostics_text = diags.render();
-    artifact->parse_errors = artifact->tree == nullptr || diags.has_errors();
-    tree_artifact = artifact;
-  }
+  dts::SourceManager sources =
+      request_sources(request.includes, request.base_directory);
+  const std::shared_ptr<const TreeArtifact> tree_artifact = store.tree(
+      request.source, request.path, sources, &out.trace.tree_cache_hit);
   if (tree_artifact->parse_errors) {
     out.error_text += tree_artifact->diagnostics_text;
     out.exit_code = 1;
@@ -136,51 +103,36 @@ CheckOutcome run_check(const CheckRequest& request, ArtifactStore* store,
   // exit-2 never has to come out of a cached verdict. Matches the CLI's
   // lazy schemas_from(): parse errors surface only when syntax runs.
   schema::SchemaSet schemas;
-  if (request.syntax) {
-    if (!request.schemas_text.empty()) {
-      support::DiagnosticEngine diags;
-      schema::load_schema_stream(request.schemas_text, schemas, diags);
-      if (diags.has_errors()) {
-        out.error_text += diags.render();
-        out.exit_code = 2;
-        return out;
-      }
-    } else {
-      schemas = schema::builtin_schemas();
-    }
+  if (!load_request_schemas(request.syntax, request.schemas_text, schemas,
+                            out.error_text)) {
+    out.exit_code = 2;
+    return out;
   }
 
   options.schemas = &schemas;
   const uint64_t options_key =
       key_then_clamp(options, request.schemas_text, deadline);
-
-  std::shared_ptr<const CheckArtifact> verdict;
-  if (store != nullptr) {
-    // tree_artifact->key is include-aware (see TreeArtifact::key): an
-    // edited .dtsi re-parses the tree *and* lands here as a new verdict key.
-    const uint64_t key = fnv_combine(options_key, tree_artifact->key);
-    verdict = store->unit_check(
-        key,
-        [&]() {
-          // The device graph is its own keyed artifact (option-independent),
-          // fetched only when the verdict actually rebuilds — a cache-hit
-          // request never builds a graph.
-          std::shared_ptr<const checkers::graph::DeviceGraph> graph;
-          if (request.graph) {
-            graph = store->graph(tree_artifact->key, tree_artifact->tree)
-                        ->graph;
-          }
-          const checkers::BatteryResult checked = checkers::run_battery(
-              *tree_artifact->tree, options, std::move(graph));
-          return CheckArtifact{checked.counters, key, checked.all()};
-        },
-        &out.trace.check_cache_hit);
-  } else {
-    const checkers::BatteryResult checked =
-        checkers::run_battery(*tree_artifact->tree, options);
-    verdict = std::make_shared<const CheckArtifact>(
-        CheckArtifact{checked.counters, 0, checked.all()});
+  if (request.graph) {
+    // The device graph is its own keyed artifact (option-independent),
+    // asked for only when the verdict actually rebuilds — a cache-hit
+    // request never builds a graph.
+    options.graph_source = [&](const checkers::crossref::AnalysisContext& ctx) {
+      return store.graph(tree_artifact->key, tree_artifact->tree, nullptr, &ctx)
+          ->graph;
+    };
   }
+
+  // tree_artifact->key is include-aware (see TreeArtifact::key): an edited
+  // .dtsi re-parses the tree *and* lands here as a new verdict key.
+  const uint64_t key = fnv_combine(options_key, tree_artifact->key);
+  const std::shared_ptr<const CheckArtifact> verdict = store.unit_check(
+      key,
+      [&]() {
+        const checkers::BatteryResult checked =
+            checkers::run_battery(*tree_artifact->tree, options);
+        return CheckArtifact{checked.counters, key, checked.all()};
+      },
+      &out.trace.check_cache_hit);
 
   // Suppression runs over a copy of the (possibly cached) verdict: inline
   // `// llhsc-disable-next-line` comments from every source the findings
@@ -220,6 +172,56 @@ CheckOutcome run_check(const CheckRequest& request, ArtifactStore* store,
   out.trace.queries_pruned = verdict->queries_pruned;
   out.trace.cache_hits = verdict->cache_hits;
   out.trace.cache_errors = verdict->cache_errors;
+  return out;
+}
+
+}  // namespace
+
+dts::SourceManager request_sources(
+    const std::vector<std::pair<std::string, std::string>>& includes,
+    const std::string& base_directory) {
+  dts::SourceManager sources;
+  for (const auto& [name, content] : includes) {
+    sources.register_file(name, content);
+  }
+  if (!base_directory.empty()) sources.set_base_directory(base_directory);
+  return sources;
+}
+
+bool load_request_schemas(bool syntax, const std::string& schemas_text,
+                          schema::SchemaSet& schemas,
+                          std::string& error_text) {
+  if (!syntax) return true;
+  if (schemas_text.empty()) {
+    schemas = schema::builtin_schemas();
+    return true;
+  }
+  support::DiagnosticEngine diags;
+  schema::load_schema_stream(schemas_text, schemas, diags);
+  if (!diags.has_errors()) return true;
+  error_text += diags.render();
+  return false;
+}
+
+uint64_t key_then_clamp(checkers::BatteryOptions& options,
+                        std::string_view schemas_text,
+                        const support::Deadline& deadline) {
+  const uint64_t key = fnv_combine(checkers::fingerprint(options),
+                                   support::fnv1a64(schemas_text));
+  uint64_t& budget = options.semantic.solver_timeout_ms;
+  if (!deadline.unlimited()) {
+    const uint64_t remaining = deadline.remaining_ms();
+    budget = std::max<uint64_t>(
+        1, budget == 0 ? remaining : std::min(budget, remaining));
+  }
+  return key;
+}
+
+api::CheckResult run_check(const api::CheckRequest& request,
+                           ArtifactStore& store,
+                           const support::Deadline& deadline) {
+  api::CheckResult out = check(request, store, deadline);
+  out.status = api::error_code_of_exit(out.exit_code);
   return out;
 }
 

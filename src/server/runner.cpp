@@ -2,22 +2,44 @@
 
 #include <utility>
 
+#include "server/check_service.hpp"
+#include "server/session.hpp"
+#include "support/strings.hpp"
+
 namespace llhsc::server {
 
-namespace {
-
-uint64_t fnv1a_extend(uint64_t h, const std::string& text) {
-  for (unsigned char ch : text) {
-    h ^= ch;
-    h *= 0x100000001b3ull;
+Json check_request_json(const api::CheckRequest& r) {
+  Json includes = Json::object();
+  for (const auto& [name, content] : r.includes) {
+    includes.set(name, Json::string(content));
   }
-  return h;
+  Json params = Json::object();
+  params.set("path", Json::string(r.path));
+  params.set("source", Json::string(r.source));
+  params.set("base_directory", Json::string(r.base_directory));
+  params.set("includes", std::move(includes));
+  params.set("format", Json::string(r.format));
+  params.set("lint", Json::boolean(r.lint));
+  params.set("crossref", Json::boolean(r.crossref));
+  params.set("graph", Json::boolean(r.graph));
+  params.set("syntax", Json::boolean(r.syntax));
+  params.set("semantics", Json::boolean(r.semantics));
+  params.set("quiet", Json::boolean(r.quiet));
+  params.set("stats", Json::boolean(r.stats));
+  params.set("backend", Json::string(r.backend));
+  params.set("schemas_text", Json::string(r.schemas_text));
+  params.set("schemas_path", Json::string(r.schemas_path));
+  params.set("disable_rule", Json::string(r.disable_rule));
+  params.set("rule_severity", Json::string(r.rule_severity));
+  params.set("solver_timeout_ms", Json::unsigned_integer(r.solver_timeout_ms));
+  params.set("plan", Json::boolean(r.plan));
+  params.set("cache_dir", Json::string(r.cache_dir));
+  params.set("baseline", Json::string(r.baseline_text));
+  return params;
 }
 
-}  // namespace
-
-CheckRequest check_request_from(const Json& params) {
-  CheckRequest r;
+api::CheckRequest check_request_from(const Json& params) {
+  api::CheckRequest r;
   r.path = params.at("path").as_string();
   r.source = params.at("source").as_string();
   r.base_directory = params.at("base_directory").as_string();
@@ -44,8 +66,8 @@ CheckRequest check_request_from(const Json& params) {
   return r;
 }
 
-SessionRequest session_request_from(const Json& params) {
-  SessionRequest r;
+api::SessionRequest session_request_from(const Json& params) {
+  api::SessionRequest r;
   r.core_source = params.at("core_source").as_string();
   r.core_name = params.at("core_name").as_string();
   r.deltas_source = params.at("deltas_source").as_string();
@@ -57,7 +79,7 @@ SessionRequest session_request_from(const Json& params) {
     r.includes.emplace_back(name, content.as_string());
   }
   for (const Json& p : params.at("products").items()) {
-    SessionProduct product;
+    api::SessionProduct product;
     product.name = p.at("name").as_string();
     for (const Json& f : p.at("features").items()) {
       product.features.insert(f.as_string());
@@ -83,7 +105,7 @@ SessionRequest session_request_from(const Json& params) {
   return r;
 }
 
-Json check_outcome_json(const CheckOutcome& outcome) {
+Json check_result_json(const api::CheckResult& outcome) {
   Json trace = Json::object();
   trace.set("tree_cache_hit", Json::boolean(outcome.trace.tree_cache_hit));
   trace.set("check_cache_hit", Json::boolean(outcome.trace.check_cache_hit));
@@ -108,7 +130,7 @@ Json check_outcome_json(const CheckOutcome& outcome) {
   return result;
 }
 
-Json store_stats_json(const StoreStats& s) {
+Json store_stats_json(const api::StoreStats& s) {
   Json j = Json::object();
   j.set("hits", Json::unsigned_integer(s.hits));
   j.set("misses", Json::unsigned_integer(s.misses));
@@ -126,9 +148,9 @@ Json store_stats_json(const StoreStats& s) {
   return j;
 }
 
-Json session_outcome_json(const SessionOutcome& outcome) {
+Json session_result_json(const api::SessionResult& outcome) {
   Json units = Json::array();
-  for (const SessionUnitResult& u : outcome.units) {
+  for (const api::SessionUnitResult& u : outcome.units) {
     Json unit = Json::object();
     unit.set("name", Json::string(u.name));
     unit.set("composed_cache_hit", Json::boolean(u.composed_cache_hit));
@@ -179,8 +201,8 @@ Json execute_request(const std::string& method, const Json& id,
   if (method == "check") {
     // The request deadline bounds solver work (key_then_clamp) without
     // changing the verdict key, so repeated requests still hit the store.
-    CheckOutcome outcome =
-        run_check(check_request_from(params), &store, deadline);
+    const api::CheckResult outcome =
+        run_check(check_request_from(params), store, deadline);
     counters.checks.fetch_add(1, std::memory_order_relaxed);
     counters.solver_checks.fetch_add(outcome.trace.solver_checks,
                                      std::memory_order_relaxed);
@@ -192,25 +214,18 @@ Json execute_request(const std::string& method, const Json& id,
                                   std::memory_order_relaxed);
     counters.cache_errors.fetch_add(outcome.trace.cache_errors,
                                     std::memory_order_relaxed);
-    return ok_response(id, check_outcome_json(outcome));
+    return ok_response(id, check_result_json(outcome));
   }
-  SessionOutcome outcome =
+  const api::SessionResult outcome =
       run_session_check(session_request_from(params), store, deadline);
   counters.sessions.fetch_add(1, std::memory_order_relaxed);
-  return ok_response(id, session_outcome_json(outcome));
+  return ok_response(id, session_result_json(outcome));
 }
 
 uint64_t shard_key(const std::string& method, const Json& params) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  if (method == "check") {
-    h = fnv1a_extend(h, params.at("path").as_string());
-    h = fnv1a_extend(h, params.at("source").as_string());
-  } else {
-    h = fnv1a_extend(h, params.at("core_name").as_string());
-    h = fnv1a_extend(h, params.at("core_source").as_string());
-    h = fnv1a_extend(h, params.at("deltas_source").as_string());
-  }
-  return h;
+  if (method == "check") return support::fnv1a64(params.at("path").as_string());
+  return support::fnv1a64(params.at("deltas_name").as_string(),
+                          support::fnv1a64(params.at("core_name").as_string()));
 }
 
 }  // namespace llhsc::server

@@ -1,20 +1,20 @@
 // The request-execution core of llhscd, factored out of the event loop so
 // the in-process mode (thread pool in the front-end process) and the forked
-// worker mode (`--workers N`) run the *same* code: JSON params -> typed
-// request, deadline clamping, run_check/run_session_check, outcome -> JSON,
-// and the exact response-line serialisation (field order + schema_version
-// stamp). Byte-identity between the two execution modes — and with the
-// one-shot CLI — holds by construction because there is exactly one
-// implementation of each step.
+// worker mode (`--workers N`) run the *same* code: JSON params -> api::
+// request, deadline clamping, run_check/run_session_check, api:: result ->
+// JSON, and the exact response-line serialisation (field order +
+// schema_version stamp). The check-request encoder the CLI's --socket/--tcp
+// client sends with sits beside its decoder. Byte-identity between the two
+// execution modes — and with the one-shot CLI — holds by construction
+// because there is exactly one implementation of each step.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <string>
 
+#include "api/llhsc.hpp"
 #include "server/artifact_store.hpp"
-#include "server/check_service.hpp"
-#include "server/session.hpp"
 #include "support/deadline.hpp"
 #include "support/json.hpp"
 
@@ -23,7 +23,7 @@ namespace llhsc::server {
 using support::Json;
 
 /// Cumulative check-work counters for `stats`, accumulated from each
-/// CheckOutcome's trace in whichever process ran the work. In worker mode
+/// CheckResult's trace in whichever process ran the work. In worker mode
 /// every worker keeps its own set and the front end sums them on demand.
 struct CheckCounters {
   std::atomic<uint64_t> checks{0};
@@ -35,11 +35,14 @@ struct CheckCounters {
   std::atomic<uint64_t> cache_errors{0};
 };
 
-[[nodiscard]] CheckRequest check_request_from(const Json& params);
-[[nodiscard]] SessionRequest session_request_from(const Json& params);
-[[nodiscard]] Json check_outcome_json(const CheckOutcome& outcome);
-[[nodiscard]] Json session_outcome_json(const SessionOutcome& outcome);
-[[nodiscard]] Json store_stats_json(const StoreStats& s);
+/// The `check` params of `r` — every field, so check_request_from() gives
+/// `r` back.
+[[nodiscard]] Json check_request_json(const api::CheckRequest& r);
+[[nodiscard]] api::CheckRequest check_request_from(const Json& params);
+[[nodiscard]] api::SessionRequest session_request_from(const Json& params);
+[[nodiscard]] Json check_result_json(const api::CheckResult& outcome);
+[[nodiscard]] Json session_result_json(const api::SessionResult& outcome);
+[[nodiscard]] Json store_stats_json(const api::StoreStats& s);
 
 /// {"id": id, "ok": true, "result": result} — unstamped.
 [[nodiscard]] Json ok_response(const Json& id, Json result);
@@ -63,9 +66,10 @@ struct CheckCounters {
                                    ArtifactStore& store,
                                    CheckCounters& counters);
 
-/// FNV-1a shard key over the request's primary content (check: path +
-/// source; session: core + deltas identity). Requests for the same source
-/// land on the same worker, so its in-memory ArtifactStore stays hot.
+/// FNV-1a shard key over the request's identity, not its content (check:
+/// `path`; session: `core_name` + `deltas_name`). Edits of the same file or
+/// session land on the same worker, so its in-memory ArtifactStore stays
+/// hot and a one-delta edit re-derives only the products it touches.
 [[nodiscard]] uint64_t shard_key(const std::string& method,
                                  const Json& params);
 

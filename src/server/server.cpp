@@ -81,7 +81,7 @@ Server::Connection::~Connection() {
   if (fd >= 0) ::close(fd);
 }
 
-Server::Server(ServerOptions options)
+Server::Server(api::ServerOptions options)
     : options_(std::move(options)), store_(options_.store_capacity) {}
 
 Server::~Server() = default;
@@ -400,7 +400,7 @@ void Server::handle_stats(const std::shared_ptr<Connection>& conn,
                 Json::unsigned_integer(latency_.percentile_micros(50)));
     latency.set("p95_us",
                 Json::unsigned_integer(latency_.percentile_micros(95)));
-    // Accumulated from each CheckOutcome's trace, which is itself a
+    // Accumulated from each CheckResult's trace, which is itself a
     // reduction of the obs event stream — the same source the one-shot
     // CLI's --stats line reads, so the two surfaces agree by construction.
     Json check_counters = Json::object();

@@ -22,12 +22,13 @@
 //   * forked workers (--workers N): the loop doubles as a supervisor. It
 //     forks N worker processes (each with its own ArtifactStore and thread
 //     pool) connected by socketpairs, shards admitted requests to them by
-//     content hash (same source -> same worker -> hot store), and relays
-//     each worker's response line to the client verbatim — so responses
-//     stay byte-identical to the one-shot CLI by construction. A worker
-//     that dies (kill -9, crash) is reaped via SIGCHLD, its in-flight
-//     requests are retried once on a surviving worker (check/session are
-//     pure functions of their request), and a replacement is forked.
+//     identity (same path or session -> same worker -> hot store), and
+//     relays each worker's response line to the client verbatim — so
+//     responses stay byte-identical to the one-shot CLI by construction. A
+//     worker that dies (kill -9, crash) is reaped via SIGCHLD, its
+//     in-flight requests are retried once on a surviving worker
+//     (check/session are pure functions of their request), and a
+//     replacement is forked.
 //     On-disk state shared across workers (the qc1 query cache) uses
 //     flock single-writer discipline with lock-free readers.
 //
@@ -59,6 +60,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "api/llhsc.hpp"
 #include "obs/obs.hpp"
 #include "server/artifact_store.hpp"
 #include "server/histogram.hpp"
@@ -71,42 +73,9 @@ namespace llhsc::server {
 /// The wire protocol generation reported by `hello`.
 constexpr int kProtocolVersion = 2;
 
-struct ServerOptions {
-  /// Unix-domain listener path ("" = no Unix listener; at least one of
-  /// socket_path / tcp_listen must be set).
-  std::string socket_path;
-  /// TCP listener as "host:port", ":port" or "port" (port 0 = ephemeral;
-  /// "" = no TCP listener).
-  std::string tcp_listen;
-  /// Forked worker processes (0 = run check/session work in-process).
-  unsigned workers = 0;
-  /// Worker threads for check/session execution (0 = hardware concurrency).
-  /// In forked mode this sizes each worker's pool.
-  unsigned jobs = 0;
-  /// Admitted (queued + running) check/session requests beyond this are
-  /// rejected with `overloaded`.
-  size_t queue_limit = 64;
-  /// Per-tenant admitted cap (0 = unlimited). Requests carry their tenant
-  /// in the optional "tenant" field; absent means the "" tenant.
-  size_t tenant_quota = 0;
-  /// Deadline applied to requests that do not carry their own deadline_ms
-  /// (0 = unlimited).
-  uint64_t default_deadline_ms = 0;
-  /// Per-class ArtifactStore capacity (per worker in forked mode).
-  size_t store_capacity = 512;
-  /// Request lines longer than this are rejected with `too_large`.
-  size_t max_line_bytes = 64 * 1024 * 1024;
-  /// Trace/log sink; null = stderr.
-  std::ostream* log = nullptr;
-  /// Chrome-trace profile written at shutdown ("" = no profiling).
-  /// In-process mode only: forked workers run their checks in other
-  /// processes, so their spans are not exported (a warning is logged).
-  std::string profile_path;
-};
-
 class Server {
  public:
-  explicit Server(ServerOptions options);
+  explicit Server(api::ServerOptions options);
   ~Server();
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
@@ -238,7 +207,7 @@ class Server {
 
   void log_line(const std::string& text);
 
-  ServerOptions options_;
+  api::ServerOptions options_;
   ArtifactStore store_;  // in-process mode only (workers own theirs)
   std::unique_ptr<support::ThreadPool> pool_;
 

@@ -4,18 +4,18 @@
 
 #include "checkers/graph/rules.hpp"
 #include "checkers/resource_allocation.hpp"
-#include "lift/lift.hpp"
 #include "dts/printer.hpp"
-#include "schema/builtin_schemas.hpp"
-#include "schema/yaml_lite.hpp"
+#include "lift/lift.hpp"
+#include "server/check_service.hpp"
 #include "support/strings.hpp"
 
 namespace llhsc::server {
 
 namespace {
 
-StoreStats stats_delta(const StoreStats& before, const StoreStats& after) {
-  StoreStats d;
+api::StoreStats stats_delta(const api::StoreStats& before,
+                            const api::StoreStats& after) {
+  api::StoreStats d;
   d.hits = after.hits - before.hits;
   d.misses = after.misses - before.misses;
   d.evictions = after.evictions - before.evictions;
@@ -32,26 +32,49 @@ StoreStats stats_delta(const StoreStats& before, const StoreStats& after) {
   return d;
 }
 
+/// Counts and renders `findings` into `unit`, then appends it.
+void add_unit(api::SessionResult& out, api::SessionUnitResult unit,
+              const checkers::Findings& findings) {
+  unit.errors = checkers::error_count(findings);
+  unit.warnings = findings.size() - unit.errors;
+  unit.report = checkers::render(findings);
+  out.units.push_back(std::move(unit));
+}
+
+/// The feature model the `what` check needs, or null with the request's
+/// error recorded: exit 2 without a model, 1 when it does not parse.
+std::shared_ptr<const ModelArtifact> load_model(
+    const api::SessionRequest& request, const char* what,
+    ArtifactStore& store, api::SessionResult& out) {
+  if (request.model_source.empty()) {
+    out.error_text += std::string(what) + " requires a feature model\n";
+    out.exit_code = 2;
+    return nullptr;
+  }
+  auto model = store.model(request.model_source, request.model_name);
+  if (model->parse_errors || model->model == nullptr) {
+    out.error_text += model->diagnostics_text;
+    out.exit_code = 1;
+    return nullptr;
+  }
+  return model;
+}
+
 }  // namespace
 
-SessionOutcome run_session_check(const SessionRequest& request,
-                                 ArtifactStore& store,
-                                 const support::Deadline& deadline) {
-  SessionOutcome out;
-  const StoreStats before = store.stats();
+api::SessionResult run_session_check(const api::SessionRequest& request,
+                                     ArtifactStore& store,
+                                     const support::Deadline& deadline) {
+  api::SessionResult out;
+  const api::StoreStats before = store.stats();
   auto finish = [&]() {
     out.cost = stats_delta(before, store.stats());
+    out.status = api::error_code_of_exit(out.exit_code);
     return out;
   };
 
-  dts::SourceManager sources;
-  for (const auto& [name, content] : request.includes) {
-    sources.register_file(name, content);
-  }
-  if (!request.base_directory.empty()) {
-    sources.set_base_directory(request.base_directory);
-  }
-
+  dts::SourceManager sources =
+      request_sources(request.includes, request.base_directory);
   auto core = store.tree(request.core_source, request.core_name, sources);
   if (core->parse_errors) {
     out.error_text += core->diagnostics_text;
@@ -74,18 +97,10 @@ SessionOutcome run_session_check(const SessionRequest& request,
   // Schema-set parse errors reject the whole request up front, exactly once
   // — never from inside a cached verdict.
   schema::SchemaSet schemas;
-  if (request.syntax) {
-    if (!request.schemas_text.empty()) {
-      support::DiagnosticEngine diags;
-      schema::load_schema_stream(request.schemas_text, schemas, diags);
-      if (diags.has_errors()) {
-        out.error_text += diags.render();
-        out.exit_code = 2;
-        return finish();
-      }
-    } else {
-      schemas = schema::builtin_schemas();
-    }
+  if (!load_request_schemas(request.syntax, request.schemas_text, schemas,
+                            out.error_text)) {
+    out.exit_code = 2;
+    return finish();
   }
 
   // The per-unit battery: the pipeline's stage set, so the cross-reference
@@ -102,17 +117,8 @@ SessionOutcome run_session_check(const SessionRequest& request,
 
   // -- Allocation (global over every product, like the pipeline's stage 1) --
   if (request.check_allocation) {
-    if (request.model_source.empty()) {
-      out.error_text += "check_allocation requires a feature model\n";
-      out.exit_code = 2;
-      return finish();
-    }
-    auto model = store.model(request.model_source, request.model_name);
-    if (model->parse_errors || model->model == nullptr) {
-      out.error_text += model->diagnostics_text;
-      out.exit_code = 1;
-      return finish();
-    }
+    auto model = load_model(request, "check_allocation", store, out);
+    if (model == nullptr) return finish();
     std::vector<feature::FeatureId> exclusive;
     for (const std::string& name : request.exclusive) {
       auto id = model->model->find(name);
@@ -127,7 +133,7 @@ SessionOutcome run_session_check(const SessionRequest& request,
     ks << request.backend << '\n';
     for (const std::string& name : request.exclusive) ks << name << ' ';
     ks << '\n';
-    for (const SessionProduct& p : request.products) {
+    for (const api::SessionProduct& p : request.products) {
       for (const std::string& f : p.features) ks << f << ' ';
       ks << '\n';
     }
@@ -140,19 +146,16 @@ SessionOutcome run_session_check(const SessionRequest& request,
                                               options.backend);
       std::vector<std::set<std::string>> features;
       features.reserve(request.products.size());
-      for (const SessionProduct& p : request.products) {
+      for (const api::SessionProduct& p : request.products) {
         features.push_back(p.features);
       }
       art.findings = rac.check(features);
       checkers::sort_by_location(art.findings);
       return art;
     });
-    SessionUnitResult unit;
+    api::SessionUnitResult unit;
     unit.name = "*";
-    unit.errors = checkers::error_count(alloc->findings);
-    unit.warnings = alloc->findings.size() - unit.errors;
-    unit.report = checkers::render(alloc->findings);
-    out.units.push_back(std::move(unit));
+    add_unit(out, std::move(unit), alloc->findings);
   }
 
   // -- Lifted family analysis: one unit whose verdict covers EVERY
@@ -162,17 +165,8 @@ SessionOutcome run_session_check(const SessionRequest& request,
   // editing any input re-runs exactly one family analysis and everything
   // else stays cached.
   if (request.check_lifted) {
-    if (request.model_source.empty()) {
-      out.error_text += "check_lifted requires a feature model\n";
-      out.exit_code = 2;
-      return finish();
-    }
-    auto model = store.model(request.model_source, request.model_name);
-    if (model->parse_errors || model->model == nullptr) {
-      out.error_text += model->diagnostics_text;
-      out.exit_code = 1;
-      return finish();
-    }
+    auto model = load_model(request, "check_lifted", store, out);
+    if (model == nullptr) return finish();
     std::ostringstream ks;
     ks << request.backend << '\n' << request.lifted_max_configs << '\n';
     for (const std::string& name : request.exclusive) ks << name << ' ';
@@ -180,7 +174,7 @@ SessionOutcome run_session_check(const SessionRequest& request,
         fnv_combine(support::fnv1a64(ks.str()), 0x6c696674u /*"lift"*/);
     lifted_key = fnv_combine(lifted_key, pl->key);
     lifted_key = fnv_combine(lifted_key, model->key);
-    SessionUnitResult unit;
+    api::SessionUnitResult unit;
     unit.name = "*lifted*";
     auto verdict = store.lifted_check(
         lifted_key,
@@ -206,18 +200,15 @@ SessionOutcome run_session_check(const SessionRequest& request,
           return art;
         },
         &unit.check_cache_hit);
-    unit.errors = checkers::error_count(verdict->findings);
-    unit.warnings = verdict->findings.size() - unit.errors;
-    unit.report = checkers::render(verdict->findings);
-    out.units.push_back(std::move(unit));
+    add_unit(out, std::move(unit), verdict->findings);
   }
 
   // -- Per-product units, platform (union of selections) last --
-  std::vector<SessionProduct> units = request.products;
+  std::vector<api::SessionProduct> units = request.products;
   if (request.check_platform) {
-    SessionProduct platform;
+    api::SessionProduct platform;
     platform.name = "platform";
-    for (const SessionProduct& p : request.products) {
+    for (const api::SessionProduct& p : request.products) {
       platform.features.insert(p.features.begin(), p.features.end());
     }
     units.push_back(std::move(platform));
@@ -233,7 +224,7 @@ SessionOutcome run_session_check(const SessionRequest& request,
   };
   std::vector<ProductGraphInput> product_graphs;
 
-  for (const SessionProduct& product : units) {
+  for (const api::SessionProduct& product : units) {
     support::DiagnosticEngine order_diags;
     auto order = product_line.application_order(product.features, order_diags);
     if (!order) {
@@ -250,7 +241,7 @@ SessionOutcome run_session_check(const SessionRequest& request,
       composed_key = fnv_combine(composed_key, deltas->module_keys[idx]);
     }
 
-    SessionUnitResult unit;
+    api::SessionUnitResult unit;
     unit.name = product.name;
     auto composed = store.composed(
         composed_key,
@@ -280,22 +271,24 @@ SessionOutcome run_session_check(const SessionRequest& request,
           // The unit's device graph is a separate keyed artifact under the
           // composed key: a one-delta edit re-derives exactly the affected
           // units' composed trees, and therefore exactly their graphs.
-          std::shared_ptr<const checkers::graph::DeviceGraph> graph;
+          checkers::BatteryOptions unit_options = options;
           if (request.graph) {
-            graph = store.graph(composed_key, composed->tree)->graph;
+            unit_options.graph_source =
+                [&](const checkers::crossref::AnalysisContext& ctx) {
+                  return store.graph(composed_key, composed->tree, nullptr,
+                                     &ctx)
+                      ->graph;
+                };
           }
-          const checkers::BatteryResult checked = checkers::run_battery(
-              *composed->tree, options, std::move(graph));
+          const checkers::BatteryResult checked =
+              checkers::run_battery(*composed->tree, unit_options);
           checkers::Findings findings = checked.all();
           checkers::sort_by_location(findings);
           return CheckArtifact{checked.counters, check_key,
                                std::move(findings)};
         },
         &unit.check_cache_hit);
-    unit.errors = checkers::error_count(verdict->findings);
-    unit.warnings = verdict->findings.size() - unit.errors;
-    unit.report = checkers::render(verdict->findings);
-    out.units.push_back(std::move(unit));
+    add_unit(out, std::move(unit), verdict->findings);
 
     if (request.graph && product.name != "platform") {
       product_graphs.push_back({product.name, composed_key, composed});
@@ -333,18 +326,15 @@ SessionOutcome run_session_check(const SessionRequest& request,
         },
         &cross_hit);
     if (!cross->findings.empty()) {
-      SessionUnitResult unit;
+      api::SessionUnitResult unit;
       unit.name = "*graph*";
       unit.check_cache_hit = cross_hit;
-      unit.errors = checkers::error_count(cross->findings);
-      unit.warnings = cross->findings.size() - unit.errors;
-      unit.report = checkers::render(cross->findings);
-      out.units.push_back(std::move(unit));
+      add_unit(out, std::move(unit), cross->findings);
     }
   }
 
   if (out.exit_code == 0) {
-    for (const SessionUnitResult& u : out.units) {
+    for (const api::SessionUnitResult& u : out.units) {
       if (u.errors > 0) {
         out.exit_code = 1;
         break;

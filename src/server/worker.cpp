@@ -21,7 +21,7 @@ using Clock = std::chrono::steady_clock;
 
 /// Everything one worker process needs; lives on worker_main's stack.
 struct WorkerState {
-  const ServerOptions* options;
+  const api::ServerOptions* options;
   unsigned index;
   int channel_fd;
   ArtifactStore store;
@@ -29,7 +29,7 @@ struct WorkerState {
   std::mutex write_mutex;
   std::mutex log_mutex;
 
-  WorkerState(const ServerOptions& opts, unsigned index, int fd)
+  WorkerState(const api::ServerOptions& opts, unsigned index, int fd)
       : options(&opts),
         index(index),
         channel_fd(fd),
@@ -138,7 +138,8 @@ struct WorkerState {
 
 }  // namespace
 
-int worker_main(int channel_fd, const ServerOptions& options, unsigned index) {
+int worker_main(int channel_fd, const api::ServerOptions& options,
+                unsigned index) {
   // Shutdown arrives as channel EOF from the supervisor, never as a signal:
   // a terminal SIGINT/SIGTERM aimed at the process group must not kill a
   // worker mid-drain while the supervisor still owes clients responses.

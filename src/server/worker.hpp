@@ -25,6 +25,7 @@ namespace llhsc::server {
 
 /// Runs the worker loop on `channel_fd`. Returns the process exit code.
 /// `index` names the worker in log lines ("llhscd[w<index>]: ...").
-int worker_main(int channel_fd, const ServerOptions& options, unsigned index);
+int worker_main(int channel_fd, const api::ServerOptions& options,
+                unsigned index);
 
 }  // namespace llhsc::server

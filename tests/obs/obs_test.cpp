@@ -169,7 +169,7 @@ TEST(ChromeTrace, ExportHasThePerfettoShape) {
 }
 
 TEST(ChromeTrace, GoldenEventNamesFromARealCheck) {
-  server::CheckRequest request;
+  api::CheckRequest request;
   request.path = "golden.dts";
   // Two overlapping regions: the pair survives the planner's structural
   // prefilter, so the solver genuinely runs and the stream carries
@@ -183,10 +183,10 @@ TEST(ChromeTrace, GoldenEventNamesFromARealCheck) {
 };
 )";
   TraceSink sink;
-  server::CheckOutcome outcome;
+  api::CheckResult outcome;
   {
     ScopedSink guard(&sink);
-    outcome = server::run_check(request, nullptr);
+    outcome = api::run_check(request);
   }
   ASSERT_EQ(outcome.exit_code, 1) << outcome.error_text;  // the overlap
   const std::vector<Event> events = sink.take();

@@ -24,8 +24,8 @@ constexpr const char* kClashingSoc = R"(/ {
 };
 )";
 
-CheckRequest include_request(const char* soc_content) {
-  CheckRequest r;
+api::CheckRequest include_request(const char* soc_content) {
+  api::CheckRequest r;
   r.path = "top.dts";
   r.source = "/dts-v1/;\n/include/ \"soc.dtsi\"\n";
   r.includes.emplace_back("soc.dtsi", soc_content);
@@ -34,13 +34,13 @@ CheckRequest include_request(const char* soc_content) {
 
 TEST(CheckService, IncludeEditChangesCachedVerdict) {
   ArtifactStore store;
-  CheckOutcome clean = run_check(include_request(kCleanSoc), &store);
+  api::CheckResult clean = run_check(include_request(kCleanSoc), store);
   EXPECT_EQ(clean.exit_code, 0) << clean.error_text;
   EXPECT_EQ(clean.errors, 0u);
 
   // Same main source, same options — only the .dtsi changed. The stale
   // verdict must NOT come back from the unit-check cache.
-  CheckOutcome clash = run_check(include_request(kClashingSoc), &store);
+  api::CheckResult clash = run_check(include_request(kClashingSoc), store);
   EXPECT_FALSE(clash.trace.tree_cache_hit);
   EXPECT_FALSE(clash.trace.check_cache_hit)
       << "verdict key must change when an include changes";
@@ -48,14 +48,14 @@ TEST(CheckService, IncludeEditChangesCachedVerdict) {
   EXPECT_GT(clash.errors, 0u) << "the uart/memory clash must surface";
 
   // And the cached-store answer matches the storeless one byte-for-byte.
-  CheckOutcome oneshot = run_check(include_request(kClashingSoc), nullptr);
+  api::CheckResult oneshot = api::run_check(include_request(kClashingSoc));
   EXPECT_EQ(clash.output, oneshot.output);
   EXPECT_EQ(clash.error_text, oneshot.error_text);
   EXPECT_EQ(clash.exit_code, oneshot.exit_code);
 
   // Restoring the original include restores the clean verdict as a pure
   // cache hit: both keys stay live in the store.
-  CheckOutcome restored = run_check(include_request(kCleanSoc), &store);
+  api::CheckResult restored = run_check(include_request(kCleanSoc), store);
   EXPECT_TRUE(restored.trace.check_cache_hit);
   EXPECT_EQ(restored.exit_code, 0);
   EXPECT_EQ(restored.output, clean.output);

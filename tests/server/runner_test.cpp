@@ -83,5 +83,57 @@ TEST(RunnerDeadline, RepeatedSessionRechecksNoUnit) {
   EXPECT_EQ(warm.at("result").at("cost").at("unit_checks").as_uint(), 0u);
 }
 
+// The CLI's --socket/--tcp client encodes with check_request_json and the
+// daemon decodes with check_request_from: every field survives the wire.
+TEST(RunnerCodec, CheckRequestRoundTripsEveryField) {
+  api::CheckRequest r;
+  r.path = "boards/board.dts";
+  r.source = kBoard;
+  r.base_directory = "/abs/boards";
+  r.includes = {{"a.dtsi", "/ { a; };\n"}, {"b.dtsi", "/ { b; };\n"}};
+  r.format = "sarif";
+  r.lint = false;
+  r.crossref = false;
+  r.graph = false;
+  r.syntax = false;
+  r.semantics = false;
+  r.quiet = true;
+  r.stats = true;
+  r.backend = "z3";
+  r.schemas_text = "$id: x\n";
+  r.schemas_path = "schemas.yaml";
+  r.disable_rule = "phandle-unresolved";
+  r.rule_severity = "provider-orphan=error";
+  r.solver_timeout_ms = 1234;
+  r.plan = false;
+  r.cache_dir = "/abs/qc";
+  r.baseline_text = "{\"findings\": []}";
+
+  const auto wire = Json::parse(check_request_json(r).dump());
+  ASSERT_TRUE(wire.has_value());
+  const api::CheckRequest back = check_request_from(*wire);
+  EXPECT_EQ(back.path, r.path);
+  EXPECT_EQ(back.source, r.source);
+  EXPECT_EQ(back.base_directory, r.base_directory);
+  EXPECT_EQ(back.includes, r.includes);
+  EXPECT_EQ(back.format, r.format);
+  EXPECT_EQ(back.lint, r.lint);
+  EXPECT_EQ(back.crossref, r.crossref);
+  EXPECT_EQ(back.graph, r.graph);
+  EXPECT_EQ(back.syntax, r.syntax);
+  EXPECT_EQ(back.semantics, r.semantics);
+  EXPECT_EQ(back.quiet, r.quiet);
+  EXPECT_EQ(back.stats, r.stats);
+  EXPECT_EQ(back.backend, r.backend);
+  EXPECT_EQ(back.schemas_text, r.schemas_text);
+  EXPECT_EQ(back.schemas_path, r.schemas_path);
+  EXPECT_EQ(back.disable_rule, r.disable_rule);
+  EXPECT_EQ(back.rule_severity, r.rule_severity);
+  EXPECT_EQ(back.solver_timeout_ms, r.solver_timeout_ms);
+  EXPECT_EQ(back.plan, r.plan);
+  EXPECT_EQ(back.cache_dir, r.cache_dir);
+  EXPECT_EQ(back.baseline_text, r.baseline_text);
+}
+
 }  // namespace
 }  // namespace llhsc::server

@@ -142,14 +142,15 @@ Json check_request(int id, const std::string& source) {
 class ServerFixture {
  public:
   explicit ServerFixture(size_t queue_limit = 64)
-      : ServerFixture([queue_limit](ServerOptions& options) {
+      : ServerFixture([queue_limit](api::ServerOptions& options) {
           options.queue_limit = queue_limit;
         }) {}
 
-  explicit ServerFixture(const std::function<void(ServerOptions&)>& tweak) {
+  explicit ServerFixture(
+      const std::function<void(api::ServerOptions&)>& tweak) {
     char tmpl[] = "/tmp/llhscd_test_XXXXXX";
     dir_ = ::mkdtemp(tmpl);
-    ServerOptions options;
+    api::ServerOptions options;
     options.socket_path = dir_ + "/d.sock";
     options.jobs = 4;
     options.log = &log_;
@@ -224,10 +225,10 @@ TEST(Server, CheckResponseMatchesRunCheckBytes) {
   ASSERT_TRUE(response->at("ok").as_bool()) << response->dump();
   const Json& result = response->at("result");
 
-  CheckRequest local;
+  api::CheckRequest local;
   local.path = "test.dts";
   local.source = kDts;
-  CheckOutcome expected = run_check(local, nullptr);
+  api::CheckResult expected = api::run_check(local);
   EXPECT_EQ(result.at("exit_code").as_int(), expected.exit_code);
   EXPECT_EQ(result.at("stdout").as_string(), expected.output);
   EXPECT_EQ(result.at("stderr").as_string(), expected.error_text);
@@ -385,7 +386,7 @@ TEST(Server, RefusesToStealALiveSocket) {
 
   // A second daemon pointed at the same path must refuse to start instead
   // of unlinking the live socket out from under the first.
-  ServerOptions options;
+  api::ServerOptions options;
   options.socket_path = fixture.socket_path();
   std::ostringstream log;
   options.log = &log;
@@ -492,7 +493,7 @@ TEST(Server, V1RepliesKeepSchemaVersionOne) {
 }
 
 TEST(Server, TcpListenerServesChecksIdentically) {
-  ServerFixture fixture([](ServerOptions& options) {
+  ServerFixture fixture([](api::ServerOptions& options) {
     options.tcp_listen = "127.0.0.1:0";
   });
   const uint16_t port = fixture.tcp_port();
@@ -505,17 +506,17 @@ TEST(Server, TcpListenerServesChecksIdentically) {
   ASSERT_TRUE(response->at("ok").as_bool(false)) << response->dump();
   EXPECT_EQ(response->at("schema_version").as_int(), 1);
 
-  CheckRequest local;
+  api::CheckRequest local;
   local.path = "test.dts";
   local.source = kDts;
-  CheckOutcome expected = run_check(local, nullptr);
+  api::CheckResult expected = api::run_check(local);
   EXPECT_EQ(response->at("result").at("stdout").as_string(), expected.output);
   EXPECT_EQ(response->at("result").at("exit_code").as_int(),
             expected.exit_code);
 }
 
 TEST(Server, ConcurrentTcpAndUnixClients) {
-  ServerFixture fixture([](ServerOptions& options) {
+  ServerFixture fixture([](api::ServerOptions& options) {
     options.tcp_listen = "127.0.0.1:0";
   });
   const uint16_t port = fixture.tcp_port();
@@ -594,7 +595,7 @@ class HeldInclude {
 };
 
 TEST(Server, TenantQuotaRejectsTheSecondAdmission) {
-  ServerFixture fixture([](ServerOptions& options) {
+  ServerFixture fixture([](api::ServerOptions& options) {
     options.tenant_quota = 1;
     options.jobs = 2;
   });
@@ -653,7 +654,7 @@ TEST(Server, TenantQuotaRejectsTheSecondAdmission) {
 }
 
 TEST(Server, OversizedLineIsTooLargeAndTheConnectionResyncs) {
-  ServerFixture fixture([](ServerOptions& options) {
+  ServerFixture fixture([](api::ServerOptions& options) {
     options.max_line_bytes = 1024;
   });
   Client client(fixture.socket_path());
@@ -675,7 +676,7 @@ TEST(Server, OversizedLineIsTooLargeAndTheConnectionResyncs) {
 // `Server\.` and must not fork (TSan cannot start threads after a
 // multi-threaded fork); release/ASan ctest runs everything.
 TEST(ServerWorkers, CheckBytesMatchTheInProcessPath) {
-  ServerFixture fixture([](ServerOptions& options) {
+  ServerFixture fixture([](api::ServerOptions& options) {
     options.workers = 2;
     options.jobs = 1;
   });
@@ -687,10 +688,10 @@ TEST(ServerWorkers, CheckBytesMatchTheInProcessPath) {
   ASSERT_TRUE(response->at("ok").as_bool(false)) << response->dump();
   EXPECT_EQ(response->at("schema_version").as_int(), 1);
 
-  CheckRequest local;
+  api::CheckRequest local;
   local.path = "test.dts";
   local.source = kDts;
-  CheckOutcome expected = run_check(local, nullptr);
+  api::CheckResult expected = api::run_check(local);
   EXPECT_EQ(response->at("result").at("stdout").as_string(), expected.output);
   EXPECT_EQ(response->at("result").at("stderr").as_string(),
             expected.error_text);
@@ -699,7 +700,7 @@ TEST(ServerWorkers, CheckBytesMatchTheInProcessPath) {
 }
 
 TEST(ServerWorkers, StatsAggregateAcrossWorkersIsVersionTwo) {
-  ServerFixture fixture([](ServerOptions& options) {
+  ServerFixture fixture([](api::ServerOptions& options) {
     options.workers = 2;
     options.jobs = 1;
   });
@@ -723,7 +724,7 @@ TEST(ServerWorkers, StatsAggregateAcrossWorkersIsVersionTwo) {
 }
 
 TEST(ServerWorkers, SessionRequestIsShardedAndAnswered) {
-  ServerFixture fixture([](ServerOptions& options) {
+  ServerFixture fixture([](api::ServerOptions& options) {
     options.workers = 2;
     options.jobs = 1;
   });
@@ -757,8 +758,55 @@ TEST(ServerWorkers, SessionRequestIsShardedAndAnswered) {
   EXPECT_EQ(response->at("result").at("cost").at("derives").as_uint(), 1u);
 }
 
+// Sessions shard by identity (core_name + deltas_name), not by content: a
+// one-module edit reaches the worker that holds the session's composed
+// trees, so only the product that activates the edited module re-derives.
+TEST(ServerWorkers, OneDeltaEditLandsOnTheWarmWorker) {
+  ServerFixture fixture([](api::ServerOptions& options) {
+    options.workers = 4;
+    options.jobs = 1;
+  });
+  Client client(fixture.socket_path());
+  ASSERT_TRUE(client.connected());
+  auto session = [&](int id, const std::string& db_frequency) {
+    Json products = Json::array();
+    for (const char* name : {"a", "b"}) {
+      Json product = Json::object();
+      product.set("name", Json::string(std::string("p") + name));
+      product.set("features",
+                  Json::array().push(Json::string(std::string("f") + name)));
+      products.push(std::move(product));
+    }
+    Json params = Json::object();
+    params.set("core_source", Json::string(kDts));
+    params.set("core_name", Json::string("core.dts"));
+    params.set("deltas_source",
+               Json::string("delta da when fa {\n"
+                            "    modifies memory@40000000 { status = \"okay\"; }\n"
+                            "}\n"
+                            "delta db when fb {\n"
+                            "    modifies memory@40000000 { clock-frequency = <" +
+                            db_frequency + ">; }\n}\n"));
+    params.set("deltas_name", Json::string("board.deltas"));
+    params.set("products", std::move(products));
+    Json request = Json::object();
+    request.set("id", Json::integer(id));
+    request.set("method", Json::string("session"));
+    request.set("params", std::move(params));
+    EXPECT_TRUE(client.send_line(request.dump()));
+    auto response = client.recv_response();
+    EXPECT_TRUE(response.has_value());
+    if (!response.has_value()) return Json::object();
+    EXPECT_TRUE(response->at("ok").as_bool(false)) << response->dump();
+    return response->at("result");
+  };
+  EXPECT_EQ(session(1, "1000000").at("cost").at("derives").as_uint(), 2u);
+  // The edit touches module db only: pb re-derives, pa is reused.
+  EXPECT_EQ(session(2, "2000000").at("cost").at("derives").as_uint(), 1u);
+}
+
 TEST(ServerWorkers, KillDashNineIsSurvivedWithNoLostResponse) {
-  ServerFixture fixture([](ServerOptions& options) {
+  ServerFixture fixture([](api::ServerOptions& options) {
     options.workers = 2;
     options.jobs = 1;
   });

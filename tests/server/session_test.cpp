@@ -22,8 +22,8 @@ constexpr const char* kDeltas =
     "    modifies memory@40000000 { status = \"okay\"; }\n"
     "}\n";
 
-SessionRequest base_request() {
-  SessionRequest r;
+api::SessionRequest base_request() {
+  api::SessionRequest r;
   r.core_source = kCore;
   r.core_name = "core.dts";
   r.deltas_source = kDeltas;
@@ -35,7 +35,7 @@ SessionRequest base_request() {
 
 TEST(Session, ColdRunChecksEveryProduct) {
   ArtifactStore store;
-  SessionOutcome out = run_session_check(base_request(), store);
+  api::SessionResult out = run_session_check(base_request(), store);
   EXPECT_EQ(out.exit_code, 0) << out.error_text;
   ASSERT_EQ(out.units.size(), 2u);
   EXPECT_EQ(out.units[0].name, "pa");
@@ -52,7 +52,7 @@ TEST(Session, ColdRunChecksEveryProduct) {
 TEST(Session, WarmRunIsAllHits) {
   ArtifactStore store;
   (void)run_session_check(base_request(), store);
-  SessionOutcome out = run_session_check(base_request(), store);
+  api::SessionResult out = run_session_check(base_request(), store);
   EXPECT_EQ(out.exit_code, 0) << out.error_text;
   ASSERT_EQ(out.units.size(), 2u);
   EXPECT_TRUE(out.units[0].composed_cache_hit);
@@ -70,7 +70,7 @@ TEST(Session, EditingOneModuleRechecksOnlyItsProduct) {
   (void)run_session_check(base_request(), store);
 
   // Edit db's body: pb must re-derive and re-check, pa must stay cached.
-  SessionRequest edited = base_request();
+  api::SessionRequest edited = base_request();
   edited.deltas_source =
       "delta da when fa {\n"
       "    modifies uart@20000000 { clock-frequency = <1000000>; }\n"
@@ -78,7 +78,7 @@ TEST(Session, EditingOneModuleRechecksOnlyItsProduct) {
       "delta db when fb {\n"
       "    modifies memory@40000000 { status = \"disabled\"; }\n"
       "}\n";
-  SessionOutcome out = run_session_check(edited, store);
+  api::SessionResult out = run_session_check(edited, store);
   EXPECT_EQ(out.exit_code, 0) << out.error_text;
   ASSERT_EQ(out.units.size(), 2u);
   EXPECT_TRUE(out.units[0].composed_cache_hit) << "pa does not activate db";
@@ -102,21 +102,21 @@ TEST(Session, IncludeEditRebuildsEveryUnit) {
 };
 )";
   ArtifactStore store;
-  SessionRequest request = base_request();
+  api::SessionRequest request = base_request();
   request.core_source = "/dts-v1/;\n/include/ \"soc.dtsi\"\n";
   request.includes.emplace_back("soc.dtsi", kSocV1);
-  SessionOutcome cold = run_session_check(request, store);
+  api::SessionResult cold = run_session_check(request, store);
   EXPECT_EQ(cold.exit_code, 0) << cold.error_text;
   EXPECT_EQ(cold.cost.derives, 2u);
 
-  SessionOutcome warm = run_session_check(request, store);
+  api::SessionResult warm = run_session_check(request, store);
   EXPECT_EQ(warm.cost.tree_parses, 0u);
   EXPECT_EQ(warm.cost.derives, 0u) << "unchanged include must stay cached";
 
   // Edit only the .dtsi: the core's effective key changes, so the product
   // line, every composed tree, and every verdict must rebuild — a cached
   // unit check here would be a verdict over the old include content.
-  SessionRequest edited = request;
+  api::SessionRequest edited = request;
   edited.includes[0].second = R"(/ {
     #address-cells = <1>;
     #size-cells = <1>;
@@ -124,7 +124,7 @@ TEST(Session, IncludeEditRebuildsEveryUnit) {
     uart0: uart@20000000 { compatible = "ns16550a"; reg = <0x20000000 0x1000>; };
 };
 )";
-  SessionOutcome out = run_session_check(edited, store);
+  api::SessionResult out = run_session_check(edited, store);
   EXPECT_EQ(out.exit_code, 0) << out.error_text;
   ASSERT_EQ(out.units.size(), 2u);
   EXPECT_FALSE(out.units[0].composed_cache_hit);
@@ -140,19 +140,19 @@ TEST(Session, IncludeEditRebuildsEveryUnit) {
 
 TEST(Session, GraphArtifactsRederiveOnlyForEditedUnits) {
   ArtifactStore store;
-  SessionOutcome cold = run_session_check(base_request(), store);
+  api::SessionResult cold = run_session_check(base_request(), store);
   EXPECT_EQ(cold.exit_code, 0) << cold.error_text;
   EXPECT_EQ(cold.cost.graph_builds, 2u) << "one device graph per product";
   EXPECT_EQ(cold.cost.cross_checks, 1u);
 
-  SessionOutcome warm = run_session_check(base_request(), store);
+  api::SessionResult warm = run_session_check(base_request(), store);
   EXPECT_EQ(warm.cost.graph_builds, 0u) << "unchanged trees, cached graphs";
   EXPECT_EQ(warm.cost.cross_checks, 0u);
 
   // One-delta edit: only pb's composed tree changes, so only pb's graph
   // artifact re-derives; the cross-unit verdict keys on both graphs and
   // must re-run exactly once.
-  SessionRequest edited = base_request();
+  api::SessionRequest edited = base_request();
   edited.deltas_source =
       "delta da when fa {\n"
       "    modifies uart@20000000 { clock-frequency = <1000000>; }\n"
@@ -160,7 +160,7 @@ TEST(Session, GraphArtifactsRederiveOnlyForEditedUnits) {
       "delta db when fb {\n"
       "    modifies memory@40000000 { status = \"disabled\"; }\n"
       "}\n";
-  SessionOutcome out = run_session_check(edited, store);
+  api::SessionResult out = run_session_check(edited, store);
   EXPECT_EQ(out.exit_code, 0) << out.error_text;
   EXPECT_EQ(out.cost.derives, 1u);
   EXPECT_EQ(out.cost.graph_builds, 1u) << "only pb's graph rebuilds";
@@ -169,9 +169,9 @@ TEST(Session, GraphArtifactsRederiveOnlyForEditedUnits) {
 
 TEST(Session, GraphDisabledBuildsNoGraphArtifacts) {
   ArtifactStore store;
-  SessionRequest request = base_request();
+  api::SessionRequest request = base_request();
   request.graph = false;
-  SessionOutcome out = run_session_check(request, store);
+  api::SessionResult out = run_session_check(request, store);
   EXPECT_EQ(out.exit_code, 0) << out.error_text;
   EXPECT_EQ(out.cost.graph_builds, 0u);
   EXPECT_EQ(out.cost.cross_checks, 0u);
@@ -198,15 +198,15 @@ TEST(Session, CrossUnitConflictSurfacesAsGraphUnit) {
 };
 )";
   ArtifactStore store;
-  SessionRequest request = base_request();
+  api::SessionRequest request = base_request();
   request.core_source = kClockedCore;
   request.lint = false;
   request.syntax = false;
   request.semantics = false;
-  SessionOutcome out = run_session_check(request, store);
+  api::SessionResult out = run_session_check(request, store);
   EXPECT_EQ(out.exit_code, 1);
   ASSERT_GE(out.units.size(), 3u);
-  const SessionUnitResult& cross = out.units.back();
+  const api::SessionUnitResult& cross = out.units.back();
   EXPECT_EQ(cross.name, "*graph*");
   EXPECT_EQ(cross.errors, 1u);
   EXPECT_NE(cross.report.find("graph-exclusive-provider"), std::string::npos)
@@ -216,7 +216,7 @@ TEST(Session, CrossUnitConflictSurfacesAsGraphUnit) {
 
   // The conflict verdict itself is cached: a warm rerun reports it again
   // without re-running the analysis.
-  SessionOutcome warm = run_session_check(request, store);
+  api::SessionResult warm = run_session_check(request, store);
   EXPECT_EQ(warm.exit_code, 1);
   EXPECT_EQ(warm.cost.cross_checks, 0u);
   EXPECT_EQ(warm.units.back().name, "*graph*");
@@ -225,9 +225,9 @@ TEST(Session, CrossUnitConflictSurfacesAsGraphUnit) {
 
 TEST(Session, PlatformUnitIsUnionOfSelections) {
   ArtifactStore store;
-  SessionRequest request = base_request();
+  api::SessionRequest request = base_request();
   request.check_platform = true;
-  SessionOutcome out = run_session_check(request, store);
+  api::SessionResult out = run_session_check(request, store);
   EXPECT_EQ(out.exit_code, 0) << out.error_text;
   ASSERT_EQ(out.units.size(), 3u);
   EXPECT_EQ(out.units.back().name, "platform");
@@ -238,9 +238,9 @@ TEST(Session, PlatformUnitIsUnionOfSelections) {
 
 TEST(Session, CoreParseErrorRejectsRequest) {
   ArtifactStore store;
-  SessionRequest request = base_request();
+  api::SessionRequest request = base_request();
   request.core_source = "/dts-v1/;\n/ { broken";
-  SessionOutcome out = run_session_check(request, store);
+  api::SessionResult out = run_session_check(request, store);
   EXPECT_EQ(out.exit_code, 1);
   EXPECT_FALSE(out.error_text.empty());
   EXPECT_TRUE(out.units.empty());
@@ -248,9 +248,9 @@ TEST(Session, CoreParseErrorRejectsRequest) {
 
 TEST(Session, AllocationRequiresModel) {
   ArtifactStore store;
-  SessionRequest request = base_request();
+  api::SessionRequest request = base_request();
   request.check_allocation = true;
-  SessionOutcome out = run_session_check(request, store);
+  api::SessionResult out = run_session_check(request, store);
   EXPECT_EQ(out.exit_code, 2);
   EXPECT_NE(out.error_text.find("feature model"), std::string::npos);
 }
@@ -261,8 +261,8 @@ constexpr const char* kLiftedModel =
     "  fb;\n"
     "}\n";
 
-SessionRequest lifted_request() {
-  SessionRequest r = base_request();
+api::SessionRequest lifted_request() {
+  api::SessionRequest r = base_request();
   r.products.clear();
   r.model_source = kLiftedModel;
   r.model_name = "t.fm";
@@ -272,16 +272,16 @@ SessionRequest lifted_request() {
 
 TEST(SessionLifted, RequiresModel) {
   ArtifactStore store;
-  SessionRequest request = base_request();
+  api::SessionRequest request = base_request();
   request.check_lifted = true;
-  SessionOutcome out = run_session_check(request, store);
+  api::SessionResult out = run_session_check(request, store);
   EXPECT_EQ(out.exit_code, 2);
   EXPECT_NE(out.error_text.find("feature model"), std::string::npos);
 }
 
 TEST(SessionLifted, FamilyVerdictIsOneCachedUnit) {
   ArtifactStore store;
-  SessionOutcome cold = run_session_check(lifted_request(), store);
+  api::SessionResult cold = run_session_check(lifted_request(), store);
   EXPECT_EQ(cold.exit_code, 0) << cold.error_text;
   ASSERT_EQ(cold.units.size(), 1u);
   EXPECT_EQ(cold.units[0].name, "*lifted*");
@@ -291,7 +291,7 @@ TEST(SessionLifted, FamilyVerdictIsOneCachedUnit) {
   EXPECT_EQ(cold.cost.derives, 0u);
   EXPECT_EQ(cold.cost.unit_checks, 0u);
 
-  SessionOutcome warm = run_session_check(lifted_request(), store);
+  api::SessionResult warm = run_session_check(lifted_request(), store);
   ASSERT_EQ(warm.units.size(), 1u);
   EXPECT_TRUE(warm.units[0].check_cache_hit);
   EXPECT_EQ(warm.cost.lifted_checks, 0u);
@@ -300,7 +300,7 @@ TEST(SessionLifted, FamilyVerdictIsOneCachedUnit) {
 TEST(SessionLifted, EditingAnyDeltaInvalidatesTheFamilyVerdict) {
   ArtifactStore store;
   (void)run_session_check(lifted_request(), store);
-  SessionRequest edited = lifted_request();
+  api::SessionRequest edited = lifted_request();
   edited.deltas_source =
       "delta da when fa {\n"
       "    modifies uart@20000000 { clock-frequency = <2000000>; }\n"
@@ -308,7 +308,7 @@ TEST(SessionLifted, EditingAnyDeltaInvalidatesTheFamilyVerdict) {
       "delta db when fb {\n"
       "    modifies memory@40000000 { status = \"okay\"; }\n"
       "}\n";
-  SessionOutcome out = run_session_check(edited, store);
+  api::SessionResult out = run_session_check(edited, store);
   ASSERT_EQ(out.units.size(), 1u);
   EXPECT_FALSE(out.units[0].check_cache_hit);
   EXPECT_EQ(out.cost.lifted_checks, 1u);

@@ -7,13 +7,17 @@
 #     100 000 chained '!' ([delta-parse], `llhsc check --lifted`);
 #   * a feature model 20 000 levels deep ([fm-parse], `llhsc check
 #     --lifted` and `llhsc products --model`).
+# A schema stream whose blocks nest 5 000 levels deep ([yaml-parse], `llhsc
+# check --schemas`) is a usage error instead: exit 2, one located error. It
+# runs with a 1 MiB stack, as does the daemon: unbounded, 20 000 levels of
+# YAML recursion still fit in the default 8 MiB, but 5 000 do not in 1 MiB.
 # Checked two ways:
 #   1. the one-shot CLI;
 #   2. an in-process llhscd (no forked workers, so a crash would take the
-#      daemon down): each DTS check is answered with the same error bytes,
-#      each delta and model text sent in a lifted `session` request is
-#      answered with the CLI's error line and exit code 1, and the daemon
-#      still answers ping afterwards and drains on SIGTERM.
+#      daemon down): each DTS and schema check is answered with the same
+#      error bytes, each delta and model text sent in a lifted `session`
+#      request is answered with the CLI's error line and exit code 1, and
+#      the daemon still answers ping afterwards and drains on SIGTERM.
 # Usage: check_deep_nesting.sh <llhsc> <llhscd>
 set -eu
 
@@ -52,6 +56,10 @@ with open(out + "/deep.fm", "w") as f:
             " a;" + " }" * n + "\n}\n")
 with open(out + "/core.dts", "w") as f:
     f.write("/dts-v1/;\n/ { #address-cells = <1>; #size-cells = <1>; };\n")
+n = 5000
+with open(out + "/deep.yaml", "w") as f:
+    f.write("$id: deep\n" + "".join(" " * i + "a:\n" for i in range(n)) +
+            " " * n + "a: 1\n")
 PYEOF
 
 # expect_parse_error <name> <code> <file> <command...>: the command exits 1
@@ -104,9 +112,29 @@ expect_parse_error deep-model fm-parse deep.fm \
 expect_parse_error deep-model-products fm-parse deep.fm \
     "$LLHSC" products --model "$TMP/deep.fm"
 
+# run_small_stack <command...>: runs the command with a 1 MiB stack.
+run_small_stack() { (ulimit -s 1024 && exec "$@"); }
+
+status=0
+run_small_stack "$LLHSC" check "$TMP/core.dts" --schemas "$TMP/deep.yaml" \
+    > "$TMP/deep-yaml.out" 2> "$TMP/deep-yaml.err" || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "deep-yaml: llhsc check --schemas exited $status, want 2" >&2
+    cat "$TMP/deep-yaml.err" >&2
+    exit 1
+fi
+if [ "$(grep -cE '^<yaml>:[0-9]+: error: \[yaml-parse\] .*nests deeper than' \
+        "$TMP/deep-yaml.err")" -ne 1 ]; then
+    echo "deep-yaml: want one located [yaml-parse] error" >&2
+    cat "$TMP/deep-yaml.err" >&2
+    exit 1
+fi
+
 # -- 2. in-process daemon --
 SOCK="$TMP/d.sock"
-"$LLHSCD" --socket "$SOCK" --jobs 2 --log-file "$TMP/d.log" &
+# One subshell that execs the daemon, so $! is the daemon's pid.
+(ulimit -s 1024 && exec "$LLHSCD" --socket "$SOCK" --jobs 2 \
+    --log-file "$TMP/d.log") &
 DAEMON_PID=$!
 for _ in $(seq 1 200); do
     [ -S "$SOCK" ] && break
@@ -123,6 +151,14 @@ for input in deep-nodes deep-expr; do
     cmp "$TMP/$input.err" "$TMP/$input.sock.err"
     cmp "$TMP/$input.out" "$TMP/$input.sock.out"
 done
+
+status=0
+"$LLHSC" check "$TMP/core.dts" --schemas "$TMP/deep.yaml" --socket "$SOCK" \
+    > "$TMP/deep-yaml.sock.out" 2> "$TMP/deep-yaml.sock.err" || status=$?
+[ "$status" -eq 2 ] \
+    || { echo "deep-yaml: daemon check exited $status, want 2" >&2; exit 1; }
+cmp "$TMP/deep-yaml.err" "$TMP/deep-yaml.sock.err"
+cmp "$TMP/deep-yaml.out" "$TMP/deep-yaml.sock.out"
 
 python3 - "$SOCK" "$TMP" <<'PYEOF'
 import json, socket, sys

@@ -74,6 +74,7 @@
 #include "obs/obs.hpp"
 #include "schema/builtin_schemas.hpp"
 #include "schema/yaml_lite.hpp"
+#include "server/runner.hpp"
 #include "support/flags.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"
@@ -256,32 +257,10 @@ int serve_check(const std::string& socket_path, const std::string& tcp_spec,
     if (!ec) request.cache_dir = abs.string();
   }
 
-  Json params = Json::object();
-  params.set("path", Json::string(request.path));
-  params.set("source", Json::string(request.source));
-  params.set("base_directory", Json::string(request.base_directory));
-  params.set("format", Json::string(request.format));
-  params.set("lint", Json::boolean(request.lint));
-  params.set("crossref", Json::boolean(request.crossref));
-  params.set("graph", Json::boolean(request.graph));
-  params.set("syntax", Json::boolean(request.syntax));
-  params.set("semantics", Json::boolean(request.semantics));
-  params.set("quiet", Json::boolean(request.quiet));
-  params.set("stats", Json::boolean(request.stats));
-  params.set("backend", Json::string(request.backend));
-  params.set("schemas_text", Json::string(request.schemas_text));
-  params.set("schemas_path", Json::string(request.schemas_path));
-  params.set("disable_rule", Json::string(request.disable_rule));
-  params.set("rule_severity", Json::string(request.rule_severity));
-  params.set("solver_timeout_ms",
-             Json::unsigned_integer(request.solver_timeout_ms));
-  params.set("plan", Json::boolean(request.plan));
-  params.set("cache_dir", Json::string(request.cache_dir));
-  params.set("baseline", Json::string(request.baseline_text));
   Json req = Json::object();
   req.set("id", Json::integer(1));
   req.set("method", Json::string("check"));
-  req.set("params", std::move(params));
+  req.set("params", server::check_request_json(request));
   if (!tenant.empty()) req.set("tenant", Json::string(tenant));
 
   const std::string where = tcp_spec.empty() ? socket_path : tcp_spec;
