@@ -40,8 +40,7 @@ Findings BatteryResult::all() const {
 }
 
 BatteryResult run_battery(const dts::Tree& tree, const BatteryOptions& options,
-                          std::shared_ptr<const graph::DeviceGraph> prebuilt,
-                          bool fail_fast) {
+                          const GraphSource& graph_source, bool fail_fast) {
   BatteryResult result;
 
   // The battery records into a local sink first: the result's counters are
@@ -53,18 +52,18 @@ BatteryResult run_battery(const dts::Tree& tree, const BatteryOptions& options,
   {
     obs::ScopedSink sink_guard(&local);
     // One analysis context and one device graph per check (the graph may
-    // be the caller's), each built on a stage's first need, outside every
-    // stage's scope and span, and shared by every stage that reads it.
+    // come from the caller's source), each made on a stage's first need,
+    // outside every stage's scope and span, and shared by every stage that
+    // reads it.
     std::optional<crossref::AnalysisContext> ctx;
-    std::shared_ptr<const graph::DeviceGraph> device_graph =
-        std::move(prebuilt);
+    std::shared_ptr<const graph::DeviceGraph> device_graph;
     enum Needs : unsigned { kNothing = 0, kContext = 1, kGraph = 2 };
     auto prepare = [&](unsigned needs) {
-      const bool build_graph = (needs & kGraph) != 0 && device_graph == nullptr;
-      if (((needs & kContext) != 0 || build_graph) && !ctx) ctx.emplace(tree);
-      if (build_graph) {
-        device_graph = options.graph_source
-                           ? options.graph_source(*ctx)
+      const bool need_graph = (needs & kGraph) != 0 && device_graph == nullptr;
+      if (((needs & kContext) != 0 || need_graph) && !ctx) ctx.emplace(tree);
+      if (need_graph) {
+        device_graph = graph_source
+                           ? graph_source(*ctx)
                            : std::make_shared<const graph::DeviceGraph>(
                                  graph::DeviceGraph::build(*ctx));
       }

@@ -10,9 +10,9 @@
 // graph::DeviceGraph, each on first need and outside every stage's scope
 // and span (their spans are "context.build" and "graph.build"): the
 // crossref stage reads both, the graph stage the graph, and the semantic
-// stage the context. A caller's prebuilt graph is used as is; a caller's
-// graph source (the daemon store's keyed graph artifact) is asked for the
-// graph on first need, with the check's one context.
+// stage the context. A caller's graph source (the daemon store's keyed
+// graph artifact) is asked for the graph on first need, with the check's
+// one context.
 //
 // Findings come back per stage and unsorted; the order is each caller's
 // policy, pinned by golden files: run_check concatenates the stages, a
@@ -49,16 +49,10 @@ struct BatteryOptions {
   /// fingerprint(): callers key verdicts by the schema text instead.
   const schema::SchemaSet* schemas = nullptr;
   SemanticOptions semantic{};
-  /// Supplies the device graph from the check's context on a stage's first
-  /// need; null builds it here. Not part of fingerprint(): a graph is a
-  /// function of the tree alone.
-  std::function<std::shared_ptr<const graph::DeviceGraph>(
-      const crossref::AnalysisContext&)>
-      graph_source{};
 };
 
 /// Canonical hash of every option that can change a verdict (all fields
-/// except `schemas` and `graph_source`).
+/// except `schemas`).
 [[nodiscard]] uint64_t fingerprint(const BatteryOptions& options);
 
 /// Solver and planner work of the semantic stage (the --stats line).
@@ -84,13 +78,19 @@ struct BatteryResult {
   [[nodiscard]] Findings all() const;
 };
 
-/// Runs the enabled stages over `tree`. `prebuilt` is an optional
-/// device graph of `tree`, or of a tree with the same content (the daemon
-/// store's keyed artifact); the crossref and graph stages both read it.
+/// Supplies the device graph of a check's tree from the check's analysis
+/// context; it never returns null.
+using GraphSource = std::function<std::shared_ptr<const graph::DeviceGraph>(
+    const crossref::AnalysisContext&)>;
+
+/// Runs the enabled stages over `tree`. `graph_source`, when set, is asked
+/// once, on the first stage that needs the device graph (the daemon store
+/// returns its keyed artifact of `tree`'s content); unset, the battery
+/// builds the graph itself. The crossref and graph stages both read it.
 /// With `fail_fast`, a stage that reports an error ends the battery.
-[[nodiscard]] BatteryResult run_battery(
-    const dts::Tree& tree, const BatteryOptions& options,
-    std::shared_ptr<const graph::DeviceGraph> prebuilt = nullptr,
-    bool fail_fast = false);
+[[nodiscard]] BatteryResult run_battery(const dts::Tree& tree,
+                                        const BatteryOptions& options,
+                                        const GraphSource& graph_source = {},
+                                        bool fail_fast = false);
 
 }  // namespace llhsc::checkers

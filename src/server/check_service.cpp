@@ -112,11 +112,12 @@ api::CheckResult check(const api::CheckRequest& request, ArtifactStore& store,
   options.schemas = &schemas;
   const uint64_t options_key =
       key_then_clamp(options, request.schemas_text, deadline);
+  // The device graph is its own keyed artifact (option-independent),
+  // asked for only when the verdict actually rebuilds — a cache-hit
+  // request never builds a graph.
+  checkers::GraphSource graph_source;
   if (request.graph) {
-    // The device graph is its own keyed artifact (option-independent),
-    // asked for only when the verdict actually rebuilds — a cache-hit
-    // request never builds a graph.
-    options.graph_source = [&](const checkers::crossref::AnalysisContext& ctx) {
+    graph_source = [&](const checkers::crossref::AnalysisContext& ctx) {
       return store.graph(tree_artifact->key, tree_artifact->tree, nullptr, &ctx)
           ->graph;
     };
@@ -129,7 +130,7 @@ api::CheckResult check(const api::CheckRequest& request, ArtifactStore& store,
       key,
       [&]() {
         const checkers::BatteryResult checked =
-            checkers::run_battery(*tree_artifact->tree, options);
+            checkers::run_battery(*tree_artifact->tree, options, graph_source);
         return CheckArtifact{checked.counters, key, checked.all()};
       },
       &out.trace.check_cache_hit);

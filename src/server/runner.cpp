@@ -223,9 +223,16 @@ Json execute_request(const std::string& method, const Json& id,
 }
 
 uint64_t shard_key(const std::string& method, const Json& params) {
-  if (method == "check") return support::fnv1a64(params.at("path").as_string());
-  return support::fnv1a64(params.at("deltas_name").as_string(),
-                          support::fnv1a64(params.at("core_name").as_string()));
+  const char* first = method == "check" ? "path" : "core_name";
+  const char* second = method == "check" ? "source" : "deltas_name";
+  uint64_t h = support::fnv1a64(params.at(second).as_string(),
+                                support::fnv1a64(params.at(first).as_string()));
+  // FNV-1a's low bits depend only on the low bits of each byte, and the
+  // caller takes the key modulo the worker count: fold the high half in
+  // and keep the high bits of a multiplicative mix.
+  h ^= h >> 32;
+  h *= 0x9e3779b97f4a7c15ull;
+  return h >> 32;
 }
 
 }  // namespace llhsc::server

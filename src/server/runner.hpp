@@ -66,10 +66,13 @@ struct CheckCounters {
                                    ArtifactStore& store,
                                    CheckCounters& counters);
 
-/// FNV-1a shard key over the request's identity, not its content (check:
-/// `path`; session: `core_name` + `deltas_name`). Edits of the same file or
-/// session land on the same worker, so its in-memory ArtifactStore stays
-/// hot and a one-delta edit re-derives only the products it touches.
+/// Worker shard key: a mixed FNV-1a hash of a check's `path` + `source`, or
+/// of a session's `core_name` + `deltas_name`. A check's artifacts are
+/// keyed by its content, so a repeated check meets its verdict again while
+/// checks of one path label with different content still spread over the
+/// workers. A session's are reused across edits, so a session is keyed by
+/// identity: every edit lands on the worker that holds its composed trees,
+/// and a one-delta edit re-derives only the products it touches.
 [[nodiscard]] uint64_t shard_key(const std::string& method,
                                  const Json& params);
 

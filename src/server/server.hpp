@@ -21,9 +21,10 @@
 //     before — pool threads enqueue response bytes and wake the loop.
 //   * forked workers (--workers N): the loop doubles as a supervisor. It
 //     forks N worker processes (each with its own ArtifactStore and thread
-//     pool) connected by socketpairs, shards admitted requests to them by
-//     identity (same path or session -> same worker -> hot store), and
-//     relays each worker's response line to the client verbatim — so
+//     pool) connected by socketpairs, shards admitted requests to them
+//     (a check by path and content, a session by name -> same worker ->
+//     hot store), and relays each worker's response line to the client
+//     verbatim — so
 //     responses stay byte-identical to the one-shot CLI by construction. A
 //     worker that dies (kill -9, crash) is reaped via SIGCHLD, its
 //     in-flight requests are retried once on a surviving worker

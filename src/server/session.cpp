@@ -271,17 +271,15 @@ api::SessionResult run_session_check(const api::SessionRequest& request,
           // The unit's device graph is a separate keyed artifact under the
           // composed key: a one-delta edit re-derives exactly the affected
           // units' composed trees, and therefore exactly their graphs.
-          checkers::BatteryOptions unit_options = options;
+          checkers::GraphSource graph_source;
           if (request.graph) {
-            unit_options.graph_source =
-                [&](const checkers::crossref::AnalysisContext& ctx) {
-                  return store.graph(composed_key, composed->tree, nullptr,
-                                     &ctx)
-                      ->graph;
-                };
+            graph_source = [&](const checkers::crossref::AnalysisContext& ctx) {
+              return store.graph(composed_key, composed->tree, nullptr, &ctx)
+                  ->graph;
+            };
           }
           const checkers::BatteryResult checked =
-              checkers::run_battery(*composed->tree, unit_options);
+              checkers::run_battery(*composed->tree, options, graph_source);
           checkers::Findings findings = checked.all();
           checkers::sort_by_location(findings);
           return CheckArtifact{checked.counters, check_key,

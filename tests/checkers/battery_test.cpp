@@ -65,12 +65,12 @@ struct Traced {
 };
 
 Traced run_traced(const dts::Tree& tree, const BatteryOptions& options,
-                  std::shared_ptr<const graph::DeviceGraph> prebuilt) {
+                  const GraphSource& graph_source) {
   obs::TraceSink sink;
   Traced out;
   {
     obs::ScopedSink guard(&sink);
-    out.result = run_battery(tree, options, std::move(prebuilt));
+    out.result = run_battery(tree, options, graph_source);
   }
   out.events = sink.take();
   return out;
@@ -102,7 +102,9 @@ TEST(Battery, PrebuiltGraphIsNeverRebuilt) {
   options.schemas = &schemas;
   auto prebuilt = std::make_shared<const graph::DeviceGraph>(
       graph::DeviceGraph::build(*tree));
-  const Traced traced = run_traced(*tree, options, prebuilt);
+  const Traced traced = run_traced(
+      *tree, options,
+      [prebuilt](const crossref::AnalysisContext&) { return prebuilt; });
   EXPECT_EQ(count_spans(traced.events, "context.build"), 1u);
   EXPECT_EQ(count_spans(traced.events, "graph.build"), 0u);
   EXPECT_EQ(traced.result.graph, prebuilt);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "obs/obs.hpp"
+
 namespace llhsc::server {
 namespace {
 
@@ -59,6 +63,32 @@ TEST(CheckService, IncludeEditChangesCachedVerdict) {
   EXPECT_TRUE(restored.trace.check_cache_hit);
   EXPECT_EQ(restored.exit_code, 0);
   EXPECT_EQ(restored.output, clean.output);
+}
+
+size_t count_spans(const std::vector<obs::Event>& events,
+                   const std::string& name) {
+  size_t n = 0;
+  for (const obs::Event& e : events) {
+    if (e.kind == obs::Event::Kind::kSpan && e.name == name) ++n;
+  }
+  return n;
+}
+
+// A verdict build makes one analysis context: the store builds its keyed
+// device graph from the battery's context instead of a second one.
+TEST(CheckService, VerdictBuildMakesOneAnalysisContext) {
+  ArtifactStore store;
+  obs::TraceSink sink;
+  {
+    obs::ScopedSink guard(&sink);
+    const api::CheckResult result =
+        run_check(include_request(kClashingSoc), store);
+    EXPECT_FALSE(result.trace.check_cache_hit);
+  }
+  const std::vector<obs::Event> events = sink.take();
+  EXPECT_EQ(count_spans(events, "context.build"), 1u);
+  EXPECT_EQ(count_spans(events, "graph.build"), 1u);
+  EXPECT_EQ(store.stats().graph_builds, 1u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <set>
 #include <thread>
 
 namespace llhsc::server {
@@ -133,6 +134,42 @@ TEST(RunnerCodec, CheckRequestRoundTripsEveryField) {
   EXPECT_EQ(back.plan, r.plan);
   EXPECT_EQ(back.cache_dir, r.cache_dir);
   EXPECT_EQ(back.baseline_text, r.baseline_text);
+}
+
+// The daemon picks worker shard_key % N. Names whose bytes differ only
+// above the lowest two bits would all share one of four workers under a
+// bare FNV-1a hash; the key is mixed so that they spread.
+TEST(RunnerShard, NamesFourApartSpreadOverFourWorkers) {
+  for (const std::string method : {"check", "session"}) {
+    std::set<uint64_t> workers;
+    for (int i = 0; i < 16; ++i) {
+      const std::string name =
+          "board" + std::string(1, static_cast<char>('1' + 4 * i));
+      Json params = Json::object();
+      params.set("path", Json::string(name + ".dts"));
+      params.set("source", Json::string(kBoard));
+      params.set("core_name", Json::string(name + ".dts"));
+      params.set("deltas_name", Json::string("board.deltas"));
+      workers.insert(shard_key(method, params) % 4);
+    }
+    EXPECT_EQ(workers.size(), 4u) << method;
+  }
+}
+
+// A check's artifacts are keyed by its content, a session's by identity:
+// a session edit keeps its worker, and checks of one path label with
+// different sources are not pinned to one worker.
+TEST(RunnerShard, SessionsKeyByNameChecksByContent) {
+  Json session = session_params();
+  const uint64_t before = shard_key("session", session);
+  session.set("deltas_source", Json::string(""));
+  session.set("core_source", Json::string(""));
+  EXPECT_EQ(shard_key("session", session), before);
+
+  Json check = check_params();
+  const uint64_t original = shard_key("check", check);
+  check.set("source", Json::string("/dts-v1/;\n/ { };\n"));
+  EXPECT_NE(shard_key("check", check), original);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/obs.hpp"
+
 namespace llhsc::server {
 namespace {
 
@@ -165,6 +167,26 @@ TEST(Session, GraphArtifactsRederiveOnlyForEditedUnits) {
   EXPECT_EQ(out.cost.derives, 1u);
   EXPECT_EQ(out.cost.graph_builds, 1u) << "only pb's graph rebuilds";
   EXPECT_EQ(out.cost.cross_checks, 1u);
+}
+
+// Each unit build makes one analysis context: the store builds the unit's
+// keyed device graph from the battery's context instead of a second one.
+TEST(Session, UnitBuildMakesOneAnalysisContext) {
+  ArtifactStore store;
+  obs::TraceSink sink;
+  {
+    obs::ScopedSink guard(&sink);
+    const api::SessionResult out = run_session_check(base_request(), store);
+    EXPECT_EQ(out.exit_code, 0) << out.error_text;
+    EXPECT_EQ(out.cost.graph_builds, 2u);
+  }
+  size_t contexts = 0;
+  for (const obs::Event& e : sink.take()) {
+    if (e.kind == obs::Event::Kind::kSpan && e.name == "context.build") {
+      ++contexts;
+    }
+  }
+  EXPECT_EQ(contexts, 2u) << "one per product unit";
 }
 
 TEST(Session, GraphDisabledBuildsNoGraphArtifacts) {
