@@ -6,10 +6,11 @@
 // service demo serves.
 #include <iostream>
 
-#include "core/pipeline.hpp"
+#include "core/emit.hpp"
 #include "core/running_example.hpp"
 #include "feature/analysis.hpp"
-#include "schema/builtin_schemas.hpp"
+#include "feature/multivm.hpp"
+#include "server/session.hpp"
 
 int main() {
   using namespace llhsc;
@@ -43,28 +44,36 @@ int main() {
     std::cout << "\n\n";
   }
 
-  // 3. Run the whole pipeline for the two paper VMs.
-  schema::SchemaSet schemas = schema::builtin_schemas();
-  core::Pipeline pipeline(model, core::exclusive_cpus(model), *product_line,
-                          schemas);
-  core::PipelineResult result = pipeline.run(
-      {{"vm1", core::fig1b_features()}, {"vm2", core::fig1c_features()}});
+  // 3. Run the whole workflow for the two paper VMs: stages 1-4 as one
+  // session over a store local to the run, then artifact emission.
+  api::SessionRequest request = core::running_example_request();
+  request.products = {{"vm1", core::fig1b_features()},
+                      {"vm2", core::fig1c_features()}};
+  server::ArtifactStore store;
+  const server::SessionRun run = server::run_session_check(request, store);
+  const core::Artifacts artifacts = core::emit(run.checked);
+  const checkers::Findings findings = run.findings();
+  const bool ok = run.exit_code == 0 && !artifacts.diagnostics.has_errors();
 
   std::cout << "=== Pipeline (Fig. 2) ===\n";
-  std::cout << "status: " << (result.ok ? "OK" : "FAILED") << "\n";
-  if (!result.findings.empty()) std::cout << checkers::render(result.findings);
-  if (result.diagnostics.has_errors()) std::cout << result.diagnostics.render();
-  if (!result.ok) return 1;
+  std::cout << "status: " << (ok ? "OK" : "FAILED") << "\n";
+  if (!findings.empty()) std::cout << checkers::render(findings);
+  std::cout << run.error_text;
+  if (artifacts.diagnostics.has_errors()) {
+    std::cout << artifacts.diagnostics.render();
+  }
+  if (!ok) return 1;
 
-  for (const core::GeneratedVm& vm : result.vms) {
+  for (const core::EmittedVm& vm : artifacts.vms) {
     std::cout << "\n=== " << vm.name << ".dts ("
               << vm.tree->node_count() << " nodes, DTB " << vm.dtb.size()
               << " bytes) ===\n"
               << vm.dts_text;
   }
-  std::cout << "\n=== platform.dts ===\n" << result.platform_dts_text;
+  std::cout << "\n=== platform.dts ===\n" << artifacts.platform_dts_text;
   std::cout << "\n=== platform.c (paper Listing 3) ===\n"
-            << result.platform_config_c;
-  std::cout << "\n=== config.c (paper Listing 6) ===\n" << result.vm_config_c;
+            << artifacts.platform_config_c;
+  std::cout << "\n=== config.c (paper Listing 6) ===\n"
+            << artifacts.vm_config_c;
   return 0;
 }

@@ -13,7 +13,6 @@
 
 #include "checkers/semantic.hpp"
 #include "checkers/syntactic.hpp"
-#include "core/pipeline.hpp"
 #include "core/running_example.hpp"
 #include "feature/analysis.hpp"
 #include "schema/builtin_schemas.hpp"

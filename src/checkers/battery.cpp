@@ -40,7 +40,7 @@ Findings BatteryResult::all() const {
 }
 
 BatteryResult run_battery(const dts::Tree& tree, const BatteryOptions& options,
-                          const GraphSource& graph_source, bool fail_fast) {
+                          const GraphSource& graph_source) {
   BatteryResult result;
 
   // The battery records into a local sink first: the result's counters are
@@ -74,7 +74,7 @@ BatteryResult run_battery(const dts::Tree& tree, const BatteryOptions& options,
     auto run_stage = [&](bool enabled, const char* stage,
                          const char* span_name, unsigned needs,
                          auto&& check) {
-      if (!enabled || result.stopped) return;
+      if (!enabled) return;
       prepare(needs);
       Findings f;
       {
@@ -83,7 +83,6 @@ BatteryResult run_battery(const dts::Tree& tree, const BatteryOptions& options,
         f = check();
         obs::count("stage.findings", "stage", static_cast<int64_t>(f.size()));
       }
-      result.stopped = fail_fast && error_count(f) > 0;
       result.stages.push_back(std::move(f));
     };
 

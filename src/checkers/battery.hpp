@@ -3,8 +3,9 @@
 //   lint -> crossref -> graph -> syntactic (§IV-B) -> semantic (§IV-C),
 // builds every checker from one BatteryOptions, and records each stage's
 // scope "<stage>", span "stage.<stage>" and "stage.findings" counter
-// (docs/observability.md). Every check path runs it: server::run_check,
-// daemon session units, core::Pipeline units and `llhsc generate`.
+// (docs/observability.md). Every check path runs it: server::run_check
+// (`llhsc check`, daemon checks), session units (daemon sessions, `llhsc
+// demo`) and `llhsc generate`.
 //
 // One check builds one crossref::AnalysisContext and at most one
 // graph::DeviceGraph, each on first need and outside every stage's scope
@@ -14,9 +15,9 @@
 // graph artifact) is asked for the graph on first need, with the check's
 // one context.
 //
-// Findings come back per stage and unsorted; the order is each caller's
-// policy, pinned by golden files: run_check concatenates the stages, a
-// session unit sorts the whole unit, and the pipeline sorts each stage.
+// Findings come back per stage and unsorted; the order is the caller's:
+// run_check concatenates the stages, and a session unit sorts the whole
+// unit (docs/pipeline.md).
 #pragma once
 
 #include <cstdint>
@@ -70,8 +71,6 @@ struct BatteryResult {
   /// The device graph the graph stage checked: the caller's, or one built
   /// on demand. Null when the stage was off.
   std::shared_ptr<const graph::DeviceGraph> graph;
-  /// Fail-fast ended the battery after a stage with errors.
-  bool stopped = false;
   SemanticCounters counters;
 
   /// Every stage's findings, concatenated in stage order.
@@ -87,10 +86,8 @@ using GraphSource = std::function<std::shared_ptr<const graph::DeviceGraph>(
 /// once, on the first stage that needs the device graph (the daemon store
 /// returns its keyed artifact of `tree`'s content); unset, the battery
 /// builds the graph itself. The crossref and graph stages both read it.
-/// With `fail_fast`, a stage that reports an error ends the battery.
 [[nodiscard]] BatteryResult run_battery(const dts::Tree& tree,
                                         const BatteryOptions& options,
-                                        const GraphSource& graph_source = {},
-                                        bool fail_fast = false);
+                                        const GraphSource& graph_source = {});
 
 }  // namespace llhsc::checkers

@@ -117,9 +117,8 @@ using Findings = std::vector<Finding>;
 [[nodiscard]] bool contains(const Findings& findings, FindingKind kind);
 /// Renders all findings, one per line.
 [[nodiscard]] std::string render(const Findings& findings);
-/// Stable sort by (source location, rule id, subject). The pipeline applies
-/// this per (VM, stage) chunk before merging so parallel collection renders
-/// byte-identically to a serial run.
+/// Stable sort by (source location, rule id, subject). A session applies
+/// this per unit, so a parallel run renders byte-identically to a serial one.
 void sort_by_location(Findings& findings);
 
 }  // namespace llhsc::checkers

@@ -42,7 +42,7 @@ class GraphChecker {
 
   /// Runs the four per-unit analyses (cycle, status, arity, orphan). Each
   /// analysis records an obs span; callers sort the result per their
-  /// determinism contract (the pipeline sorts per stage chunk).
+  /// determinism contract (a session sorts each unit).
   [[nodiscard]] Findings check(const DeviceGraph& g) const;
 
  private:

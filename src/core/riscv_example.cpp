@@ -1,6 +1,8 @@
 #include "core/riscv_example.hpp"
 
+#include "feature/text_format.hpp"
 #include "schema/builtin_schemas.hpp"
+#include "schema/yaml_lite.hpp"
 
 namespace llhsc::core {
 
@@ -208,126 +210,129 @@ std::unique_ptr<delta::ProductLine> riscv_product_line(
                                               std::move(deltas));
 }
 
-schema::SchemaSet riscv_schemas() {
-  schema::SchemaSet set = schema::builtin_schemas();
+namespace {
 
-  {
-    schema::PropertySchema compatible;
-    compatible.name = "compatible";
-    compatible.type = schema::PropertyType::kString;
-    compatible.enum_strings = {"riscv,plic0", "sifive,plic-1.0.0"};
-    schema::PropertySchema reg;
-    reg.name = "reg";
-    reg.type = schema::PropertyType::kCells;
-    reg.min_items = 1;
-    reg.max_items = 1;
-    schema::PropertySchema icells;
-    icells.name = "#interrupt-cells";
-    icells.type = schema::PropertyType::kCells;
-    icells.const_cell = 1;
-    schema::PropertySchema ic;
-    ic.name = "interrupt-controller";
-    ic.type = schema::PropertyType::kBool;
-    schema::PropertySchema ndev;
-    ndev.name = "riscv,ndev";
-    ndev.type = schema::PropertyType::kCells;
-    ndev.minimum = 1;
-    ndev.maximum = 1023;
-    set.add(schema::SchemaBuilder("plic")
-                .description("RISC-V platform-level interrupt controller")
-                .select_node_name("plic@*")
-                .select_compatible("riscv,plic0")
-                .property(std::move(compatible))
-                .property(std::move(reg))
-                .property(std::move(icells))
-                .property(std::move(ic))
-                .property(std::move(ndev))
-                .require("compatible")
-                .require("reg")
-                .require("#interrupt-cells")
-                .require("interrupt-controller")
-                .build());
-  }
-  {
-    schema::PropertySchema compatible;
-    compatible.name = "compatible";
-    compatible.type = schema::PropertyType::kString;
-    compatible.enum_strings = {"riscv,clint0", "sifive,clint0"};
-    schema::PropertySchema reg;
-    reg.name = "reg";
-    reg.type = schema::PropertyType::kCells;
-    reg.min_items = 1;
-    reg.max_items = 1;
-    set.add(schema::SchemaBuilder("clint")
-                .description("RISC-V core-local interruptor")
-                .select_node_name("clint@*")
-                .select_compatible("riscv,clint0")
-                .property(std::move(compatible))
-                .property(std::move(reg))
-                .require("compatible")
-                .require("reg")
-                .build());
-  }
-  {
-    schema::PropertySchema compatible;
-    compatible.name = "compatible";
-    compatible.type = schema::PropertyType::kString;
-    compatible.const_string = "virtio,mmio";
-    schema::PropertySchema reg;
-    reg.name = "reg";
-    reg.type = schema::PropertyType::kCells;
-    reg.min_items = 1;
-    reg.max_items = 1;
-    schema::PropertySchema irq;
-    irq.name = "interrupts";
-    irq.type = schema::PropertyType::kCells;
-    irq.minimum = 1;
-    irq.maximum = 53;  // within the plic's riscv,ndev
-    set.add(schema::SchemaBuilder("virtio-mmio")
-                .description("virtio transport over MMIO")
-                .select_node_name("virtio@*")
-                .select_compatible("virtio,mmio")
-                .property(std::move(compatible))
-                .property(std::move(reg))
-                .property(std::move(irq))
-                .require("compatible")
-                .require("reg")
-                .require("interrupts")
-                .build());
-  }
-  {
-    schema::PropertySchema compatible;
-    compatible.name = "compatible";
-    compatible.type = schema::PropertyType::kString;
-    compatible.const_string = "cfi-flash";
-    schema::PropertySchema reg;
-    reg.name = "reg";
-    reg.type = schema::PropertyType::kCells;
-    reg.min_items = 1;
-    reg.max_items = 2;
-    schema::PropertySchema width;
-    width.name = "bank-width";
-    width.type = schema::PropertyType::kCells;
-    width.enum_cells = {1, 2, 4};
-    set.add(schema::SchemaBuilder("cfi-flash")
-                .description("parallel NOR flash")
-                .select_node_name("flash@*")
-                .select_compatible("cfi-flash")
-                .property(std::move(compatible))
-                .property(std::move(reg))
-                .property(std::move(width))
-                .require("compatible")
-                .require("reg")
-                .build());
-  }
+// The riscv bindings in the YAML subset (schema/yaml_lite.hpp).
+constexpr const char* kRiscvBindingsYaml = R"yaml($id: plic
+description: RISC-V platform-level interrupt controller
+select:
+  nodeName: "plic@*"
+  compatible: riscv,plic0
+properties:
+  compatible:
+    type: string
+    enum:
+      - riscv,plic0
+      - sifive,plic-1.0.0
+  reg:
+    type: cells
+    minItems: 1
+    maxItems: 1
+  "#interrupt-cells":
+    type: cells
+    const: 1
+  interrupt-controller:
+    type: bool
+  riscv,ndev:
+    type: cells
+    minimum: 1
+    maximum: 1023
+required:
+  - compatible
+  - reg
+  - "#interrupt-cells"
+  - interrupt-controller
+---
+$id: clint
+description: RISC-V core-local interruptor
+select:
+  nodeName: "clint@*"
+  compatible: riscv,clint0
+properties:
+  compatible:
+    type: string
+    enum:
+      - riscv,clint0
+      - sifive,clint0
+  reg:
+    type: cells
+    minItems: 1
+    maxItems: 1
+required:
+  - compatible
+  - reg
+---
+$id: virtio-mmio
+description: virtio transport over MMIO
+select:
+  nodeName: "virtio@*"
+  compatible: virtio,mmio
+properties:
+  compatible:
+    type: string
+    const: virtio,mmio
+  reg:
+    type: cells
+    minItems: 1
+    maxItems: 1
+  interrupts:
+    type: cells
+    minimum: 1
+    maximum: 53  # within the plic's riscv,ndev
+required:
+  - compatible
+  - reg
+  - interrupts
+---
+$id: cfi-flash
+description: parallel NOR flash
+select:
+  nodeName: "flash@*"
+  compatible: cfi-flash
+properties:
+  compatible:
+    type: string
+    const: cfi-flash
+  reg:
+    type: cells
+    minItems: 1
+    maxItems: 2
+  bank-width:
+    type: cells
+    enum:
+      - 1
+      - 2
+      - 4
+required:
+  - compatible
+  - reg
+)yaml";
+
+}  // namespace
+
+const char* riscv_schemas_yaml() {
+  static const std::string text =
+      std::string(schema::builtin_schemas_yaml()) + "---\n" +
+      kRiscvBindingsYaml;
+  return text.c_str();
+}
+
+schema::SchemaSet riscv_schemas() {
+  schema::SchemaSet set;
+  support::DiagnosticEngine diags;
+  schema::load_schema_stream(riscv_schemas_yaml(), set, diags);
   return set;
+}
+
+std::vector<std::string> riscv_exclusive() {
+  return {"hart0", "hart1", "hart2", "hart3"};
 }
 
 std::vector<feature::FeatureId> riscv_exclusive_harts(
     const feature::FeatureModel& model) {
   std::vector<feature::FeatureId> out;
-  for (int i = 0; i < 4; ++i) {
-    if (auto id = model.find("hart" + std::to_string(i))) out.push_back(*id);
+  for (const std::string& name : riscv_exclusive()) {
+    if (auto id = model.find(name)) out.push_back(*id);
   }
   return out;
 }
@@ -345,6 +350,23 @@ std::set<std::string> riscv_vm_b_features() {
           "plic",     "clint",           "uarts",
           "uart@10001000", "virtio",     "virtio@10009000",
           "flash"};
+}
+
+api::SessionRequest riscv_request() {
+  api::SessionRequest request;
+  request.core_source = riscv_core_dts();
+  request.core_name = "rv64-virt.dts";
+  request.includes = {{"rv64-cpus.dtsi", riscv_cpus_dtsi()},
+                      {"rv64-soc.dtsi", riscv_soc_dtsi()}};
+  request.deltas_source = riscv_deltas();
+  request.deltas_name = "rv64-virt.deltas";
+  request.model_source = feature::print_model(riscv_feature_model());
+  request.model_name = "rv64-virt.fm";
+  request.exclusive = riscv_exclusive();
+  request.schemas_text = riscv_schemas_yaml();
+  request.check_allocation = true;
+  request.check_platform = true;
+  return request;
 }
 
 }  // namespace llhsc::core

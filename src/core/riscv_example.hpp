@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "api/llhsc.hpp"
 #include "delta/delta.hpp"
 #include "dts/parser.hpp"
 #include "feature/analysis.hpp"
@@ -37,16 +38,24 @@ namespace llhsc::core {
 [[nodiscard]] std::unique_ptr<delta::ProductLine> riscv_product_line(
     support::DiagnosticEngine& diags);
 
-/// Schema set: the builtin set extended with riscv cpu, plic, clint and
-/// virtio-mmio bindings.
+/// Schema set: the builtin set extended with plic, clint, virtio-mmio and
+/// cfi-flash bindings, as one YAML stream and loaded from it.
+[[nodiscard]] const char* riscv_schemas_yaml();
 [[nodiscard]] schema::SchemaSet riscv_schemas();
 
-/// Exclusive resources (the harts).
+/// Exclusive resources (the harts), by feature name and by id in `model`.
+[[nodiscard]] std::vector<std::string> riscv_exclusive();
 [[nodiscard]] std::vector<feature::FeatureId> riscv_exclusive_harts(
     const feature::FeatureModel& model);
 
 /// Two disjoint 2-hart VM configurations.
 [[nodiscard]] std::set<std::string> riscv_vm_a_features();
 [[nodiscard]] std::set<std::string> riscv_vm_b_features();
+
+/// The platform as one product-line session request: the core with both
+/// .dtsi files as in-memory includes, the deltas, the model, the schema
+/// stream and the hart exclusivity, with the allocation and platform checks
+/// on. The caller adds products.
+[[nodiscard]] api::SessionRequest riscv_request();
 
 }  // namespace llhsc::core

@@ -1,5 +1,7 @@
 #include "core/running_example.hpp"
 
+#include "feature/text_format.hpp"
+
 namespace llhsc::core {
 
 const char* running_example_core_dts() {
@@ -82,15 +84,11 @@ const char* running_example_core_dts_with_uart_clash() {
 )";
 }
 
-const char* running_example_deltas() {
-  // Declaration order d3, d4, d1, d2 reproduces the paper's linearisations
-  // (d3 < d4 < d1|d2) under the declaration-order tiebreak.
-  //
-  // d4's guard is strengthened from the paper's plain `when memory`: without
-  // the (veth0 || veth1) conjunct d4 would rewrite the banks to 32-bit form
-  // even in non-virtualised products where d3 never ran, leaving an
-  // inconsistent 2/2-cell tree with 2-cell reg entries.
-  return R"(delta d3 when (veth0 || veth1) {
+namespace {
+
+// Declaration order d3, d4, d1, d2 reproduces the paper's linearisations
+// (d3 < d4 < d1|d2) under the declaration-order tiebreak.
+constexpr const char* kDeltaD3 = R"(delta d3 when (veth0 || veth1) {
     modifies / {
         #address-cells = <1>;
         #size-cells = <1>;
@@ -101,14 +99,22 @@ const char* running_example_deltas() {
     }
 }
 
-delta d4 after d3 when (memory && (veth0 || veth1)) {
+)";
+
+// d4's guard is strengthened from the paper's plain `when memory`: without
+// the (veth0 || veth1) conjunct d4 would rewrite the banks to 32-bit form
+// even in non-virtualised products where d3 never ran, leaving an
+// inconsistent 2/2-cell tree with 2-cell reg entries.
+constexpr const char* kDeltaD4 = R"(delta d4 after d3 when (memory && (veth0 || veth1)) {
     modifies memory@40000000 {
         reg = <0x40000000 0x20000000
                0x60000000 0x20000000>;
     }
 }
 
-delta d1 after d3 when veth0 {
+)";
+
+constexpr const char* kDeltasAfterD4 = R"(delta d1 after d3 when veth0 {
     adds binding vEthernet {
         veth0@80000000 {
             compatible = "veth";
@@ -156,6 +162,18 @@ delta rm_uart1 when !uart@30000000 {
     removes uart@30000000;
 }
 )";
+
+}  // namespace
+
+const char* running_example_deltas() {
+  static const std::string text =
+      std::string(kDeltaD3) + kDeltaD4 + kDeltasAfterD4;
+  return text.c_str();
+}
+
+const char* running_example_deltas_without_d4() {
+  static const std::string text = std::string(kDeltaD3) + kDeltasAfterD4;
+  return text.c_str();
 }
 
 dts::SourceManager running_example_sources() {
@@ -167,20 +185,13 @@ dts::SourceManager running_example_sources() {
 namespace {
 
 std::unique_ptr<delta::ProductLine> build_product_line(
-    support::DiagnosticEngine& diags, bool with_uart_clash, bool omit_d4) {
+    support::DiagnosticEngine& diags, const char* core_text,
+    const char* deltas_text) {
   dts::SourceManager sm = running_example_sources();
-  const char* core_text = with_uart_clash
-                              ? running_example_core_dts_with_uart_clash()
-                              : running_example_core_dts();
   auto core = dts::parse_dts(core_text, "custom-sbc.dts", sm, diags);
   if (core == nullptr || diags.has_errors()) return nullptr;
-  auto deltas =
-      delta::parse_deltas(running_example_deltas(), "custom-sbc.deltas", diags);
+  auto deltas = delta::parse_deltas(deltas_text, "custom-sbc.deltas", diags);
   if (diags.has_errors()) return nullptr;
-  if (omit_d4) {
-    std::erase_if(deltas,
-                  [](const delta::DeltaModule& d) { return d.name == "d4"; });
-  }
   return std::make_unique<delta::ProductLine>(std::move(core),
                                               std::move(deltas));
 }
@@ -189,12 +200,17 @@ std::unique_ptr<delta::ProductLine> build_product_line(
 
 std::unique_ptr<delta::ProductLine> running_example_product_line(
     support::DiagnosticEngine& diags, bool with_uart_clash) {
-  return build_product_line(diags, with_uart_clash, /*omit_d4=*/false);
+  return build_product_line(diags,
+                            with_uart_clash
+                                ? running_example_core_dts_with_uart_clash()
+                                : running_example_core_dts(),
+                            running_example_deltas());
 }
 
 std::unique_ptr<delta::ProductLine> running_example_product_line_without_d4(
     support::DiagnosticEngine& diags) {
-  return build_product_line(diags, /*with_uart_clash=*/false, /*omit_d4=*/true);
+  return build_product_line(diags, running_example_core_dts(),
+                            running_example_deltas_without_d4());
 }
 
 std::set<std::string> fig1b_features() {
@@ -209,12 +225,34 @@ std::set<std::string> fig1c_features() {
           "uart@30000000", "vEthernet",  "veth1"};
 }
 
+std::vector<std::string> running_example_exclusive() {
+  return {"cpu@0", "cpu@1"};
+}
+
 std::vector<feature::FeatureId> exclusive_cpus(
     const feature::FeatureModel& model) {
   std::vector<feature::FeatureId> out;
-  if (auto cpu0 = model.find("cpu@0")) out.push_back(*cpu0);
-  if (auto cpu1 = model.find("cpu@1")) out.push_back(*cpu1);
+  for (const std::string& name : running_example_exclusive()) {
+    if (auto id = model.find(name)) out.push_back(*id);
+  }
   return out;
+}
+
+api::SessionRequest running_example_request(const char* core_dts,
+                                            const char* deltas) {
+  api::SessionRequest request;
+  request.core_source = core_dts;
+  request.core_name = "custom-sbc.dts";
+  request.includes.emplace_back("cpus.dtsi", running_example_cpus_dtsi());
+  request.deltas_source = deltas;
+  request.deltas_name = "custom-sbc.deltas";
+  request.model_source =
+      feature::print_model(feature::running_example_model());
+  request.model_name = "custom-sbc.fm";
+  request.exclusive = running_example_exclusive();
+  request.check_allocation = true;
+  request.check_platform = true;
+  return request;
 }
 
 }  // namespace llhsc::core

@@ -3,6 +3,7 @@
 // cpus.dtsi), delta modules (Listing 4 plus the removal/rewrite deltas a
 // complete product line needs), feature model (Fig. 1a), VM configurations
 // (Fig. 1b / 1c) and the two fault-injected variants used in §I-A and §IV-C.
+// Every input is also text, so the whole example is one session request.
 #pragma once
 
 #include <memory>
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "api/llhsc.hpp"
 #include "delta/delta.hpp"
 #include "dts/parser.hpp"
 #include "feature/analysis.hpp"
@@ -30,6 +32,9 @@ namespace llhsc::core {
 /// leave the UARTs stale, which its own semantic checker would reject) and
 /// rm_* deltas removing unselected hardware from each VM's DTS.
 [[nodiscard]] const char* running_example_deltas();
+/// The same file with delta d4 omitted — the §IV-C scenario: d3 truncates
+/// the address width but nobody rewrites the memory banks.
+[[nodiscard]] const char* running_example_deltas_without_d4();
 
 /// A SourceManager preloaded with cpus.dtsi.
 [[nodiscard]] dts::SourceManager running_example_sources();
@@ -39,9 +44,8 @@ namespace llhsc::core {
 [[nodiscard]] std::unique_ptr<delta::ProductLine> running_example_product_line(
     support::DiagnosticEngine& diags, bool with_uart_clash = false);
 
-/// Variant with delta d4 omitted — the §IV-C scenario: d3 truncates the
-/// address width but nobody rewrites the memory banks, so the generated DTS
-/// has four 32-bit banks colliding at 0x0.
+/// Variant over running_example_deltas_without_d4(): the generated DTS has
+/// four 32-bit banks colliding at 0x0.
 [[nodiscard]] std::unique_ptr<delta::ProductLine>
 running_example_product_line_without_d4(support::DiagnosticEngine& diags);
 
@@ -50,8 +54,18 @@ running_example_product_line_without_d4(support::DiagnosticEngine& diags);
 /// Fig. 1c — VM 2 features: cpu@1, both UARTs, veth1.
 [[nodiscard]] std::set<std::string> fig1c_features();
 
-/// The exclusive resources of the running example (the CPU cores).
+/// The exclusive resources of the running example (the CPU cores), by
+/// feature name and by id in `model`.
+[[nodiscard]] std::vector<std::string> running_example_exclusive();
 [[nodiscard]] std::vector<feature::FeatureId> exclusive_cpus(
     const feature::FeatureModel& model);
+
+/// The running example as one product-line session request (the Fig. 2
+/// workflow, server::run_session_check): `core_dts` with cpus.dtsi as an
+/// in-memory include, `deltas`, the Fig. 1a model and the CPU exclusivity,
+/// with the allocation and platform checks on. The caller adds products.
+[[nodiscard]] api::SessionRequest running_example_request(
+    const char* core_dts = running_example_core_dts(),
+    const char* deltas = running_example_deltas());
 
 }  // namespace llhsc::core

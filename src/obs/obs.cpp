@@ -16,7 +16,7 @@ using Clock = std::chrono::steady_clock;
 
 Clock::time_point process_epoch() {
   // First use wins; every sink measures against the same zero, so event
-  // streams from different sinks (pipeline units, daemon requests) merge by
+  // streams from different sinks (session units, daemon requests) merge by
   // concatenation without timestamp translation.
   static const Clock::time_point epoch = Clock::now();
   return epoch;

@@ -1,6 +1,6 @@
 // Structured tracing/metrics substrate (docs/observability.md). One event
 // stream feeds every observability surface: the Chrome-trace profile
-// (--profile), the pipeline trace (--trace-json / --verbose), the CLI
+// (--profile), the demo's stage trace (--trace-json / --verbose), the CLI
 // `check --stats` line and the daemon `stats` reply are all reductions of
 // the same spans and counters, so the numbers cannot drift by construction.
 //

@@ -1,5 +1,11 @@
 #include "obs/summary.hpp"
 
+#include <algorithm>
+#include <iomanip>
+#include <sstream>
+
+#include "support/json.hpp"
+
 namespace llhsc::obs {
 
 namespace {
@@ -9,6 +15,12 @@ constexpr std::string_view kStagePrefix = "stage.";
 
 uint64_t non_negative(int64_t v) {
   return v > 0 ? static_cast<uint64_t>(v) : 0;
+}
+
+std::string format_ms(double ms) {
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(3) << ms;
+  return os.str();
 }
 
 }  // namespace
@@ -73,6 +85,87 @@ Summary reduce(const std::vector<Event>& events) {
     row.cache_errors = non_negative(total("planner.cache_errors"));
   }
   return out;
+}
+
+StageSummary total(const std::vector<StageSummary>& rows) {
+  StageSummary sum;
+  for (const StageSummary& row : rows) {
+    sum.wall_ms += row.wall_ms;
+    sum.findings += row.findings;
+    sum.solver_checks += row.solver_checks;
+    sum.queries_issued += row.queries_issued;
+    sum.queries_pruned += row.queries_pruned;
+    sum.cache_hits += row.cache_hits;
+    sum.cache_errors += row.cache_errors;
+  }
+  return sum;
+}
+
+std::string stages_json(const std::vector<StageSummary>& rows, unsigned jobs,
+                        double total_ms) {
+  using support::Json;
+  const StageSummary sum = total(rows);
+  Json doc = Json::object();
+  doc.set("schema_version", Json::integer(1));
+  doc.set("jobs", Json::unsigned_integer(jobs));
+  doc.set("total_ms", Json::number(total_ms));
+  // No run stops early; the key stays for schema_version 1 readers.
+  doc.set("complete", Json::boolean(true));
+  doc.set("solver_checks", Json::unsigned_integer(sum.solver_checks));
+  doc.set("queries_issued", Json::unsigned_integer(sum.queries_issued));
+  doc.set("queries_pruned", Json::unsigned_integer(sum.queries_pruned));
+  doc.set("cache_hits", Json::unsigned_integer(sum.cache_hits));
+  doc.set("cache_errors", Json::unsigned_integer(sum.cache_errors));
+  doc.set("findings", Json::unsigned_integer(sum.findings));
+  Json stage_rows = Json::array();
+  for (const StageSummary& s : rows) {
+    Json row = Json::object();
+    row.set("unit", Json::string(s.unit));
+    row.set("stage", Json::string(s.stage));
+    row.set("wall_ms", Json::number(s.wall_ms));
+    row.set("solver_checks", Json::unsigned_integer(s.solver_checks));
+    row.set("queries_issued", Json::unsigned_integer(s.queries_issued));
+    row.set("queries_pruned", Json::unsigned_integer(s.queries_pruned));
+    row.set("cache_hits", Json::unsigned_integer(s.cache_hits));
+    row.set("cache_errors", Json::unsigned_integer(s.cache_errors));
+    row.set("findings", Json::unsigned_integer(s.findings));
+    stage_rows.push(std::move(row));
+  }
+  doc.set("stages", std::move(stage_rows));
+  return doc.dump(Json::Style::kPretty) + "\n";
+}
+
+std::string stages_table(const std::vector<StageSummary>& rows, unsigned jobs,
+                         double total_ms) {
+  size_t unit_w = 4, stage_w = 5;
+  for (const StageSummary& s : rows) {
+    unit_w = std::max(unit_w, s.unit.size());
+    stage_w = std::max(stage_w, s.stage.size());
+  }
+  std::ostringstream os;
+  os << std::left << std::setw(static_cast<int>(unit_w)) << "unit" << "  "
+     << std::setw(static_cast<int>(stage_w)) << "stage" << "  "
+     << std::right << std::setw(10) << "wall_ms" << "  " << std::setw(7)
+     << "checks" << "  " << std::setw(7) << "issued" << "  " << std::setw(7)
+     << "pruned" << "  " << std::setw(7) << "cached" << "  " << std::setw(8)
+     << "findings" << '\n';
+  for (const StageSummary& s : rows) {
+    os << std::left << std::setw(static_cast<int>(unit_w)) << s.unit << "  "
+       << std::setw(static_cast<int>(stage_w)) << s.stage << "  "
+       << std::right << std::setw(10) << format_ms(s.wall_ms) << "  "
+       << std::setw(7) << s.solver_checks << "  " << std::setw(7)
+       << s.queries_issued << "  " << std::setw(7) << s.queries_pruned
+       << "  " << std::setw(7) << s.cache_hits << "  " << std::setw(8)
+       << s.findings << '\n';
+  }
+  const StageSummary sum = total(rows);
+  os << "total " << format_ms(total_ms) << " ms, " << sum.solver_checks
+     << " solver checks, " << sum.queries_issued << " issued, "
+     << sum.queries_pruned << " pruned, " << sum.cache_hits
+     << " cache hits, ";
+  if (sum.cache_errors > 0) os << sum.cache_errors << " cache errors, ";
+  os << sum.findings << " findings, jobs=" << jobs << '\n';
+  return os.str();
 }
 
 }  // namespace llhsc::obs

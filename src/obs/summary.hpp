@@ -1,8 +1,9 @@
 // The aggregated-summary reduction over a raw event stream. This is the
-// single source behind every numeric observability surface: core::
-// PipelineTrace rows, `check --stats`, and the daemon's per-check counters
-// are all built from `reduce()` output (asserted by tests/obs/obs_test.cpp),
-// so the CLI and the daemon cannot disagree by construction.
+// single source behind every numeric observability surface: the
+// `--trace-json` and `--verbose` stage rows of `llhsc demo`, `check
+// --stats`, and the daemon's per-check counters are all built from
+// `reduce()` output (asserted by tests/obs/obs_test.cpp), so the CLI and
+// the daemon cannot disagree by construction.
 #pragma once
 
 #include <cstdint>
@@ -17,8 +18,9 @@ namespace llhsc::obs {
 
 /// One row per span in category "stage" (name "stage.<x>"), in stream
 /// order. Counter attribution assumes at most one stage span per
-/// (unit, stage) pair within the reduced stream — true for a pipeline
-/// unit's stream and for a single check request.
+/// (unit, stage) pair within the reduced stream — true for a session run's
+/// stream, where each unit records under its own name, and for a single
+/// check request.
 struct StageSummary {
   std::string unit;
   std::string stage;
@@ -56,5 +58,17 @@ struct Summary {
 };
 
 [[nodiscard]] Summary reduce(const std::vector<Event>& events);
+
+/// Column totals of `rows` (unit and stage empty).
+[[nodiscard]] StageSummary total(const std::vector<StageSummary>& rows);
+
+/// The `--trace-json` document of a product-line run (schema_version 1,
+/// docs/pipeline.md): stable key order, 3-decimal timings. `jobs` is the
+/// run's resolved thread count and `total_ms` its wall time.
+[[nodiscard]] std::string stages_json(const std::vector<StageSummary>& rows,
+                                      unsigned jobs, double total_ms);
+/// The `--verbose` table of the same rows.
+[[nodiscard]] std::string stages_table(const std::vector<StageSummary>& rows,
+                                       unsigned jobs, double total_ms);
 
 }  // namespace llhsc::obs

@@ -1,5 +1,6 @@
 #include "schema/yaml_lite.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "dts/lexer.hpp"
@@ -33,9 +34,9 @@ std::string strip_comment(std::string_view s) {
   return std::string(s);
 }
 
-std::vector<Line> split_lines(std::string_view text) {
+std::vector<Line> split_lines(std::string_view text, uint32_t first_line) {
   std::vector<Line> out;
-  uint32_t number = 0;
+  uint32_t number = first_line - 1;
   size_t start = 0;
   while (start <= text.size()) {
     size_t nl = text.find('\n', start);
@@ -74,8 +75,9 @@ std::string unquote(std::string_view s) {
 
 class Parser {
  public:
-  Parser(std::vector<Line> lines, support::DiagnosticEngine& diags)
-      : lines_(std::move(lines)), diags_(&diags) {}
+  Parser(std::vector<Line> lines, support::DiagnosticEngine& diags,
+         std::string_view file)
+      : lines_(std::move(lines)), diags_(&diags), file_(file) {}
 
   std::optional<Value> parse_document() {
     if (lines_.empty()) return Value{};  // empty scalar document
@@ -93,7 +95,7 @@ class Parser {
     if (!failed_) {
       uint32_t line = pos_ < lines_.size() ? lines_[pos_].number : 0;
       diags_->error("yaml-parse", msg,
-                    support::SourceLocation{"<yaml>", line, 0});
+                    support::SourceLocation{file_, line, 0});
     }
     failed_ = true;
   }
@@ -215,6 +217,7 @@ class Parser {
 
   std::vector<Line> lines_;
   support::DiagnosticEngine* diags_;
+  support::Atom file_;
   size_t pos_ = 0;
   bool failed_ = false;
   /// Current block nesting (see dts::kMaxNesting).
@@ -249,8 +252,9 @@ std::optional<bool> Value::as_bool() const {
 }
 
 std::optional<Value> parse(std::string_view text,
-                           support::DiagnosticEngine& diags) {
-  Parser p(split_lines(text), diags);
+                           support::DiagnosticEngine& diags,
+                           std::string_view file, uint32_t first_line) {
+  Parser p(split_lines(text, first_line), diags, file);
   return p.parse_document();
 }
 
@@ -338,8 +342,10 @@ PropertySchema load_property(const std::string& name, const yaml::Value& v) {
 }  // namespace
 
 std::optional<NodeSchema> load_schema_yaml(std::string_view text,
-                                           support::DiagnosticEngine& diags) {
-  auto doc = yaml::parse(text, diags);
+                                           support::DiagnosticEngine& diags,
+                                           std::string_view file,
+                                           uint32_t first_line) {
+  auto doc = yaml::parse(text, diags, file, first_line);
   if (!doc || !doc->is_map()) {
     diags.error("schema-load", "schema document is not a map");
     return std::nullopt;
@@ -417,7 +423,8 @@ std::optional<NodeSchema> load_schema_yaml(std::string_view text,
 }
 
 size_t load_schema_stream(std::string_view text, SchemaSet& out,
-                          support::DiagnosticEngine& diags) {
+                          support::DiagnosticEngine& diags,
+                          std::string_view file) {
   size_t loaded = 0;
   // Split on document markers and feed each to load_schema_yaml so that a
   // broken document does not take down its siblings.
@@ -433,7 +440,10 @@ size_t load_schema_stream(std::string_view text, SchemaSet& out,
       d = nl == std::string_view::npos ? std::string_view{} : d.substr(nl + 1);
     }
     if (!support::trim(d).empty()) {
-      if (auto schema = load_schema_yaml(d, diags)) {
+      // Lines are numbered from the start of the stream, not the document.
+      const auto first_line = static_cast<uint32_t>(
+          1 + std::count(text.data(), d.data(), '\n'));
+      if (auto schema = load_schema_yaml(d, diags, file, first_line)) {
         out.add(std::move(*schema));
         ++loaded;
       }

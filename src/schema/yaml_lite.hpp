@@ -37,9 +37,11 @@ struct Value {
 };
 
 /// Parses one document. Returns nullopt on structural errors (reported via
-/// diags).
+/// diags, located at `file`, with `text` starting at line `first_line`).
 [[nodiscard]] std::optional<Value> parse(std::string_view text,
-                                         support::DiagnosticEngine& diags);
+                                         support::DiagnosticEngine& diags,
+                                         std::string_view file = "<yaml>",
+                                         uint32_t first_line = 1);
 
 /// Splits a "---"-separated stream and parses each document.
 [[nodiscard]] std::vector<Value> parse_stream(std::string_view text,
@@ -55,11 +57,14 @@ namespace llhsc::schema {
 ///   required (list), additionalProperties (bool), regShapeCheck (bool),
 ///   children (list of {pattern, schema, minCount, maxCount}).
 [[nodiscard]] std::optional<NodeSchema> load_schema_yaml(
-    std::string_view text, support::DiagnosticEngine& diags);
+    std::string_view text, support::DiagnosticEngine& diags,
+    std::string_view file = "<yaml>", uint32_t first_line = 1);
 
 /// Loads a whole "---"-separated schema stream into `out`. Returns the number
-/// of schemas loaded.
+/// of schemas loaded. Parse errors are located at `file` (the --schemas
+/// path), with lines counted from the start of the stream.
 size_t load_schema_stream(std::string_view text, SchemaSet& out,
-                          support::DiagnosticEngine& diags);
+                          support::DiagnosticEngine& diags,
+                          std::string_view file = "<yaml>");
 
 }  // namespace llhsc::schema

@@ -94,11 +94,10 @@ struct ProductLineArtifact {
   std::shared_ptr<const delta::ProductLine> product_line;
 };
 
-/// One derived (core + active deltas) tree with its printed source.
+/// One derived (core + active deltas) tree.
 struct ComposedArtifact {
   uint64_t key = 0;  // fnv(core key, active module keys in application order)
   std::shared_ptr<const dts::Tree> tree;
-  std::string dts_text;
   std::string diagnostics_text;
   bool derive_errors = false;
 };

@@ -103,8 +103,8 @@ api::CheckResult check(const api::CheckRequest& request, ArtifactStore& store,
   // exit-2 never has to come out of a cached verdict. Matches the CLI's
   // lazy schemas_from(): parse errors surface only when syntax runs.
   schema::SchemaSet schemas;
-  if (!load_request_schemas(request.syntax, request.schemas_text, schemas,
-                            out.error_text)) {
+  if (!load_request_schemas(request.syntax, request.schemas_text,
+                            request.schemas_path, schemas, out.error_text)) {
     out.exit_code = 2;
     return out;
   }
@@ -190,6 +190,7 @@ dts::SourceManager request_sources(
 }
 
 bool load_request_schemas(bool syntax, const std::string& schemas_text,
+                          const std::string& schemas_path,
                           schema::SchemaSet& schemas,
                           std::string& error_text) {
   if (!syntax) return true;
@@ -198,7 +199,9 @@ bool load_request_schemas(bool syntax, const std::string& schemas_text,
     return true;
   }
   support::DiagnosticEngine diags;
-  schema::load_schema_stream(schemas_text, schemas, diags);
+  schema::load_schema_stream(
+      schemas_text, schemas, diags,
+      schemas_path.empty() ? std::string_view("<yaml>") : schemas_path);
   if (!diags.has_errors()) return true;
   error_text += diags.render();
   return false;

@@ -46,10 +46,12 @@ namespace llhsc::server {
 
 /// The schema set the syntactic stage binds: none when `syntax` is off, the
 /// builtin set when `schemas_text` is empty. A parse error appends the
-/// rendered diagnostics to `error_text` and returns false — the request's
-/// exit 2, decided before (and so never out of) a cached verdict.
+/// rendered diagnostics, located at `schemas_path` ("" = "<yaml>"), to
+/// `error_text` and returns false — the request's exit 2, decided before
+/// (and so never out of) a cached verdict.
 [[nodiscard]] bool load_request_schemas(bool syntax,
                                         const std::string& schemas_text,
+                                        const std::string& schemas_path,
                                         schema::SchemaSet& schemas,
                                         std::string& error_text);
 

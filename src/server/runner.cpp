@@ -216,8 +216,9 @@ Json execute_request(const std::string& method, const Json& id,
                                     std::memory_order_relaxed);
     return ok_response(id, check_result_json(outcome));
   }
-  const api::SessionResult outcome =
-      run_session_check(session_request_from(params), store, deadline);
+  // One thread per session: the daemon already runs requests in parallel.
+  const api::SessionResult outcome = run_session_check(
+      session_request_from(params), store, deadline, /*jobs=*/1);
   counters.sessions.fetch_add(1, std::memory_order_relaxed);
   return ok_response(id, session_result_json(outcome));
 }

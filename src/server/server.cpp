@@ -538,6 +538,15 @@ bool Server::spawn_worker(unsigned index) {
              std::string(std::strerror(errno)));
     return false;
   }
+  // The supervisor's end goes non-blocking before the fork, so a failure
+  // here is handled like a failed fork: no child exists yet.
+  if (!net::set_nonblocking(sv[0])) {
+    log_line("llhscd: cannot make worker channel non-blocking: " +
+             std::string(std::strerror(errno)));
+    ::close(sv[0]);
+    ::close(sv[1]);
+    return false;
+  }
   const pid_t pid = ::fork();
   if (pid < 0) {
     log_line("llhscd: cannot fork worker: " +
@@ -571,7 +580,6 @@ bool Server::spawn_worker(unsigned index) {
     std::_Exit(rc);
   }
   ::close(sv[1]);
-  net::set_nonblocking(sv[0]);
   WorkerSlot& slot = slots_[index];
   slot.pid = pid;
   slot.fd = sv[0];
@@ -759,7 +767,11 @@ void Server::accept_ready(int listen_fd, bool tcp) {
       if (errno == EINTR) continue;
       return;  // EAGAIN or transient accept error; poll again
     }
-    net::set_nonblocking(client);
+    // A blocking client would stall the event loop: drop it.
+    if (!net::set_nonblocking(client)) {
+      ::close(client);
+      continue;
+    }
     if (tcp) net::set_tcp_nodelay(client);
     obs::count(tcp ? "server.accept.tcp" : "server.accept.unix", "server", 1);
     connections_.push_back(std::make_shared<Connection>(
@@ -931,7 +943,12 @@ int Server::setup_listeners() {
       log_line("llhscd: " + error);
       return 2;
     }
-    net::set_nonblocking(listen_unix_fd_);
+    if (!net::set_nonblocking(listen_unix_fd_)) {
+      log_line("llhscd: cannot make the unix listener non-blocking: " +
+               std::string(std::strerror(errno)));
+      close_fd(listen_unix_fd_);
+      return 2;
+    }
   }
   if (!options_.tcp_listen.empty()) {
     std::string host;
@@ -950,7 +967,13 @@ int Server::setup_listeners() {
       close_fd(listen_unix_fd_);
       return 2;
     }
-    net::set_nonblocking(listen_tcp_fd_);
+    if (!net::set_nonblocking(listen_tcp_fd_)) {
+      log_line("llhscd: cannot make the tcp listener non-blocking: " +
+               std::string(std::strerror(errno)));
+      close_fd(listen_unix_fd_);
+      close_fd(listen_tcp_fd_);
+      return 2;
+    }
     tcp_port_.store(bound, std::memory_order_release);
   }
   return 0;
@@ -1107,14 +1130,23 @@ int Server::run() {
     close_fd(listen_tcp_fd_);
     return 2;
   }
+  if (!net::set_nonblocking(stop_fds[0]) ||
+      !net::set_nonblocking(stop_fds[1]) ||
+      !net::set_nonblocking(wake_fds[0]) ||
+      !net::set_nonblocking(wake_fds[1])) {
+    log_line("llhscd: cannot make the stop/wake pipes non-blocking: " +
+             std::string(std::strerror(errno)));
+    for (int fd : {stop_fds[0], stop_fds[1], wake_fds[0], wake_fds[1]}) {
+      ::close(fd);
+    }
+    close_fd(listen_unix_fd_);
+    close_fd(listen_tcp_fd_);
+    return 2;
+  }
   stop_pipe_read_ = stop_fds[0];
   stop_pipe_write_.store(stop_fds[1], std::memory_order_release);
   wake_pipe_read_ = wake_fds[0];
   wake_pipe_write_ = wake_fds[1];
-  net::set_nonblocking(stop_pipe_read_);
-  net::set_nonblocking(stop_fds[1]);
-  net::set_nonblocking(wake_pipe_read_);
-  net::set_nonblocking(wake_pipe_write_);
   g_signal_pipe.store(stop_fds[1], std::memory_order_relaxed);
 
   struct sigaction sa{};

@@ -1,13 +1,14 @@
 #include "server/session.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "checkers/graph/rules.hpp"
 #include "checkers/resource_allocation.hpp"
-#include "dts/printer.hpp"
 #include "lift/lift.hpp"
 #include "server/check_service.hpp"
 #include "support/strings.hpp"
+#include "support/thread_pool.hpp"
 
 namespace llhsc::server {
 
@@ -32,13 +33,23 @@ api::StoreStats stats_delta(const api::StoreStats& before,
   return d;
 }
 
-/// Counts and renders `findings` into `unit`, then appends it.
-void add_unit(api::SessionResult& out, api::SessionUnitResult unit,
-              const checkers::Findings& findings) {
+/// Counts and renders `findings` into `unit`, then appends it with its
+/// findings and tree.
+void add_unit(SessionRun& out, api::SessionUnitResult unit,
+              checkers::Findings findings,
+              std::shared_ptr<const dts::Tree> tree = nullptr) {
   unit.errors = checkers::error_count(findings);
   unit.warnings = findings.size() - unit.errors;
   unit.report = checkers::render(findings);
+  out.checked.push_back({unit.name, std::move(tree), std::move(findings)});
   out.units.push_back(std::move(unit));
+}
+
+/// Moves a sink's events to the end of the run's stream.
+void append_events(obs::TraceSink& sink, std::vector<obs::Event>& events) {
+  std::vector<obs::Event> taken = sink.take();
+  events.insert(events.end(), std::make_move_iterator(taken.begin()),
+                std::make_move_iterator(taken.end()));
 }
 
 /// The feature model the `what` check needs, or null with the request's
@@ -60,51 +71,59 @@ std::shared_ptr<const ModelArtifact> load_model(
   return model;
 }
 
-}  // namespace
+/// One product (or the platform), derived and checked on one thread into
+/// its own sink; merged into the run in declaration order.
+struct UnitSlot {
+  /// False when the product has no delta application order: no unit.
+  bool listed = false;
+  /// An ordering or derive error: the request's exit 1, no check.
+  bool failed = false;
+  api::SessionUnitResult unit;
+  checkers::Findings findings;
+  std::string error_text;
+  uint64_t composed_key = 0;
+  std::shared_ptr<const ComposedArtifact> composed;  // set when checked
+  std::vector<obs::Event> events;
+};
 
-api::SessionResult run_session_check(const api::SessionRequest& request,
-                                     ArtifactStore& store,
-                                     const support::Deadline& deadline) {
-  api::SessionResult out;
-  const api::StoreStats before = store.stats();
-  auto finish = [&]() {
-    out.cost = stats_delta(before, store.stats());
-    out.status = api::error_code_of_exit(out.exit_code);
-    return out;
-  };
-
+/// The session body. Records into the caller-installed run sink, except
+/// the per-product units, which record into their own sinks; `events`
+/// receives the run sink's events so far before the units' are appended.
+void check_session(const api::SessionRequest& request, ArtifactStore& store,
+                   const support::Deadline& deadline, unsigned jobs,
+                   obs::TraceSink& run_sink, SessionRun& out) {
   dts::SourceManager sources =
       request_sources(request.includes, request.base_directory);
   auto core = store.tree(request.core_source, request.core_name, sources);
   if (core->parse_errors) {
     out.error_text += core->diagnostics_text;
     out.exit_code = 1;
-    return finish();
+    return;
   }
   auto deltas = store.deltas(request.deltas_source, request.deltas_name);
   if (deltas->parse_errors) {
     out.error_text += deltas->diagnostics_text;
     out.exit_code = 1;
-    return finish();
+    return;
   }
   auto pl = store.product_line(*core, *deltas);
   if (pl == nullptr || pl->product_line == nullptr) {
     out.error_text += "cannot build product line\n";
     out.exit_code = 1;
-    return finish();
+    return;
   }
 
   // Schema-set parse errors reject the whole request up front, exactly once
-  // — never from inside a cached verdict.
+  // — never from inside a cached verdict. Sessions carry no schema path.
   schema::SchemaSet schemas;
-  if (!load_request_schemas(request.syntax, request.schemas_text, schemas,
-                            out.error_text)) {
+  if (!load_request_schemas(request.syntax, request.schemas_text,
+                            /*schemas_path=*/"", schemas, out.error_text)) {
     out.exit_code = 2;
-    return finish();
+    return;
   }
 
-  // The per-unit battery: the pipeline's stage set, so the cross-reference
-  // engine is off. Sessions never print the unknown-backend warning.
+  // The per-unit battery: the cross-reference engine is off. Sessions never
+  // print the unknown-backend warning.
   checkers::BatteryOptions options{
       .backend = smt::backend_from_name(request.backend),
       .lint = request.lint, .crossref = false, .graph = request.graph,
@@ -115,17 +134,17 @@ api::SessionResult run_session_check(const api::SessionRequest& request,
   const uint64_t options_key =
       key_then_clamp(options, request.schemas_text, deadline);
 
-  // -- Allocation (global over every product, like the pipeline's stage 1) --
+  // -- Allocation (§IV-A): global over every product, so it runs first --
   if (request.check_allocation) {
     auto model = load_model(request, "check_allocation", store, out);
-    if (model == nullptr) return finish();
+    if (model == nullptr) return;
     std::vector<feature::FeatureId> exclusive;
     for (const std::string& name : request.exclusive) {
       auto id = model->model->find(name);
       if (!id) {
         out.error_text += "unknown exclusive feature '" + name + "'\n";
         out.exit_code = 2;
-        return finish();
+        return;
       }
       exclusive.push_back(*id);
     }
@@ -142,6 +161,9 @@ api::SessionResult run_session_check(const api::SessionRequest& request,
     auto alloc = store.allocation(alloc_key, [&]() {
       AllocationArtifact art;
       art.key = alloc_key;
+      obs::ScopedUnit unit_guard("*");
+      obs::ScopedScope scope_guard("allocation");
+      obs::Span span("stage.allocation", "stage");
       checkers::ResourceAllocationChecker rac(*model->model, exclusive,
                                               options.backend);
       std::vector<std::set<std::string>> features;
@@ -151,6 +173,8 @@ api::SessionResult run_session_check(const api::SessionRequest& request,
       }
       art.findings = rac.check(features);
       checkers::sort_by_location(art.findings);
+      obs::count("stage.findings", "stage",
+                 static_cast<int64_t>(art.findings.size()));
       return art;
     });
     api::SessionUnitResult unit;
@@ -166,7 +190,7 @@ api::SessionResult run_session_check(const api::SessionRequest& request,
   // else stays cached.
   if (request.check_lifted) {
     auto model = load_model(request, "check_lifted", store, out);
-    if (model == nullptr) return finish();
+    if (model == nullptr) return;
     std::ostringstream ks;
     ks << request.backend << '\n' << request.lifted_max_configs << '\n';
     for (const std::string& name : request.exclusive) ks << name << ' ';
@@ -217,21 +241,16 @@ api::SessionResult run_session_check(const api::SessionRequest& request,
   const delta::ProductLine& product_line = *pl->product_line;
   const std::vector<delta::DeltaModule>& modules = product_line.deltas();
 
-  struct ProductGraphInput {
-    std::string name;
-    uint64_t composed_key;
-    std::shared_ptr<const ComposedArtifact> composed;
-  };
-  std::vector<ProductGraphInput> product_graphs;
-
-  for (const api::SessionProduct& product : units) {
+  auto check_unit = [&](const api::SessionProduct& product, UnitSlot& slot) {
     support::DiagnosticEngine order_diags;
     auto order = product_line.application_order(product.features, order_diags);
     if (!order) {
-      out.error_text += order_diags.render();
-      out.exit_code = 1;
-      continue;
+      slot.error_text = order_diags.render();
+      slot.failed = true;
+      return;
     }
+    slot.listed = true;
+    slot.unit.name = product.name;
 
     // The composed key names exactly the modules this product applies, in
     // application order — the heart of per-unit invalidation.
@@ -240,28 +259,26 @@ api::SessionResult run_session_check(const api::SessionRequest& request,
       const size_t idx = static_cast<size_t>(m - modules.data());
       composed_key = fnv_combine(composed_key, deltas->module_keys[idx]);
     }
-
-    api::SessionUnitResult unit;
-    unit.name = product.name;
     auto composed = store.composed(
         composed_key,
         [&]() {
           ComposedArtifact art;
           art.key = composed_key;
           support::DiagnosticEngine diags;
-          auto tree = product_line.derive(product.features, diags);
-          art.tree = std::shared_ptr<const dts::Tree>(std::move(tree));
+          {
+            obs::ScopedScope scope_guard("derive");
+            obs::Span span("stage.derive", "stage");
+            art.tree = product_line.derive(product.features, diags);
+          }
           art.diagnostics_text = diags.render();
           art.derive_errors = art.tree == nullptr || diags.has_errors();
-          if (art.tree != nullptr) art.dts_text = dts::print_dts(*art.tree);
           return art;
         },
-        &unit.composed_cache_hit);
+        &slot.unit.composed_cache_hit);
     if (composed->derive_errors || composed->tree == nullptr) {
-      out.error_text += composed->diagnostics_text;
-      out.exit_code = 1;
-      out.units.push_back(std::move(unit));
-      continue;
+      slot.error_text = composed->diagnostics_text;
+      slot.failed = true;
+      return;
     }
 
     const uint64_t check_key = fnv_combine(options_key, composed_key);
@@ -285,12 +302,57 @@ api::SessionResult run_session_check(const api::SessionRequest& request,
           return CheckArtifact{checked.counters, check_key,
                                std::move(findings)};
         },
-        &unit.check_cache_hit);
-    add_unit(out, std::move(unit), verdict->findings);
+        &slot.unit.check_cache_hit);
+    slot.findings = verdict->findings;
+    slot.composed_key = composed_key;
+    slot.composed = std::move(composed);
+  };
 
-    if (request.graph && product.name != "platform") {
-      product_graphs.push_back({product.name, composed_key, composed});
+  // Each unit records into its own sink under its own obs unit, so units
+  // on different threads never interleave in the run's stream.
+  std::vector<UnitSlot> slots(units.size());
+  auto run_unit = [&](size_t i) {
+    obs::TraceSink unit_sink;
+    {
+      obs::ScopedSink sink_guard(&unit_sink);
+      obs::ScopedUnit unit_guard(units[i].name);
+      check_unit(units[i], slots[i]);
     }
+    slots[i].events = unit_sink.take();
+  };
+  append_events(run_sink, out.events);
+  jobs = support::ThreadPool::resolve_jobs(jobs);
+  if (jobs <= 1 || units.size() <= 1) {
+    for (size_t i = 0; i < units.size(); ++i) run_unit(i);
+  } else {
+    support::ThreadPool pool(
+        static_cast<unsigned>(std::min<size_t>(jobs, units.size())));
+    support::parallel_for(pool, units.size(), run_unit);
+  }
+
+  struct ProductGraphInput {
+    std::string name;
+    uint64_t composed_key;
+    std::shared_ptr<const ComposedArtifact> composed;
+  };
+  std::vector<ProductGraphInput> product_graphs;
+  for (UnitSlot& slot : slots) {
+    out.error_text += slot.error_text;
+    if (slot.failed) out.exit_code = 1;
+    out.events.insert(out.events.end(),
+                      std::make_move_iterator(slot.events.begin()),
+                      std::make_move_iterator(slot.events.end()));
+    if (!slot.listed) continue;
+    std::shared_ptr<const dts::Tree> tree;
+    if (slot.composed != nullptr) {
+      tree = slot.composed->tree;
+      if (request.graph && slot.unit.name != "platform") {
+        product_graphs.push_back(
+            {slot.unit.name, slot.composed_key, slot.composed});
+      }
+    }
+    add_unit(out, std::move(slot.unit), std::move(slot.findings),
+             std::move(tree));
   }
 
   // -- Cross-unit graph analysis: two VMs claiming one exclusive provider.
@@ -309,6 +371,9 @@ api::SessionResult run_session_check(const api::SessionRequest& request,
         [&]() {
           CheckArtifact art;
           art.key = cross_key;
+          obs::ScopedUnit unit_guard("*");
+          obs::ScopedScope scope_guard("graph-cross");
+          obs::Span span("stage.graph-cross", "stage");
           std::vector<std::shared_ptr<const GraphArtifact>> artifacts;
           std::vector<checkers::graph::UnitGraph> unit_graphs;
           for (const ProductGraphInput& pg : product_graphs) {
@@ -320,6 +385,8 @@ api::SessionResult run_session_check(const api::SessionRequest& request,
           art.findings = checkers::graph::check_exclusive_providers(
               unit_graphs);
           checkers::sort_by_location(art.findings);
+          obs::count("stage.findings", "stage",
+                     static_cast<int64_t>(art.findings.size()));
           return art;
         },
         &cross_hit);
@@ -339,7 +406,35 @@ api::SessionResult run_session_check(const api::SessionRequest& request,
       }
     }
   }
-  return finish();
+}
+
+}  // namespace
+
+checkers::Findings SessionRun::findings() const {
+  checkers::Findings out;
+  for (const core::CheckedUnit& unit : checked) {
+    out.insert(out.end(), unit.findings.begin(), unit.findings.end());
+  }
+  return out;
+}
+
+SessionRun run_session_check(const api::SessionRequest& request,
+                             ArtifactStore& store,
+                             const support::Deadline& deadline,
+                             unsigned jobs) {
+  SessionRun out;
+  const api::StoreStats before = store.stats();
+  obs::TraceSink* const caller_sink = obs::current_sink();
+  obs::TraceSink run_sink;
+  {
+    obs::ScopedSink sink_guard(&run_sink);
+    check_session(request, store, deadline, jobs, run_sink, out);
+  }
+  append_events(run_sink, out.events);
+  if (caller_sink != nullptr) caller_sink->extend(out.events);
+  out.cost = stats_delta(before, store.stats());
+  out.status = api::error_code_of_exit(out.exit_code);
+  return out;
 }
 
 }  // namespace llhsc::server

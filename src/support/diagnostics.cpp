@@ -46,13 +46,6 @@ bool DiagnosticEngine::contains_code(std::string_view code) const {
   return false;
 }
 
-void DiagnosticEngine::merge(const DiagnosticEngine& other) {
-  diagnostics_.insert(diagnostics_.end(), other.diagnostics_.begin(),
-                      other.diagnostics_.end());
-  errors_ += other.errors_;
-  warnings_ += other.warnings_;
-}
-
 std::string DiagnosticEngine::render() const {
   std::ostringstream os;
   for (const auto& d : diagnostics_) os << d.render() << '\n';

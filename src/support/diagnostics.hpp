@@ -73,10 +73,6 @@ class DiagnosticEngine {
   [[nodiscard]] bool has_errors() const { return errors_ > 0; }
   [[nodiscard]] bool contains_code(std::string_view code) const;
 
-  /// Appends every diagnostic of `other` (used by the pipeline to fold
-  /// per-VM engines back into the run-wide one in declaration order).
-  void merge(const DiagnosticEngine& other);
-
   /// Renders every diagnostic, one per line.
   [[nodiscard]] std::string render() const;
   void clear();

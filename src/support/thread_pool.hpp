@@ -1,5 +1,5 @@
-// A small fixed-size thread pool. The pipeline uses it to run the per-VM
-// stages of the Fig. 2 workflow concurrently; workers pull tasks from one
+// A small fixed-size thread pool. A product-line session uses it to derive
+// and check its units concurrently; workers pull tasks from one
 // queue, and wait_idle() gives the submitting thread a barrier. Tasks must
 // not throw — wrap fallible work with parallel_for, which captures the
 // first exception and rethrows it on the caller.

@@ -1,54 +1,114 @@
-// End-to-end pipeline tests — the Fig. 2 workflow (E10) plus the two
-// fault-injection scenarios run through the whole stack (E4, E5).
-#include "core/pipeline.hpp"
-
+// End-to-end product-line tests — the Fig. 2 workflow (E10) plus the two
+// fault-injection scenarios run through the whole stack (E4, E5). Every run
+// is what `llhsc demo` does: stages 1-4 as one session over a store local
+// to the run (server::run_session_check), then artifact emission
+// (core::emit).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 
 #include "checkers/report.hpp"
+#include "core/emit.hpp"
 #include "core/running_example.hpp"
-#include "obs/obs.hpp"
+#include "dts/parser.hpp"
 #include "fdt/fdt.hpp"
-#include "schema/builtin_schemas.hpp"
+#include "obs/obs.hpp"
+#include "obs/summary.hpp"
+#include "server/session.hpp"
 
 namespace llhsc::core {
 namespace {
 
+using VmSpec = api::SessionProduct;
+
+/// The stage rows of one run, reduced from its events, with the totals and
+/// renderings `llhsc demo --trace-json / --verbose` print.
+struct Trace {
+  std::vector<obs::StageSummary> stages;
+  unsigned jobs = 1;
+  double total_ms = 0.0;
+
+  [[nodiscard]] uint64_t total_solver_checks() const {
+    return obs::total(stages).solver_checks;
+  }
+  [[nodiscard]] uint64_t total_queries_issued() const {
+    return obs::total(stages).queries_issued;
+  }
+  [[nodiscard]] uint64_t total_queries_pruned() const {
+    return obs::total(stages).queries_pruned;
+  }
+  [[nodiscard]] uint64_t total_cache_hits() const {
+    return obs::total(stages).cache_hits;
+  }
+  [[nodiscard]] std::string to_json() const {
+    return obs::stages_json(stages, jobs, total_ms);
+  }
+  [[nodiscard]] std::string render_table() const {
+    return obs::stages_table(stages, jobs, total_ms);
+  }
+};
+
+/// One run: the session's verdict, stage 5's artifacts and the trace.
+struct Result : Artifacts {
+  bool ok = false;
+  checkers::Findings findings;
+  std::string error_text;  // the session's, then emission's diagnostics
+  /// Session events, then emission's.
+  std::vector<obs::Event> events;
+  Trace trace;
+};
+
+Result run_workflow(api::SessionRequest request, std::vector<VmSpec> vms,
+                    unsigned jobs = 1) {
+  request.products = std::move(vms);
+  const auto start = std::chrono::steady_clock::now();
+  server::ArtifactStore store;
+  server::SessionRun run =
+      server::run_session_check(request, store, /*deadline=*/{}, jobs);
+  obs::TraceSink emit_sink;
+  Result result;
+  {
+    obs::ScopedSink sink_guard(&emit_sink);
+    static_cast<Artifacts&>(result) = emit(run.checked);
+  }
+  result.trace.total_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  result.findings = run.findings();
+  result.error_text = run.error_text + result.diagnostics.render();
+  result.ok = run.exit_code == 0 && !result.diagnostics.has_errors();
+  result.events = std::move(run.events);
+  for (obs::Event& e : emit_sink.take()) result.events.push_back(std::move(e));
+  result.trace.stages = obs::reduce(result.events).stages;
+  result.trace.jobs = jobs;
+  return result;
+}
+
 class PipelineTest : public ::testing::TestWithParam<smt::Backend> {
  protected:
-  void SetUp() override {
-    model = feature::running_example_model();
-    schemas = schema::builtin_schemas();
-    pl = running_example_product_line(diags);
-    ASSERT_NE(pl, nullptr) << diags.render();
-  }
-
-  Pipeline make_pipeline(const delta::ProductLine& line,
-                         PipelineOptions opts = {}) {
-    opts.battery.backend = GetParam();
-    return Pipeline(model, exclusive_cpus(model), line, schemas, opts);
+  /// The running example over `core_dts` and `deltas` on this backend.
+  api::SessionRequest request(
+      const char* core_dts = running_example_core_dts(),
+      const char* deltas = running_example_deltas()) {
+    api::SessionRequest r = running_example_request(core_dts, deltas);
+    r.backend = std::string(smt::to_string(GetParam()));
+    return r;
   }
 
   std::vector<VmSpec> paper_vms() {
     return {{"vm1", fig1b_features()}, {"vm2", fig1c_features()}};
   }
-
-  feature::FeatureModel model;
-  schema::SchemaSet schemas;
-  support::DiagnosticEngine diags;
-  std::unique_ptr<delta::ProductLine> pl;
 };
 
 // E10 — the paper's two-VM configuration goes through cleanly and produces
 // every artifact the cloud service shows: two VM DTSs, the platform DTS,
 // Listing 3 and Listing 6 C files, plus bootable-format DTBs.
 TEST_P(PipelineTest, PaperConfigurationSucceeds) {
-  Pipeline pipeline = make_pipeline(*pl);
-  PipelineResult result = pipeline.run(paper_vms());
+  Result result = run_workflow(request(), paper_vms());
   EXPECT_TRUE(result.ok) << checkers::render(result.findings)
-                         << result.diagnostics.render();
+                         << result.error_text;
   ASSERT_EQ(result.vms.size(), 2u);
   EXPECT_FALSE(result.vms[0].dts_text.empty());
   EXPECT_FALSE(result.vms[1].dts_text.empty());
@@ -92,10 +152,6 @@ TEST_P(PipelineTest, PaperConfigurationSucceeds) {
 // E4 end-to-end — the §I-A UART/memory clash: syntactic checks stay silent,
 // the semantic checker reports the overlap.
 TEST_P(PipelineTest, UartClashCaughtSemanticallyOnly) {
-  support::DiagnosticEngine de;
-  auto bad_pl = running_example_product_line(de, /*with_uart_clash=*/true);
-  ASSERT_NE(bad_pl, nullptr) << de.render();
-  Pipeline pipeline = make_pipeline(*bad_pl);
   // Configure without virtualization so the core layout is used as-is.
   std::vector<VmSpec> vms{{"vm", {"CustomSBC", "memory", "cpus", "cpu@0",
                                   "uarts", "uart@20000000", "uart@60000000"}}};
@@ -104,7 +160,8 @@ TEST_P(PipelineTest, UartClashCaughtSemanticallyOnly) {
   vms[0].features = {"CustomSBC", "memory",        "cpus",
                      "cpu@0",     "uarts",         "uart@20000000",
                      "uart@30000000"};
-  PipelineResult result = pipeline.run(vms);
+  Result result = run_workflow(
+      request(running_example_core_dts_with_uart_clash()), vms);
   EXPECT_FALSE(result.ok);
   EXPECT_TRUE(checkers::contains(result.findings,
                                  checkers::FindingKind::kAddressOverlap))
@@ -120,11 +177,9 @@ TEST_P(PipelineTest, UartClashCaughtSemanticallyOnly) {
 // E5 end-to-end — omitting d4 (the 64->32-bit rewrite) produces four
 // truncated banks and a collision at 0x0, traced back to delta d3.
 TEST_P(PipelineTest, OmittedD4CaughtWithDeltaBlame) {
-  support::DiagnosticEngine de;
-  auto broken_pl = running_example_product_line_without_d4(de);
-  ASSERT_NE(broken_pl, nullptr) << de.render();
-  Pipeline pipeline = make_pipeline(*broken_pl);
-  PipelineResult result = pipeline.run(paper_vms());
+  Result result = run_workflow(
+      request(running_example_core_dts(), running_example_deltas_without_d4()),
+      paper_vms());
   EXPECT_FALSE(result.ok);
   ASSERT_TRUE(checkers::contains(result.findings,
                                  checkers::FindingKind::kAddressOverlap))
@@ -144,27 +199,21 @@ TEST_P(PipelineTest, OmittedD4CaughtWithDeltaBlame) {
 }
 
 TEST_P(PipelineTest, InvalidAllocationStopsBeforeGeneration) {
-  Pipeline pipeline = make_pipeline(*pl, [] {
-    PipelineOptions o;
-    o.fail_fast = true;
-    return o;
-  }());
   // Same CPU for both VMs.
-  PipelineResult result =
-      pipeline.run({{"vm1", fig1b_features()}, {"vm2", fig1b_features()}});
+  Result result = run_workflow(
+      request(), {{"vm1", fig1b_features()}, {"vm2", fig1b_features()}});
   EXPECT_FALSE(result.ok);
   EXPECT_TRUE(checkers::contains(result.findings,
                                  checkers::FindingKind::kExclusivityViolation));
-  EXPECT_TRUE(result.vms.empty()) << "fail-fast must stop before deriving";
 }
 
 TEST_P(PipelineTest, SingleVmWithoutVirtualDevices) {
-  Pipeline pipeline = make_pipeline(*pl);
-  PipelineResult result = pipeline.run(
+  Result result = run_workflow(
+      request(),
       {{"solo",
         {"CustomSBC", "memory", "cpus", "cpu@0", "uarts", "uart@20000000"}}});
   EXPECT_TRUE(result.ok) << checkers::render(result.findings)
-                         << result.diagnostics.render();
+                         << result.error_text;
   ASSERT_EQ(result.vms.size(), 1u);
   // 64-bit layout retained (d3 never fired).
   EXPECT_EQ(result.vms[0].tree->root().address_cells_or_default(), 2u);
@@ -173,12 +222,10 @@ TEST_P(PipelineTest, SingleVmWithoutVirtualDevices) {
 }
 
 TEST_P(PipelineTest, ChecksCanBeDisabled) {
-  support::DiagnosticEngine de;
-  auto bad_pl = running_example_product_line(de, /*with_uart_clash=*/true);
-  PipelineOptions opts;
-  opts.battery.semantics = false;
-  Pipeline pipeline = make_pipeline(*bad_pl, opts);
-  PipelineResult result = pipeline.run(
+  api::SessionRequest opts = request(running_example_core_dts_with_uart_clash());
+  opts.semantics = false;
+  Result result = run_workflow(
+      opts,
       {{"vm",
         {"CustomSBC", "memory", "cpus", "cpu@0", "uarts", "uart@20000000",
          "uart@30000000"}}});
@@ -188,10 +235,9 @@ TEST_P(PipelineTest, ChecksCanBeDisabled) {
 }
 
 TEST_P(PipelineTest, GeneratedDtsRoundTripsThroughParser) {
-  Pipeline pipeline = make_pipeline(*pl);
-  PipelineResult result = pipeline.run(paper_vms());
+  Result result = run_workflow(request(), paper_vms());
   ASSERT_TRUE(result.ok);
-  for (const GeneratedVm& vm : result.vms) {
+  for (const EmittedVm& vm : result.vms) {
     support::DiagnosticEngine de;
     auto reparsed = dts::parse_dts(vm.dts_text, vm.name + ".dts", de);
     EXPECT_NE(reparsed, nullptr);
@@ -205,17 +251,13 @@ TEST_P(PipelineTest, GeneratedDtsRoundTripsThroughParser) {
 // diagnostics, DTS text, DTB blobs and generated C. Uses the broken product
 // line so the comparison covers a finding-rich report, not just empty ones.
 TEST_P(PipelineTest, ParallelRunIsByteIdenticalToSerial) {
-  support::DiagnosticEngine de;
-  auto broken_pl = running_example_product_line_without_d4(de);
-  ASSERT_NE(broken_pl, nullptr) << de.render();
   auto run_with = [&](unsigned jobs) {
-    PipelineOptions opts;
-    opts.jobs = jobs;
-    Pipeline pipeline = make_pipeline(*broken_pl, opts);
-    return pipeline.run(paper_vms());
+    return run_workflow(
+        request(running_example_core_dts(), running_example_deltas_without_d4()),
+        paper_vms(), jobs);
   };
-  PipelineResult serial = run_with(1);
-  PipelineResult parallel = run_with(4);
+  Result serial = run_with(1);
+  Result parallel = run_with(4);
 
   EXPECT_EQ(serial.ok, parallel.ok);
   EXPECT_EQ(checkers::render(serial.findings),
@@ -224,7 +266,7 @@ TEST_P(PipelineTest, ParallelRunIsByteIdenticalToSerial) {
             checkers::report_json(parallel.findings));
   EXPECT_EQ(checkers::to_sarif(serial.findings, "pipeline"),
             checkers::to_sarif(parallel.findings, "pipeline"));
-  EXPECT_EQ(serial.diagnostics.render(), parallel.diagnostics.render());
+  EXPECT_EQ(serial.error_text, parallel.error_text);
 
   ASSERT_EQ(serial.vms.size(), parallel.vms.size());
   for (size_t i = 0; i < serial.vms.size(); ++i) {
@@ -252,13 +294,10 @@ TEST_P(PipelineTest, ParallelRunIsByteIdenticalToSerial) {
 
 TEST_P(PipelineTest, CleanParallelRunMatchesSerial) {
   auto run_with = [&](unsigned jobs) {
-    PipelineOptions opts;
-    opts.jobs = jobs;
-    Pipeline pipeline = make_pipeline(*pl, opts);
-    return pipeline.run(paper_vms());
+    return run_workflow(request(), paper_vms(), jobs);
   };
-  PipelineResult serial = run_with(1);
-  PipelineResult parallel = run_with(4);
+  Result serial = run_with(1);
+  Result parallel = run_with(4);
   EXPECT_TRUE(parallel.ok) << checkers::render(parallel.findings);
   EXPECT_EQ(checkers::render(serial.findings),
             checkers::render(parallel.findings));
@@ -267,13 +306,11 @@ TEST_P(PipelineTest, CleanParallelRunMatchesSerial) {
 }
 
 TEST_P(PipelineTest, TraceRecordsEveryStage) {
-  Pipeline pipeline = make_pipeline(*pl);
-  PipelineResult result = pipeline.run(paper_vms());
+  Result result = run_workflow(request(), paper_vms());
   ASSERT_TRUE(result.ok);
-  EXPECT_TRUE(result.trace.complete);
   EXPECT_GT(result.trace.total_ms, 0.0);
   auto has = [&](const std::string& unit, const std::string& stage) {
-    for (const StageTrace& s : result.trace.stages) {
+    for (const obs::StageSummary& s : result.trace.stages) {
       if (s.unit == unit && s.stage == stage) return true;
     }
     return false;
@@ -289,7 +326,7 @@ TEST_P(PipelineTest, TraceRecordsEveryStage) {
   // planner: the syntactic stage's constraints reach the solver, while on
   // this clean example the semantic stage prunes every candidate — so its
   // evidence of work is the issued+pruned total, not solver_checks.
-  for (const StageTrace& s : result.trace.stages) {
+  for (const obs::StageSummary& s : result.trace.stages) {
     if (s.stage == "syntactic") {
       EXPECT_GT(s.solver_checks, 0u) << s.unit << "/" << s.stage;
     }
@@ -308,51 +345,19 @@ TEST_P(PipelineTest, TraceRecordsEveryStage) {
   EXPECT_NE(table.find("platform"), std::string::npos);
 }
 
-// Satellite of the fail-fast fix: a later-stage failure must not suppress
-// the findings already collected, and the partial trace survives. jobs=1
-// makes the abort point deterministic (vm1 fails, vm2/platform are skipped).
-TEST_P(PipelineTest, FailFastKeepsPartialFindingsAndTrace) {
-  support::DiagnosticEngine de;
-  auto broken_pl = running_example_product_line_without_d4(de);
-  ASSERT_NE(broken_pl, nullptr) << de.render();
-  PipelineOptions opts;
-  opts.fail_fast = true;
-  opts.jobs = 1;
-  Pipeline pipeline = make_pipeline(*broken_pl, opts);
-  PipelineResult result = pipeline.run(paper_vms());
-  EXPECT_FALSE(result.ok);
-  EXPECT_FALSE(result.trace.complete);
-  // vm1's semantic findings (the truncated-bank overlaps) are retained.
-  EXPECT_TRUE(checkers::contains(result.findings,
-                                 checkers::FindingKind::kAddressOverlap))
-      << checkers::render(result.findings);
-  bool vm1_semantic = false, vm2_any = false;
-  for (const StageTrace& s : result.trace.stages) {
-    vm1_semantic = vm1_semantic || (s.unit == "vm1" && s.stage == "semantic");
-    vm2_any = vm2_any || s.unit == "vm2";
-  }
-  EXPECT_TRUE(vm1_semantic) << "the failing stage itself is traced";
-  EXPECT_FALSE(vm2_any) << "serial fail-fast stops before vm2";
-  EXPECT_NE(result.trace.to_json().find("\"complete\": false"),
-            std::string::npos);
-}
-
 // The planner's headline guarantee: routing the semantic stage through
 // sweep-line pruning and batched guarded queries changes no user-visible
 // byte. Uses the finding-rich broken product line so witnesses, delta
 // blame and provenance are all exercised.
 TEST_P(PipelineTest, PlannedFindingsByteIdenticalToExhaustive) {
-  support::DiagnosticEngine de;
-  auto broken_pl = running_example_product_line_without_d4(de);
-  ASSERT_NE(broken_pl, nullptr) << de.render();
   auto run_with = [&](bool plan) {
-    PipelineOptions opts;
-    opts.battery.semantic.plan = plan;
-    Pipeline pipeline = make_pipeline(*broken_pl, opts);
-    return pipeline.run(paper_vms());
+    api::SessionRequest opts =
+        request(running_example_core_dts(), running_example_deltas_without_d4());
+    opts.plan = plan;
+    return run_workflow(opts, paper_vms());
   };
-  PipelineResult planned = run_with(true);
-  PipelineResult exhaustive = run_with(false);
+  Result planned = run_with(true);
+  Result exhaustive = run_with(false);
 
   EXPECT_EQ(planned.ok, exhaustive.ok);
   EXPECT_EQ(checkers::render(planned.findings),
@@ -390,21 +395,20 @@ TEST_P(PipelineTest, EightVmWorkloadCutsSolverChecksTenfold) {
                    i % 2 == 0 ? fig1b_features() : fig1c_features()});
   }
   auto run_with = [&](bool plan) {
-    PipelineOptions opts;
+    api::SessionRequest opts = request();
     opts.check_allocation = false;
-    opts.battery.semantic.plan = plan;
-    Pipeline pipeline = make_pipeline(*pl, opts);
-    return pipeline.run(vms);
+    opts.plan = plan;
+    return run_workflow(opts, vms);
   };
-  PipelineResult planned = run_with(true);
-  PipelineResult exhaustive = run_with(false);
+  Result planned = run_with(true);
+  Result exhaustive = run_with(false);
   EXPECT_EQ(checkers::render(planned.findings),
             checkers::render(exhaustive.findings));
   // The ratio is the semantic stage's: --no-plan leaves the syntactic
   // stage's queries unchanged, so they are excluded from it.
-  auto semantic_checks = [](const PipelineResult& r) {
+  auto semantic_checks = [](const Result& r) {
     uint64_t n = 0;
-    for (const StageTrace& s : r.trace.stages) {
+    for (const obs::StageSummary& s : r.trace.stages) {
       if (s.stage == "semantic") n += s.solver_checks;
     }
     return n;
@@ -420,27 +424,24 @@ TEST_P(PipelineTest, EightVmWorkloadCutsSolverChecksTenfold) {
 // every verdict from the persistent cache — zero queries reach the solver —
 // and the report is byte-identical, witnesses included.
 TEST_P(PipelineTest, WarmCacheSecondRunIssuesZeroQueries) {
-  support::DiagnosticEngine de;
-  auto broken_pl = running_example_product_line_without_d4(de);
-  ASSERT_NE(broken_pl, nullptr) << de.render();
   const std::string cache_dir = ::testing::TempDir() +
                                 "/llhsc-pipeline-warm-cache-" +
                                 std::string(smt::to_string(GetParam()));
   std::filesystem::remove_all(cache_dir);
   auto run_once = [&] {
-    PipelineOptions opts;
-    opts.battery.semantic.cache_dir = cache_dir;
-    Pipeline pipeline = make_pipeline(*broken_pl, opts);
-    return pipeline.run(paper_vms());
+    api::SessionRequest opts =
+        request(running_example_core_dts(), running_example_deltas_without_d4());
+    opts.cache_dir = cache_dir;
+    return run_workflow(opts, paper_vms());
   };
-  PipelineResult cold = run_once();
-  PipelineResult warm = run_once();
+  Result cold = run_once();
+  Result warm = run_once();
 
   EXPECT_GT(cold.trace.total_queries_issued(), 0u)
       << "cold run must actually consult the solver";
   EXPECT_EQ(warm.trace.total_queries_issued(), 0u)
       << "warm run must be served entirely from the cache";
-  for (const StageTrace& s : warm.trace.stages) {
+  for (const obs::StageSummary& s : warm.trace.stages) {
     if (s.stage == "semantic") {
       EXPECT_EQ(s.solver_checks, 0u)
           << s.unit << ": warm semantic stages never touch the solver";
@@ -458,24 +459,18 @@ TEST_P(PipelineTest, WarmCacheSecondRunIssuesZeroQueries) {
 // under the portfolio backend — while retention never *increases* the CDCL
 // conflict work the builtin solver reports per check.
 TEST(PipelineRetentionTest, EightVmReportStableAndConflictsDoNotGrow) {
-  feature::FeatureModel model = feature::running_example_model();
-  schema::SchemaSet schemas = schema::builtin_schemas();
-  support::DiagnosticEngine diags;
-  auto pl = running_example_product_line(diags);
-  ASSERT_NE(pl, nullptr) << diags.render();
   std::vector<VmSpec> vms;
   for (int i = 0; i < 8; ++i) {
     vms.push_back({"vm" + std::to_string(i),
                    i % 2 == 0 ? fig1b_features() : fig1c_features()});
   }
   auto run_with = [&](smt::Backend backend) {
-    PipelineOptions opts;
-    opts.battery.backend = backend;
+    api::SessionRequest opts = running_example_request();
+    opts.backend = std::string(smt::to_string(backend));
     opts.check_allocation = false;
-    Pipeline pipeline(model, exclusive_cpus(model), *pl, schemas, opts);
-    return pipeline.run(vms);
+    return run_workflow(opts, vms);
   };
-  auto conflicts_of = [](const PipelineResult& r) {
+  auto conflicts_of = [](const Result& r) {
     int64_t n = 0;
     for (const obs::Event& e : r.events) {
       if (e.kind == obs::Event::Kind::kCounter &&
@@ -486,11 +481,11 @@ TEST(PipelineRetentionTest, EightVmReportStableAndConflictsDoNotGrow) {
     return n;
   };
 
-  PipelineResult retained = run_with(smt::Backend::kBuiltin);
+  Result retained = run_with(smt::Backend::kBuiltin);
   ASSERT_EQ(::setenv("LLHSC_NO_CLAUSE_RETENTION", "1", 1), 0);
-  PipelineResult dropped = run_with(smt::Backend::kBuiltin);
+  Result dropped = run_with(smt::Backend::kBuiltin);
   ::unsetenv("LLHSC_NO_CLAUSE_RETENTION");
-  PipelineResult portfolio = run_with(smt::Backend::kPortfolio);
+  Result portfolio = run_with(smt::Backend::kPortfolio);
 
   // Verdict transparency: retention and racing are pure optimisations.
   EXPECT_EQ(checkers::render(retained.findings),

@@ -6,12 +6,37 @@
 #include <gtest/gtest.h>
 
 #include "checkers/lint.hpp"
+#include "checkers/report.hpp"
+#include "checkers/semantic.hpp"
 #include "checkers/syntactic.hpp"
-#include "core/pipeline.hpp"
+#include "core/emit.hpp"
 #include "fdt/fdt.hpp"
+#include "feature/multivm.hpp"
+#include "server/session.hpp"
 
 namespace llhsc::core {
 namespace {
+
+/// The session's verdict and stage 5's artifacts of one run (the Fig. 2
+/// workflow over a store local to the run).
+struct Result : Artifacts {
+  bool ok = false;
+  checkers::Findings findings;
+  std::string error_text;
+};
+
+Result run_workflow(std::vector<api::SessionProduct> vms) {
+  api::SessionRequest request = riscv_request();
+  request.products = std::move(vms);
+  server::ArtifactStore store;
+  const server::SessionRun run = server::run_session_check(request, store);
+  Result result;
+  static_cast<Artifacts&>(result) = emit(run.checked);
+  result.findings = run.findings();
+  result.error_text = run.error_text + result.diagnostics.render();
+  result.ok = run.exit_code == 0 && !result.diagnostics.has_errors();
+  return result;
+}
 
 TEST(RiscvExample, CoreDtsParses) {
   support::DiagnosticEngine diags;
@@ -110,17 +135,10 @@ TEST(RiscvExample, InterruptCollisionDetected) {
 }
 
 TEST(RiscvExample, PipelineTwoVmPartitioning) {
-  feature::FeatureModel model = riscv_feature_model();
-  schema::SchemaSet schemas = riscv_schemas();
-  support::DiagnosticEngine diags;
-  auto pl = riscv_product_line(diags);
-  ASSERT_NE(pl, nullptr) << diags.render();
-
-  Pipeline pipeline(model, riscv_exclusive_harts(model), *pl, schemas);
-  PipelineResult result = pipeline.run(
+  Result result = run_workflow(
       {{"vma", riscv_vm_a_features()}, {"vmb", riscv_vm_b_features()}});
   EXPECT_TRUE(result.ok) << checkers::render(result.findings)
-                         << result.diagnostics.render();
+                         << result.error_text;
   ASSERT_EQ(result.vms.size(), 2u);
 
   // VM A: harts 0+1, uart0, virtio0, no flash.
@@ -153,16 +171,10 @@ TEST(RiscvExample, PipelineTwoVmPartitioning) {
 }
 
 TEST(RiscvExample, SameHartTwiceIsRejected) {
-  feature::FeatureModel model = riscv_feature_model();
-  schema::SchemaSet schemas = riscv_schemas();
-  support::DiagnosticEngine diags;
-  auto pl = riscv_product_line(diags);
-  ASSERT_NE(pl, nullptr);
-  Pipeline pipeline(model, riscv_exclusive_harts(model), *pl, schemas);
   auto overlapping = riscv_vm_a_features();
   overlapping.insert("hart2");  // steals a hart VM B owns
-  PipelineResult result =
-      pipeline.run({{"vma", overlapping}, {"vmb", riscv_vm_b_features()}});
+  Result result =
+      run_workflow({{"vma", overlapping}, {"vmb", riscv_vm_b_features()}});
   EXPECT_FALSE(result.ok);
   EXPECT_TRUE(checkers::contains(result.findings,
                                  checkers::FindingKind::kExclusivityViolation))

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "server/check_service.hpp"
+#include "server/runner.hpp"
 
 namespace llhsc::server {
 namespace {
@@ -229,6 +230,41 @@ TEST(Server, CheckResponseMatchesRunCheckBytes) {
   local.path = "test.dts";
   local.source = kDts;
   api::CheckResult expected = api::run_check(local);
+  EXPECT_EQ(result.at("exit_code").as_int(), expected.exit_code);
+  EXPECT_EQ(result.at("stdout").as_string(), expected.output);
+  EXPECT_EQ(result.at("stderr").as_string(), expected.error_text);
+}
+
+// A broken --schemas file is reported at its own path, with lines counted
+// from the start of the stream, and the in-process daemon answers with the
+// one-shot CLI's bytes.
+TEST(Server, BrokenSchemasDiagnosticNamesItsPath) {
+  api::CheckRequest local;
+  local.path = "test.dts";
+  local.source = kDts;
+  local.schemas_path = "boards/bad.yaml";
+  local.schemas_text =
+      "$id: memory\nselect:\n  nodeName: memory@*\n---\n"
+      "$id: broken\nproperties:\n    reg:\n  type: cells\n";
+  const api::CheckResult expected = api::run_check(local);
+  EXPECT_EQ(expected.exit_code, 2);
+  EXPECT_EQ(expected.error_text.rfind("boards/bad.yaml:8: error: [yaml-parse]",
+                                      0),
+            0u)
+      << expected.error_text;
+
+  ServerFixture fixture;
+  Client client(fixture.socket_path());
+  ASSERT_TRUE(client.connected());
+  Json request = Json::object();
+  request.set("id", Json::integer(1));
+  request.set("method", Json::string("check"));
+  request.set("params", check_request_json(local));
+  ASSERT_TRUE(client.send_line(request.dump()));
+  auto response = client.recv_response();
+  ASSERT_TRUE(response.has_value());
+  ASSERT_TRUE(response->at("ok").as_bool()) << response->dump();
+  const Json& result = response->at("result");
   EXPECT_EQ(result.at("exit_code").as_int(), expected.exit_code);
   EXPECT_EQ(result.at("stdout").as_string(), expected.output);
   EXPECT_EQ(result.at("stderr").as_string(), expected.error_text);

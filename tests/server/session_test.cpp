@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "checkers/report.hpp"
+#include "core/running_example.hpp"
 #include "obs/obs.hpp"
+#include "server/runner.hpp"
 
 namespace llhsc::server {
 namespace {
@@ -334,6 +337,164 @@ TEST(SessionLifted, EditingAnyDeltaInvalidatesTheFamilyVerdict) {
   ASSERT_EQ(out.units.size(), 1u);
   EXPECT_FALSE(out.units[0].check_cache_hit);
   EXPECT_EQ(out.cost.lifted_checks, 1u);
+}
+
+// -- The product-line driver: `llhsc demo`, the examples and the benches
+// run the daemon's session with a call-local store and `jobs` threads. --
+
+/// The running example as daemon wire params (the fields
+/// session_request_from reads).
+Json session_params(const api::SessionRequest& r) {
+  Json includes = Json::object();
+  for (const auto& [name, content] : r.includes) {
+    includes.set(name, Json::string(content));
+  }
+  Json products = Json::array();
+  for (const api::SessionProduct& p : r.products) {
+    Json features = Json::array();
+    for (const std::string& f : p.features) features.push(Json::string(f));
+    Json product = Json::object();
+    product.set("name", Json::string(p.name));
+    product.set("features", std::move(features));
+    products.push(std::move(product));
+  }
+  Json exclusive = Json::array();
+  for (const std::string& f : r.exclusive) exclusive.push(Json::string(f));
+  Json params = Json::object();
+  params.set("core_source", Json::string(r.core_source));
+  params.set("core_name", Json::string(r.core_name));
+  params.set("deltas_source", Json::string(r.deltas_source));
+  params.set("deltas_name", Json::string(r.deltas_name));
+  params.set("model_source", Json::string(r.model_source));
+  params.set("model_name", Json::string(r.model_name));
+  params.set("includes", std::move(includes));
+  params.set("products", std::move(products));
+  params.set("check_platform", Json::boolean(r.check_platform));
+  params.set("check_allocation", Json::boolean(r.check_allocation));
+  params.set("exclusive", std::move(exclusive));
+  return params;
+}
+
+api::SessionRequest paper_request(const char* deltas) {
+  api::SessionRequest r =
+      core::running_example_request(core::running_example_core_dts(), deltas);
+  r.products = {{"vm1", core::fig1b_features()},
+                {"vm2", core::fig1c_features()}};
+  return r;
+}
+
+/// Eight VMs alternating Fig. 1b / Fig. 1c, plus the platform; allocation is
+/// off because the VMs reuse the two exclusive CPUs.
+api::SessionRequest eight_vm_request() {
+  api::SessionRequest r = core::running_example_request();
+  for (int i = 0; i < 8; ++i) {
+    r.products.push_back({"vm" + std::to_string(i + 1),
+                          i % 2 == 0 ? core::fig1b_features()
+                                     : core::fig1c_features()});
+  }
+  r.check_allocation = false;
+  return r;
+}
+
+TEST(Session, DaemonAndDemoShapedRunsAgreeOnTheMissingD4Example) {
+  const api::SessionRequest request =
+      paper_request(core::running_example_deltas_without_d4());
+
+  ArtifactStore daemon_store;  // a daemon's: outlives the request
+  const SessionRun daemon = run_session_check(
+      session_request_from(session_params(request)), daemon_store,
+      /*deadline=*/{}, /*jobs=*/1);
+  ArtifactStore call_store;  // `llhsc demo`'s: local to the call
+  const SessionRun demo =
+      run_session_check(request, call_store, /*deadline=*/{}, /*jobs=*/4);
+
+  EXPECT_EQ(daemon.exit_code, 1);
+  EXPECT_EQ(demo.exit_code, daemon.exit_code);
+  EXPECT_EQ(demo.error_text, daemon.error_text);
+  ASSERT_EQ(daemon.units.size(), 4u);  // *, vm1, vm2, platform
+  ASSERT_EQ(demo.units.size(), daemon.units.size());
+  ASSERT_EQ(demo.checked.size(), daemon.checked.size());
+  bool blamed_d3 = false;
+  for (size_t i = 0; i < daemon.units.size(); ++i) {
+    EXPECT_EQ(demo.units[i].name, daemon.units[i].name);
+    EXPECT_EQ(demo.units[i].report, daemon.units[i].report);
+    const checkers::Findings& a = daemon.checked[i].findings;
+    const checkers::Findings& b = demo.checked[i].findings;
+    ASSERT_EQ(a.size(), b.size()) << daemon.units[i].name;
+    for (size_t k = 0; k < a.size(); ++k) {
+      EXPECT_EQ(a[k].delta, b[k].delta) << daemon.units[i].name;
+      blamed_d3 = blamed_d3 || a[k].delta == "d3";
+    }
+  }
+  EXPECT_TRUE(blamed_d3) << checkers::render(daemon.findings());
+}
+
+TEST(Session, EightVmWorkloadDerivesAndChecksEachDistinctTreeOnce) {
+  std::string flat_serial;
+  for (unsigned jobs : {1u, 4u}) {
+    ArtifactStore store;
+    const SessionRun run =
+        run_session_check(eight_vm_request(), store, /*deadline=*/{}, jobs);
+    EXPECT_EQ(run.exit_code, 0) << run.error_text;
+    ASSERT_EQ(run.units.size(), 9u) << "jobs=" << jobs;
+    // vm1 = vm3 = ..., vm2 = vm4 = ..., and the platform.
+    EXPECT_EQ(run.cost.derives, 3u) << "jobs=" << jobs;
+    EXPECT_EQ(run.cost.unit_checks, 3u) << "jobs=" << jobs;
+    const std::string flat = checkers::render(run.findings()) +
+                             checkers::report_json(run.findings());
+    if (jobs == 1) {
+      flat_serial = flat;
+    } else {
+      EXPECT_EQ(flat, flat_serial);
+    }
+  }
+}
+
+TEST(Session, EventsAttributeDeriveAllocationAndBatteryStages) {
+  auto spans = [](const SessionRun& run, const std::string& name) {
+    std::vector<const obs::Event*> out;
+    for (const obs::Event& e : run.events) {
+      if (e.kind == obs::Event::Kind::kSpan && e.name == name) {
+        out.push_back(&e);
+      }
+    }
+    return out;
+  };
+
+  // Eight VMs, three distinct trees: one derive span per composed miss,
+  // none for the six hits.
+  ArtifactStore store;
+  const SessionRun eight = run_session_check(eight_vm_request(), store);
+  size_t misses = 0;
+  for (const api::SessionUnitResult& u : eight.units) {
+    misses += u.composed_cache_hit ? 0 : 1;
+  }
+  EXPECT_EQ(misses, 3u);
+  EXPECT_EQ(spans(eight, "stage.derive").size(), misses);
+  // A warm rerun derives nothing and records no derive span.
+  const SessionRun warm = run_session_check(eight_vm_request(), store);
+  EXPECT_EQ(warm.cost.derives, 0u);
+  EXPECT_TRUE(spans(warm, "stage.derive").empty());
+
+  // The paper's two VMs: allocation under unit "*", every battery stage
+  // under its unit's name.
+  ArtifactStore paper_store;
+  const SessionRun paper = run_session_check(
+      paper_request(core::running_example_deltas()), paper_store);
+  EXPECT_EQ(paper.exit_code, 0) << paper.error_text;
+  const auto allocation = spans(paper, "stage.allocation");
+  ASSERT_EQ(allocation.size(), 1u);
+  EXPECT_EQ(allocation[0]->unit, "*");
+  for (const char* stage : {"stage.derive", "stage.lint", "stage.graph",
+                            "stage.syntactic", "stage.semantic"}) {
+    std::vector<std::string> units;
+    for (const obs::Event* e : spans(paper, stage)) units.push_back(e->unit);
+    EXPECT_EQ(units, (std::vector<std::string>{"vm1", "vm2", "platform"}))
+        << stage;
+  }
+  const auto cross = spans(paper, "stage.graph-cross");
+  ASSERT_EQ(cross.size(), 1u);
+  EXPECT_EQ(cross[0]->unit, "*");
 }
 
 }  // namespace

@@ -123,7 +123,7 @@ if [ "$status" -ne 2 ]; then
     cat "$TMP/deep-yaml.err" >&2
     exit 1
 fi
-if [ "$(grep -cE '^<yaml>:[0-9]+: error: \[yaml-parse\] .*nests deeper than' \
+if [ "$(grep -cE "^$TMP/deep\.yaml:[0-9]+: error: \[yaml-parse\] .*nests deeper than" \
         "$TMP/deep-yaml.err")" -ne 1 ]; then
     echo "deep-yaml: want one located [yaml-parse] error" >&2
     cat "$TMP/deep-yaml.err" >&2

@@ -28,11 +28,13 @@
 //   llhsc demo [--out <dir>] [--jobs N] [--solver-timeout-ms N]
 //              [--trace-json <file>] [--verbose] [--no-plan]
 //              [--cache-dir <dir>] [--profile <file>]
-//       Run the paper's running example end to end and write every artifact
-//       (VM DTSs, platform DTS, DTBs, platform.c, config.c). --jobs checks
-//       the VMs in parallel (output is byte-identical to --jobs 1);
-//       --trace-json / --verbose expose the per-stage trace, --profile the
-//       raw span/counter stream it was reduced from.
+//       Run the paper's running example end to end — one product-line
+//       session over a store local to the run, then artifact emission — and
+//       write every artifact (VM DTSs, platform DTS, DTBs, platform.c,
+//       config.c). --jobs checks the units in parallel (output is
+//       byte-identical to --jobs 1); --trace-json / --verbose expose the
+//       per-stage trace, --profile the raw span/counter stream it was
+//       reduced from.
 //
 // Exit codes (all commands): 0 success (warnings allowed), 1 findings or
 // input rejected by a checker/parser, 2 usage or I/O error.
@@ -45,6 +47,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -58,7 +61,7 @@
 #include "checkers/battery.hpp"
 #include "checkers/crossref/rules.hpp"
 #include "checkers/report.hpp"
-#include "core/pipeline.hpp"
+#include "core/emit.hpp"
 #include "core/running_example.hpp"
 #include "dts/overlay.hpp"
 #include "dts/parser.hpp"
@@ -72,12 +75,15 @@
 #include "lift/lift.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/obs.hpp"
+#include "obs/summary.hpp"
 #include "schema/builtin_schemas.hpp"
 #include "schema/yaml_lite.hpp"
 #include "server/runner.hpp"
+#include "server/session.hpp"
 #include "support/flags.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"
+#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -137,7 +143,7 @@ schema::SchemaSet schemas_from(const ParsedFlags& args) {
     }
     support::DiagnosticEngine diags;
     schema::SchemaSet set;
-    schema::load_schema_stream(*text, set, diags);
+    schema::load_schema_stream(*text, set, diags, args.value("schemas"));
     if (diags.has_errors()) {
       std::cerr << diags.render();
       std::exit(2);
@@ -639,54 +645,67 @@ int cmd_demo(int argc, char** argv) {
     return 2;
   }
   const ParsedFlags& args = *parsed;
-  std::string out_dir = args.value("out", ".");
-  feature::FeatureModel model = feature::running_example_model();
-  schema::SchemaSet schemas = schema::builtin_schemas();
-  support::DiagnosticEngine diags;
-  auto pl = core::running_example_product_line(diags);
-  if (pl == nullptr) {
-    std::cerr << diags.render();
-    return 2;
-  }
-  core::PipelineOptions opts;
-  opts.battery.backend = backend_from(args);
-  opts.jobs = static_cast<unsigned>(args.uint_value("jobs", 1));
-  opts.battery.semantic.solver_timeout_ms =
-      args.uint_value("solver-timeout-ms", 0);
-  opts.battery.semantic.plan = !args.has("no-plan");
-  opts.battery.semantic.cache_dir = args.value("cache-dir");
-  core::Pipeline pipeline(model, core::exclusive_cpus(model), *pl, schemas,
-                          opts);
-  core::PipelineResult result = pipeline.run(
-      {{"vm1", core::fig1b_features()}, {"vm2", core::fig1c_features()}});
+  const std::string out_dir = args.value("out", ".");
+  api::SessionRequest request = core::running_example_request();
+  request.products = {{"vm1", core::fig1b_features()},
+                      {"vm2", core::fig1c_features()}};
+  request.backend = std::string(smt::to_string(backend_from(args)));
+  request.solver_timeout_ms = args.uint_value("solver-timeout-ms", 0);
+  request.plan = !args.has("no-plan");
+  request.cache_dir = args.value("cache-dir");
+  const unsigned jobs = support::ThreadPool::resolve_jobs(
+      static_cast<unsigned>(args.uint_value("jobs", 1)));
+
+  // Stages 1-4 are one session over a store local to the run; stage 5
+  // emits the checked trees.
+  const auto start = std::chrono::steady_clock::now();
+  server::ArtifactStore store;
+  server::SessionRun run =
+      server::run_session_check(request, store, /*deadline=*/{}, jobs);
+  obs::TraceSink emit_sink;
+  const core::Artifacts artifacts = [&] {
+    obs::ScopedSink sink_guard(&emit_sink);
+    return core::emit(run.checked);
+  }();
+  const double total_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  std::vector<obs::Event> events = std::move(run.events);
+  for (obs::Event& e : emit_sink.take()) events.push_back(std::move(e));
+
   // Trace and profile go out before the success check: a failed run still
-  // leaves its partial timing/finding data behind for inspection.
+  // leaves its timing/finding data behind for inspection.
+  const std::vector<obs::StageSummary> stages = obs::reduce(events).stages;
   if (args.has("trace-json")) {
-    if (!write_file(args.value("trace-json"), result.trace.to_json())) {
+    if (!write_file(args.value("trace-json"),
+                    obs::stages_json(stages, jobs, total_ms))) {
       std::cerr << "cannot write " << args.value("trace-json") << "\n";
       return 2;
     }
   }
   if (args.has("profile")) {
-    if (!obs::write_chrome_trace(args.value("profile"), result.events)) {
+    if (!obs::write_chrome_trace(args.value("profile"), events)) {
       std::cerr << "cannot write " << args.value("profile") << "\n";
       return 2;
     }
   }
-  if (args.has("verbose")) std::cerr << result.trace.render_table();
-  std::cout << checkers::render(result.findings);
-  if (!result.ok) {
-    std::cerr << result.diagnostics.render() << "pipeline failed\n";
+  if (args.has("verbose")) {
+    std::cerr << obs::stages_table(stages, jobs, total_ms);
+  }
+  std::cout << checkers::render(run.findings());
+  if (run.exit_code != 0 || artifacts.diagnostics.has_errors()) {
+    std::cerr << run.error_text << artifacts.diagnostics.render()
+              << "pipeline failed\n";
     return 1;
   }
-  for (const core::GeneratedVm& vm : result.vms) {
+  for (const core::EmittedVm& vm : artifacts.vms) {
     write_file(out_dir + "/" + vm.name + ".dts", vm.dts_text);
     write_file(out_dir + "/" + vm.name + ".dtb", vm.dtb);
   }
-  write_file(out_dir + "/platform.dts", result.platform_dts_text);
-  write_file(out_dir + "/platform.dtb", result.platform_dtb);
-  write_file(out_dir + "/platform.c", result.platform_config_c);
-  write_file(out_dir + "/config.c", result.vm_config_c);
+  write_file(out_dir + "/platform.dts", artifacts.platform_dts_text);
+  write_file(out_dir + "/platform.dtb", artifacts.platform_dtb);
+  write_file(out_dir + "/platform.c", artifacts.platform_config_c);
+  write_file(out_dir + "/config.c", artifacts.vm_config_c);
   std::cout << "wrote vm1/vm2/platform .dts+.dtb, platform.c, config.c to "
             << out_dir << "\n";
   return 0;
