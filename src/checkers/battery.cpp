@@ -94,7 +94,6 @@ BatteryResult run_battery(const dts::Tree& tree, const BatteryOptions& options,
                     .check(*ctx, *device_graph);
               });
     run_stage(options.graph, "graph", "stage.graph", kGraph, [&] {
-      result.graph = device_graph;
       return graph::GraphChecker(options.rules).check(*device_graph);
     });
     run_stage(options.syntax && options.schemas != nullptr, "syntactic",

@@ -68,9 +68,6 @@ struct SemanticCounters {
 struct BatteryResult {
   /// One findings chunk per stage that ran, in stage order.
   std::vector<Findings> stages;
-  /// The device graph the graph stage checked: the caller's, or one built
-  /// on demand. Null when the stage was off.
-  std::shared_ptr<const graph::DeviceGraph> graph;
   SemanticCounters counters;
 
   /// Every stage's findings, concatenated in stage order.

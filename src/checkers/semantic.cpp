@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "checkers/interval_baseline.hpp"
+#include "support/deadline.hpp"
 #include "support/strings.hpp"
 
 namespace llhsc::checkers {
@@ -147,26 +148,6 @@ std::unordered_map<uint32_t, uint32_t> cells_by_phandle(const dts::Tree& tree,
   return out;
 }
 
-}  // namespace
-
-std::string_view to_string(RegionClass c) {
-  switch (c) {
-    case RegionClass::kMemory: return "memory";
-    case RegionClass::kDevice: return "device";
-    case RegionClass::kIpc: return "ipc";
-  }
-  return "unknown";
-}
-
-bool overlap_is_fault(RegionClass a, RegionClass b) {
-  // Only the ipc/memory combination is a sanctioned overlap.
-  if ((a == RegionClass::kIpc && b == RegionClass::kMemory) ||
-      (a == RegionClass::kMemory && b == RegionClass::kIpc)) {
-    return false;
-  }
-  return true;
-}
-
 Finding zero_size_finding(const MemRegion& r) {
   Finding f;
   f.kind = FindingKind::kZeroSizeRegion;
@@ -243,6 +224,130 @@ Finding clock_collision_finding(const Claim& a, const Claim& b) {
               " of provider phandle " + std::to_string(b.owner_phandle) +
               " already assigned by " + a.path;
   return f;
+}
+
+/// The one kSolverTimeout finding of a discharge (`where` names the query
+/// that came back undecided).
+Finding timeout_finding(const std::string& where, uint64_t budget_ms) {
+  Finding f;
+  f.kind = FindingKind::kSolverTimeout;
+  f.subject = where;
+  f.message =
+      budget_ms > 0
+          ? "solver query exceeded the " + std::to_string(budget_ms) +
+                " ms budget; this and the remaining semantic checks were "
+                "not decided"
+          : "solver returned unknown; this semantic check was not decided";
+  return f;
+}
+
+/// The formula-(7) query for one region pair, over `witness`. The witness
+/// is pinned to max(base_a, base_b) (masked to `width`): for concrete
+/// non-wrapping intervals that address is in the intersection iff the
+/// intersection is non-empty, so the pin is equisatisfiable and makes the
+/// reported witness independent of backend, batching, and model heuristics.
+std::vector<logic::Formula> overlap_body(smt::Solver& solver,
+                                         const MemRegion& a,
+                                         const MemRegion& b, uint32_t width,
+                                         logic::BvTerm witness) {
+  auto& fa = solver.formulas();
+  auto& bv = solver.bitvectors();
+  auto in_range = [&](const MemRegion& r) {
+    auto base_t = bv.bv_const(r.base, width);
+    auto end_t = bv.bv_add(base_t, bv.bv_const(r.size, width));
+    // base <= x < base + size; the wrap case is reported separately, and
+    // for wrapped regions the conjunction below under-approximates.
+    return fa.mk_and(bv.uge(witness, base_t), bv.ult(witness, end_t));
+  };
+  const uint64_t pin =
+      std::max(mask_address(a.base, width), mask_address(b.base, width));
+  return {in_range(a), in_range(b), bv.eq(witness, bv.bv_const(pin, width))};
+}
+
+/// Builds the equality queries over one claim set. Each claim's solver
+/// terms (owner, then one per tuple cell) are created once, on first use,
+/// and shared by every query that names the claim.
+class ClaimQueries {
+ public:
+  /// `ns` namespaces the variables; `claims` must outlive the builder.
+  ClaimQueries(smt::Solver& solver, const std::vector<Claim>& claims,
+               std::string ns)
+      : solver_(&solver),
+        claims_(&claims),
+        ns_(std::move(ns)),
+        terms_(claims.size()) {}
+
+  /// The query for claims i and j: owner and every tuple cell equal, each
+  /// side fixed to its instance value so the query is self-contained
+  /// (cache-portable) and non-empty even for zero-cell clock providers.
+  std::vector<logic::Formula> build(size_t i, size_t j) {
+    auto& bv = solver_->bitvectors();
+    const std::vector<logic::Formula> fa = fixings(i);
+    const std::vector<logic::Formula> fb = fixings(j);
+    const std::vector<logic::BvTerm>& ta = terms(i);
+    const std::vector<logic::BvTerm>& tb = terms(j);
+    std::vector<logic::Formula> fs;
+    fs.reserve(ta.size() * 3);
+    for (size_t k = 0; k < ta.size(); ++k) {
+      fs.push_back(fa[k]);
+      fs.push_back(fb[k]);
+      fs.push_back(bv.eq(ta[k], tb[k]));
+    }
+    return fs;
+  }
+
+  /// Claim i's terms fixed to its instance values; build() interleaves
+  /// these with the pairwise equalities.
+  std::vector<logic::Formula> fixings(size_t i) {
+    auto& bv = solver_->bitvectors();
+    const Claim& c = (*claims_)[i];
+    const std::vector<logic::BvTerm>& t = terms(i);
+    std::vector<logic::Formula> fs;
+    fs.reserve(t.size());
+    fs.push_back(bv.eq(t[0], bv.bv_const(c.owner_phandle, 32)));
+    for (size_t k = 0; k < c.tuple.size(); ++k) {
+      fs.push_back(bv.eq(t[k + 1], bv.bv_const(c.tuple[k], 32)));
+    }
+    return fs;
+  }
+
+ private:
+  const std::vector<logic::BvTerm>& terms(size_t i) {
+    std::vector<logic::BvTerm>& t = terms_[i];
+    if (t.empty()) {
+      const std::string prefix = ns_ + "." + std::to_string(i) + ".";
+      t.reserve((*claims_)[i].tuple.size() + 1);
+      for (size_t k = 0; k <= (*claims_)[i].tuple.size(); ++k) {
+        t.push_back(solver_->bv_var(prefix + std::to_string(k), 32));
+      }
+    }
+    return t;
+  }
+
+  smt::Solver* solver_;
+  const std::vector<Claim>* claims_;
+  std::string ns_;
+  std::vector<std::vector<logic::BvTerm>> terms_;  // per claim, lazily
+};
+
+}  // namespace
+
+std::string_view to_string(RegionClass c) {
+  switch (c) {
+    case RegionClass::kMemory: return "memory";
+    case RegionClass::kDevice: return "device";
+    case RegionClass::kIpc: return "ipc";
+  }
+  return "unknown";
+}
+
+bool overlap_is_fault(RegionClass a, RegionClass b) {
+  // Only the ipc/memory combination is a sanctioned overlap.
+  if ((a == RegionClass::kIpc && b == RegionClass::kMemory) ||
+      (a == RegionClass::kMemory && b == RegionClass::kIpc)) {
+    return false;
+  }
+  return true;
 }
 
 std::vector<MemRegion> extract_regions(const dts::Tree& tree, Findings& out) {
@@ -361,54 +466,6 @@ std::vector<Claim> collect_clock_claims(const dts::Tree& tree) {
   return claims;
 }
 
-OverlapQuery build_overlap_query(smt::Solver& solver, const MemRegion& a,
-                                 const MemRegion& b, uint32_t width,
-                                 const std::string& ns) {
-  auto& fa = solver.formulas();
-  auto& bv = solver.bitvectors();
-  OverlapQuery q;
-  q.x = bv.bv_var(ns + ".x", width);
-  auto in_range = [&](const MemRegion& r) {
-    auto base_t = bv.bv_const(r.base, width);
-    auto end_t = bv.bv_add(base_t, bv.bv_const(r.size, width));
-    // base <= x < base + size; the wrap case is reported separately, and
-    // for wrapped regions the conjunction below under-approximates.
-    return fa.mk_and(bv.uge(q.x, base_t), bv.ult(q.x, end_t));
-  };
-  q.formulas.push_back(in_range(a));
-  q.formulas.push_back(in_range(b));
-  // Witness pin (see header): the larger masked base is in the intersection
-  // iff the intersection is non-empty, so this keeps the query
-  // equisatisfiable while fixing the model value every backend reports.
-  const uint64_t pin =
-      std::max(mask_address(a.base, width), mask_address(b.base, width));
-  q.formulas.push_back(bv.eq(q.x, bv.bv_const(pin, width)));
-  return q;
-}
-
-RegionScreen screen_regions(const std::vector<MemRegion>& regions,
-                            uint32_t width, bool warn_zero_size,
-                            Findings& out) {
-  RegionScreen screen;
-  for (size_t i = 0; i < regions.size(); ++i) {
-    const MemRegion& r = regions[i];
-    if (r.size == 0) {
-      if (warn_zero_size) out.push_back(zero_size_finding(r));
-      continue;
-    }
-    MemRegion m = r;
-    m.base = mask_address(m.base, width);
-    m.size = mask_address(m.size, width);
-    if (region_wraps(m.base, m.size, width)) {
-      out.push_back(wrap_finding(r, width));
-      continue;
-    }
-    screen.masked.push_back(std::move(m));
-    screen.index.push_back(i);
-  }
-  return screen;
-}
-
 ClaimPairs claim_pairs(const std::vector<Claim>& claims) {
   std::map<std::pair<uint32_t, std::vector<uint64_t>>, std::vector<size_t>>
       buckets;
@@ -432,52 +489,189 @@ ClaimPairs claim_pairs(const std::vector<Claim>& claims) {
   return out;
 }
 
-ClaimQueries::ClaimQueries(smt::Solver& solver,
-                           const std::vector<Claim>& claims, std::string ns)
-    : solver_(&solver),
-      claims_(&claims),
-      ns_(std::move(ns)),
-      terms_(claims.size()) {}
+std::vector<SetFinding> discharge(smt::Solver& solver,
+                                  std::span<const ObligationSet> sets,
+                                  const SemanticOptions& options,
+                                  const Decide& decide,
+                                  smt::QueryPlanner* pruned) {
+  std::vector<SetFinding> out;
+  const uint32_t width = options.address_bits;
+  auto& bv = solver.bitvectors();
+  // The one exit for an undecided query: report it and stop, so a
+  // pathological query degrades into a visible error, never a silent pass.
+  auto undecided = [&](smt::CheckResult r, size_t a, size_t b,
+                       const std::string& where) {
+    if (r != smt::CheckResult::kUnknown) return false;
+    out.push_back({timeout_finding(where, options.solver_timeout_ms), a, b});
+    return true;
+  };
 
-const std::vector<logic::BvTerm>& ClaimQueries::terms(size_t i) {
-  std::vector<logic::BvTerm>& t = terms_[i];
-  if (t.empty()) {
-    const std::string prefix = ns_ + "." + std::to_string(i) + ".";
-    t.reserve((*claims_)[i].tuple.size() + 1);
-    for (size_t k = 0; k <= (*claims_)[i].tuple.size(); ++k) {
-      t.push_back(solver_->bv_var(prefix + std::to_string(k), 32));
+  // Every set's regions in one list: at[k] = (set, region index).
+  std::vector<std::pair<size_t, size_t>> at;
+  for (size_t s = 0; s < sets.size(); ++s) {
+    for (size_t i = 0; i < sets[s].regions.size(); ++i) at.emplace_back(s, i);
+  }
+  auto region = [&](size_t k) -> const MemRegion& {
+    return sets[at[k].first].regions[at[k].second];
+  };
+  auto exclusive = [&](size_t k, size_t l) {
+    const size_t group = sets[at[k].first].group;
+    return at[k].first != at[l].first && group == sets[at[l].first].group &&
+           group != ObligationSet::kAlwaysPresent;
+  };
+
+  // Region screen and pair selection. The planned path decides zero-size
+  // and wrapped regions concretely (one solver query pruned per nonzero
+  // region) and keeps only the pairs whose masked intervals the sweep-line
+  // finds intersecting — exactly the pairs the solver can find
+  // satisfiable. The exhaustive path decides every wrap check and every
+  // fault-class pair of nonzero regions on the solver. Both list pairs in
+  // (first, second) order, so the findings are byte-identical.
+  std::vector<std::pair<size_t, size_t>> pairs;
+  std::vector<MemRegion> masked;  // planned: screen survivors, masked
+  std::vector<size_t> survivor;   // masked[m] is region(survivor[m])
+  for (size_t k = 0, s = 0; s < sets.size(); ++s) {
+    for (const Finding& f : sets[s].extracted) out.push_back({f, s, s});
+    for (const MemRegion& r : sets[s].regions) {
+      const size_t here = k++;
+      if (r.size == 0) {
+        if (options.warn_zero_size) out.push_back({zero_size_finding(r), s, s});
+        continue;
+      }
+      if (options.plan) {
+        MemRegion m = r;
+        m.base = mask_address(m.base, width);
+        m.size = mask_address(m.size, width);
+        if (region_wraps(m.base, m.size, width)) {
+          out.push_back({wrap_finding(r, width), s, s});
+          continue;
+        }
+        masked.push_back(std::move(m));
+        survivor.push_back(here);
+        continue;
+      }
+      const logic::Formula wraps = bv.uadd_overflow(
+          bv.bv_const(r.base, width), bv.bv_const(r.size, width));
+      const smt::CheckResult r_wrap = decide(s, s, {&wraps, 1}, {}).result;
+      if (undecided(r_wrap, s, s, "wrap-around check of " + r.path)) {
+        return out;
+      }
+      if (r_wrap == smt::CheckResult::kSat) {
+        out.push_back({wrap_finding(r, width), s, s});
+      }
     }
   }
-  return t;
-}
-
-std::vector<logic::Formula> ClaimQueries::fixings(size_t i) {
-  auto& bv = solver_->bitvectors();
-  const Claim& c = (*claims_)[i];
-  const std::vector<logic::BvTerm>& t = terms(i);
-  std::vector<logic::Formula> fs;
-  fs.reserve(t.size());
-  fs.push_back(bv.eq(t[0], bv.bv_const(c.owner_phandle, 32)));
-  for (size_t k = 0; k < c.tuple.size(); ++k) {
-    fs.push_back(bv.eq(t[k + 1], bv.bv_const(c.tuple[k], 32)));
+  if (options.plan) {
+    for (const OverlapPair& p : find_overlaps_sweepline(masked)) {
+      const size_t k = survivor[p.first], l = survivor[p.second];
+      if (!exclusive(k, l)) pairs.emplace_back(k, l);
+    }
+    if (pruned != nullptr) {
+      // Queries the exhaustive path would issue: one wrap check per nonzero
+      // region plus every pair of nonzero regions whose class combination
+      // is a fault. Counted by class tally so the pruning counter is exact
+      // without an O(n^2) walk.
+      uint64_t nonzero = 0, ipc = 0, memory = 0;
+      for (size_t k = 0; k < at.size(); ++k) {
+        if (region(k).size == 0) continue;
+        ++nonzero;
+        if (region(k).region_class == RegionClass::kIpc) ++ipc;
+        if (region(k).region_class == RegionClass::kMemory) ++memory;
+      }
+      const uint64_t queryable = nonzero * (nonzero - 1) / 2 - ipc * memory;
+      pruned->note_pruned(nonzero + queryable - pairs.size());
+    }
+  } else {
+    for (size_t k = 0; k < at.size(); ++k) {
+      for (size_t l = k + 1; l < at.size(); ++l) {
+        if (region(k).size != 0 && region(l).size != 0 &&
+            overlap_is_fault(region(k).region_class,
+                             region(l).region_class) &&
+            !exclusive(k, l)) {
+          pairs.emplace_back(k, l);
+        }
+      }
+    }
   }
-  return fs;
-}
 
-std::vector<logic::Formula> ClaimQueries::build(size_t i, size_t j) {
-  auto& bv = solver_->bitvectors();
-  const std::vector<logic::Formula> fa = fixings(i);
-  const std::vector<logic::Formula> fb = fixings(j);
-  const std::vector<logic::BvTerm>& ta = terms(i);
-  const std::vector<logic::BvTerm>& tb = terms(j);
-  std::vector<logic::Formula> fs;
-  fs.reserve(ta.size() * 3);
-  for (size_t k = 0; k < ta.size(); ++k) {
-    fs.push_back(fa[k]);
-    fs.push_back(fb[k]);
-    fs.push_back(bv.eq(ta[k], tb[k]));
+  uint64_t fresh = 0;  // variable namespaces, for readable solver dumps
+  for (const auto& [k, l] : pairs) {
+    const MemRegion& a = region(k);
+    const MemRegion& b = region(l);
+    const size_t sa = at[k].first, sb = at[l].first;
+    const logic::BvTerm x =
+        solver.bv_var("ov" + std::to_string(fresh++) + ".x", width);
+    const smt::QueryPlanner::Outcome o =
+        decide(sa, sb, overlap_body(solver, a, b, width, x), x);
+    if (undecided(o.result, sa, sb,
+                  "overlap check of " + a.path + " vs " + b.path)) {
+      return out;
+    }
+    if (o.result == smt::CheckResult::kSat) {
+      out.push_back({overlap_finding(a, b, o.witness), sa, sb});
+    }
   }
-  return fs;
+
+  // Interrupt and clock uniqueness through the solver (the paper's
+  // conclusions name interrupts alongside memory addresses as
+  // bit-vector-validated): two claims collide iff they name the same owner
+  // (interrupt parent / clock provider) and their full tuples are equal.
+  // Structurally this is equality, but routing it through the solver keeps
+  // every semantic rule in one constraint store (the paper's extensibility
+  // argument, §VI) and allows symbolic lines later. Claims pair only within
+  // a set: a lifted claim set is the whole claim environment of its
+  // variant. The planned path queries only pairs that share an (owner,
+  // tuple) bucket; the exhaustive path queries every comparable pair. Both
+  // walk pairs in (i, j) order, so the findings are byte-identical.
+  using Collision = Finding (*)(const Claim&, const Claim&);
+  struct ClaimKind {
+    const std::vector<Claim> ObligationSet::*claims;
+    const char* name;
+    Collision collision;
+  };
+  static constexpr ClaimKind kKinds[] = {
+      {&ObligationSet::irq, "interrupt", interrupt_collision_finding},
+      {&ObligationSet::clock, "clock", clock_collision_finding}};
+  for (size_t s = 0; s < sets.size(); ++s) {
+    for (const ClaimKind& kind : kKinds) {
+      const std::vector<Claim>& claims = sets[s].*kind.claims;
+      ClaimQueries queries(solver, claims, "cl" + std::to_string(fresh++));
+      std::vector<std::pair<size_t, size_t>> candidates;
+      if (options.plan) {
+        ClaimPairs cp = claim_pairs(claims);
+        if (pruned != nullptr) {
+          pruned->note_pruned(cp.comparable - cp.candidates.size());
+        }
+        candidates = std::move(cp.candidates);
+      } else {
+        // The exhaustive path shares its solver across every comparable
+        // pair, so it asserts the fixings once as facts: each query's
+        // assumed fixings are then true at level 0 and only its equalities
+        // are searched.
+        for (size_t i = 0; i < claims.size(); ++i) {
+          for (logic::Formula f : queries.fixings(i)) solver.add(f);
+          for (size_t j = i + 1; j < claims.size(); ++j) {
+            if (claims[i].owner_phandle == claims[j].owner_phandle &&
+                claims[i].tuple.size() == claims[j].tuple.size()) {
+              candidates.emplace_back(i, j);
+            }
+          }
+        }
+      }
+      for (const auto& [i, j] : candidates) {
+        const smt::CheckResult r = decide(s, s, queries.build(i, j), {}).result;
+        if (undecided(r, s, s,
+                      std::string(kind.name) + " check of " + claims[i].path +
+                          " vs " + claims[j].path)) {
+          return out;
+        }
+        if (r == smt::CheckResult::kSat) {
+          out.push_back({kind.collision(claims[i], claims[j]), s, s});
+        }
+      }
+    }
+  }
+  return out;
 }
 
 SemanticChecker::SemanticChecker(smt::Backend backend, SemanticOptions options)
@@ -485,44 +679,12 @@ SemanticChecker::SemanticChecker(smt::Backend backend, SemanticOptions options)
       solver_(backend),
       planner_(solver_, options.plan ? options.cache_dir : std::string()) {}
 
-void SemanticChecker::arm_deadline() {
-  deadline_ = options_.solver_timeout_ms > 0
-                  ? support::Deadline::after_ms(options_.solver_timeout_ms)
-                  : support::Deadline();
-  solver_.set_deadline(deadline_);
-  timeout_reported_ = false;
-  skipped_queries_ = 0;
-}
-
-bool SemanticChecker::query_timed_out(smt::CheckResult r,
-                                      const std::string& where,
-                                      Findings& out) {
-  if (r != smt::CheckResult::kUnknown) return false;
-  ++skipped_queries_;
-  if (!timeout_reported_) {
-    timeout_reported_ = true;
-    Finding f;
-    f.kind = FindingKind::kSolverTimeout;
-    f.subject = where;
-    f.message =
-        options_.solver_timeout_ms > 0
-            ? "solver query exceeded the " +
-                  std::to_string(options_.solver_timeout_ms) +
-                  " ms budget; this and the remaining semantic checks were "
-                  "not decided"
-            : "solver returned unknown; this semantic check was not decided";
-    out.push_back(std::move(f));
-  }
-  return true;
-}
-
 Findings SemanticChecker::check(const dts::Tree& tree) {
   return check(crossref::AnalysisContext(tree));
 }
 
 Findings SemanticChecker::check(const crossref::AnalysisContext& ctx) {
   Findings out;
-  arm_deadline();
   // A requested-but-unusable cache degrades to a cold run, which is sound —
   // but the user asked for persistence, so say once why they are not
   // getting it (checked at open: file in the way, unwritable directory).
@@ -536,161 +698,45 @@ Findings SemanticChecker::check(const crossref::AnalysisContext& ctx) {
                 "; semantic checks ran without persistent caching";
     out.push_back(std::move(f));
   }
-  std::vector<MemRegion> regions = extract_regions(ctx, out);
-  Findings overlap = check_regions_impl(regions);
-  out.insert(out.end(), overlap.begin(), overlap.end());
-
+  ObligationSet set;
+  set.regions = extract_regions(ctx, set.extracted);
   if (options_.check_interrupts) {
-    Findings irq = check_claims(collect_interrupt_claims(ctx.tree()),
-                                "interrupt", interrupt_collision_finding);
-    out.insert(out.end(), irq.begin(), irq.end());
+    set.irq = collect_interrupt_claims(ctx.tree());
   }
-  if (options_.check_clocks) {
-    Findings clk = check_claims(collect_clock_claims(ctx.tree()), "clock",
-                                clock_collision_finding);
-    out.insert(out.end(), clk.begin(), clk.end());
-  }
+  if (options_.check_clocks) set.clock = collect_clock_claims(ctx.tree());
+  Findings found = discharge_one(set);
+  out.insert(out.end(), std::make_move_iterator(found.begin()),
+             std::make_move_iterator(found.end()));
   return out;
 }
 
 Findings SemanticChecker::check_regions(const std::vector<MemRegion>& regions) {
-  arm_deadline();
-  return check_regions_impl(regions);
+  ObligationSet set;
+  set.regions = regions;
+  return discharge_one(set);
 }
 
-smt::QueryPlanner::Outcome SemanticChecker::decide(
-    std::span<const logic::Formula> fs, logic::BvTerm witness) {
-  if (options_.plan) return planner_.check(fs, witness);
-  smt::QueryPlanner::Outcome o;
-  o.result = solver_.check_assuming(fs);
-  if (o.result == smt::CheckResult::kSat && witness.valid()) {
-    o.witness = solver_.model_bv(witness);
-  }
-  return o;
-}
-
-// Interrupt and clock uniqueness through the solver (the paper's
-// conclusions name interrupts alongside memory addresses as
-// bit-vector-validated): two claims collide iff they name the same owner
-// (interrupt parent / clock provider) and their full tuples are equal.
-// Structurally this is equality, but routing it through the solver keeps
-// every semantic rule in one constraint store (the paper's extensibility
-// argument, §VI) and allows symbolic lines later. The exhaustive path
-// queries every comparable pair; the planned path queries only pairs that
-// share an (owner, tuple) bucket and prunes the rest. Both walk pairs in
-// (i, j) order, so the findings are byte-identical.
-Findings SemanticChecker::check_claims(const std::vector<Claim>& claims,
-                                       const std::string& kind,
-                                       Finding (*collision)(const Claim&,
-                                                            const Claim&)) {
+Findings SemanticChecker::discharge_one(const ObligationSet& set) {
+  solver_.set_deadline(
+      options_.solver_timeout_ms > 0
+          ? support::Deadline::after_ms(options_.solver_timeout_ms)
+          : support::Deadline());
+  // The planner, or — the exhaustive reference path — the solver directly
+  // with the body as assumptions.
+  auto decide = [&](size_t, size_t, std::span<const logic::Formula> body,
+                    logic::BvTerm witness) {
+    if (options_.plan) return planner_.check(body, witness);
+    smt::QueryPlanner::Outcome o;
+    o.result = solver_.check_assuming(body);
+    if (o.result == smt::CheckResult::kSat && witness.valid()) {
+      o.witness = solver_.model_bv(witness);
+    }
+    return o;
+  };
   Findings out;
-  ClaimQueries queries(solver_, claims,
-                       "cl" + std::to_string(fresh_counter_++));
-  std::vector<std::pair<size_t, size_t>> pairs;
-  if (options_.plan) {
-    ClaimPairs cp = claim_pairs(claims);
-    planner_.note_pruned(cp.comparable - cp.candidates.size());
-    pairs = std::move(cp.candidates);
-  } else {
-    // The exhaustive path shares its solver across every comparable pair,
-    // so it asserts the fixings once as facts: each query's assumed
-    // fixings are then true at level 0 and only its equalities are
-    // searched.
-    for (size_t i = 0; i < claims.size(); ++i) {
-      for (logic::Formula f : queries.fixings(i)) solver_.add(f);
-      for (size_t j = i + 1; j < claims.size(); ++j) {
-        if (claims[i].owner_phandle == claims[j].owner_phandle &&
-            claims[i].tuple.size() == claims[j].tuple.size()) {
-          pairs.emplace_back(i, j);
-        }
-      }
-    }
-  }
-  for (const auto& [i, j] : pairs) {
-    const Claim& a = claims[i];
-    const Claim& b = claims[j];
-    const smt::CheckResult r = decide(queries.build(i, j)).result;
-    if (query_timed_out(r, kind + " check of " + a.path + " vs " + b.path,
-                        out)) {
-      return out;
-    }
-    if (r == smt::CheckResult::kSat) out.push_back(collision(a, b));
-  }
-  return out;
-}
-
-// Region disjointness. The exhaustive path decides every wrap check and
-// every fault-class pair of nonzero regions on the solver. The planned path
-// screens zero-size and wrapped regions concretely (one solver query pruned
-// per nonzero region) and sends only the pairs whose masked intervals the
-// sweep-line finds intersecting — exactly the pairs the solver can find
-// satisfiable — to the planner. Candidates come sorted (first, second), the
-// exhaustive loop's order.
-Findings SemanticChecker::check_regions_impl(
-    const std::vector<MemRegion>& regions) {
-  Findings out;
-  const uint32_t width = options_.address_bits;
-  std::vector<std::pair<size_t, size_t>> pairs;
-  if (options_.plan) {
-    RegionScreen screen =
-        screen_regions(regions, width, options_.warn_zero_size, out);
-    for (const OverlapPair& p : find_overlaps_sweepline(screen.masked)) {
-      pairs.emplace_back(screen.index[p.first], screen.index[p.second]);
-    }
-    // Queries the exhaustive path would issue: one wrap check per nonzero
-    // region plus every pair of nonzero regions whose class combination is
-    // a fault. Counted by class tally so the pruning counter is exact
-    // without an O(n^2) walk.
-    uint64_t nonzero = 0, ipc = 0, memory = 0;
-    for (const MemRegion& r : regions) {
-      if (r.size == 0) continue;
-      ++nonzero;
-      if (r.region_class == RegionClass::kIpc) ++ipc;
-      if (r.region_class == RegionClass::kMemory) ++memory;
-    }
-    const uint64_t queryable = nonzero * (nonzero - 1) / 2 - ipc * memory;
-    planner_.note_pruned(nonzero + queryable - pairs.size());
-  } else {
-    auto& bv = solver_.bitvectors();
-    for (const MemRegion& r : regions) {
-      if (r.size == 0) {
-        if (options_.warn_zero_size) out.push_back(zero_size_finding(r));
-        continue;
-      }
-      const logic::Formula wraps = bv.uadd_overflow(
-          bv.bv_const(r.base, width), bv.bv_const(r.size, width));
-      const smt::CheckResult r_wrap = decide({&wraps, 1}).result;
-      if (query_timed_out(r_wrap, "wrap-around check of " + r.path, out)) {
-        return out;
-      }
-      if (r_wrap == smt::CheckResult::kSat) {
-        out.push_back(wrap_finding(r, width));
-      }
-    }
-    for (size_t i = 0; i < regions.size(); ++i) {
-      for (size_t j = i + 1; j < regions.size(); ++j) {
-        if (regions[i].size != 0 && regions[j].size != 0 &&
-            overlap_is_fault(regions[i].region_class,
-                             regions[j].region_class)) {
-          pairs.emplace_back(i, j);
-        }
-      }
-    }
-  }
-  for (const auto& [i, j] : pairs) {
-    const MemRegion& a = regions[i];
-    const MemRegion& b = regions[j];
-    OverlapQuery q = build_overlap_query(
-        solver_, a, b, width, "ov" + std::to_string(fresh_counter_++));
-    smt::QueryPlanner::Outcome o = decide(q.formulas, q.x);
-    if (query_timed_out(o.result,
-                        "overlap check of " + a.path + " vs " + b.path,
-                        out)) {
-      return out;
-    }
-    if (o.result == smt::CheckResult::kSat) {
-      out.push_back(overlap_finding(a, b, o.witness));
-    }
+  for (SetFinding& f :
+       discharge(solver_, {&set, 1}, options_, decide, &planner_)) {
+    out.push_back(std::move(f.finding));
   }
   return out;
 }

@@ -10,9 +10,16 @@
 // Additional checks: base+size wrap-around (uadd_overflow), zero-size
 // regions, per-cell width violations, and interrupt-line and clock
 // uniqueness (the "interrupts" extension named in the paper's conclusions).
+//
+// discharge() is the one loop over these obligations: the per-product
+// SemanticChecker passes one always-present set, and the lifted family
+// engine (lift/engine.cpp) passes one set per variant and decides each body
+// under the variants' presence condition.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,7 +28,6 @@
 #include "dts/tree.hpp"
 #include "smt/query_plan.hpp"
 #include "smt/solver.hpp"
-#include "support/deadline.hpp"
 
 namespace llhsc::checkers {
 
@@ -90,46 +96,6 @@ struct Claim {
 /// report the dangling phandle).
 [[nodiscard]] std::vector<Claim> collect_clock_claims(const dts::Tree& tree);
 
-// -- Finding builders, shared verbatim by the per-product checker and the
-// -- lifted family engine so both report byte-identical defects.
-[[nodiscard]] Finding zero_size_finding(const MemRegion& r);
-[[nodiscard]] Finding wrap_finding(const MemRegion& r, uint32_t width);
-[[nodiscard]] Finding overlap_finding(const MemRegion& a, const MemRegion& b,
-                                      uint64_t witness);
-[[nodiscard]] Finding interrupt_collision_finding(const Claim& a,
-                                                  const Claim& b);
-[[nodiscard]] Finding clock_collision_finding(const Claim& a, const Claim& b);
-
-/// The concrete screen in front of the pairwise overlap obligation, shared
-/// by the planned checker and the lifted engine: zero-size regions yield a
-/// zero_size_finding (when `warn_zero_size`), regions whose masked
-/// base+size wraps the `width`-bit space yield a wrap_finding (their
-/// in-range predicate is empty, so they cannot overlap anything), and every
-/// other region survives in the solver's w-bit view for the sweep-line.
-struct RegionScreen {
-  std::vector<MemRegion> masked;  // survivors, base and size masked
-  std::vector<size_t> index;      // masked[k] is regions[index[k]]
-};
-[[nodiscard]] RegionScreen screen_regions(const std::vector<MemRegion>& regions,
-                                          uint32_t width, bool warn_zero_size,
-                                          Findings& out);
-
-/// The formula-(7) query for one region pair. The witness is pinned to
-/// max(base_a, base_b) (masked to `width`): for concrete non-wrapping
-/// intervals that address is in the intersection iff the intersection is
-/// non-empty, so the pin is equisatisfiable and makes the reported witness
-/// independent of backend, batching, and model heuristics. `ns` namespaces
-/// the witness variable (callers pass a fresh counter-derived prefix).
-struct OverlapQuery {
-  std::vector<logic::Formula> formulas;
-  logic::BvTerm x;
-};
-[[nodiscard]] OverlapQuery build_overlap_query(smt::Solver& solver,
-                                               const MemRegion& a,
-                                               const MemRegion& b,
-                                               uint32_t width,
-                                               const std::string& ns);
-
 /// The candidate pairs of claim uniqueness. Claims with a different owner
 /// or tuple arity are never compared; of the comparable pairs, only those
 /// in one (owner, tuple) bucket can collide, so the rest are pruned.
@@ -140,33 +106,6 @@ struct ClaimPairs {
   uint64_t comparable = 0;
 };
 [[nodiscard]] ClaimPairs claim_pairs(const std::vector<Claim>& claims);
-
-/// Builds the equality queries over one claim set. Each claim's solver
-/// terms (owner, then one per tuple cell) are created once, on first use,
-/// and shared by every query that names the claim.
-class ClaimQueries {
- public:
-  /// `ns` namespaces the variables; `claims` must outlive the builder.
-  ClaimQueries(smt::Solver& solver, const std::vector<Claim>& claims,
-               std::string ns);
-
-  /// The query for claims i and j: owner and every tuple cell equal, each
-  /// side fixed to its instance value so the query is self-contained
-  /// (cache-portable) and non-empty even for zero-cell clock providers.
-  [[nodiscard]] std::vector<logic::Formula> build(size_t i, size_t j);
-
-  /// Claim i's terms fixed to its instance values; build() interleaves
-  /// these with the pairwise equalities.
-  [[nodiscard]] std::vector<logic::Formula> fixings(size_t i);
-
- private:
-  const std::vector<logic::BvTerm>& terms(size_t i);
-
-  smt::Solver* solver_;
-  const std::vector<Claim>* claims_;
-  std::string ns_;
-  std::vector<std::vector<logic::BvTerm>> terms_;  // per claim, lazily
-};
 
 struct SemanticOptions {
   /// Address space width in bits for the SMT encoding.
@@ -182,8 +121,8 @@ struct SemanticOptions {
   bool check_clocks = true;
   /// Wall-clock budget in ms for one check() call's solver work (0 =
   /// unlimited). When the budget runs out, the remaining queries are skipped
-  /// and one kSolverTimeout error finding reports how many were dropped —
-  /// a pathological query degrades into a visible error, never a hang or a
+  /// and one kSolverTimeout error finding names the query that ran out — a
+  /// pathological query degrades into a visible error, never a hang or a
   /// silent pass.
   uint64_t solver_timeout_ms = 0;
   /// Route queries through the smt::QueryPlanner: structurally decidable
@@ -200,6 +139,59 @@ struct SemanticOptions {
   /// and format-version changes (see smt::QueryCache).
   std::string cache_dir;
 };
+
+/// One obligation set: regions plus interrupt and clock claims that are
+/// present together — one product, or one lifted variant.
+struct ObligationSet {
+  std::vector<MemRegion> regions;
+  std::vector<Claim> irq;
+  std::vector<Claim> clock;
+  /// Findings of the extraction that produced the set; discharge() reports
+  /// them ahead of the set's own.
+  Findings extracted;
+  /// Sets of one group are never present together (the patterns of one
+  /// lifted component); kAlwaysPresent excludes nothing.
+  static constexpr size_t kAlwaysPresent = SIZE_MAX;
+  size_t group = kAlwaysPresent;
+};
+
+/// A finding of discharge(), tagged with the set(s) it came from: a == b
+/// for a single-set obligation, the two regions' sets for an overlap.
+struct SetFinding {
+  Finding finding;
+  size_t a = 0;
+  size_t b = 0;
+};
+
+/// Decides one query body for the obligation between sets `a` and `b`. The
+/// body is self-contained (concrete values and its own fresh variables);
+/// `witness` is the term whose model value a kSat outcome reports.
+using Decide = std::function<smt::QueryPlanner::Outcome(
+    size_t a, size_t b, std::span<const logic::Formula> body,
+    logic::BvTerm witness)>;
+
+/// The one semantic obligation loop, for the per-product checker (one set)
+/// and the lifted engine (one set per variant). Bodies are built on
+/// `solver`, which `decide` must answer for. In order:
+///   - each set's extracted findings and its region screen: a zero-size
+///     region is a warning (options.warn_zero_size); a nonzero one is
+///     checked for base+size wrapping the address_bits-bit space;
+///   - region pairs, by the formula-(7) query with the witness pinned to
+///     max(base_a, base_b): under options.plan the screen decides wraps
+///     concretely and only pairs of survivors the sweep-line finds
+///     intersecting are decided; otherwise every wrap and every fault-class
+///     pair of nonzero regions is. Pairs from two sets of one group are
+///     never decided;
+///   - within each set, interrupt then clock claim pairs: under plan the
+///     (owner, tuple) buckets of claim_pairs, otherwise every comparable
+///     pair (whose claim fixings are then asserted on `solver` as facts).
+/// The first kUnknown ends the loop with one kSolverTimeout finding. Under
+/// plan, `pruned` (when given) is told how many of the exhaustive path's
+/// queries were never built, counting every set as present together.
+[[nodiscard]] std::vector<SetFinding> discharge(
+    smt::Solver& solver, std::span<const ObligationSet> sets,
+    const SemanticOptions& options, const Decide& decide,
+    smt::QueryPlanner* pruned = nullptr);
 
 /// Extracts all regions from reg properties. Nodes whose parent declares
 /// #size-cells = 0 (e.g. cpu cores, where reg is an id) are skipped.
@@ -236,31 +228,14 @@ class SemanticChecker {
   }
 
  private:
-  /// Interrupt or clock uniqueness over `claims`; `kind` names the check in
-  /// a timeout finding ("interrupt check of ...").
-  Findings check_claims(const std::vector<Claim>& claims,
-                        const std::string& kind,
-                        Finding (*collision)(const Claim&, const Claim&));
-  Findings check_regions_impl(const std::vector<MemRegion>& regions);
-  /// Decides one query: through the planner, or — the exhaustive reference
-  /// path — directly on the solver with the formulas as assumptions.
-  smt::QueryPlanner::Outcome decide(std::span<const logic::Formula> fs,
-                                    logic::BvTerm witness = {});
-  /// Starts one check() call's solver budget from options_.solver_timeout_ms.
-  void arm_deadline();
-  /// True when the last query was cut off; records a kSolverTimeout finding
-  /// once per check() call (`where` names the query that hit the limit).
-  bool query_timed_out(smt::CheckResult r, const std::string& where,
-                       Findings& out);
+  /// Discharges `set` as the one always-present obligation set under this
+  /// call's solver budget (options_.solver_timeout_ms).
+  Findings discharge_one(const ObligationSet& set);
 
   SemanticOptions options_;
   smt::Solver solver_;
   smt::QueryPlanner planner_;
-  uint64_t fresh_counter_ = 0;
-  support::Deadline deadline_;
-  bool timeout_reported_ = false;
   bool cache_error_reported_ = false;
-  size_t skipped_queries_ = 0;
 };
 
 }  // namespace llhsc::checkers

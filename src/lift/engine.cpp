@@ -16,15 +16,16 @@
 //      applied to a core clone with the real (strict) apply — application
 //      failures become derivation-failure classes, successes are mined for
 //      regions/claims restricted to the component's own paths.
-//   5. Obligations: zero-size/wrap through the shared region screen, then
-//      region pairs (sweep-line-prefiltered formula-(7) queries) and
-//      interrupt/clock pairs (bucketed equality queries). Each obligation
-//      splits into its presence (the variants' activation literals plus
+//   5. Obligations: the per-product checker's own loop, checkers::discharge,
+//      over one obligation set per variant (the core and every slice, the
+//      patterns of one component in one exclusivity group): zero-size/wrap
+//      screen, sweep-line-prefiltered formula-(7) region pairs, bucketed
+//      interrupt/clock pairs. Its decide callback splits each obligation
+//      into its presence (the variants' activation literals plus
 //      no-derivation-failure), decided on the feature solver, and its body
 //      (the region or claim formulas), decided on a separate presence-free
-//      body solver through the one obligation layer,
-//      smt::QueryPlanner::check, whose memo decides each distinct body (by
-//      canonical query text) once.
+//      body solver through smt::QueryPlanner::check, whose memo decides
+//      each distinct body (by canonical query text) once.
 //   6. Expansion: each finding's violating configurations by all-SAT over
 //      the condition's own features, capped at max_configs.
 #include "lift/lift.hpp"
@@ -35,11 +36,11 @@
 #include <memory>
 #include <numeric>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "checkers/interval_baseline.hpp"
 #include "checkers/semantic.hpp"
 #include "feature/analysis.hpp"
 #include "obs/obs.hpp"
@@ -197,27 +198,11 @@ std::string render_condition(const std::vector<DeltaLiteral>& cond) {
   return out;
 }
 
-/// A slice's extraction output under one activation condition.
+/// The activation condition of one variant: the shared core (empty) or one
+/// (component, pattern) slice. variants_[k] conditions sets_[k].
 struct Variant {
-  size_t component = SIZE_MAX;  // SIZE_MAX = the shared core variant
   std::vector<DeltaLiteral> cond;
   std::vector<logic::Formula> cond_formulas;
-  std::vector<MemRegion> regions;
-  Findings extraction_findings;
-};
-
-struct ClaimVariant {
-  std::vector<DeltaLiteral> cond;
-  std::vector<logic::Formula> cond_formulas;
-  std::vector<checkers::Claim> irq;
-  std::vector<checkers::Claim> clock;
-};
-
-/// An obligation's body: self-contained formulas over the body solver,
-/// plus the term whose model value is the reported witness (if any).
-struct Body {
-  std::vector<logic::Formula> formulas;
-  logic::BvTerm witness;
 };
 
 struct Expansion {
@@ -481,34 +466,9 @@ class Engine {
 
     // The shared core variant: everything no component can touch is
     // constant across the family and extracted exactly once.
-    {
-      Variant core;
-      auto filter = [&](const std::string& path) {
-        return owner_of(path) == SIZE_MAX;
-      };
-      Findings ext;
-      std::vector<MemRegion> regions =
-          checkers::extract_regions(line_.core(), ext);
-      for (MemRegion& r : regions) {
-        if (filter(r.path)) core.regions.push_back(std::move(r));
-      }
-      for (Finding& f : ext) {
-        if (filter(f.subject)) core.extraction_findings.push_back(std::move(f));
-      }
-      variants_.push_back(std::move(core));
-      if (opts_.check_interrupts && !irq_lifted) {
-        ClaimVariant cv;
-        cv.irq = checkers::collect_interrupt_claims(line_.core());
-        claim_variants_.push_back(std::move(cv));
-      }
-      if (opts_.check_clocks && !clock_lifted) {
-        if (claim_variants_.empty() || !claim_variants_.back().cond.empty()) {
-          claim_variants_.push_back({});
-        }
-        claim_variants_.back().clock =
-            checkers::collect_clock_claims(line_.core());
-      }
-    }
+    sets_.push_back(
+        extract_set(line_.core(), SIZE_MAX, !irq_lifted, !clock_lifted));
+    variants_.emplace_back();
 
     std::set<std::pair<std::string, std::string>> warned_pairs;
     for (size_t c = 0; c < components_.size(); ++c) {
@@ -566,31 +526,38 @@ class Engine {
       }
     }
 
-    Variant v;
-    v.component = c;
-    v.cond = std::move(cond);
-    v.cond_formulas = std::move(cond_fs);
+    sets_.push_back(
+        extract_set(*tree, c, c == irq_component(), c == clock_component()));
+    variants_.push_back({std::move(cond), std::move(cond_fs)});
+  }
+
+  /// The obligation set of `tree` owned by component `c` (SIZE_MAX: the
+  /// core): its regions and extraction findings, plus the interrupt and
+  /// clock claims when it owns that environment. Claims only ever vary
+  /// inside the one component owning the environment (every delta that can
+  /// create, remove, or re-interpret a claim carries the "<irq>"/"<clock>"
+  /// marker), so colliding pairs always live inside a single set.
+  checkers::ObligationSet extract_set(const dts::Tree& tree, size_t c,
+                                      bool owns_irq, bool owns_clock) {
+    checkers::ObligationSet set;
+    // The patterns of one component are never co-active; the core's
+    // SIZE_MAX is ObligationSet::kAlwaysPresent.
+    set.group = c;
     Findings ext;
-    std::vector<MemRegion> regions = checkers::extract_regions(*tree, ext);
+    std::vector<MemRegion> regions = checkers::extract_regions(tree, ext);
     for (MemRegion& r : regions) {
-      if (owner_of(r.path) == c) v.regions.push_back(std::move(r));
+      if (owner_of(r.path) == c) set.regions.push_back(std::move(r));
     }
     for (Finding& f : ext) {
-      if (owner_of(f.subject) == c) {
-        v.extraction_findings.push_back(std::move(f));
-      }
+      if (owner_of(f.subject) == c) set.extracted.push_back(std::move(f));
     }
-    const bool want_irq = opts_.check_interrupts && c == irq_component();
-    const bool want_clock = opts_.check_clocks && c == clock_component();
-    if (want_irq || want_clock) {
-      ClaimVariant cv;
-      cv.cond = v.cond;
-      cv.cond_formulas = v.cond_formulas;
-      if (want_irq) cv.irq = checkers::collect_interrupt_claims(*tree);
-      if (want_clock) cv.clock = checkers::collect_clock_claims(*tree);
-      claim_variants_.push_back(std::move(cv));
+    if (opts_.check_interrupts && owns_irq) {
+      set.irq = checkers::collect_interrupt_claims(tree);
     }
-    variants_.push_back(std::move(v));
+    if (opts_.check_clocks && owns_clock) {
+      set.clock = checkers::collect_clock_claims(tree);
+    }
+    return set;
   }
 
   size_t irq_component() const { return env_component(kIrqEnv); }
@@ -631,8 +598,8 @@ class Engine {
     }
   }
 
-  /// Merges two variant conditions (used for cross-component region pairs;
-  /// identical conditions collapse, disjoint delta sets concatenate).
+  /// Merges two variant conditions (identical conditions collapse, disjoint
+  /// delta sets concatenate).
   static std::vector<DeltaLiteral> merge_conditions(
       const std::vector<DeltaLiteral>& a, const std::vector<DeltaLiteral>& b) {
     std::vector<DeltaLiteral> out = a;
@@ -649,108 +616,44 @@ class Engine {
     return out;
   }
 
+  /// Every obligation of the family through checkers::discharge, one set
+  /// per variant. Each obligation splits into its presence — the two
+  /// variants' activation literals plus no-derivation-failure — decided on
+  /// the feature solver, and its body, decided only when some configuration
+  /// satisfies the presence, by the planner on the body solver, whose memo
+  /// answers a repeated body without a solver query. The split is exact: a
+  /// body mentions only concrete values and its own fresh variables, none
+  /// of the feature solver's, so
+  /// sat(axioms & presence & body) <=> sat(axioms & presence) & sat(body),
+  /// and the body alone pins the witness.
   void discharge_obligations() {
     obs::Span span("lift.obligations", "lift");
-    const uint32_t width = opts_.address_bits;
-
-    // Every variant's screened regions in one masked list for the
-    // sweep-line prefilter; origin[k] = (variant, region index).
-    std::vector<MemRegion> shadow;
-    std::vector<std::pair<size_t, size_t>> origin;
-    for (size_t vi = 0; vi < variants_.size(); ++vi) {
-      Variant& v = variants_[vi];
-      Findings screened = std::move(v.extraction_findings);
-      checkers::RegionScreen screen = checkers::screen_regions(
-          v.regions, width, opts_.warn_zero_size, screened);
-      for (Finding& f : screened) queue_finding(f, v.cond);
-      for (size_t k = 0; k < screen.index.size(); ++k) {
-        shadow.push_back(std::move(screen.masked[k]));
-        origin.emplace_back(vi, screen.index[k]);
-      }
-    }
-
-    // Pairs from the same component but different patterns are mutually
-    // exclusive and dropped here; everything else is decided under the
-    // merged presence condition of its two variants.
-    for (const checkers::OverlapPair& pair :
-         checkers::find_overlaps_sweepline(shadow)) {
-      const auto [ia, ra] = origin[pair.first];
-      const auto [ib, rb] = origin[pair.second];
-      const Variant& va = variants_[ia];
-      const Variant& vb = variants_[ib];
-      if (ia != ib && va.component == vb.component &&
-          va.component != SIZE_MAX) {
-        continue;  // different patterns of one component: never co-active
-      }
-      const MemRegion& a = va.regions[ra];
-      const MemRegion& b = vb.regions[rb];
-      std::vector<logic::Formula> presence = va.cond_formulas;
-      for (logic::Formula f : vb.cond_formulas) {
+    checkers::SemanticOptions semantic;
+    semantic.address_bits = opts_.address_bits;
+    semantic.warn_zero_size = opts_.warn_zero_size;
+    auto decide = [&](size_t a, size_t b,
+                      std::span<const logic::Formula> body,
+                      logic::BvTerm witness) -> smt::QueryPlanner::Outcome {
+      ++result_.obligations;
+      obs::count("lift.obligations", "lift", 1);
+      std::vector<logic::Formula> presence = variants_[a].cond_formulas;
+      for (logic::Formula f : variants_[b].cond_formulas) {
         if (std::find(presence.begin(), presence.end(), f) == presence.end()) {
           presence.push_back(f);
         }
       }
-      smt::QueryPlanner::Outcome o = discharge(std::move(presence), [&] {
-        checkers::OverlapQuery q = checkers::build_overlap_query(
-            body_solver_, a, b, width,
-            "lift!ov" + std::to_string(fresh_counter_++));
-        return Body{std::move(q.formulas), q.x};
-      });
-      if (o.result == smt::CheckResult::kSat) {
-        Finding f = checkers::overlap_finding(a, b, o.witness);
-        queue_finding(f, merge_conditions(va.cond, vb.cond));
+      presence.insert(presence.end(), not_fail_.begin(), not_fail_.end());
+      if (const smt::CheckResult r = solver_.check_assuming(presence);
+          r != smt::CheckResult::kSat) {
+        return {r};
       }
+      return planner_.check(body, witness);
+    };
+    for (checkers::SetFinding& f :
+         checkers::discharge(body_solver_, sets_, semantic, decide)) {
+      queue_finding(f.finding,
+                    merge_conditions(variants_[f.a].cond, variants_[f.b].cond));
     }
-
-    // Interrupt/clock uniqueness: claims only ever vary inside the one
-    // component that owns the environment (every delta that can create,
-    // remove, or re-interpret a claim carries the "<irq>"/"<clock>"
-    // marker), so colliding pairs always live inside a single claim
-    // variant, decided under that variant's condition.
-    using Collision = Finding (*)(const checkers::Claim&,
-                                  const checkers::Claim&);
-    for (const ClaimVariant& cv : claim_variants_) {
-      const std::pair<const std::vector<checkers::Claim>*, Collision> kinds[] =
-          {{&cv.irq, checkers::interrupt_collision_finding},
-           {&cv.clock, checkers::clock_collision_finding}};
-      for (const auto& [claims, collision] : kinds) {
-        checkers::ClaimQueries queries(
-            body_solver_, *claims,
-            "lift!cl" + std::to_string(fresh_counter_++));
-        for (const auto& [i, j] : checkers::claim_pairs(*claims).candidates) {
-          smt::QueryPlanner::Outcome o = discharge(cv.cond_formulas, [&] {
-            return Body{queries.build(i, j), {}};
-          });
-          if (o.result == smt::CheckResult::kSat) {
-            Finding f = collision((*claims)[i], (*claims)[j]);
-            queue_finding(f, cv.cond);
-          }
-        }
-      }
-    }
-  }
-
-  /// One lifted obligation. Its presence — `presence` plus the
-  /// no-derivation-failure literals — is decided on the feature solver; only
-  /// when some configuration satisfies it is the body built (by
-  /// `build_body`, on the body solver) and decided by the planner, whose
-  /// memo answers a repeated body without a solver query. The split is
-  /// exact: a body mentions only concrete values and its own fresh
-  /// variables, none of the feature solver's, so
-  /// sat(axioms & presence & body) <=> sat(axioms & presence) & sat(body),
-  /// and the body alone pins the witness.
-  template <typename BuildBody>
-  smt::QueryPlanner::Outcome discharge(std::vector<logic::Formula> presence,
-                                       BuildBody build_body) {
-    ++result_.obligations;
-    obs::count("lift.obligations", "lift", 1);
-    presence.insert(presence.end(), not_fail_.begin(), not_fail_.end());
-    if (const smt::CheckResult r = solver_.check_assuming(presence);
-        r != smt::CheckResult::kSat) {
-      return {r};
-    }
-    const Body body = build_body();
-    return planner_.check(body.formulas, body.witness);
   }
 
   /// The exclusivity lift: a listed exclusive feature that *every*
@@ -934,8 +837,8 @@ class Engine {
   std::vector<std::vector<size_t>> components_;  // delta indices, sorted
   std::map<size_t, std::vector<CoverItem>> component_items_;
   std::vector<std::vector<std::vector<bool>>> patterns_;  // per component
-  std::vector<Variant> variants_;
-  std::vector<ClaimVariant> claim_variants_;
+  std::vector<checkers::ObligationSet> sets_;
+  std::vector<Variant> variants_;  // parallel to sets_
   std::vector<logic::Formula> not_fail_;
   std::vector<size_t> pending_expand_;
   std::vector<size_t> derive_fail_finding_;

@@ -7,13 +7,14 @@
 // component's feature-reachable activation patterns by projected all-SAT,
 // derives one small *slice* per pattern, and discharges every checker
 // obligation (region disjointness, wrap/zero-size, interrupt and clock
-// uniqueness) in two parts: its presence condition (the patterns'
+// uniqueness) through the per-product checker's own loop,
+// checkers::discharge, over one obligation set per slice. Each obligation
+// is decided in two parts: its presence condition (the patterns'
 // activation literals, no derivation failure) on the feature solver, which
 // holds the feature-model axioms and the delta-activation biconditionals
 // a_d <-> when_d(features); and, when that presence is satisfiable, its
-// body through the per-product checker's obligation layer
-// (smt::QueryPlanner::check) on a presence-free body solver, whose memo
-// decides each distinct body once. Work is polynomial in components x
+// body through smt::QueryPlanner::check on a presence-free body solver,
+// whose memo decides each distinct body once. Work is polynomial in components x
 // patterns, not in 2^n products; the differential harness
 // (lift/differential.hpp) proves the verdicts equal per-product
 // enumeration.

@@ -346,8 +346,9 @@ std::optional<NodeSchema> load_schema_yaml(std::string_view text,
                                            std::string_view file,
                                            uint32_t first_line) {
   auto doc = yaml::parse(text, diags, file, first_line);
+  const support::SourceLocation at{file, first_line, 0};
   if (!doc || !doc->is_map()) {
-    diags.error("schema-load", "schema document is not a map");
+    diags.error("schema-load", "schema document is not a map", at);
     return std::nullopt;
   }
   NodeSchema schema;
@@ -355,7 +356,7 @@ std::optional<NodeSchema> load_schema_yaml(std::string_view text,
     schema.id = id->as_string().value_or("");
   }
   if (schema.id.empty()) {
-    diags.error("schema-load", "schema is missing $id");
+    diags.error("schema-load", "schema is missing $id", at);
     return std::nullopt;
   }
   if (const auto* d = doc->get("description")) {

@@ -1,11 +1,12 @@
 // Query planner — the one obligation layer between the checkers and the
-// solver. Three callers decide every solver-backed obligation here:
+// solver. Two loops decide every solver-backed obligation here:
 //   - the syntactic checker (§IV-B): one query per schema constraint, the
 //     instance fact plus the constraint;
-//   - the per-product semantic checker (§IV-C): region disjointness,
-//     interrupt and clock uniqueness;
-//   - the lifted family engine: each obligation *body* whose presence
-//     condition it already found satisfiable on its own feature solver
+//   - checkers::discharge, the one semantic obligation loop (§IV-C: region
+//     disjointness, interrupt and clock uniqueness), through its decide
+//     callback: the per-product semantic checker's, and the lifted family
+//     engine's for each obligation *body* whose presence condition it
+//     already found satisfiable on its own feature solver
 //     (docs/lifting.md).
 // Queries are self-contained and presence-free. One planner fronts one
 // Solver and turns a stream of independent decision queries (each a small

@@ -85,7 +85,6 @@ TEST(Battery, EveryStageSharesOneContextAndOneGraph) {
   ASSERT_EQ(traced.result.stages.size(), 5u);
   EXPECT_EQ(count_spans(traced.events, "context.build"), 1u);
   EXPECT_EQ(count_spans(traced.events, "graph.build"), 1u);
-  ASSERT_NE(traced.result.graph, nullptr);
 
   // Neither build is attributed to a stage.
   for (const obs::Event& e : traced.events) {
@@ -102,12 +101,15 @@ TEST(Battery, PrebuiltGraphIsNeverRebuilt) {
   options.schemas = &schemas;
   auto prebuilt = std::make_shared<const graph::DeviceGraph>(
       graph::DeviceGraph::build(*tree));
-  const Traced traced = run_traced(
-      *tree, options,
-      [prebuilt](const crossref::AnalysisContext&) { return prebuilt; });
+  int asked = 0;
+  const Traced traced =
+      run_traced(*tree, options, [&](const crossref::AnalysisContext&) {
+        ++asked;
+        return prebuilt;
+      });
   EXPECT_EQ(count_spans(traced.events, "context.build"), 1u);
   EXPECT_EQ(count_spans(traced.events, "graph.build"), 0u);
-  EXPECT_EQ(traced.result.graph, prebuilt);
+  EXPECT_EQ(asked, 1);
 }
 
 TEST(Battery, StagesWithoutReferencesBuildNothing) {
@@ -119,7 +121,6 @@ TEST(Battery, StagesWithoutReferencesBuildNothing) {
   const Traced traced = run_traced(*tree, options, nullptr);
   EXPECT_EQ(count_spans(traced.events, "context.build"), 0u);
   EXPECT_EQ(count_spans(traced.events, "graph.build"), 0u);
-  EXPECT_EQ(traced.result.graph, nullptr);
 }
 
 TEST(Battery, CrossrefAloneBuildsTheGraphButDoesNotReturnIt) {
@@ -130,7 +131,6 @@ TEST(Battery, CrossrefAloneBuildsTheGraphButDoesNotReturnIt) {
   options.semantics = false;
   const Traced traced = run_traced(*tree, options, nullptr);
   EXPECT_EQ(count_spans(traced.events, "graph.build"), 1u);
-  EXPECT_EQ(traced.result.graph, nullptr) << "the graph stage was off";
 }
 
 TEST(Battery, FindingsEqualTheStandAloneCheckers) {

@@ -1,5 +1,5 @@
-// Property tests for claim uniqueness (checkers/semantic.cpp: claim_pairs,
-// ClaimQueries, SemanticChecker::check_claims) on seeded random claim
+// Property tests for claim uniqueness (checkers/semantic.cpp: claim_pairs
+// and the claim pairs of checkers::discharge) on seeded random claim
 // sets: multi-cell interrupt tuples, interrupt parents set per node or
 // inherited from a bus, clock providers of zero, one and two cells, and
 // truncated tuples. Modelled on RandomRegionsTest: the planned path must be
@@ -9,8 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <random>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +16,7 @@
 #include "checkers/report.hpp"
 #include "checkers/semantic.hpp"
 #include "dts/parser.hpp"
+#include "random_boards.hpp"
 
 namespace llhsc::checkers {
 namespace {
@@ -26,65 +25,6 @@ struct ClaimCase {
   uint32_t seed;
   smt::Backend backend;
 };
-
-/// A random board with no `reg` anywhere, so the semantic checker's only
-/// queries are claim queries. Cell values come from {0, 1, 2} so that
-/// collisions are frequent.
-std::string random_claims_dts(uint32_t seed) {
-  std::mt19937 rng(seed);
-  auto pick = [&](uint32_t n) {
-    return std::uniform_int_distribution<uint32_t>(0, n - 1)(rng);
-  };
-  std::ostringstream os;
-  os << "/dts-v1/;\n/ {\n";
-  // Interrupt controllers: phandles 1..3, 1..3 cells each.
-  for (uint32_t p = 1; p <= 3; ++p) {
-    os << "  intc" << p << " { phandle = <" << p
-       << ">; interrupt-controller; #interrupt-cells = <" << 1 + pick(3)
-       << ">; };\n";
-  }
-  // Clock providers: phandles 11..13; 11 is a single-clock (zero-cell)
-  // provider, the others take one or two specifier cells.
-  const uint32_t clock_cells[] = {0, 1 + pick(2), 1 + pick(2)};
-  for (uint32_t p = 0; p < 3; ++p) {
-    os << "  clk" << p << " { phandle = <" << 11 + p << ">; #clock-cells = <"
-       << clock_cells[p] << ">; };\n";
-  }
-  for (uint32_t b = 0; b < 3; ++b) {
-    os << "  bus" << b << " {\n";
-    if (pick(2) == 0) {
-      os << "    interrupt-parent = <" << 1 + pick(3) << ">;\n";
-    }
-    const uint32_t devices = 2 + pick(3);
-    for (uint32_t d = 0; d < devices; ++d) {
-      os << "    dev" << d << " {\n";
-      if (pick(3) == 0) {
-        os << "      interrupt-parent = <" << 1 + pick(3) << ">;\n";
-      }
-      if (pick(4) != 0) {
-        // 1..4 cells: one or more whole tuples, sometimes a truncated tail.
-        os << "      interrupts = <";
-        const uint32_t cells = 1 + pick(4);
-        for (uint32_t c = 0; c < cells; ++c) os << (c ? " " : "") << pick(3);
-        os << ">;\n";
-      }
-      if (pick(3) != 0) {
-        os << "      assigned-clocks = <";
-        const uint32_t entries = 1 + pick(2);
-        for (uint32_t e = 0; e < entries; ++e) {
-          const uint32_t p = pick(3);
-          os << (e ? " " : "") << 11 + p;
-          for (uint32_t c = 0; c < clock_cells[p]; ++c) os << " " << pick(3);
-        }
-        os << ">;\n";
-      }
-      os << "    };\n";
-    }
-    os << "  };\n";
-  }
-  os << "};\n";
-  return os.str();
-}
 
 std::unique_ptr<dts::Tree> parse(const std::string& src) {
   support::DiagnosticEngine diags;

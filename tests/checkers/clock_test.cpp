@@ -1,8 +1,8 @@
-// Clock-assignment uniqueness (checkers/semantic.cpp, check_claims): two
-// consumers pinning the same (provider, specifier) clock is a fault, and
-// the planner's bucket prefilter — the sweep-line idea generalised to
-// clock-provider buckets — must keep verdicts byte-identical to the
-// exhaustive pairwise path.
+// Clock-assignment uniqueness (checkers/semantic.cpp, the claim pairs of
+// checkers::discharge): two consumers pinning the same (provider,
+// specifier) clock is a fault, and the planner's bucket prefilter — the
+// sweep-line idea generalised to clock-provider buckets — must keep
+// verdicts byte-identical to the exhaustive pairwise path.
 #include <memory>
 #include <string>
 

@@ -6,10 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <random>
 
 #include "checkers/interval_baseline.hpp"
 #include "dts/parser.hpp"
+#include "random_boards.hpp"
 
 namespace llhsc::checkers {
 namespace {
@@ -754,18 +754,8 @@ struct RandomRegionsCase {
 class RandomRegionsTest : public ::testing::TestWithParam<RandomRegionsCase> {};
 
 TEST_P(RandomRegionsTest, SolverAgreesWithIntervalArithmetic) {
-  std::mt19937_64 rng(GetParam().seed);
-  std::uniform_int_distribution<uint64_t> base_dist(0, 1 << 20);
-  std::uniform_int_distribution<uint64_t> size_dist(1, 1 << 12);
-  std::vector<MemRegion> regions;
-  for (int i = 0; i < GetParam().count; ++i) {
-    MemRegion r;
-    r.path = "/r" + std::to_string(i);
-    r.base = base_dist(rng);
-    r.size = size_dist(rng);
-    r.region_class = RegionClass::kDevice;
-    regions.push_back(std::move(r));
-  }
+  const std::vector<MemRegion> regions =
+      random_regions(GetParam().seed, GetParam().count, false);
   SemanticChecker checker(GetParam().backend);
   Findings f = checker.check_regions(regions);
   size_t solver_overlaps = 0;
@@ -790,23 +780,8 @@ TEST_P(RandomRegionsTest, SolverAgreesWithIntervalArithmetic) {
 // the structural sweep-line baseline. Mixed classes exercise the planner's
 // class-pair pruning (ipc-vs-memory is never a fault).
 TEST_P(RandomRegionsTest, PlannedPathMatchesExhaustiveAndBaseline) {
-  std::mt19937_64 rng(GetParam().seed ^ 0x9e3779b97f4a7c15ull);
-  std::uniform_int_distribution<uint64_t> base_dist(0, 1 << 20);
-  std::uniform_int_distribution<uint64_t> size_dist(1, 1 << 12);
-  std::uniform_int_distribution<int> class_dist(0, 2);
-  std::vector<MemRegion> regions;
-  for (int i = 0; i < GetParam().count; ++i) {
-    MemRegion r;
-    r.path = "/r" + std::to_string(i);
-    r.base = base_dist(rng);
-    r.size = size_dist(rng);
-    switch (class_dist(rng)) {
-      case 0: r.region_class = RegionClass::kDevice; break;
-      case 1: r.region_class = RegionClass::kIpc; break;
-      default: r.region_class = RegionClass::kMemory; break;
-    }
-    regions.push_back(std::move(r));
-  }
+  const std::vector<MemRegion> regions = random_regions(
+      GetParam().seed ^ 0x9e3779b97f4a7c15ull, GetParam().count, true);
 
   SemanticOptions planned_opts;
   planned_opts.plan = true;

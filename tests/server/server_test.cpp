@@ -252,6 +252,13 @@ TEST(Server, BrokenSchemasDiagnosticNamesItsPath) {
                                       0),
             0u)
       << expected.error_text;
+  // The schema-load error that follows carries the broken document's
+  // first line.
+  const std::string second_line =
+      expected.error_text.substr(expected.error_text.find('\n') + 1);
+  EXPECT_EQ(second_line.rfind("boards/bad.yaml:5: error: [schema-load]", 0),
+            0u)
+      << expected.error_text;
 
   ServerFixture fixture;
   Client client(fixture.socket_path());
