@@ -14,19 +14,17 @@
 //
 // Usage: bench_scale --socket <path> [--clients N] [--requests M]
 //                    [--regions K] [--tag T]
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "server/net.hpp"
 #include "support/json.hpp"
 
 using llhsc::support::Json;
@@ -67,23 +65,6 @@ std::string check_line(uint64_t id, int regions, int revision) {
   return req.dump() + "\n";
 }
 
-int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    ::close(fd);
-    return -1;
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
 bool send_all(int fd, const std::string& data) {
   size_t off = 0;
   while (off < data.size()) {
@@ -116,7 +97,8 @@ struct ClientResult {
 
 void run_client(const std::string& socket_path, int client, int requests,
                 int regions, int tag, ClientResult& result) {
-  const int fd = connect_unix(socket_path);
+  std::string error;
+  const int fd = llhsc::server::net::connect_unix(socket_path, &error);
   if (fd < 0) {
     result.failures = requests;
     return;

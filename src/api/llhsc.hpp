@@ -202,7 +202,9 @@ struct SessionResult {
   /// 0 all units clean, 1 findings or rejected input, 2 bad request.
   int exit_code = 0;
   ErrorCode status = ErrorCode::kOk;  // exit_code, classified
-  std::string error_text;  // parse/derive diagnostics, request errors
+  /// Parse and derive diagnostics (derive and lifted-unit warnings on
+  /// success too), request errors.
+  std::string error_text;
   std::vector<SessionUnitResult> units;
   /// What this request actually cost: store counters after minus before.
   /// `derives` is composed trees rebuilt, `unit_checks` checker batteries

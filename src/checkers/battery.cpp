@@ -25,8 +25,8 @@ uint64_t fingerprint(const BatteryOptions& options) {
   }
   const SemanticOptions& sem = options.semantic;
   os << '\n'
-     << sem.address_bits << ' ' << sem.warn_zero_size << sem.check_interrupts
-     << sem.check_clocks << sem.plan << ' ' << sem.solver_timeout_ms << '\n'
+     << sem.address_bits << ' ' << sem.plan << ' ' << sem.solver_timeout_ms
+     << '\n'
      << sem.cache_dir << '\n';
   return support::fnv1a64(os.str());
 }

@@ -35,10 +35,9 @@ std::optional<uint64_t> first_reg_address(const dts::Tree& tree,
 }
 
 void lint_node(const dts::Tree& tree, const dts::Node& node,
-               const std::string& path, const LintOptions& options,
-               Findings& out) {
+               const std::string& path, Findings& out) {
   if (path != "/") {
-    if (options.check_names && !support::is_valid_node_name(node.name())) {
+    if (!support::is_valid_node_name(node.name())) {
       out.push_back(warn(FindingKind::kNameConvention, path,
                          "node name '" + node.name() +
                              "' violates the DT spec character set / length",
@@ -47,111 +46,101 @@ void lint_node(const dts::Tree& tree, const dts::Node& node,
 
     const dts::Property* reg = node.find_property("reg");
     bool has_unit = !node.unit_address().empty();
-    if (options.check_unit_addresses) {
-      if (reg != nullptr && !has_unit) {
-        out.push_back(warn(FindingKind::kUnitAddressMissing, path,
-                           "node has a reg property but no unit address",
-                           node.provenance(), node.location()));
-      } else if (reg == nullptr && has_unit) {
-        out.push_back(warn(FindingKind::kUnitAddressMissing, path,
-                           "node has a unit address but no reg property",
-                           node.provenance(), node.location()));
-      } else if (reg != nullptr && has_unit) {
-        auto addr = first_reg_address(tree, node, path);
-        auto unit = support::parse_integer(
-            "0x" + std::string(node.unit_address()));
-        if (addr && unit && *addr != *unit) {
-          Finding f = warn(
-              FindingKind::kUnitAddressMismatch, path,
-              "unit address @" + std::string(node.unit_address()) +
-                  " does not match the first reg address " +
-                  support::hex(*addr),
-              !reg->provenance.empty() ? reg->provenance : node.provenance(),
-              reg->location.valid() ? reg->location : node.location());
-          f.base_a = *unit;
-          f.base_b = *addr;
-          out.push_back(std::move(f));
-        }
-        // dtc also rejects leading zeros / "0x" prefixes in unit addresses.
-        std::string_view ua = node.unit_address();
-        if (ua.size() > 1 && (ua[0] == '0')) {
-          out.push_back(warn(FindingKind::kNameConvention, path,
-                             "unit address '@" + std::string(ua) +
-                                 "' has a leading zero or 0x prefix",
-                             node.provenance(), node.location()));
-        }
+    if (reg != nullptr && !has_unit) {
+      out.push_back(warn(FindingKind::kUnitAddressMissing, path,
+                         "node has a reg property but no unit address",
+                         node.provenance(), node.location()));
+    } else if (reg == nullptr && has_unit) {
+      out.push_back(warn(FindingKind::kUnitAddressMissing, path,
+                         "node has a unit address but no reg property",
+                         node.provenance(), node.location()));
+    } else if (reg != nullptr && has_unit) {
+      auto addr = first_reg_address(tree, node, path);
+      auto unit = support::parse_integer(
+          "0x" + std::string(node.unit_address()));
+      if (addr && unit && *addr != *unit) {
+        Finding f = warn(
+            FindingKind::kUnitAddressMismatch, path,
+            "unit address @" + std::string(node.unit_address()) +
+                " does not match the first reg address " +
+                support::hex(*addr),
+            !reg->provenance.empty() ? reg->provenance : node.provenance(),
+            reg->location.valid() ? reg->location : node.location());
+        f.base_a = *unit;
+        f.base_b = *addr;
+        out.push_back(std::move(f));
       }
-    }
-  }
-
-  if (options.check_names) {
-    for (const dts::Property& p : node.properties()) {
-      if (!support::is_valid_property_name(p.name)) {
+      // dtc also rejects leading zeros / "0x" prefixes in unit addresses.
+      std::string_view ua = node.unit_address();
+      if (ua.size() > 1 && (ua[0] == '0')) {
         out.push_back(warn(FindingKind::kNameConvention, path,
-                           "property name '" + p.name +
-                               "' violates the DT spec character set / length",
-                           !p.provenance.empty() ? p.provenance
-                                                 : node.provenance(),
-                           p.location.valid() ? p.location
-                                              : node.location()));
+                           "unit address '@" + std::string(ua) +
+                               "' has a leading zero or 0x prefix",
+                           node.provenance(), node.location()));
       }
     }
   }
 
-  if (options.check_status_values) {
-    if (const dts::Property* status = node.find_property("status")) {
-      auto v = status->as_string();
-      bool ok = v && (*v == "okay" || *v == "ok" || *v == "disabled" ||
-                      *v == "reserved" || support::starts_with(*v, "fail"));
-      if (!ok) {
-        out.push_back(warn(FindingKind::kBadStatusValue, path,
-                           "status must be okay/disabled/reserved/fail*, got " +
-                               (v ? "\"" + *v + "\"" : "a non-string value"),
-                           !status->provenance.empty() ? status->provenance
-                                                       : node.provenance(),
-                           status->location.valid() ? status->location
-                                                    : node.location()));
-      }
+  for (const dts::Property& p : node.properties()) {
+    if (!support::is_valid_property_name(p.name)) {
+      out.push_back(warn(FindingKind::kNameConvention, path,
+                         "property name '" + p.name +
+                             "' violates the DT spec character set / length",
+                         !p.provenance.empty() ? p.provenance
+                                               : node.provenance(),
+                         p.location.valid() ? p.location
+                                            : node.location()));
+    }
+  }
+
+  if (const dts::Property* status = node.find_property("status")) {
+    auto v = status->as_string();
+    bool ok = v && (*v == "okay" || *v == "ok" || *v == "disabled" ||
+                    *v == "reserved" || support::starts_with(*v, "fail"));
+    if (!ok) {
+      out.push_back(warn(FindingKind::kBadStatusValue, path,
+                         "status must be okay/disabled/reserved/fail*, got " +
+                             (v ? "\"" + *v + "\"" : "a non-string value"),
+                         !status->provenance.empty() ? status->provenance
+                                                     : node.provenance(),
+                         status->location.valid() ? status->location
+                                                  : node.location()));
     }
   }
 
   // Children-level checks.
-  if (options.check_cells_declarations) {
-    bool child_has_address_reg = false;
-    for (const auto& child : node.children()) {
-      const dts::Property* reg = child->find_property("reg");
-      if (reg != nullptr && reg->as_cells() && !reg->as_cells()->empty()) {
-        child_has_address_reg = true;
-        break;
-      }
-    }
-    if (child_has_address_reg &&
-        node.find_property("#address-cells") == nullptr && path != "/") {
-      out.push_back(
-          warn(FindingKind::kMissingCells, path,
-               "children use reg but this node declares no #address-cells "
-               "(cells are inherited, which dtc flags as fragile)",
-               node.provenance(), node.location()));
+  bool child_has_address_reg = false;
+  for (const auto& child : node.children()) {
+    const dts::Property* reg = child->find_property("reg");
+    if (reg != nullptr && reg->as_cells() && !reg->as_cells()->empty()) {
+      child_has_address_reg = true;
+      break;
     }
   }
+  if (child_has_address_reg &&
+      node.find_property("#address-cells") == nullptr && path != "/") {
+    out.push_back(
+        warn(FindingKind::kMissingCells, path,
+             "children use reg but this node declares no #address-cells "
+             "(cells are inherited, which dtc flags as fragile)",
+             node.provenance(), node.location()));
+  }
 
-  if (options.check_unit_addresses) {
-    // Duplicate unit addresses among same-named siblings.
-    std::map<std::string, std::string> seen;  // name -> path of first holder
-    for (const auto& child : node.children()) {
-      if (child->unit_address().empty()) continue;
-      std::string key = std::string(child->base_name()) + "@" +
-                        std::string(child->unit_address());
-      std::string child_path =
-          path == "/" ? "/" + child->name() : path + "/" + child->name();
-      auto [it, inserted] = seen.emplace(key, child_path);
-      if (!inserted) {
-        Finding f = warn(FindingKind::kDuplicateUnitAddress, child_path,
-                         "duplicate unit address with sibling",
-                         child->provenance(), child->location());
-        f.other_subject = it->second;
-        out.push_back(std::move(f));
-      }
+  // Duplicate unit addresses among same-named siblings.
+  std::map<std::string, std::string> seen;  // name -> path of first holder
+  for (const auto& child : node.children()) {
+    if (child->unit_address().empty()) continue;
+    std::string key = std::string(child->base_name()) + "@" +
+                      std::string(child->unit_address());
+    std::string child_path =
+        path == "/" ? "/" + child->name() : path + "/" + child->name();
+    auto [it, inserted] = seen.emplace(key, child_path);
+    if (!inserted) {
+      Finding f = warn(FindingKind::kDuplicateUnitAddress, child_path,
+                       "duplicate unit address with sibling",
+                       child->provenance(), child->location());
+      f.other_subject = it->second;
+      out.push_back(std::move(f));
     }
   }
 }
@@ -196,9 +185,9 @@ void lint_path_references(const dts::Tree& tree, Findings& out) {
 Findings LintChecker::check(const dts::Tree& tree) const {
   Findings out;
   tree.visit([&](const std::string& path, const dts::Node& node) {
-    lint_node(tree, node, path, options_, out);
+    lint_node(tree, node, path, out);
   });
-  if (options_.check_path_references) lint_path_references(tree, out);
+  lint_path_references(tree, out);
   return out;
 }
 

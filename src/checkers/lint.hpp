@@ -11,23 +11,11 @@
 
 namespace llhsc::checkers {
 
-struct LintOptions {
-  bool check_names = true;
-  bool check_unit_addresses = true;
-  bool check_cells_declarations = true;
-  bool check_status_values = true;
-  /// /aliases values and /chosen stdout-path must target existing nodes.
-  bool check_path_references = true;
-};
-
+/// Every rule always runs; /aliases values and /chosen stdout-path must
+/// also target existing nodes.
 class LintChecker {
  public:
-  explicit LintChecker(LintOptions options = {}) : options_(options) {}
-
   [[nodiscard]] Findings check(const dts::Tree& tree) const;
-
- private:
-  LintOptions options_;
 };
 
 }  // namespace llhsc::checkers

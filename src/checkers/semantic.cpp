@@ -535,7 +535,7 @@ std::vector<SetFinding> discharge(smt::Solver& solver,
     for (const MemRegion& r : sets[s].regions) {
       const size_t here = k++;
       if (r.size == 0) {
-        if (options.warn_zero_size) out.push_back({zero_size_finding(r), s, s});
+        out.push_back({zero_size_finding(r), s, s});
         continue;
       }
       if (options.plan) {
@@ -700,10 +700,8 @@ Findings SemanticChecker::check(const crossref::AnalysisContext& ctx) {
   }
   ObligationSet set;
   set.regions = extract_regions(ctx, set.extracted);
-  if (options_.check_interrupts) {
-    set.irq = collect_interrupt_claims(ctx.tree());
-  }
-  if (options_.check_clocks) set.clock = collect_clock_claims(ctx.tree());
+  set.irq = collect_interrupt_claims(ctx.tree());
+  set.clock = collect_clock_claims(ctx.tree());
   Findings found = discharge_one(set);
   out.insert(out.end(), std::make_move_iterator(found.begin()),
              std::make_move_iterator(found.end()));

@@ -7,9 +7,12 @@
 // single-witness form of the paper's formula (7). A satisfying model yields
 // the collision witness address reported in each finding.
 //
-// Additional checks: base+size wrap-around (uadd_overflow), zero-size
-// regions, per-cell width violations, and interrupt-line and clock
-// uniqueness (the "interrupts" extension named in the paper's conclusions).
+// Additional checks, all always on: base+size wrap-around (uadd_overflow),
+// zero-size regions (warnings), per-cell width violations, and interrupt-line
+// and clock uniqueness (the "interrupts" extension named in the paper's
+// conclusions): two claims of one full `interrupts` tuple under one
+// interrupt parent, or two `assigned-clocks` consumers pinning one
+// (provider, specifier) clock, are a configuration fault.
 //
 // discharge() is the one loop over these obligations: the per-product
 // SemanticChecker passes one always-present set, and the lifted family
@@ -110,15 +113,6 @@ struct ClaimPairs {
 struct SemanticOptions {
   /// Address space width in bits for the SMT encoding.
   uint32_t address_bits = 64;
-  /// Treat zero-size regions as findings (warnings).
-  bool warn_zero_size = true;
-  /// Check interrupt-line uniqueness: two claims of one full `interrupts`
-  /// tuple under the same interrupt parent are a configuration fault.
-  bool check_interrupts = true;
-  /// Check `assigned-clocks` uniqueness: two consumers pinning the same
-  /// (provider, specifier) clock is a configuration fault, same shape as the
-  /// interrupt-line check.
-  bool check_clocks = true;
   /// Wall-clock budget in ms for one check() call's solver work (0 =
   /// unlimited). When the budget runs out, the remaining queries are skipped
   /// and one kSolverTimeout error finding names the query that ran out — a
@@ -174,8 +168,8 @@ using Decide = std::function<smt::QueryPlanner::Outcome(
 /// and the lifted engine (one set per variant). Bodies are built on
 /// `solver`, which `decide` must answer for. In order:
 ///   - each set's extracted findings and its region screen: a zero-size
-///     region is a warning (options.warn_zero_size); a nonzero one is
-///     checked for base+size wrapping the address_bits-bit space;
+///     region is a warning; a nonzero one is checked for base+size
+///     wrapping the address_bits-bit space;
 ///   - region pairs, by the formula-(7) query with the witness pinned to
 ///     max(base_a, base_b): under options.plan the screen decides wraps
 ///     concretely and only pairs of survivors the sweep-line finds

@@ -30,11 +30,8 @@ const FixedAtoms& fixed() {
 }  // namespace
 
 Lexer::Lexer(std::string_view source, std::string filename,
-             support::DiagnosticEngine& diags, const SourceManager* sources,
-             int max_include_depth)
-    : diags_(&diags),
-      sources_(sources),
-      max_include_depth_(max_include_depth) {
+             support::DiagnosticEngine& diags, const SourceManager* sources)
+    : diags_(&diags), sources_(sources) {
   Buffer b;
   b.src = source;
   b.filename = support::Atom(filename);
@@ -159,7 +156,7 @@ void Lexer::handle_include(const support::SourceLocation& loc) {
                   name.location);
     return;
   }
-  if (static_cast<int>(buffers_.size()) > max_include_depth_) {
+  if (static_cast<int>(buffers_.size()) > kMaxIncludeDepth) {
     diags_->error("dts-include",
                   "include depth limit exceeded at \"" + name.text + "\"",
                   name.location);

@@ -25,6 +25,10 @@ namespace llhsc::dts {
 /// output. Deeper input is one located parse error.
 inline constexpr int kMaxNesting = 256;
 
+/// Deepest /include/ nesting the lexer follows (the include-cycle guard).
+/// Deeper input is one located dts-include error.
+inline constexpr int kMaxIncludeDepth = 32;
+
 /// Holds one nesting level for its lifetime.
 struct NestingGuard {
   explicit NestingGuard(int& depth) : depth(&depth) { ++*this->depth; }
@@ -75,7 +79,7 @@ class Lexer {
   /// Without a SourceManager, /include/ directives are reported as errors.
   Lexer(std::string_view source, std::string filename,
         support::DiagnosticEngine& diags,
-        const SourceManager* sources = nullptr, int max_include_depth = 32);
+        const SourceManager* sources = nullptr);
 
   /// Returns the next token, advancing. kEnd is sticky.
   Token next();
@@ -115,7 +119,6 @@ class Lexer {
   std::vector<Buffer> buffers_;
   support::DiagnosticEngine* diags_;
   const SourceManager* sources_;
-  int max_include_depth_;
   Token lookahead_;
   bool has_lookahead_ = false;
 };

@@ -519,8 +519,7 @@ std::unique_ptr<Tree> parse_dts(std::string_view source, std::string filename,
                                 const ParseOptions& options) {
   auto tree = std::make_unique<Tree>();
   size_t errors_before = diags.error_count();
-  Lexer lexer(source, std::move(filename), diags, &sources,
-              options.max_include_depth);
+  Lexer lexer(source, std::move(filename), diags, &sources);
   Parser parser(lexer, diags);
   parser.parse_file(*tree);
   if (options.resolve_references) {

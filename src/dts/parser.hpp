@@ -49,8 +49,6 @@ class SourceManager {
 };
 
 struct ParseOptions {
-  /// Maximum include nesting before aborting (cycle guard).
-  int max_include_depth = 32;
   /// When true (default), &label cell references are resolved to phandles
   /// after parsing.
   bool resolve_references = true;

@@ -8,8 +8,9 @@ namespace llhsc::dts {
 
 namespace {
 
-void print_chunk(std::ostringstream& os, const Chunk& chunk,
-                 const PrintOptions& options) {
+constexpr int kIndent = 4;  // spaces per nesting level
+
+void print_chunk(std::ostringstream& os, const Chunk& chunk) {
   switch (chunk.kind) {
     case ChunkKind::kCells: {
       if (chunk.element_bits != 32) {
@@ -21,10 +22,8 @@ void print_chunk(std::ostringstream& os, const Chunk& chunk,
         const Cell& c = chunk.cells[i];
         if (c.is_ref) {
           os << '&' << c.ref;
-        } else if (options.hex_cells) {
-          os << support::hex(c.value);
         } else {
-          os << c.value;
+          os << support::hex(c.value);
         }
       }
       os << '>';
@@ -60,69 +59,59 @@ void print_chunk(std::ostringstream& os, const Chunk& chunk,
   }
 }
 
-void print_property_impl(std::ostringstream& os, const Property& p,
-                         const PrintOptions& options) {
+void print_property_impl(std::ostringstream& os, const Property& p) {
   os << p.name;
   if (!p.chunks.empty()) {
     os << " = ";
     for (size_t i = 0; i < p.chunks.size(); ++i) {
       if (i > 0) os << ", ";
-      print_chunk(os, p.chunks[i], options);
+      print_chunk(os, p.chunks[i]);
     }
   }
   os << ';';
-  if (options.provenance_comments && !p.provenance.empty()) {
-    os << " /* delta: " << p.provenance << " */";
-  }
 }
 
-void print_node_impl(std::ostringstream& os, const Node& node, int depth,
-                     const PrintOptions& options) {
-  std::string pad(static_cast<size_t>(depth) * options.indent, ' ');
+void print_node_impl(std::ostringstream& os, const Node& node, int depth) {
+  std::string pad(static_cast<size_t>(depth) * kIndent, ' ');
   os << pad;
   for (support::Atom label : node.labels()) os << label << ": ";
-  os << node.name() << " {";
-  if (options.provenance_comments && !node.provenance().empty()) {
-    os << " /* delta: " << node.provenance() << " */";
-  }
-  os << '\n';
-  std::string inner_pad(static_cast<size_t>(depth + 1) * options.indent, ' ');
+  os << node.name() << " {\n";
+  std::string inner_pad(static_cast<size_t>(depth + 1) * kIndent, ' ');
   for (const Property& p : node.properties()) {
     os << inner_pad;
-    print_property_impl(os, p, options);
+    print_property_impl(os, p);
     os << '\n';
   }
   if (!node.properties().empty() && !node.children().empty()) os << '\n';
   for (size_t i = 0; i < node.children().size(); ++i) {
     if (i > 0) os << '\n';
-    print_node_impl(os, *node.children()[i], depth + 1, options);
+    print_node_impl(os, *node.children()[i], depth + 1);
   }
   os << pad << "};\n";
 }
 
 }  // namespace
 
-std::string print_property(const Property& property,
-                           const PrintOptions& options) {
+std::string print_property(const Property& property) {
   std::ostringstream os;
-  print_property_impl(os, property, options);
+  print_property_impl(os, property);
   return os.str();
 }
 
-std::string print_node(const Node& node, int depth, const PrintOptions& options) {
+std::string print_node(const Node& node, int depth) {
   std::ostringstream os;
-  print_node_impl(os, node, depth, options);
+  print_node_impl(os, node, depth);
   return os.str();
 }
 
-std::string print_dts(const Tree& tree, const PrintOptions& options) {
+std::string print_dts(const Tree& tree) {
   std::ostringstream os;
-  if (options.emit_version_header) os << "/dts-v1/;\n\n";
+  os << "/dts-v1/;\n\n";
   for (const MemReserve& mr : tree.memreserves()) {
     os << "/memreserve/ " << support::hex(mr.address) << ' '
        << support::hex(mr.size) << ";\n";
   }
-  print_node_impl(os, tree.root(), 0, options);
+  print_node_impl(os, tree.root(), 0);
   return os.str();
 }
 

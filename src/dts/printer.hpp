@@ -1,6 +1,8 @@
-// DTS pretty-printer: renders a Tree back to DeviceTree source. Output is
-// stable (property and child order preserved) and round-trips through the
-// parser — the product-line engine emits its generated DTSs through this.
+// DTS pretty-printer: renders a Tree back to DeviceTree source in one
+// fixed layout (a /dts-v1/; header, four-space indents, hexadecimal cells).
+// Output is stable (property and child order preserved) and round-trips
+// through the parser — the product-line engine emits its generated DTSs
+// through this.
 #pragma once
 
 #include <string>
@@ -9,23 +11,8 @@
 
 namespace llhsc::dts {
 
-struct PrintOptions {
-  /// Emit the /dts-v1/; header line.
-  bool emit_version_header = true;
-  /// Spaces per indent level.
-  int indent = 4;
-  /// Emit cells in hexadecimal (dtc's convention for addresses).
-  bool hex_cells = true;
-  /// Annotate nodes/properties carrying provenance with a trailing comment
-  /// naming the delta module that produced them.
-  bool provenance_comments = false;
-};
-
-[[nodiscard]] std::string print_dts(const Tree& tree,
-                                    const PrintOptions& options = {});
-[[nodiscard]] std::string print_node(const Node& node, int depth = 0,
-                                     const PrintOptions& options = {});
-[[nodiscard]] std::string print_property(const Property& property,
-                                         const PrintOptions& options = {});
+[[nodiscard]] std::string print_dts(const Tree& tree);
+[[nodiscard]] std::string print_node(const Node& node, int depth = 0);
+[[nodiscard]] std::string print_property(const Property& property);
 
 }  // namespace llhsc::dts

@@ -142,8 +142,7 @@ bool emit_node(const dts::Node& node, std::vector<uint8_t>& structure,
 }  // namespace
 
 std::optional<std::vector<uint8_t>> emit(const dts::Tree& tree,
-                                         support::DiagnosticEngine& diags,
-                                         const EmitOptions& options) {
+                                         support::DiagnosticEngine& diags) {
   // Build the structure and strings blocks first.
   std::vector<uint8_t> structure;
   StringTable strings;
@@ -176,8 +175,6 @@ std::optional<std::vector<uint8_t>> emit(const dts::Tree& tree,
   out.insert(out.end(), strings.data().begin(), strings.data().end());
   uint32_t size_dt_strings = static_cast<uint32_t>(strings.data().size());
 
-  for (uint32_t i = 0; i < options.padding; ++i) out.push_back(0);
-
   patch_u32(out, 0, kMagic);
   patch_u32(out, 4, static_cast<uint32_t>(out.size()));
   patch_u32(out, 8, off_dt_struct);
@@ -185,7 +182,7 @@ std::optional<std::vector<uint8_t>> emit(const dts::Tree& tree,
   patch_u32(out, 16, off_mem_rsvmap);
   patch_u32(out, 20, kVersion);
   patch_u32(out, 24, kLastCompatibleVersion);
-  patch_u32(out, 28, options.boot_cpuid_phys);
+  patch_u32(out, 28, 0);  // boot_cpuid_phys
   patch_u32(out, 32, size_dt_strings);
   patch_u32(out, 36, size_dt_struct);
   return out;

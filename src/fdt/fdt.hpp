@@ -35,18 +35,11 @@ inline constexpr uint32_t kTokProp = 0x3;
 inline constexpr uint32_t kTokNop = 0x4;
 inline constexpr uint32_t kTokEnd = 0x9;
 
-struct EmitOptions {
-  uint32_t boot_cpuid_phys = 0;
-  /// Extra padding appended after the strings block (bootloaders often want
-  /// room to patch the blob in place).
-  uint32_t padding = 0;
-};
-
-/// Serialises a tree to a DTB image. Fails (nullopt + diagnostics) on
-/// unresolved references or cell values wider than 32 bits.
+/// Serialises a tree to a DTB image with boot_cpuid_phys 0 and no padding
+/// after the strings block. Fails (nullopt + diagnostics) on unresolved
+/// references or cell values wider than 32 bits.
 [[nodiscard]] std::optional<std::vector<uint8_t>> emit(
-    const dts::Tree& tree, support::DiagnosticEngine& diags,
-    const EmitOptions& options = {});
+    const dts::Tree& tree, support::DiagnosticEngine& diags);
 
 /// Parses a DTB image back into a Tree. Property values become single
 /// byte-string chunks. Returns nullptr on malformed input.

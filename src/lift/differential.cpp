@@ -77,9 +77,6 @@ DifferentialReport compare_with_enumeration(const delta::ProductLine& line,
   DifferentialReport report;
   checkers::SemanticOptions sopts;
   sopts.address_bits = lopts.address_bits;
-  sopts.warn_zero_size = lopts.warn_zero_size;
-  sopts.check_interrupts = lopts.check_interrupts;
-  sopts.check_clocks = lopts.check_clocks;
   checkers::SemanticChecker checker(lopts.backend, sopts);
 
   auto literal_holds = [&](const DeltaLiteral& l,

@@ -551,12 +551,8 @@ class Engine {
     for (Finding& f : ext) {
       if (owner_of(f.subject) == c) set.extracted.push_back(std::move(f));
     }
-    if (opts_.check_interrupts && owns_irq) {
-      set.irq = checkers::collect_interrupt_claims(tree);
-    }
-    if (opts_.check_clocks && owns_clock) {
-      set.clock = checkers::collect_clock_claims(tree);
-    }
+    if (owns_irq) set.irq = checkers::collect_interrupt_claims(tree);
+    if (owns_clock) set.clock = checkers::collect_clock_claims(tree);
     return set;
   }
 
@@ -630,7 +626,6 @@ class Engine {
     obs::Span span("lift.obligations", "lift");
     checkers::SemanticOptions semantic;
     semantic.address_bits = opts_.address_bits;
-    semantic.warn_zero_size = opts_.warn_zero_size;
     auto decide = [&](size_t a, size_t b,
                       std::span<const logic::Formula> body,
                       logic::BvTerm witness) -> smt::QueryPlanner::Outcome {

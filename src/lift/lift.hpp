@@ -35,11 +35,9 @@ namespace llhsc::lift {
 
 struct LiftOptions {
   smt::Backend backend = smt::Backend::kBuiltin;
-  /// Mirrors checkers::SemanticOptions for the lifted obligations.
+  /// Address space width in bits of the region obligations, as
+  /// checkers::SemanticOptions::address_bits for the per-product check.
   uint32_t address_bits = 64;
-  bool warn_zero_size = true;
-  bool check_interrupts = true;
-  bool check_clocks = true;
   /// Cap on the all-SAT expansion of each finding's violating configuration
   /// classes (the per-finding "which products are affected" summary).
   uint64_t max_configs = 8;

@@ -1,159 +1,11 @@
 #include "schema/builtin_schemas.hpp"
 
+#include <cstdio>
+#include <cstdlib>
+
+#include "schema/yaml_lite.hpp"
+
 namespace llhsc::schema {
-
-NodeSchema memory_schema() {
-  PropertySchema device_type;
-  device_type.name = "device_type";
-  device_type.type = PropertyType::kString;
-  device_type.const_string = "memory";
-
-  PropertySchema reg;
-  reg.name = "reg";
-  reg.type = PropertyType::kCells;
-  reg.min_items = 1;
-  reg.max_items = 1024;
-
-  return SchemaBuilder("memory")
-      .description("Common memory node (paper Listing 5)")
-      .select_node_name("memory@*")
-      .property(std::move(device_type))
-      .property(std::move(reg))
-      .require("device_type")
-      .require("reg")
-      .build();
-}
-
-NodeSchema cpus_schema() {
-  PropertySchema ac;
-  ac.name = "#address-cells";
-  ac.type = PropertyType::kCells;
-  ac.const_cell = 1;
-
-  PropertySchema sc;
-  sc.name = "#size-cells";
-  sc.type = PropertyType::kCells;
-  sc.const_cell = 0;
-
-  ChildRule cpu_children;
-  cpu_children.name_pattern = "cpu@*";
-  cpu_children.schema_id = "cpu";
-  cpu_children.min_count = 1;
-
-  return SchemaBuilder("cpus")
-      .description("CPU cluster container")
-      .select_node_name("cpus")
-      .property(std::move(ac))
-      .property(std::move(sc))
-      .require("#address-cells")
-      .require("#size-cells")
-      .child(std::move(cpu_children))
-      .no_reg_shape_check()
-      .build();
-}
-
-NodeSchema cpu_schema() {
-  PropertySchema compatible;
-  compatible.name = "compatible";
-  compatible.type = PropertyType::kString;
-  compatible.enum_strings = {"arm,cortex-a53", "arm,cortex-a72", "riscv"};
-
-  PropertySchema device_type;
-  device_type.name = "device_type";
-  device_type.type = PropertyType::kString;
-  device_type.const_string = "cpu";
-
-  PropertySchema enable_method;
-  enable_method.name = "enable-method";
-  enable_method.type = PropertyType::kString;
-  enable_method.enum_strings = {"psci", "spin-table"};
-
-  PropertySchema reg;
-  reg.name = "reg";
-  reg.type = PropertyType::kCells;
-  reg.min_items = 1;
-  reg.max_items = 1;
-
-  return SchemaBuilder("cpu")
-      .description("Processor core binding (paper Listing 2)")
-      .select_node_name("cpu@*")
-      .property(std::move(compatible))
-      .property(std::move(device_type))
-      .property(std::move(enable_method))
-      .property(std::move(reg))
-      .require("compatible")
-      .require("device_type")
-      .require("reg")
-      // cpu reg is a core index, not an address range, so the parent-derived
-      // reg shape rule does not apply.
-      .no_reg_shape_check()
-      .build();
-}
-
-NodeSchema uart_schema() {
-  PropertySchema compatible;
-  compatible.name = "compatible";
-  compatible.type = PropertyType::kString;
-  compatible.enum_strings = {"ns16550a", "arm,pl011", "sifive,uart0"};
-
-  PropertySchema reg;
-  reg.name = "reg";
-  reg.type = PropertyType::kCells;
-  reg.min_items = 1;
-  reg.max_items = 1;
-
-  return SchemaBuilder("uart")
-      .description("Serial I/O port")
-      .select_node_name("uart@*")
-      .select_compatible("ns16550a")
-      .select_compatible("arm,pl011")
-      .property(std::move(compatible))
-      .property(std::move(reg))
-      .require("compatible")
-      .require("reg")
-      .build();
-}
-
-NodeSchema veth_schema() {
-  PropertySchema compatible;
-  compatible.name = "compatible";
-  compatible.type = PropertyType::kString;
-  compatible.const_string = "veth";
-
-  PropertySchema reg;
-  reg.name = "reg";
-  reg.type = PropertyType::kCells;
-  reg.min_items = 1;
-  reg.max_items = 1;
-
-  PropertySchema id;
-  id.name = "id";
-  id.type = PropertyType::kCells;
-  id.enum_cells = {0, 1, 2, 3};
-
-  return SchemaBuilder("veth")
-      .description("Virtual Ethernet device for VM communication (paper "
-                   "Listing 4)")
-      .select_node_name("veth*")
-      .select_compatible("veth")
-      .property(std::move(compatible))
-      .property(std::move(reg))
-      .property(std::move(id))
-      .require("compatible")
-      .require("reg")
-      .require("id")
-      .build();
-}
-
-SchemaSet builtin_schemas() {
-  SchemaSet set;
-  set.add(memory_schema());
-  set.add(cpus_schema());
-  set.add(cpu_schema());
-  set.add(uart_schema());
-  set.add(veth_schema());
-  return set;
-}
 
 const char* builtin_schemas_yaml() {
   return R"yaml($id: memory
@@ -219,6 +71,7 @@ required:
   - compatible
   - device_type
   - reg
+# A cpu reg is a core index, not an address range: no reg-shape rule.
 regShapeCheck: false
 ---
 $id: uart
@@ -268,6 +121,20 @@ required:
   - reg
   - id
 )yaml";
+}
+
+const SchemaSet& builtin_schemas() {
+  static const SchemaSet set = [] {
+    SchemaSet loaded;
+    support::DiagnosticEngine diags;
+    load_schema_stream(builtin_schemas_yaml(), loaded, diags, "<builtin>");
+    if (diags.has_errors()) {  // the stream is a compile-time constant
+      std::fputs(diags.render().c_str(), stderr);
+      std::abort();
+    }
+    return loaded;
+  }();
+  return set;
 }
 
 }  // namespace llhsc::schema

@@ -1,37 +1,26 @@
 // Builtin binding schemas for the paper's running example (CustomSBC):
 // memory (Listing 5), cpus/cpu (Listing 2), UART serial devices and the
 // virtual Ethernet (veth) devices introduced by the product line (§III).
-// These are the C++ equivalents of the dt-schema documents llhsc extracts
-// its syntactic constraints from.
+// They are written once, as the dt-schema-style YAML stream llhsc extracts
+// its syntactic constraints from (§IV-B), and loaded through the same
+// loader as a --schemas file.
 #pragma once
 
 #include "schema/schema.hpp"
 
 namespace llhsc::schema {
 
-/// The memory node schema of Listing 5: device_type const "memory", reg
-/// required with 1..1024 entries.
-[[nodiscard]] NodeSchema memory_schema();
-
-/// cpus container: #address-cells/#size-cells required, cpu@* children.
-[[nodiscard]] NodeSchema cpus_schema();
-
-/// Individual cpu node: compatible, device_type const "cpu", enable-method
-/// enum, reg required.
-[[nodiscard]] NodeSchema cpu_schema();
-
-/// ns16550a-compatible UART: compatible + reg required.
-[[nodiscard]] NodeSchema uart_schema();
-
-/// Virtual Ethernet device (paper §III-A): compatible const "veth", reg and
-/// id required.
-[[nodiscard]] NodeSchema veth_schema();
-
-/// The full set used by the running example.
-[[nodiscard]] SchemaSet builtin_schemas();
-
-/// The same set expressed in the YAML subset (exercised by tests to keep the
-/// two representations in sync, and usable as on-disk seed files).
+/// The builtin bindings as a "---"-separated YAML stream (also usable as
+/// on-disk seed files for --schemas):
+///   memory: device_type const "memory", reg required with 1..1024 entries;
+///   cpus: #address-cells/#size-cells required, at least one cpu@* child;
+///   cpu: compatible, device_type const "cpu", enable-method enum, reg;
+///   uart: ns16550a-style UART, compatible + reg required;
+///   veth: virtual Ethernet device (§III-A), compatible const "veth", reg
+///         and id required.
 [[nodiscard]] const char* builtin_schemas_yaml();
+
+/// builtin_schemas_yaml(), parsed once per process on first use.
+[[nodiscard]] const SchemaSet& builtin_schemas();
 
 }  // namespace llhsc::schema

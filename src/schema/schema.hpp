@@ -4,9 +4,9 @@
 // type expectations, name patterns, and the derived reg-shape rule
 // (#address-cells + #size-cells divides the reg cell count).
 //
-// Schemas can be built programmatically (SchemaBuilder), loaded from a YAML
-// subset (yaml_lite.hpp) or taken from the builtin set mirroring the paper's
-// running example (builtin_schemas.hpp). The constraint *encoding* into
+// Schemas are loaded from a YAML subset (yaml_lite.hpp) — a --schemas file
+// or the builtin stream of the paper's running example
+// (builtin_schemas.hpp) — or, in tests, built with SchemaBuilder. The constraint *encoding* into
 // first-order logic lives in checkers/syntactic.hpp — this module is pure
 // data + matching.
 #pragma once
@@ -114,7 +114,7 @@ class SchemaSet {
   std::vector<NodeSchema> schemas_;
 };
 
-/// Fluent construction for tests and builtin schemas.
+/// Fluent construction for tests; every shipped schema is YAML.
 class SchemaBuilder {
  public:
   explicit SchemaBuilder(std::string id) { schema_.id = std::move(id); }

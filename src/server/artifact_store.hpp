@@ -119,6 +119,9 @@ struct GraphArtifact {
 struct CheckArtifact : checkers::SemanticCounters {
   uint64_t key = 0;  // fnv(tree/composed key, options fingerprint)
   checkers::Findings findings;
+  /// Warnings reported beside the findings (the lifted engine's
+  /// delta-order warnings), so a store hit replays the same stderr bytes.
+  std::string diagnostics_text{};
 };
 
 struct AllocationArtifact {

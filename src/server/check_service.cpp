@@ -102,14 +102,15 @@ api::CheckResult check(const api::CheckRequest& request, ArtifactStore& store,
   // Schema-set resolution before the (cacheable) checker battery, so an
   // exit-2 never has to come out of a cached verdict. Matches the CLI's
   // lazy schemas_from(): parse errors surface only when syntax runs.
-  schema::SchemaSet schemas;
-  if (!load_request_schemas(request.syntax, request.schemas_text,
-                            request.schemas_path, schemas, out.error_text)) {
+  schema::SchemaSet loaded;
+  options.schemas =
+      load_request_schemas(request.syntax, request.schemas_text,
+                           request.schemas_path, loaded, out.error_text);
+  if (options.schemas == nullptr) {
     out.exit_code = 2;
     return out;
   }
 
-  options.schemas = &schemas;
   const uint64_t options_key =
       key_then_clamp(options, request.schemas_text, deadline);
   // The device graph is its own keyed artifact (option-independent),
@@ -189,22 +190,20 @@ dts::SourceManager request_sources(
   return sources;
 }
 
-bool load_request_schemas(bool syntax, const std::string& schemas_text,
-                          const std::string& schemas_path,
-                          schema::SchemaSet& schemas,
-                          std::string& error_text) {
-  if (!syntax) return true;
-  if (schemas_text.empty()) {
-    schemas = schema::builtin_schemas();
-    return true;
-  }
+const schema::SchemaSet* load_request_schemas(bool syntax,
+                                              const std::string& schemas_text,
+                                              const std::string& schemas_path,
+                                              schema::SchemaSet& loaded,
+                                              std::string& error_text) {
+  if (!syntax) return &loaded;
+  if (schemas_text.empty()) return &schema::builtin_schemas();
   support::DiagnosticEngine diags;
   schema::load_schema_stream(
-      schemas_text, schemas, diags,
+      schemas_text, loaded, diags,
       schemas_path.empty() ? std::string_view("<yaml>") : schemas_path);
-  if (!diags.has_errors()) return true;
+  if (!diags.has_errors()) return &loaded;
   error_text += diags.render();
-  return false;
+  return nullptr;
 }
 
 uint64_t key_then_clamp(checkers::BatteryOptions& options,

@@ -44,16 +44,16 @@ namespace llhsc::server {
     const std::vector<std::pair<std::string, std::string>>& includes,
     const std::string& base_directory);
 
-/// The schema set the syntactic stage binds: none when `syntax` is off, the
-/// builtin set when `schemas_text` is empty. A parse error appends the
+/// The schema set the syntactic stage binds: the empty `loaded` when
+/// `syntax` is off, the process's builtin set when `schemas_text` is empty,
+/// else `loaded`, parsed from `schemas_text`. A parse error appends the
 /// rendered diagnostics, located at `schemas_path` ("" = "<yaml>"), to
-/// `error_text` and returns false — the request's exit 2, decided before
+/// `error_text` and returns null — the request's exit 2, decided before
 /// (and so never out of) a cached verdict.
-[[nodiscard]] bool load_request_schemas(bool syntax,
-                                        const std::string& schemas_text,
-                                        const std::string& schemas_path,
-                                        schema::SchemaSet& schemas,
-                                        std::string& error_text);
+[[nodiscard]] const schema::SchemaSet* load_request_schemas(
+    bool syntax, const std::string& schemas_text,
+    const std::string& schemas_path, schema::SchemaSet& loaded,
+    std::string& error_text);
 
 /// Returns the verdict key of everything besides the tree that can change a
 /// verdict: `options` and the schema text they were loaded from. Then clamps

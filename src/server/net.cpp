@@ -48,9 +48,7 @@ bool resolve_ipv4(const std::string& host, in_addr* out, std::string* error) {
     return true;
   }
   if (::inet_pton(AF_INET, host.c_str(), out) == 1) return true;
-  if (error != nullptr) {
-    *error = "cannot parse host '" + host + "' (use a dotted IPv4 address)";
-  }
+  *error = "cannot parse host '" + host + "' (use a dotted IPv4 address)";
   return false;
 }
 
@@ -133,17 +131,22 @@ int listen_tcp(const std::string& host, uint16_t port, uint16_t* bound_port,
   return fd;
 }
 
-int connect_tcp(const std::string& host, uint16_t port) {
+int connect_tcp(const std::string& host, uint16_t port, std::string* error) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   if (!resolve_ipv4(host.empty() ? "localhost" : host, &addr.sin_addr,
-                    nullptr)) {
+                    error)) {
     return -1;
   }
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
+  if (fd < 0) {
+    *error = "cannot create TCP socket: " + errno_text();
+    return -1;
+  }
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    *error = "cannot connect to " + host + ":" + std::to_string(port) + ": " +
+             errno_text();
     ::close(fd);
     return -1;
   }
@@ -151,14 +154,21 @@ int connect_tcp(const std::string& host, uint16_t port) {
   return fd;
 }
 
-int connect_unix(const std::string& path) {
+int connect_unix(const std::string& path, std::string* error) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) return -1;
+  if (path.size() >= sizeof(addr.sun_path)) {
+    *error = "socket path too long: " + path;
+    return -1;
+  }
   std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
+  if (fd < 0) {
+    *error = "cannot create socket: " + errno_text();
+    return -1;
+  }
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    *error = "cannot connect to " + path + ": " + errno_text();
     ::close(fd);
     return -1;
   }

@@ -1,8 +1,9 @@
 // Socket plumbing for the llhscd front end: Unix-domain and TCP listeners,
 // `host:port` parsing, and non-blocking fd helpers. Kept separate from the
-// event loop so the supervisor, the tests, and the bench load driver share
-// one implementation of the transport details (live-socket probing,
-// SO_REUSEADDR, ephemeral-port discovery, TCP_NODELAY).
+// event loop so the daemon, the CLI client (`llhsc check --socket/--tcp`),
+// the tests and the bench load driver share one implementation of the
+// transport details (live-socket probing, SO_REUSEADDR, ephemeral-port
+// discovery, TCP_NODELAY).
 #pragma once
 
 #include <cstdint>
@@ -34,11 +35,15 @@ namespace llhsc::server::net {
                              uint16_t* bound_port, std::string* error);
 
 /// Connects a blocking TCP client socket to host:port ("" = loopback).
-/// Returns the fd or -1. Used by the CLI client and the bench driver.
-[[nodiscard]] int connect_tcp(const std::string& host, uint16_t port);
+/// Returns the fd, or -1 with *error set ("cannot connect to host:port:
+/// <reason>" when the connect itself fails).
+[[nodiscard]] int connect_tcp(const std::string& host, uint16_t port,
+                              std::string* error);
 
-/// Connects a blocking Unix-domain client socket. Returns the fd or -1.
-[[nodiscard]] int connect_unix(const std::string& path);
+/// Connects a blocking Unix-domain client socket. Returns the fd, or -1
+/// with *error set ("socket path too long: <path>", "cannot connect to
+/// <path>: <reason>").
+[[nodiscard]] int connect_unix(const std::string& path, std::string* error);
 
 [[nodiscard]] bool set_nonblocking(int fd);
 

@@ -115,9 +115,11 @@ void check_session(const api::SessionRequest& request, ArtifactStore& store,
 
   // Schema-set parse errors reject the whole request up front, exactly once
   // — never from inside a cached verdict. Sessions carry no schema path.
-  schema::SchemaSet schemas;
-  if (!load_request_schemas(request.syntax, request.schemas_text,
-                            /*schemas_path=*/"", schemas, out.error_text)) {
+  schema::SchemaSet loaded;
+  const schema::SchemaSet* schemas =
+      load_request_schemas(request.syntax, request.schemas_text,
+                           /*schemas_path=*/"", loaded, out.error_text);
+  if (schemas == nullptr) {
     out.exit_code = 2;
     return;
   }
@@ -128,7 +130,7 @@ void check_session(const api::SessionRequest& request, ArtifactStore& store,
       .backend = smt::backend_from_name(request.backend),
       .lint = request.lint, .crossref = false, .graph = request.graph,
       .syntax = request.syntax, .semantics = request.semantics,
-      .schemas = &schemas,
+      .schemas = schemas,
       .semantic = {.solver_timeout_ms = request.solver_timeout_ms,
                    .plan = request.plan, .cache_dir = request.cache_dir}};
   const uint64_t options_key =
@@ -213,7 +215,9 @@ void check_session(const api::SessionRequest& request, ArtifactStore& store,
           lift::LiftedResult lifted = lift::check_family(
               *pl->product_line, *model->model, opts, diags);
           art.findings = lift::flatten(lifted);
-          if (!lifted.ok) {
+          if (lifted.ok) {
+            art.diagnostics_text = diags.render();
+          } else {
             checkers::Finding refused;
             refused.kind = checkers::FindingKind::kDeriveFailure;
             refused.subject = "*lifted*";
@@ -224,6 +228,7 @@ void check_session(const api::SessionRequest& request, ArtifactStore& store,
           return art;
         },
         &unit.check_cache_hit);
+    out.error_text += verdict->diagnostics_text;
     add_unit(out, std::move(unit), verdict->findings);
   }
 
@@ -275,8 +280,9 @@ void check_session(const api::SessionRequest& request, ArtifactStore& store,
           return art;
         },
         &slot.unit.composed_cache_hit);
+    // Derive warnings (delta-order) go out on success too.
+    slot.error_text = composed->diagnostics_text;
     if (composed->derive_errors || composed->tree == nullptr) {
-      slot.error_text = composed->diagnostics_text;
       slot.failed = true;
       return;
     }

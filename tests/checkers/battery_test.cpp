@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "checkers/crossref/rules.hpp"
@@ -146,6 +147,47 @@ TEST(Battery, FindingsEqualTheStandAloneCheckers) {
             render(graph::GraphChecker().check(
                 graph::DeviceGraph::build(*tree))));
   EXPECT_FALSE(result.stages[0].empty()) << "the board seeds a defect";
+}
+
+// fingerprint() keys every daemon and session verdict: each option that
+// can change a verdict must move the key, and the schema set (keyed by its
+// text instead) must not.
+TEST(Battery, FingerprintCoversEveryVerdictOption) {
+  const BatteryOptions base;
+  const uint64_t key = fingerprint(base);
+  EXPECT_EQ(fingerprint(BatteryOptions{}), key) << "deterministic";
+
+  using Flip = void (*)(BatteryOptions&);
+  const std::vector<std::pair<const char*, Flip>> flips = {
+      {"backend", [](BatteryOptions& o) { o.backend = smt::Backend::kZ3; }},
+      {"lint", [](BatteryOptions& o) { o.lint = false; }},
+      {"crossref", [](BatteryOptions& o) { o.crossref = false; }},
+      {"graph", [](BatteryOptions& o) { o.graph = false; }},
+      {"syntax", [](BatteryOptions& o) { o.syntax = false; }},
+      {"semantics", [](BatteryOptions& o) { o.semantics = false; }},
+      {"disabled rule",
+       [](BatteryOptions& o) { o.rules.disabled.insert("phandle-dangling"); }},
+      {"severity override",
+       [](BatteryOptions& o) {
+         o.rules.severity_overrides["phandle-dangling"] =
+             FindingSeverity::kWarning;
+       }},
+      {"address_bits", [](BatteryOptions& o) { o.semantic.address_bits = 32; }},
+      {"plan", [](BatteryOptions& o) { o.semantic.plan = false; }},
+      {"solver_timeout_ms",
+       [](BatteryOptions& o) { o.semantic.solver_timeout_ms = 500; }},
+      {"cache_dir", [](BatteryOptions& o) { o.semantic.cache_dir = "qc"; }},
+  };
+  for (const auto& [name, flip] : flips) {
+    BatteryOptions flipped;
+    flip(flipped);
+    EXPECT_NE(fingerprint(flipped), key) << name;
+  }
+
+  const schema::SchemaSet schemas = schema::builtin_schemas();
+  BatteryOptions with_schemas;
+  with_schemas.schemas = &schemas;
+  EXPECT_EQ(fingerprint(with_schemas), key) << "schemas are keyed by text";
 }
 
 }  // namespace

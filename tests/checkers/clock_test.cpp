@@ -111,13 +111,5 @@ TEST(ClockCheck, PlannedEqualsExhaustive) {
   }
 }
 
-TEST(ClockCheck, CanBeDisabled) {
-  auto tree = parse(kColliding);
-  SemanticOptions opts;
-  opts.check_clocks = false;
-  SemanticChecker checker(smt::Backend::kBuiltin, opts);
-  EXPECT_EQ(clock_findings(checker.check(*tree)), 0u);
-}
-
 }  // namespace
 }  // namespace llhsc::checkers

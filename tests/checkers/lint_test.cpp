@@ -221,13 +221,5 @@ TEST(Lint, StdoutPathValidated) {
   EXPECT_TRUE(f2.empty()) << render(f2);
 }
 
-TEST(Lint, OptionsDisableChecks) {
-  auto tree = parse_ok("/ { ghost@1000 { }; };");
-  LintOptions opts;
-  opts.check_unit_addresses = false;
-  Findings f = LintChecker(opts).check(*tree);
-  EXPECT_FALSE(contains(f, FindingKind::kUnitAddressMissing));
-}
-
 }  // namespace
 }  // namespace llhsc::checkers

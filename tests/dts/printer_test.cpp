@@ -74,22 +74,6 @@ TEST(Printer, StringEscapes) {
   EXPECT_NE(out.find(R"(s = "a\"b\\c";)"), std::string::npos);
 }
 
-TEST(Printer, ProvenanceComments) {
-  Tree t;
-  Node& n = t.root().get_or_create_child("vEthernet");
-  n.set_provenance("d3");
-  Property p = Property::cells("id", {0});
-  p.provenance = "d1";
-  n.set_property(std::move(p));
-  PrintOptions opts;
-  opts.provenance_comments = true;
-  std::string out = print_dts(t, opts);
-  EXPECT_NE(out.find("/* delta: d3 */"), std::string::npos);
-  EXPECT_NE(out.find("/* delta: d1 */"), std::string::npos);
-  // Off by default.
-  EXPECT_EQ(print_dts(t).find("delta:"), std::string::npos);
-}
-
 TEST(Printer, RoundTripRunningExample) {
   const char* src = R"(
 /dts-v1/;
@@ -159,14 +143,6 @@ TEST(Printer, BitsDirectiveRoundTrip) {
   EXPECT_NE(printed.find("/bits/ 16 <0xabcd>"), std::string::npos);
   auto reparsed = parse_ok(printed);
   EXPECT_TRUE(trees_equal(original->root(), reparsed->root())) << printed;
-}
-
-TEST(Printer, DecimalCellsOption) {
-  Tree t;
-  t.root().get_or_create_child("n").set_property(Property::cells("v", {10}));
-  PrintOptions opts;
-  opts.hex_cells = false;
-  EXPECT_NE(print_dts(t, opts).find("v = <10>;"), std::string::npos);
 }
 
 }  // namespace

@@ -56,16 +56,17 @@ TEST(SchemaSet, FindById) {
 }
 
 TEST(Builtin, MemorySchemaShape) {
-  NodeSchema m = memory_schema();
-  EXPECT_EQ(m.id, "memory");
-  const PropertySchema* dt = m.find_property("device_type");
+  const NodeSchema* m = builtin_schemas().find("memory");
+  ASSERT_NE(m, nullptr);
+  EXPECT_EQ(m->id, "memory");
+  const PropertySchema* dt = m->find_property("device_type");
   ASSERT_NE(dt, nullptr);
   EXPECT_EQ(dt->const_string, "memory");
-  const PropertySchema* reg = m.find_property("reg");
+  const PropertySchema* reg = m->find_property("reg");
   ASSERT_NE(reg, nullptr);
   EXPECT_EQ(reg->min_items, 1u);
   EXPECT_EQ(reg->max_items, 1024u);
-  EXPECT_EQ(m.required,
+  EXPECT_EQ(m->required,
             (std::vector<std::string>{"device_type", "reg"}));
 }
 

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "schema/builtin_schemas.hpp"
-
 namespace llhsc::schema {
 namespace {
 
@@ -148,35 +146,6 @@ properties:
   EXPECT_EQ(schema->find_property("id")->enum_cells,
             (std::vector<uint64_t>{0, 1}));
   EXPECT_EQ(schema->find_property("#address-cells")->const_cell, 2u);
-}
-
-TEST(SchemaLoader, BuiltinYamlMatchesBuiltinCpp) {
-  // The YAML twin of the builtin set must load and agree on the essentials.
-  support::DiagnosticEngine de;
-  SchemaSet from_yaml;
-  size_t n = load_schema_stream(builtin_schemas_yaml(), from_yaml, de);
-  EXPECT_FALSE(de.has_errors()) << de.render();
-  SchemaSet from_cpp = builtin_schemas();
-  ASSERT_EQ(n, from_cpp.size());
-  for (const NodeSchema& cpp : from_cpp.schemas()) {
-    const NodeSchema* y = from_yaml.find(cpp.id);
-    ASSERT_NE(y, nullptr) << cpp.id;
-    EXPECT_EQ(y->required, cpp.required) << cpp.id;
-    EXPECT_EQ(y->select.node_name_pattern, cpp.select.node_name_pattern);
-    EXPECT_EQ(y->select.compatibles, cpp.select.compatibles) << cpp.id;
-    EXPECT_EQ(y->check_reg_shape, cpp.check_reg_shape) << cpp.id;
-    EXPECT_EQ(y->properties.size(), cpp.properties.size()) << cpp.id;
-    for (const PropertySchema& p : cpp.properties) {
-      const PropertySchema* yp = y->find_property(p.name);
-      ASSERT_NE(yp, nullptr) << cpp.id << "." << p.name;
-      EXPECT_EQ(yp->const_string, p.const_string);
-      EXPECT_EQ(yp->const_cell, p.const_cell);
-      EXPECT_EQ(yp->enum_strings, p.enum_strings);
-      EXPECT_EQ(yp->enum_cells, p.enum_cells);
-      EXPECT_EQ(yp->min_items, p.min_items);
-      EXPECT_EQ(yp->max_items, p.max_items);
-    }
-  }
 }
 
 }  // namespace

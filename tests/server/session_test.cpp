@@ -339,6 +339,51 @@ TEST(SessionLifted, EditingAnyDeltaInvalidatesTheFamilyVerdict) {
   EXPECT_EQ(out.cost.lifted_checks, 1u);
 }
 
+size_t count_of(const std::string& text, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+// Two unordered deltas writing one property: the product unit's derive
+// and the *lifted* unit each warn once, on success, and a warm run (every
+// artifact a store hit) replays the same bytes.
+TEST(SessionLifted, UnorderedConflictWarnsColdAndWarm) {
+  api::SessionRequest request = lifted_request();
+  request.core_source =
+      "/dts-v1/;\n"
+      "/ { #address-cells = <1>; #size-cells = <1>;\n"
+      "  dev@1000 { reg = <0x1000 0x100>; };\n"
+      "};\n";
+  request.deltas_source =
+      "delta first {\n"
+      "  modifies /dev@1000 { status = \"okay\"; }\n"
+      "}\n"
+      "delta second {\n"
+      "  modifies /dev@1000 { status = \"disabled\"; }\n"
+      "}\n";
+  request.products.push_back({"p", {}});
+  ArtifactStore store;
+  api::SessionResult cold = run_session_check(request, store);
+  EXPECT_EQ(cold.exit_code, 0) << cold.error_text;
+  ASSERT_EQ(cold.units.size(), 2u);
+  EXPECT_EQ(cold.units[0].name, "*lifted*");
+  EXPECT_EQ(count_of(cold.error_text, "[delta-order]"), 2u) << cold.error_text;
+
+  api::SessionResult warm = run_session_check(request, store);
+  EXPECT_EQ(warm.exit_code, 0);
+  ASSERT_EQ(warm.units.size(), 2u);
+  EXPECT_TRUE(warm.units[0].check_cache_hit);
+  EXPECT_TRUE(warm.units[1].composed_cache_hit);
+  EXPECT_TRUE(warm.units[1].check_cache_hit);
+  EXPECT_EQ(warm.cost.derives, 0u);
+  EXPECT_EQ(warm.cost.lifted_checks, 0u);
+  EXPECT_EQ(warm.error_text, cold.error_text);
+}
+
 // -- The product-line driver: `llhsc demo`, the examples and the benches
 // run the daemon's session with a call-local store and `jobs` threads. --
 

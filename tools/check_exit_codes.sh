@@ -23,6 +23,23 @@ expect() {
   fi
 }
 
+# As expect, and stderr must contain the message too.
+expect_stderr() {
+  local want="$1" message="$2"
+  shift 2
+  "$@" >/dev/null 2>"$TMP/stderr"
+  local got=$?
+  if [ "$got" -ne "$want" ]; then
+    echo "FAIL: exit $got, want $want: $*"
+    fail=1
+  fi
+  if ! grep -qF "$message" "$TMP/stderr"; then
+    echo "FAIL: stderr lacks '$message': $*"
+    cat "$TMP/stderr"
+    fail=1
+  fi
+}
+
 # A clean run produces checker-approved artifacts to reuse below.
 expect 0 "$LLHSC" demo --out "$TMP"
 
@@ -54,6 +71,15 @@ expect 2 "$LLHSC" check "${LIFTED[@]}" --socket "$TMP/llhsc.sock"
 expect 2 "$LLHSC" check "${LIFTED[@]}" --tcp 127.0.0.1:1
 # ...while the plain lifted check of the clean running example -> 0.
 expect 0 "$LLHSC" check "${LIFTED[@]}"
+
+# A plain check's --tcp endpoint: a malformed or zero port is a usage
+# error, named as such, and a refused connection says so -> 2 either way.
+for endpoint in 127.0.0.1:1x 127.0.0.1: 127.0.0.1:0; do
+  expect_stderr 2 "bad --tcp endpoint" "$LLHSC" check "$TMP/vm1.dts" \
+      --tcp "$endpoint"
+done
+expect_stderr 2 "cannot connect to" "$LLHSC" check "$TMP/vm1.dts" \
+    --tcp 127.0.0.1:1
 
 # Unknown command -> 2.
 expect 2 "$LLHSC" frobnicate

@@ -41,15 +41,12 @@
 //
 //   llhsc products
 //       Enumerate the valid products of the running-example feature model.
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -78,6 +75,7 @@
 #include "obs/summary.hpp"
 #include "schema/builtin_schemas.hpp"
 #include "schema/yaml_lite.hpp"
+#include "server/net.hpp"
 #include "server/runner.hpp"
 #include "server/session.hpp"
 #include "support/flags.hpp"
@@ -190,58 +188,23 @@ std::optional<checkers::crossref::CrossRefOptions> crossref_options_from(
 /// message on stderr on failure.
 int connect_daemon(const std::string& socket_path,
                    const std::string& tcp_spec) {
-  if (!tcp_spec.empty()) {
-    std::string host = "127.0.0.1";
-    std::string port_text = tcp_spec;
-    const size_t colon = tcp_spec.rfind(':');
-    if (colon != std::string::npos) {
-      if (colon > 0) host = tcp_spec.substr(0, colon);
-      port_text = tcp_spec.substr(colon + 1);
-    }
-    if (host == "localhost" || host.empty() || host == "0.0.0.0") {
-      host = "127.0.0.1";
-    }
-    const int port = std::atoi(port_text.c_str());
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    if (port <= 0 || port > 65535 ||
-        ::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-      std::cerr << "bad --tcp endpoint '" << tcp_spec << "'\n";
+  std::string error;
+  int fd = -1;
+  if (tcp_spec.empty()) {
+    fd = server::net::connect_unix(socket_path, &error);
+  } else {
+    std::string host;
+    uint16_t port = 0;
+    if (!server::net::parse_listen_spec(tcp_spec, &host, &port, &error) ||
+        port == 0) {
+      std::cerr << "bad --tcp endpoint '" << tcp_spec << "': "
+                << (error.empty() ? "port 0 cannot be connected to" : error)
+                << "\n";
       return -1;
     }
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      std::cerr << "cannot create socket: " << std::strerror(errno) << "\n";
-      return -1;
-    }
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-      std::cerr << "cannot connect to " << tcp_spec << ": "
-                << std::strerror(errno) << "\n";
-      ::close(fd);
-      return -1;
-    }
-    return fd;
+    fd = server::net::connect_tcp(host, port, &error);
   }
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    std::cerr << "cannot create socket: " << std::strerror(errno) << "\n";
-    return -1;
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socket_path.size() >= sizeof(addr.sun_path)) {
-    std::cerr << "socket path too long: " << socket_path << "\n";
-    ::close(fd);
-    return -1;
-  }
-  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    std::cerr << "cannot connect to " << socket_path << ": "
-              << std::strerror(errno) << "\n";
-    ::close(fd);
-    return -1;
-  }
+  if (fd < 0) std::cerr << error << "\n";
   return fd;
 }
 
@@ -592,10 +555,8 @@ int cmd_generate(int argc, char** argv) {
     if (!t.empty()) features.insert(std::string(t));
   }
   auto tree = pl.derive(features, diags);
-  if (tree == nullptr) {
-    std::cerr << diags.render();
-    return 1;
-  }
+  std::cerr << diags.render();  // derive warnings (delta-order) too
+  if (tree == nullptr) return 1;
 
   const smt::Backend backend = backend_from(args);
   const schema::SchemaSet schemas = schemas_from(args);
