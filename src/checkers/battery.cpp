@@ -54,14 +54,12 @@ BatteryResult run_battery(const dts::Tree& tree, const BatteryOptions& options,
     // One analysis context and one device graph per check (the graph may
     // come from the caller's source), each made on a stage's first need,
     // outside every stage's scope and span, and shared by every stage that
-    // reads it.
+    // reads it. Every stage reads the context.
     std::optional<crossref::AnalysisContext> ctx;
     std::shared_ptr<const graph::DeviceGraph> device_graph;
-    enum Needs : unsigned { kNothing = 0, kContext = 1, kGraph = 2 };
-    auto prepare = [&](unsigned needs) {
-      const bool need_graph = (needs & kGraph) != 0 && device_graph == nullptr;
-      if (((needs & kContext) != 0 || need_graph) && !ctx) ctx.emplace(tree);
-      if (need_graph) {
+    auto prepare = [&](bool needs_graph) {
+      if (!ctx) ctx.emplace(tree);
+      if (needs_graph && device_graph == nullptr) {
         device_graph = graph_source
                            ? graph_source(*ctx)
                            : std::make_shared<const graph::DeviceGraph>(
@@ -72,10 +70,10 @@ BatteryResult run_battery(const dts::Tree& tree, const BatteryOptions& options,
     // `stage` and `span_name` are literals: spans keep only the pointer
     // until they record.
     auto run_stage = [&](bool enabled, const char* stage,
-                         const char* span_name, unsigned needs,
+                         const char* span_name, bool needs_graph,
                          auto&& check) {
       if (!enabled) return;
-      prepare(needs);
+      prepare(needs_graph);
       Findings f;
       {
         obs::ScopedScope scope_guard(stage);
@@ -86,28 +84,25 @@ BatteryResult run_battery(const dts::Tree& tree, const BatteryOptions& options,
       result.stages.push_back(std::move(f));
     };
 
-    run_stage(options.lint, "lint", "stage.lint", kNothing,
-              [&] { return LintChecker().check(tree); });
-    run_stage(options.crossref, "crossref", "stage.crossref",
-              kContext | kGraph, [&] {
-                return crossref::CrossRefChecker(options.rules)
-                    .check(*ctx, *device_graph);
-              });
-    run_stage(options.graph, "graph", "stage.graph", kGraph, [&] {
+    run_stage(options.lint, "lint", "stage.lint", false,
+              [&] { return LintChecker().check(*ctx); });
+    run_stage(options.crossref, "crossref", "stage.crossref", true, [&] {
+      return crossref::CrossRefChecker(options.rules)
+          .check(*ctx, *device_graph);
+    });
+    run_stage(options.graph, "graph", "stage.graph", true, [&] {
       return graph::GraphChecker(options.rules).check(*device_graph);
     });
     run_stage(options.syntax && options.schemas != nullptr, "syntactic",
-              "stage.syntactic", kNothing, [&] {
+              "stage.syntactic", false, [&] {
                 // The semantic stage's cache: --no-plan stays uncached.
-                SyntacticOptions syntactic;
-                if (options.semantic.plan) {
-                  syntactic.cache_dir = options.semantic.cache_dir;
-                }
                 return SyntacticChecker(*options.schemas, options.backend,
-                                        std::move(syntactic))
-                    .check(tree);
+                                        options.semantic.plan
+                                            ? options.semantic.cache_dir
+                                            : std::string())
+                    .check(*ctx);
               });
-    run_stage(options.semantics, "semantic", "stage.semantic", kContext, [&] {
+    run_stage(options.semantics, "semantic", "stage.semantic", false, [&] {
       return SemanticChecker(options.backend, options.semantic).check(*ctx);
     });
   }

@@ -10,10 +10,10 @@
 // One check builds one crossref::AnalysisContext and at most one
 // graph::DeviceGraph, each on first need and outside every stage's scope
 // and span (their spans are "context.build" and "graph.build"): the
-// crossref stage reads both, the graph stage the graph, and the semantic
-// stage the context. A caller's graph source (the daemon store's keyed
-// graph artifact) is asked for the graph on first need, with the check's
-// one context.
+// crossref stage reads both, the graph stage the graph, and the lint,
+// syntactic and semantic stages the context. A caller's graph source (the
+// daemon store's keyed graph artifact) is asked for the graph on first
+// need, with the check's one context.
 //
 // Findings come back per stage and unsorted; the order is the caller's:
 // run_check concatenates the stages, and a session unit sorts the whole

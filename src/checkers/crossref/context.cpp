@@ -44,7 +44,7 @@ AnalysisContext::AnalysisContext(const dts::Tree& tree) : tree_(&tree) {
   }
 
   for (const auto& child : tree.root().children()) {
-    index_subtree(*child, &tree.root(), "/" + child->name());
+    index_subtree(*child, &tree.root(), dts::path_join("/", child->name()));
   }
 }
 
@@ -104,7 +104,7 @@ void AnalysisContext::index_subtree(const dts::Node& node,
   order_.emplace_back(path, &node);
   path_index_.emplace(path, &node);
   for (const auto& child : node.children()) {
-    index_subtree(*child, &node, path + "/" + child->name());
+    index_subtree(*child, &node, dts::path_join(path, child->name()));
   }
 }
 

@@ -1,9 +1,12 @@
-// AnalysisContext — the shared, indexed view of one dts::Tree that the
-// cross-reference rules, the device-graph build (checkers/graph/graph.hpp)
-// and the semantic checker's address extraction read instead of re-walking
-// the tree. checkers::run_battery builds one per check, outside every
-// stage, and hands it to all three; construction is the `context.build`
-// obs span. Built in a single pre-order pass, it provides:
+// AnalysisContext — the shared, indexed view of one dts::Tree that every
+// checker reads instead of re-walking the tree: lint, the cross-reference
+// rules, the device-graph build (checkers/graph/graph.hpp), the syntactic
+// checker, and the semantic checker's region extraction and claim
+// collection. It is the one place a checker gets a node's path, its
+// governing cells or its interrupt parent. checkers::run_battery builds
+// one per check, outside every stage, and hands it to each; the lift
+// engine builds one per slice. Construction is the `context.build` obs
+// span. Built in a single pre-order pass, it provides:
 //   * phandle -> node, label -> node and path -> node indexes;
 //   * per-node structural facts: parent pointer, full path, the
 //     #address-cells / #size-cells governing the node's own `reg`

@@ -26,7 +26,7 @@ enum class FindingKind : uint8_t {
   kPatternMismatch,        // string does not match the schema pattern
   kUnknownProperty,        // additionalProperties: false violated
   kChildRuleViolation,     // child count/schema rules violated
-  kNoSchema,               // node matched no schema (warning)
+  kNoSchema,               // Finding's default kind; no checker emits it
   // Semantic (§IV-C)
   kAddressOverlap,         // two regions overlap
   kRegWidthViolation,      // cell value exceeds the configured cell width

@@ -1,11 +1,14 @@
 // Device-graph IR — the one decoded form of every reference in a tree.
 // Built once per check from the check's crossref::AnalysisContext (one
 // pre-order pass over the same indexes), it turns the DTS into a typed
-// property graph. DeviceGraph::build is the only code that walks
-// phandle+args and `interrupts` tuples: the cross-reference rules read the
-// per-reference verdicts off its edges, and the dataflow rules
-// (checkers/graph/rules.hpp) read the whole-graph structure the per-edge
-// rules cannot see.
+// property graph. DeviceGraph::build is the only reference decoder the
+// reference rules use: the cross-reference rules read the per-reference
+// verdicts off its edges, and the dataflow rules (checkers/graph/rules.hpp)
+// read the whole-graph structure the per-edge rules cannot see. The
+// semantic checker's claim collectors (checkers/semantic.hpp) decode
+// `interrupts` and `assigned-clocks` tuples themselves, because their
+// stride and inheritance rules differ from the edges' and reading edges
+// would change uniqueness verdicts.
 //
 //   * one GraphNode per DT node, carrying its path, normalized status
 //     (okay / disabled, with ancestor disabling folded in — a node under a

@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "checkers/crossref/context.hpp"
 #include "support/strings.hpp"
 
 namespace llhsc::checkers {
@@ -22,19 +23,18 @@ Finding warn(FindingKind kind, std::string subject, std::string message,
 }
 
 /// First reg entry's address under the governing cells, or nullopt.
-std::optional<uint64_t> first_reg_address(const dts::Tree& tree,
-                                          const dts::Node& node,
-                                          const std::string& path) {
+std::optional<uint64_t> first_reg_address(const crossref::AnalysisContext& ctx,
+                                          const dts::Node& node) {
   const dts::Property* reg = node.find_property("reg");
   if (reg == nullptr) return std::nullopt;
   auto cells = reg->as_cells();
   if (!cells || cells->empty()) return std::nullopt;
-  const uint32_t ac = tree.applicable_cells(path).first;
+  const uint32_t ac = ctx.reg_cells(node).first;
   if (ac == 0 || ac > 2 || cells->size() < ac) return std::nullopt;
   return dts::combine_cells(*cells, 0, ac);
 }
 
-void lint_node(const dts::Tree& tree, const dts::Node& node,
+void lint_node(const crossref::AnalysisContext& ctx, const dts::Node& node,
                const std::string& path, Findings& out) {
   if (path != "/") {
     if (!support::is_valid_node_name(node.name())) {
@@ -55,7 +55,7 @@ void lint_node(const dts::Tree& tree, const dts::Node& node,
                          "node has a unit address but no reg property",
                          node.provenance(), node.location()));
     } else if (reg != nullptr && has_unit) {
-      auto addr = first_reg_address(tree, node, path);
+      auto addr = first_reg_address(ctx, node);
       auto unit = support::parse_integer(
           "0x" + std::string(node.unit_address()));
       if (addr && unit && *addr != *unit) {
@@ -132,8 +132,7 @@ void lint_node(const dts::Tree& tree, const dts::Node& node,
     if (child->unit_address().empty()) continue;
     std::string key = std::string(child->base_name()) + "@" +
                       std::string(child->unit_address());
-    std::string child_path =
-        path == "/" ? "/" + child->name() : path + "/" + child->name();
+    const std::string& child_path = ctx.path_of(*child);
     auto [it, inserted] = seen.emplace(key, child_path);
     if (!inserted) {
       Finding f = warn(FindingKind::kDuplicateUnitAddress, child_path,
@@ -183,11 +182,15 @@ void lint_path_references(const dts::Tree& tree, Findings& out) {
 }  // namespace
 
 Findings LintChecker::check(const dts::Tree& tree) const {
+  return check(crossref::AnalysisContext(tree));
+}
+
+Findings LintChecker::check(const crossref::AnalysisContext& ctx) const {
   Findings out;
-  tree.visit([&](const std::string& path, const dts::Node& node) {
-    lint_node(tree, node, path, out);
-  });
-  lint_path_references(tree, out);
+  for (const auto& [path, node] : ctx.nodes()) {
+    lint_node(ctx, *node, path, out);
+  }
+  lint_path_references(ctx.tree(), out);
   return out;
 }
 

@@ -11,11 +11,19 @@
 
 namespace llhsc::checkers {
 
+namespace crossref {
+class AnalysisContext;
+}
+
 /// Every rule always runs; /aliases values and /chosen stdout-path must
-/// also target existing nodes.
+/// also target existing nodes. Node paths and the cells governing each
+/// `reg` come from the check's crossref::AnalysisContext.
 class LintChecker {
  public:
+  /// Lints one tree (builds a private context).
   [[nodiscard]] Findings check(const dts::Tree& tree) const;
+  /// Lints over the check's shared context.
+  [[nodiscard]] Findings check(const crossref::AnalysisContext& ctx) const;
 };
 
 }  // namespace llhsc::checkers

@@ -3,7 +3,6 @@
 #include "checkers/crossref/context.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <unordered_map>
 
@@ -134,17 +133,17 @@ bool region_wraps(uint64_t base_m, uint64_t size_m, uint32_t width) {
 
 /// phandle -> the holder's `cells` property (`fallback` when absent or not a
 /// u32); of two holders of one phandle, the later in document order wins.
-std::unordered_map<uint32_t, uint32_t> cells_by_phandle(const dts::Tree& tree,
-                                                        const char* cells,
-                                                        uint32_t fallback) {
+std::unordered_map<uint32_t, uint32_t> cells_by_phandle(
+    const crossref::AnalysisContext& ctx, const char* cells,
+    uint32_t fallback) {
   std::unordered_map<uint32_t, uint32_t> out;
-  tree.visit([&](const std::string&, const dts::Node& node) {
-    const dts::Property* ph = node.find_property("phandle");
+  for (const auto& [path, node] : ctx.nodes()) {
+    const dts::Property* ph = node->find_property("phandle");
     auto phv = ph != nullptr ? ph->as_u32() : std::nullopt;
-    if (!phv) return;
-    const dts::Property* c = node.find_property(cells);
+    if (!phv) continue;
+    const dts::Property* c = node->find_property(cells);
     out[*phv] = c != nullptr ? c->as_u32().value_or(fallback) : fallback;
-  });
+  }
   return out;
 }
 
@@ -371,61 +370,47 @@ std::vector<MemRegion> extract_regions(const crossref::AnalysisContext& ctx,
   return regions;
 }
 
-std::vector<Claim> collect_interrupt_claims(const dts::Tree& tree) {
+std::vector<Claim> collect_interrupt_claims(
+    const crossref::AnalysisContext& ctx) {
   // Pass 1: phandle -> #interrupt-cells, to know each claim's tuple stride.
-  const auto interrupt_cells = cells_by_phandle(tree, "#interrupt-cells", 1);
+  const auto interrupt_cells = cells_by_phandle(ctx, "#interrupt-cells", 1);
 
-  // Pass 2: walk with interrupt-parent inheritance (a node without its own
-  // interrupt-parent uses the nearest ancestor's, per the DT spec).
+  // Pass 2: claims under each node's interrupt parent — its own
+  // interrupt-parent, else the nearest ancestor's (DT spec); none, or a
+  // malformed one, is owner 0.
   std::vector<Claim> claims;
-  std::function<void(const dts::Node&, const std::string&, uint32_t)> walk =
-      [&](const dts::Node& node, const std::string& path, uint32_t parent) {
-        if (const dts::Property* ip = node.find_property("interrupt-parent")) {
-          parent = ip->as_u32().value_or(0);
-        }
-        const dts::Property* irq = node.find_property("interrupts");
-        if (irq != nullptr) {
-          auto cells = irq->as_cells();
-          if (cells && !cells->empty()) {
-            size_t stride = 1;
-            auto it = interrupt_cells.find(parent);
-            if (it != interrupt_cells.end() && it->second != 0) {
-              stride = it->second;
-            }
-            for (size_t off = 0, e = 0; off < cells->size();
-                 off += stride, ++e) {
-              Claim claim;
-              claim.path = path;
-              claim.provenance = !irq->provenance.empty() ? irq->provenance
-                                                          : node.provenance();
-              claim.location =
-                  irq->location.valid() ? irq->location : node.location();
-              claim.owner_phandle = parent;
-              claim.entry_index = e;
-              const size_t n = std::min(stride, cells->size() - off);
-              claim.tuple.reserve(n);
-              for (size_t k = 0; k < n; ++k) {
-                claim.tuple.push_back((*cells)[off + k] & 0xffffffffull);
-              }
-              claims.push_back(std::move(claim));
-            }
-          }
-        }
-        for (const auto& child : node.children()) {
-          const std::string child_path = path == "/"
-                                             ? "/" + child->name()
-                                             : path + "/" + child->name();
-          walk(*child, child_path, parent);
-        }
-      };
-  walk(tree.root(), "/", 0);
+  for (const auto& [path, node] : ctx.nodes()) {
+    const dts::Property* irq = node->find_property("interrupts");
+    if (irq == nullptr) continue;
+    auto cells = irq->as_cells();
+    if (!cells || cells->empty()) continue;
+    const uint32_t parent = ctx.interrupt_parent_phandle(*node).value_or(0);
+    size_t stride = 1;
+    auto it = interrupt_cells.find(parent);
+    if (it != interrupt_cells.end() && it->second != 0) stride = it->second;
+    for (size_t off = 0, e = 0; off < cells->size(); off += stride, ++e) {
+      Claim claim;
+      claim.path = path;
+      claim.provenance =
+          !irq->provenance.empty() ? irq->provenance : node->provenance();
+      claim.location = irq->location.valid() ? irq->location : node->location();
+      claim.owner_phandle = parent;
+      claim.entry_index = e;
+      const size_t n = std::min(stride, cells->size() - off);
+      claim.tuple.reserve(n);
+      for (size_t k = 0; k < n; ++k) {
+        claim.tuple.push_back((*cells)[off + k] & 0xffffffffull);
+      }
+      claims.push_back(std::move(claim));
+    }
+  }
   return claims;
 }
 
-std::vector<Claim> collect_clock_claims(const dts::Tree& tree) {
+std::vector<Claim> collect_clock_claims(const crossref::AnalysisContext& ctx) {
   // Pass 1: phandle -> #clock-cells. A provider without #clock-cells is a
   // single-clock provider (specifier length 0) per the clock bindings.
-  const auto clock_cells = cells_by_phandle(tree, "#clock-cells", 0);
+  const auto clock_cells = cells_by_phandle(ctx, "#clock-cells", 0);
 
   // Pass 2: one claim per assigned-clocks entry. The stride is per-entry —
   // one phandle cell plus that provider's #clock-cells — so a property can
@@ -434,11 +419,11 @@ std::vector<Claim> collect_clock_claims(const dts::Tree& tree) {
   // unknowable, and the dangling reference is the cross-reference rules'
   // finding, not ours.
   std::vector<Claim> claims;
-  tree.visit([&](const std::string& path, const dts::Node& node) {
-    const dts::Property* ac = node.find_property("assigned-clocks");
-    if (ac == nullptr) return;
+  for (const auto& [path, node] : ctx.nodes()) {
+    const dts::Property* ac = node->find_property("assigned-clocks");
+    if (ac == nullptr) continue;
     auto cells = ac->as_cells();
-    if (!cells || cells->empty()) return;
+    if (!cells || cells->empty()) continue;
     size_t off = 0, e = 0;
     while (off < cells->size()) {
       const uint32_t phandle =
@@ -449,8 +434,8 @@ std::vector<Claim> collect_clock_claims(const dts::Tree& tree) {
       Claim claim;
       claim.path = path;
       claim.provenance =
-          !ac->provenance.empty() ? ac->provenance : node.provenance();
-      claim.location = ac->location.valid() ? ac->location : node.location();
+          !ac->provenance.empty() ? ac->provenance : node->provenance();
+      claim.location = ac->location.valid() ? ac->location : node->location();
       claim.owner_phandle = phandle;
       claim.entry_index = e;
       const size_t n = std::min(cc, cells->size() - off - 1);
@@ -462,7 +447,7 @@ std::vector<Claim> collect_clock_claims(const dts::Tree& tree) {
       off += 1 + cc;
       ++e;
     }
-  });
+  }
   return claims;
 }
 
@@ -700,8 +685,8 @@ Findings SemanticChecker::check(const crossref::AnalysisContext& ctx) {
   }
   ObligationSet set;
   set.regions = extract_regions(ctx, set.extracted);
-  set.irq = collect_interrupt_claims(ctx.tree());
-  set.clock = collect_clock_claims(ctx.tree());
+  set.irq = collect_interrupt_claims(ctx);
+  set.clock = collect_clock_claims(ctx);
   Findings found = discharge_one(set);
   out.insert(out.end(), std::make_move_iterator(found.begin()),
              std::make_move_iterator(found.end()));

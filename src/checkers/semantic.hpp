@@ -81,23 +81,25 @@ struct Claim {
   std::vector<uint64_t> tuple;  // cells, masked to 32 bits
 };
 
-// The claim collectors keep their own walk, not the device graph's edges:
-// their stride policy differs (an interrupt parent without a usable
-// #interrupt-cells has stride 1, a clock provider without #clock-cells 0
-// argument cells, a phandle carried twice means its last holder, and
-// `interrupts` has no implicit-controller fallback), so edges would
-// change verdicts.
+// The claim collectors decode `interrupts` and `assigned-clocks` cells
+// themselves, not through the device graph's edges: their stride policy
+// differs (an interrupt parent without a usable #interrupt-cells has
+// stride 1, a clock provider without #clock-cells 0 argument cells, a
+// phandle carried twice means its last holder, and `interrupts` has no
+// implicit-controller fallback), so edges would change verdicts. Node
+// order, paths and the interrupt parent come from the context.
 
 /// Collects one claim per `interrupts` tuple (stride = the interrupt
 /// parent's #interrupt-cells), resolving interrupt-parent by inheritance.
 [[nodiscard]] std::vector<Claim> collect_interrupt_claims(
-    const dts::Tree& tree);
+    const crossref::AnalysisContext& ctx);
 
 /// Collects one claim per `assigned-clocks` entry (stride = 1 phandle cell +
 /// the provider's #clock-cells). Entries whose provider phandle is unknown
 /// end the parse (the stride is unknowable; the cross-reference rules
 /// report the dangling phandle).
-[[nodiscard]] std::vector<Claim> collect_clock_claims(const dts::Tree& tree);
+[[nodiscard]] std::vector<Claim> collect_clock_claims(
+    const crossref::AnalysisContext& ctx);
 
 /// The candidate pairs of claim uniqueness. Claims with a different owner
 /// or tuple arity are never compared; of the comparable pairs, only those

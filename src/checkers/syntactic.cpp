@@ -1,5 +1,6 @@
 #include "checkers/syntactic.hpp"
 
+#include "checkers/crossref/context.hpp"
 #include "support/strings.hpp"
 
 namespace llhsc::checkers {
@@ -10,10 +11,10 @@ namespace {
 /// in: reg-style properties use the #address-cells + #size-cells governing
 /// the node (nearest-ancestor resolution); other cell arrays count single
 /// cells.
-uint32_t entry_stride(const dts::Tree& tree, const std::string& path,
-                      const std::string& prop_name) {
+uint32_t entry_stride(const crossref::AnalysisContext& ctx,
+                      const dts::Node& node, const std::string& prop_name) {
   if (prop_name == "reg") {
-    auto [ac, sc] = tree.applicable_cells(path);
+    auto [ac, sc] = ctx.reg_cells(node);
     return ac + sc;
   }
   return 1;
@@ -27,11 +28,10 @@ std::string provenance_of(const dts::Property& p, const dts::Node& n) {
 
 SyntacticChecker::SyntacticChecker(const schema::SchemaSet& schemas,
                                    smt::Backend backend,
-                                   SyntacticOptions options)
+                                   const std::string& cache_dir)
     : schemas_(&schemas),
-      options_(std::move(options)),
       solver_(backend),
-      planner_(solver_, options_.cache_dir),
+      planner_(solver_, cache_dir),
       present_(solver_.bool_var("R")),
       string_(solver_.bv_var("v", 32)),
       cell_(solver_.bv_var("c", 64)),
@@ -53,49 +53,32 @@ bool SyntacticChecker::violated(logic::Formula fact,
 }
 
 Findings SyntacticChecker::check(const dts::Tree& tree) {
+  return check(crossref::AnalysisContext(tree));
+}
+
+Findings SyntacticChecker::check(const crossref::AnalysisContext& ctx) {
   Findings out;
-  tree.visit([&](const std::string& path, const dts::Node& node) {
-    Findings node_findings = check_node(tree, node, path);
-    for (Finding& f : node_findings) {
+  for (const auto& [path, node] : ctx.nodes()) {
+    const size_t first = out.size();
+    for (const schema::NodeSchema* schema : schemas_->match(*node)) {
+      check_schema(ctx, *node, path, *schema, out);
+    }
+    for (size_t i = first; i < out.size(); ++i) {
       // Findings about a present property point at the property; everything
-      // else (missing-required, no-schema, child rules) at the node.
+      // else (missing-required, child rules) at the node.
+      Finding& f = out[i];
       if (!f.location.valid()) {
         const dts::Property* p =
-            f.property.empty() ? nullptr : node.find_property(f.property);
+            f.property.empty() ? nullptr : node->find_property(f.property);
         f.location = (p != nullptr && p->location.valid()) ? p->location
-                                                           : node.location();
+                                                           : node->location();
       }
     }
-    out.insert(out.end(), node_findings.begin(), node_findings.end());
-  });
-  return out;
-}
-
-Findings SyntacticChecker::check_node(const dts::Tree& tree,
-                                      const dts::Node& node,
-                                      const std::string& path) {
-  Findings out;
-  auto matching = schemas_->match(node);
-  if (matching.empty()) {
-    if (options_.warn_unmatched_nodes && path != "/" &&
-        !(options_.skip_empty_containers && node.properties().empty())) {
-      Finding f;
-      f.kind = FindingKind::kNoSchema;
-      f.severity = FindingSeverity::kWarning;
-      f.subject = path;
-      f.delta = node.provenance();
-      f.message = "no binding schema matches this node";
-      out.push_back(std::move(f));
-    }
-    return out;
-  }
-  for (const schema::NodeSchema* schema : matching) {
-    check_schema(tree, node, path, *schema, out);
   }
   return out;
 }
 
-void SyntacticChecker::check_schema(const dts::Tree& tree,
+void SyntacticChecker::check_schema(const crossref::AnalysisContext& ctx,
                                     const dts::Node& node,
                                     const std::string& path,
                                     const schema::NodeSchema& schema,
@@ -123,7 +106,7 @@ void SyntacticChecker::check_schema(const dts::Tree& tree,
     const dts::Property* inst = node.find_property(ps.name);
     if (inst == nullptr) continue;  // absence handled by `required`
     check_property_values(node, path, schema, ps, *inst,
-                          entry_stride(tree, path, ps.name), out);
+                          entry_stride(ctx, node, ps.name), out);
   }
 
   // additionalProperties: false — instance properties must appear in the
@@ -156,7 +139,7 @@ void SyntacticChecker::check_schema(const dts::Tree& tree,
     if (const dts::Property* reg = node.find_property("reg")) {
       auto cells = reg->as_cells();
       if (cells) {
-        uint32_t stride = entry_stride(tree, path, "reg");
+        uint32_t stride = entry_stride(ctx, node, "reg");
         const logic::Formula shape[] = {
             bv.eq(count_, bv.bv_mul(entries_, bv.bv_const(stride, 16))),
             bv.uge(entries_, bv.bv_const(1, 16)),

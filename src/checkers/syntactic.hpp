@@ -29,32 +29,26 @@
 
 namespace llhsc::checkers {
 
-struct SyntacticOptions {
-  /// Emit kNoSchema warnings for nodes no schema matches.
-  bool warn_unmatched_nodes = false;
-  /// Skip pure container nodes (no properties, only children) when warning
-  /// about unmatched nodes.
-  bool skip_empty_containers = true;
-  /// Directory for the persistent query-result cache (empty = no cache).
-  /// The battery passes the semantic stage's, so one --cache-dir serves
-  /// both stages. An unusable directory degrades to an uncached run; the
-  /// semantic stage reports it.
-  std::string cache_dir;
-};
+namespace crossref {
+class AnalysisContext;
+}
 
 class SyntacticChecker {
  public:
+  /// `cache_dir` is the persistent query-result cache (empty = no cache).
+  /// The battery passes the semantic stage's, so one --cache-dir serves
+  /// both stages. An unusable directory degrades to an uncached run; the
+  /// semantic stage reports it.
   SyntacticChecker(const schema::SchemaSet& schemas,
                    smt::Backend backend = smt::Backend::kBuiltin,
-                   SyntacticOptions options = {});
+                   const std::string& cache_dir = "");
 
-  /// Checks every node of the tree against all matching schemas.
+  /// Checks every node of the tree against all matching schemas (builds a
+  /// private context).
   [[nodiscard]] Findings check(const dts::Tree& tree);
-
-  /// Checks a single node (plus its children for child rules).
-  [[nodiscard]] Findings check_node(const dts::Tree& tree,
-                                    const dts::Node& node,
-                                    const std::string& path);
+  /// Same check over the check's shared context: node paths and the cells
+  /// governing each `reg` come from it.
+  [[nodiscard]] Findings check(const crossref::AnalysisContext& ctx);
 
   /// Number of solver checks issued so far (benchmark instrumentation).
   [[nodiscard]] uint64_t solver_checks() const { return solver_.stats().checks; }
@@ -68,9 +62,9 @@ class SyntacticChecker {
   /// fact /\ constraint is unsatisfiable, i.e. the constraint is violated.
   bool violated(logic::Formula fact, logic::Formula constraint);
 
-  void check_schema(const dts::Tree& tree, const dts::Node& node,
-                    const std::string& path, const schema::NodeSchema& schema,
-                    Findings& out);
+  void check_schema(const crossref::AnalysisContext& ctx,
+                    const dts::Node& node, const std::string& path,
+                    const schema::NodeSchema& schema, Findings& out);
   void check_property_values(const dts::Node& node, const std::string& path,
                              const schema::NodeSchema& schema,
                              const schema::PropertySchema& ps,
@@ -78,7 +72,6 @@ class SyntacticChecker {
                              Findings& out);
 
   const schema::SchemaSet* schemas_;
-  SyntacticOptions options_;
   smt::Solver solver_;
   smt::QueryPlanner planner_;
   std::unordered_map<std::string, uint32_t> interned_;

@@ -8,11 +8,6 @@ namespace llhsc::delta {
 
 namespace {
 
-std::string path_join(const std::string& parent, std::string_view name) {
-  return parent == "/" ? "/" + std::string(name)
-                       : parent + "/" + std::string(name);
-}
-
 /// Resolves a target to a node: absolute paths go through Tree::find;
 /// bare names search the whole tree for a unique (base-)name match.
 dts::Node* resolve_target(dts::Tree& tree, const std::string& target) {
@@ -39,7 +34,7 @@ void record_modify_effects(const dts::Node* target, const dts::Node& fragment,
   for (const auto& child : fragment.children()) {
     const dts::Node* existing =
         target != nullptr ? target->find_child(child->name()) : nullptr;
-    const std::string child_path = path_join(path, child->name());
+    const std::string child_path = dts::path_join(path, child->name());
     if (existing == nullptr) {
       fx.creates.push_back(child_path);
     } else {
@@ -126,7 +121,7 @@ bool apply_delta(dts::Tree& tree, const DeltaModule& delta,
             effects->writes.emplace_back(path, std::string(p.name));
           }
           for (const auto& child : fragment->children()) {
-            effects->creates.push_back(path_join(path, child->name()));
+            effects->creates.push_back(dts::path_join(path, child->name()));
           }
         }
         stamp(*fragment, delta.name);

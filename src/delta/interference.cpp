@@ -23,22 +23,13 @@ namespace llhsc::delta {
 
 namespace {
 
-/// True when `path` equals `root` or lies inside its subtree.
-bool within(const std::string& path, const std::string& root) {
-  if (path.size() < root.size() || path.compare(0, root.size(), root) != 0) {
-    return false;
-  }
-  return path.size() == root.size() || root == "/" ||
-         path[root.size()] == '/';
-}
-
 bool touches_subtree(const DeltaEffects& fx, const std::string& root) {
-  auto hit = [&](const std::string& p) { return within(p, root); };
+  auto hit = [&](const std::string& p) { return dts::within(p, root); };
   return std::any_of(fx.targets.begin(), fx.targets.end(), hit) ||
          std::any_of(fx.creates.begin(), fx.creates.end(), hit) ||
          std::any_of(fx.removes.begin(), fx.removes.end(), hit) ||
          std::any_of(fx.writes.begin(), fx.writes.end(),
-                     [&](const auto& w) { return within(w.first, root); });
+                     [&](const auto& w) { return dts::within(w.first, root); });
 }
 
 bool has_direct_edge(const DeltaModule& a, const DeltaModule& b) {
@@ -74,7 +65,7 @@ std::string conflict_detail(const DeltaEffects& fa, const DeltaEffects& fb) {
   }
   for (const std::string& c : fa.creates) {
     for (const std::string& t : fb.targets) {
-      if (within(t, c)) {
+      if (dts::within(t, c)) {
         return "'" + fb.delta + "' targets node " + t + " created by '" +
                fa.delta + "'";
       }
@@ -82,7 +73,7 @@ std::string conflict_detail(const DeltaEffects& fa, const DeltaEffects& fb) {
   }
   for (const std::string& c : fb.creates) {
     for (const std::string& t : fa.targets) {
-      if (within(t, c)) {
+      if (dts::within(t, c)) {
         return "'" + fa.delta + "' targets node " + t + " created by '" +
                fb.delta + "'";
       }

@@ -246,48 +246,23 @@ const Node* Tree::find(std::string_view path) const {
   return cur;
 }
 
-Node* Tree::find_label(std::string_view label) {
-  Node* found = nullptr;
-  visit([&](const std::string&, Node& n) {
-    if (found != nullptr) return;
-    for (Atom l : n.labels()) {
-      if (l == label) {
-        found = &n;
-        return;
-      }
-    }
-  });
-  return found;
+namespace {
+
+Node* first_labelled(Node& node, std::string_view label) {
+  const std::vector<Atom>& labels = node.labels();
+  if (std::find(labels.begin(), labels.end(), label) != labels.end()) {
+    return &node;
+  }
+  for (const auto& c : node.children()) {
+    if (Node* found = first_labelled(*c, label)) return found;
+  }
+  return nullptr;
 }
 
-std::pair<uint32_t, uint32_t> Tree::applicable_cells(
-    std::string_view path) const {
-  uint32_t ac = 2, sc = 1;  // DT spec v0.4 defaults
-  if (path.empty() || path[0] != '/') return {ac, sc};
-  const Node* cur = root_.get();
-  size_t pos = 1;
-  // Walk every ancestor of the target (excluding the target itself), letting
-  // deeper declarations override shallower ones.
-  while (true) {
-    if (const Property* p = cur->find_property("#address-cells")) {
-      if (auto v = p->as_u32()) ac = *v;
-    }
-    if (const Property* p = cur->find_property("#size-cells")) {
-      if (auto v = p->as_u32()) sc = *v;
-    }
-    if (pos >= path.size()) break;
-    size_t next = path.find('/', pos);
-    std::string_view segment = path.substr(
-        pos, next == std::string_view::npos ? std::string_view::npos
-                                            : next - pos);
-    if (segment.empty()) break;
-    if (next == std::string_view::npos) break;  // segment is the target
-    const Node* child = const_cast<Node*>(cur)->find_child_fuzzy(segment);
-    if (child == nullptr) break;
-    cur = child;
-    pos = next + 1;
-  }
-  return {ac, sc};
+}  // namespace
+
+Node* Tree::find_label(std::string_view label) {
+  return first_labelled(*root_, label);
 }
 
 std::string Tree::path_of(const Node& node) const {
@@ -299,9 +274,7 @@ std::string Tree::path_of(const Node& node) const {
           return true;
         }
         for (const auto& c : cur.children()) {
-          std::string child_path =
-              path == "/" ? "/" + c->name() : path + "/" + c->name();
-          if (walk(*c, child_path)) return true;
+          if (walk(*c, path_join(path, c->name()))) return true;
         }
         return false;
       };
@@ -314,9 +287,17 @@ bool Tree::resolve_references(support::DiagnosticEngine& diags) {
   // Pass 1: index every explicit phandle so auto-assignment can never alias
   // one, and diagnose the aliasing dtc rejects: two nodes carrying the same
   // explicit value, and phandle properties that are not a single u32 (which
-  // assignment used to silently overwrite).
+  // assignment used to silently overwrite). The same walk indexes every
+  // label's first holder in pre-order with its path, so each reference
+  // below is one lookup.
+  struct Labelled {
+    Node* node;
+    std::string path;
+  };
+  std::unordered_map<Atom, Labelled> labels;
   std::map<uint32_t, std::string> explicit_phandles;  // value -> first holder
   visit([&](const std::string& path, Node& n) {
+    for (Atom l : n.labels()) labels.try_emplace(l, Labelled{&n, path});
     const Property* p = n.find_property("phandle");
     if (p == nullptr) return;
     auto v = p->as_u32();
@@ -337,10 +318,22 @@ bool Tree::resolve_references(support::DiagnosticEngine& diags) {
       ok = false;
     }
   });
+  // Fresh values only ever grow, so one never repeats an earlier one.
   uint32_t next_phandle = 1;
   auto fresh_phandle = [&] {
     while (explicit_phandles.count(next_phandle) > 0) ++next_phandle;
     return next_phandle++;
+  };
+  auto resolve = [&](Atom label, const Property& p,
+                     const std::string& path) -> const Labelled* {
+    auto it = labels.find(label);
+    if (it != labels.end()) return &it->second;
+    diags.error("dts-unresolved-ref",
+                "unresolved reference &" + label + " in property '" + p.name +
+                    "' of node " + path,
+                p.location);
+    ok = false;
+    return nullptr;
   };
   // Fresh phandles are written after the walk: a node whose cells reference
   // its own label would otherwise grow the properties vector being iterated.
@@ -351,16 +344,9 @@ bool Tree::resolve_references(support::DiagnosticEngine& diags) {
         if (chunk.kind == ChunkKind::kCells) {
           for (Cell& cell : chunk.cells) {
             if (!cell.is_ref) continue;
-            Node* target = find_label(cell.ref);
-            if (target == nullptr) {
-              diags.error("dts-unresolved-ref",
-                          "unresolved reference &" + cell.ref + " in property '" +
-                              p.name + "' of node " + path,
-                          p.location);
-              ok = false;
-              continue;
-            }
-            const Property* ph = target->find_property("phandle");
+            const Labelled* target = resolve(cell.ref, p, path);
+            if (target == nullptr) continue;
+            const Property* ph = target->node->find_property("phandle");
             uint32_t phandle;
             if (ph != nullptr && ph->as_u32()) {
               phandle = *ph->as_u32();
@@ -368,27 +354,18 @@ bool Tree::resolve_references(support::DiagnosticEngine& diags) {
               // Malformed phandle already diagnosed in pass 1; don't make it
               // worse by overwriting the property.
               continue;
-            } else if (auto it = assigned.find(target); it != assigned.end()) {
-              phandle = it->second;
             } else {
-              phandle = fresh_phandle();
-              explicit_phandles.emplace(phandle, path_of(*target));
-              assigned.emplace(target, phandle);
+              auto [it, fresh] = assigned.try_emplace(target->node, 0);
+              if (fresh) it->second = fresh_phandle();
+              phandle = it->second;
             }
             cell = Cell::literal(phandle);
           }
         } else if (chunk.kind == ChunkKind::kRef) {
           // &label outside cells expands to the full node path string.
-          Node* target = find_label(chunk.text);
-          if (target == nullptr) {
-            diags.error("dts-unresolved-ref",
-                        "unresolved reference &" + chunk.text + " in property '" +
-                            p.name + "' of node " + path,
-                        p.location);
-            ok = false;
-            continue;
+          if (const Labelled* target = resolve(chunk.text, p, path)) {
+            chunk = Chunk::make_string(target->path);
           }
-          chunk = Chunk::make_string(path_of(*target));
         }
       }
     }

@@ -199,6 +199,22 @@ struct MemReserve {
   friend bool operator==(const MemReserve&, const MemReserve&) = default;
 };
 
+/// The path of child `name` under the node at `parent` ("/" + name under
+/// the root).
+[[nodiscard]] inline std::string path_join(std::string_view parent,
+                                           std::string_view name) {
+  std::string out(parent);
+  if (parent != "/") out += '/';
+  out += name;
+  return out;
+}
+
+/// True when `path` equals `root` or lies inside its subtree.
+[[nodiscard]] inline bool within(std::string_view path, std::string_view root) {
+  if (!path.starts_with(root)) return false;
+  return path.size() == root.size() || root == "/" || path[root.size()] == '/';
+}
+
 /// A whole DeviceTree: root node plus file-level artifacts.
 class Tree {
  public:
@@ -217,23 +233,19 @@ class Tree {
   [[nodiscard]] Node* find(std::string_view path);
   [[nodiscard]] const Node* find(std::string_view path) const;
 
-  /// Finds the node carrying `label`, or nullptr.
+  /// The first node in pre-order carrying `label`, or nullptr. Stops at
+  /// the first match; checkers look labels up in their
+  /// crossref::AnalysisContext instead.
   [[nodiscard]] Node* find_label(std::string_view label);
-
-  /// The (#address-cells, #size-cells) pair that governs the `reg` property
-  /// of the node at `path`: nearest-ancestor declaration wins (Linux
-  /// of_n_addr_cells semantics), spec defaults (2, 1) when no ancestor
-  /// declares them. The node's own declarations apply to its children, not
-  /// itself, and are therefore ignored.
-  [[nodiscard]] std::pair<uint32_t, uint32_t> applicable_cells(
-      std::string_view path) const;
 
   /// Full path of a node within this tree ("" if not found).
   [[nodiscard]] std::string path_of(const Node& node) const;
 
   /// Resolves &label references in cells to phandles: assigns a `phandle`
   /// property to every referenced node and substitutes the value. Reports
-  /// unresolved labels through `diags`. Returns false on any error.
+  /// unresolved labels through `diags`. Returns false on any error. A label
+  /// names the first node in pre-order that carries it (as find_label);
+  /// one indexing walk serves every reference.
   bool resolve_references(support::DiagnosticEngine& diags);
 
   [[nodiscard]] std::unique_ptr<Tree> clone() const;
@@ -251,20 +263,12 @@ class Tree {
   [[nodiscard]] size_t node_count() const { return root_->subtree_size(); }
 
  private:
-  template <typename F>
-  static void visit_impl(const Node& n, const std::string& path, F& f) {
+  /// NodeT is Node or const Node: the callback sees the tree's constness.
+  template <typename NodeT, typename F>
+  static void visit_impl(NodeT& n, const std::string& path, F& f) {
     f(path, n);
     for (const auto& c : n.children()) {
-      std::string child_path = path == "/" ? "/" + c->name() : path + "/" + c->name();
-      visit_impl(*c, child_path, f);
-    }
-  }
-  template <typename F>
-  static void visit_impl(Node& n, const std::string& path, F& f) {
-    f(path, n);
-    for (const auto& c : n.children()) {
-      std::string child_path = path == "/" ? "/" + c->name() : path + "/" + c->name();
-      visit_impl(*c, child_path, f);
+      visit_impl<NodeT>(*c, path_join(path, c->name()), f);
     }
   }
 

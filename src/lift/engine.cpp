@@ -41,6 +41,7 @@
 #include <utility>
 #include <vector>
 
+#include "checkers/crossref/context.hpp"
 #include "checkers/semantic.hpp"
 #include "feature/analysis.hpp"
 #include "obs/obs.hpp"
@@ -60,19 +61,6 @@ using checkers::MemRegion;
 constexpr const char* kIrqEnv = "<irq>";
 constexpr const char* kClockEnv = "<clock>";
 
-std::string path_join(const std::string& parent, std::string_view name) {
-  return parent == "/" ? "/" + std::string(name)
-                       : parent + "/" + std::string(name);
-}
-
-/// True when `path` is `root` or inside its subtree.
-bool within(const std::string& path, const std::string& root) {
-  if (root == "/") return !path.empty() && path[0] == '/';
-  if (path.size() < root.size()) return false;
-  if (path.compare(0, root.size(), root) != 0) return false;
-  return path.size() == root.size() || path[root.size()] == '/';
-}
-
 /// One footprint element: an exact node path, a subtree root (prefix), or a
 /// pseudo-path environment marker ("<irq>" / "<clock>").
 struct CoverItem {
@@ -89,10 +77,10 @@ struct Footprint {
 
 bool items_intersect(const CoverItem& a, const CoverItem& b) {
   if (a.prefix && b.prefix) {
-    return within(a.path, b.path) || within(b.path, a.path);
+    return dts::within(a.path, b.path) || dts::within(b.path, a.path);
   }
-  if (a.prefix) return within(b.path, a.path);
-  if (b.prefix) return within(a.path, b.path);
+  if (a.prefix) return dts::within(b.path, a.path);
+  if (b.prefix) return dts::within(a.path, b.path);
   return a.path == b.path;
 }
 
@@ -108,7 +96,7 @@ bool footprints_intersect(const Footprint& a, const Footprint& b) {
 /// True when any item of `items` covers the node path `path`.
 bool covers(const std::vector<CoverItem>& items, const std::string& path) {
   for (const CoverItem& it : items) {
-    if (it.prefix ? within(path, it.path) : it.path == path) return true;
+    if (it.prefix ? dts::within(path, it.path) : it.path == path) return true;
   }
   return false;
 }
@@ -175,7 +163,7 @@ void record_merge(const dts::Node* target, const dts::Node& fragment,
   for (const auto& child : fragment.children()) {
     const dts::Node* existing =
         target != nullptr ? target->find_child(child->name()) : nullptr;
-    const std::string child_path = path_join(path, child->name());
+    const std::string child_path = dts::path_join(path, child->name());
     if (existing == nullptr) {
       fp.add_prefix(child_path);
       note_subtree_env(fp, *child);
@@ -543,16 +531,17 @@ class Engine {
     // The patterns of one component are never co-active; the core's
     // SIZE_MAX is ObligationSet::kAlwaysPresent.
     set.group = c;
+    const checkers::crossref::AnalysisContext ctx(tree);
     Findings ext;
-    std::vector<MemRegion> regions = checkers::extract_regions(tree, ext);
+    std::vector<MemRegion> regions = checkers::extract_regions(ctx, ext);
     for (MemRegion& r : regions) {
       if (owner_of(r.path) == c) set.regions.push_back(std::move(r));
     }
     for (Finding& f : ext) {
       if (owner_of(f.subject) == c) set.extracted.push_back(std::move(f));
     }
-    if (owns_irq) set.irq = checkers::collect_interrupt_claims(tree);
-    if (owns_clock) set.clock = checkers::collect_clock_claims(tree);
+    if (owns_irq) set.irq = checkers::collect_interrupt_claims(ctx);
+    if (owns_clock) set.clock = checkers::collect_clock_claims(ctx);
     return set;
   }
 

@@ -186,14 +186,13 @@ Formula FormulaArena::mk_exactly_one(std::span<const Formula> fs) {
 Formula FormulaArena::mk_bv_atom(BvPred pred, uint32_t lhs_term,
                                  uint32_t rhs_term) {
   // Encode the atom payload in `var`: index into atoms_. Interning keyed on
-  // the payload so identical predicates share one node.
-  for (uint32_t i = 0; i < atoms_.size(); ++i) {
-    if (atoms_[i] == BvAtom{pred, lhs_term, rhs_term}) {
-      return intern(Op::kBvAtom, i, {});
-    }
-  }
-  atoms_.push_back(BvAtom{pred, lhs_term, rhs_term});
-  return intern(Op::kBvAtom, static_cast<uint32_t>(atoms_.size() - 1), {});
+  // the payload so identical predicates share one node; ids stay in
+  // creation order.
+  const BvAtom atom{pred, lhs_term, rhs_term};
+  auto [it, fresh] =
+      atom_ids_.try_emplace(atom, static_cast<uint32_t>(atoms_.size()));
+  if (fresh) atoms_.push_back(atom);
+  return intern(Op::kBvAtom, it->second, {});
 }
 
 const BvAtom& FormulaArena::bv_atom(Formula f) const {

@@ -137,6 +137,14 @@ class FormulaArena {
   std::unordered_map<uint64_t, std::vector<uint32_t>> buckets_;
   std::vector<std::string> var_names_;
   std::vector<BvAtom> atoms_;
+  struct BvAtomHash {
+    size_t operator()(const BvAtom& a) const noexcept {
+      return std::hash<uint64_t>{}(
+          (uint64_t{a.lhs_term} << 32 | a.rhs_term) * 31 +
+          static_cast<uint64_t>(a.pred));
+    }
+  };
+  std::unordered_map<BvAtom, uint32_t, BvAtomHash> atom_ids_;  // -> atoms_
   Formula true_;
   Formula false_;
   uint32_t vars_created_ = 0;  // uniquifies auxiliary encoding variables

@@ -93,6 +93,15 @@ TEST(Battery, EveryStageSharesOneContextAndOneGraph) {
       EXPECT_EQ(e.scope, "") << e.name;
     }
   }
+
+  // Lint and syntactic alone share the one context and build no graph.
+  options.crossref = false;
+  options.graph = false;
+  options.semantics = false;
+  const Traced structural = run_traced(*tree, options, nullptr);
+  ASSERT_EQ(structural.result.stages.size(), 2u);
+  EXPECT_EQ(count_spans(structural.events, "context.build"), 1u);
+  EXPECT_EQ(count_spans(structural.events, "graph.build"), 0u);
 }
 
 TEST(Battery, PrebuiltGraphIsNeverRebuilt) {
@@ -113,15 +122,28 @@ TEST(Battery, PrebuiltGraphIsNeverRebuilt) {
   EXPECT_EQ(asked, 1);
 }
 
-TEST(Battery, StagesWithoutReferencesBuildNothing) {
+TEST(Battery, LintAloneBuildsOneContextAndNoGraph) {
   auto tree = parse_board();
   BatteryOptions options;
   options.crossref = false;
   options.graph = false;
   options.semantics = false;
   const Traced traced = run_traced(*tree, options, nullptr);
-  EXPECT_EQ(count_spans(traced.events, "context.build"), 0u);
+  ASSERT_EQ(traced.result.stages.size(), 1u);
+  EXPECT_EQ(count_spans(traced.events, "context.build"), 1u);
   EXPECT_EQ(count_spans(traced.events, "graph.build"), 0u);
+}
+
+TEST(Battery, NoStageBuildsNothing) {
+  auto tree = parse_board();
+  BatteryOptions options;
+  options.lint = false;
+  options.crossref = false;
+  options.graph = false;
+  options.semantics = false;
+  const Traced traced = run_traced(*tree, options, nullptr);
+  EXPECT_TRUE(traced.result.stages.empty());
+  EXPECT_EQ(count_spans(traced.events, "context.build"), 0u);
 }
 
 TEST(Battery, CrossrefAloneBuildsTheGraphButDoesNotReturnIt) {

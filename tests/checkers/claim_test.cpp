@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "checkers/crossref/context.hpp"
 #include "checkers/report.hpp"
 #include "checkers/semantic.hpp"
 #include "dts/parser.hpp"
@@ -60,10 +61,11 @@ TEST(RandomClaims, SeedsProduceCollisionsOfBothKinds) {
   for (uint32_t seed = 1; seed <= 12; ++seed) {
     auto tree = parse(random_claims_dts(seed));
     ASSERT_NE(tree, nullptr);
+    const crossref::AnalysisContext ctx(*tree);
     irq_candidates +=
-        claim_pairs(collect_interrupt_claims(*tree)).candidates.size();
+        claim_pairs(collect_interrupt_claims(ctx)).candidates.size();
     clock_candidates +=
-        claim_pairs(collect_clock_claims(*tree)).candidates.size();
+        claim_pairs(collect_clock_claims(ctx)).candidates.size();
   }
   EXPECT_GT(irq_candidates, 0u);
   EXPECT_GT(clock_candidates, 0u);
@@ -74,8 +76,9 @@ class RandomClaimsTest : public ::testing::TestWithParam<ClaimCase> {};
 TEST_P(RandomClaimsTest, ClaimPairsMatchesNaiveOracle) {
   auto tree = parse(random_claims_dts(GetParam().seed));
   ASSERT_NE(tree, nullptr);
+  const crossref::AnalysisContext ctx(*tree);
   for (const std::vector<Claim>& claims :
-       {collect_interrupt_claims(*tree), collect_clock_claims(*tree)}) {
+       {collect_interrupt_claims(ctx), collect_clock_claims(ctx)}) {
     const ClaimPairs got = claim_pairs(claims);
     const ClaimPairs want = naive_claim_pairs(claims);
     EXPECT_EQ(got.candidates, want.candidates);
@@ -104,9 +107,10 @@ TEST_P(RandomClaimsTest, PlannedPathMatchesExhaustiveAndCountsEveryPair) {
   // path accounts for each of those exactly once: pruned, issued, or
   // answered by the planner's memo because a structurally identical pair
   // (same tuple values) was already decided.
+  const crossref::AnalysisContext ctx(*tree);
   const uint64_t comparable =
-      naive_claim_pairs(collect_interrupt_claims(*tree)).comparable +
-      naive_claim_pairs(collect_clock_claims(*tree)).comparable;
+      naive_claim_pairs(collect_interrupt_claims(ctx)).comparable +
+      naive_claim_pairs(collect_clock_claims(ctx)).comparable;
   const smt::QueryPlanStats& stats = planned.plan_stats();
   EXPECT_EQ(stats.queries_issued + stats.queries_pruned + stats.memo_hits,
             comparable);

@@ -250,19 +250,6 @@ TEST_P(SyntacticTest, FindingsCarryDeltaProvenance) {
   }
 }
 
-TEST_P(SyntacticTest, UnmatchedNodeWarningOptIn) {
-  auto tree = parse_ok("/ { mystery@1 { weird = <1>; }; };");
-  SyntacticOptions opts;
-  opts.warn_unmatched_nodes = true;
-  SyntacticChecker checker(schemas, GetParam(), opts);
-  Findings f = checker.check(*tree);
-  EXPECT_TRUE(contains(f, FindingKind::kNoSchema));
-  EXPECT_EQ(error_count(f), 0u) << "kNoSchema is a warning";
-  // Default: no warning.
-  Findings f2 = check(*tree);
-  EXPECT_FALSE(contains(f2, FindingKind::kNoSchema));
-}
-
 TEST_P(SyntacticTest, AdditionalPropertiesEnforced) {
   schema::SchemaSet strict;
   schema::PropertySchema reg;

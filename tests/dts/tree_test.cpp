@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "dts/printer.hpp"
+
 namespace llhsc::dts {
 namespace {
 
@@ -307,6 +316,245 @@ TEST(Tree, SelfReferenceAssignsThePhandleAfterTheWalk) {
   EXPECT_EQ(self.properties().back().name, "phandle")
       << "the assigned phandle is appended after the existing properties";
 }
+
+// ---- seeded resolve_references suite ----
+//
+// Random trees whose labels are shared by several nodes, whose cells and
+// path chunks reference labels (their own node's included, and labels no
+// node carries), and whose explicit phandles leave gaps, some of them
+// duplicated or malformed. Tree::resolve_references must leave the same
+// tree and the same diagnostics as a brute-force reference that looks each
+// label up by scanning the whole tree.
+
+constexpr const char* kLabelPool[] = {"la", "lb", "lc", "ld", "le"};
+constexpr const char* kMissingLabel = "nowhere";
+
+struct RandomTree {
+  Tree tree;
+  // What the generator seeded, for the coverage guard.
+  bool shared_label = false;
+  bool self_reference = false;
+  bool cell_reference = false;
+  bool path_reference = false;
+  bool unresolved = false;
+  bool explicit_gap = false;
+};
+
+void random_subtree(Node& node, int depth, std::mt19937& rng, int& counter,
+                    std::map<std::string, int>& label_uses, RandomTree& out) {
+  auto chance = [&](int percent) {
+    return std::uniform_int_distribution<int>(0, 99)(rng) < percent;
+  };
+  auto pick_label = [&] {
+    if (chance(10)) return std::string(kMissingLabel);
+    return std::string(kLabelPool[std::uniform_int_distribution<size_t>(
+        0, std::size(kLabelPool) - 1)(rng)]);
+  };
+  if (chance(45)) {
+    const std::string label = pick_label();
+    if (label != kMissingLabel) {
+      node.add_label(label);
+      if (++label_uses[label] > 1) out.shared_label = true;
+    }
+  }
+  if (chance(20)) {
+    // Explicit phandles from a sparse set: gaps below and between them,
+    // and now and then a value two nodes share.
+    static constexpr uint32_t kValues[] = {2, 3, 5, 9, 14};
+    const uint32_t v = kValues[std::uniform_int_distribution<size_t>(
+        0, std::size(kValues) - 1)(rng)];
+    node.set_property(Property::cells("phandle", {v}));
+    out.explicit_gap = true;
+  } else if (chance(3)) {
+    node.set_property(Property::string("phandle", "bad"));
+  }
+  const int props = std::uniform_int_distribution<int>(0, 2)(rng);
+  for (int i = 0; i < props; ++i) {
+    Property p;
+    p.name = "p" + std::to_string(i);
+    if (chance(25)) {
+      const std::string label = pick_label();
+      p.chunks.push_back(Chunk::make_ref(label));
+      out.path_reference = true;
+      out.unresolved |= label == kMissingLabel;
+    } else {
+      std::vector<Cell> cells;
+      const int n = std::uniform_int_distribution<int>(1, 4)(rng);
+      for (int k = 0; k < n; ++k) {
+        if (chance(50)) {
+          const std::string label = pick_label();
+          cells.push_back(Cell::reference(label));
+          out.cell_reference = true;
+          out.unresolved |= label == kMissingLabel;
+          for (Atom l : node.labels()) out.self_reference |= l == label;
+        } else {
+          cells.push_back(Cell::literal(k));
+        }
+      }
+      p.chunks.push_back(Chunk::make_cells(std::move(cells)));
+    }
+    node.set_property(std::move(p));
+  }
+  if (depth >= 4) return;
+  const int children = std::uniform_int_distribution<int>(0, 3)(rng);
+  for (int i = 0; i < children; ++i) {
+    Node& child =
+        node.add_child(std::make_unique<Node>("n" + std::to_string(counter++)));
+    random_subtree(child, depth + 1, rng, counter, label_uses, out);
+  }
+}
+
+RandomTree random_tree(uint32_t seed) {
+  RandomTree out;
+  std::mt19937 rng(seed);
+  int counter = 0;
+  std::map<std::string, int> label_uses;
+  random_subtree(out.tree.root(), 0, rng, counter, label_uses, out);
+  return out;
+}
+
+void preorder(Node& node, const std::string& path,
+              std::vector<std::pair<std::string, Node*>>& out) {
+  out.emplace_back(path, &node);
+  for (const auto& c : node.children()) {
+    preorder(*c, path == "/" ? "/" + c->name() : path + "/" + c->name(), out);
+  }
+}
+
+/// The brute-force reference: every label is looked up by scanning the
+/// whole pre-order list.
+std::vector<support::Diagnostic> reference_resolve(Tree& tree) {
+  support::DiagnosticEngine diags;
+  std::vector<std::pair<std::string, Node*>> nodes;
+  preorder(tree.root(), "/", nodes);
+  std::set<uint32_t> taken;
+  std::map<uint32_t, std::string> holders;
+  for (const auto& [path, node] : nodes) {
+    const Property* p = node->find_property("phandle");
+    if (p == nullptr) continue;
+    if (!p->as_u32()) {
+      diags.error("dts-bad-phandle", "phandle property of node " + path +
+                                         " is not a single u32 cell");
+      continue;
+    }
+    const uint32_t v = *p->as_u32();
+    if (holders.count(v) > 0) {
+      diags.error("dts-duplicate-phandle",
+                  "phandle value " + std::to_string(v) + " of node " + path +
+                      " is already carried by " + holders[v]);
+    } else {
+      holders[v] = path;
+    }
+    taken.insert(v);
+  }
+  auto lookup = [&](std::string_view label)
+      -> const std::pair<std::string, Node*>* {
+    for (const auto& entry : nodes) {
+      for (Atom l : entry.second->labels()) {
+        if (l == label) return &entry;
+      }
+    }
+    return nullptr;
+  };
+  auto unresolved = [&](std::string_view label, const Property& p,
+                        const std::string& path) {
+    diags.error("dts-unresolved-ref",
+                "unresolved reference &" + std::string(label) +
+                    " in property '" + p.name + "' of node " + path);
+  };
+  std::vector<std::pair<Node*, uint32_t>> assigned;
+  uint32_t next = 1;
+  for (const auto& [path, node] : nodes) {
+    for (Property& p : node->properties()) {
+      for (Chunk& chunk : p.chunks) {
+        if (chunk.kind == ChunkKind::kRef) {
+          if (const auto* target = lookup(chunk.text)) {
+            chunk = Chunk::make_string(target->first);
+          } else {
+            unresolved(chunk.text, p, path);
+          }
+          continue;
+        }
+        for (Cell& cell : chunk.cells) {
+          if (!cell.is_ref) continue;
+          const auto* target = lookup(cell.ref);
+          if (target == nullptr) {
+            unresolved(cell.ref, p, path);
+            continue;
+          }
+          const Property* ph = target->second->find_property("phandle");
+          if (ph != nullptr) {
+            if (ph->as_u32()) cell = Cell::literal(*ph->as_u32());
+            continue;
+          }
+          uint32_t value = 0;
+          for (const auto& [n, v] : assigned) {
+            if (n == target->second) value = v;
+          }
+          if (value == 0) {
+            while (taken.count(next) > 0) ++next;
+            value = next++;
+            assigned.emplace_back(target->second, value);
+          }
+          cell = Cell::literal(value);
+        }
+      }
+    }
+  }
+  for (const auto& [node, value] : assigned) {
+    node->set_property(Property::cells("phandle", {value}));
+  }
+  return diags.diagnostics();
+}
+
+std::vector<std::pair<std::string, std::string>> codes_and_messages(
+    const std::vector<support::Diagnostic>& diags) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const support::Diagnostic& d : diags) {
+    out.emplace_back(d.code, d.message);
+  }
+  return out;
+}
+
+TEST(RandomResolve, SeedsCoverEveryCase) {
+  RandomTree any;
+  for (uint32_t seed = 1; seed <= 40; ++seed) {
+    const RandomTree t = random_tree(seed);
+    any.shared_label |= t.shared_label;
+    any.self_reference |= t.self_reference;
+    any.cell_reference |= t.cell_reference;
+    any.path_reference |= t.path_reference;
+    any.unresolved |= t.unresolved;
+    any.explicit_gap |= t.explicit_gap;
+  }
+  EXPECT_TRUE(any.shared_label);
+  EXPECT_TRUE(any.self_reference);
+  EXPECT_TRUE(any.cell_reference);
+  EXPECT_TRUE(any.path_reference);
+  EXPECT_TRUE(any.unresolved);
+  EXPECT_TRUE(any.explicit_gap);
+}
+
+class RandomResolveTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(RandomResolveTest, MatchesBruteForceReference) {
+  RandomTree generated = random_tree(GetParam());
+  Tree& actual = generated.tree;
+  auto expected = actual.clone();
+  const std::string before = print_dts(actual);
+
+  support::DiagnosticEngine diags;
+  const bool ok = actual.resolve_references(diags);
+  const std::vector<support::Diagnostic> want = reference_resolve(*expected);
+
+  EXPECT_EQ(print_dts(actual), print_dts(*expected)) << before;
+  EXPECT_EQ(codes_and_messages(diags.diagnostics()), codes_and_messages(want))
+      << before;
+  EXPECT_EQ(ok, want.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomResolveTest,
+                         ::testing::Range<uint32_t>(1, 41));
 
 }  // namespace
 }  // namespace llhsc::dts

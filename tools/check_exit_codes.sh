@@ -81,6 +81,34 @@ done
 expect_stderr 2 "cannot connect to" "$LLHSC" check "$TMP/vm1.dts" \
     --tcp 127.0.0.1:1
 
+# generate: a product that fdt emission rejects (a delta adds a reference
+# no node resolves; generate runs no cross-reference stage) -> 1, with the
+# emit diagnostic on stderr, no "wrote" line and nothing written. A .dtb
+# that cannot be written -> 2.
+printf '/dts-v1/;\n/ { };\n' > "$TMP/gen-core.dts"
+printf 'delta link {\n  modifies / { link = <&nowhere>; }\n}\n' \
+    > "$TMP/gen-link.deltas"
+printf 'delta plain {\n  modifies / { model = "plain"; }\n}\n' \
+    > "$TMP/gen-plain.deltas"
+mkdir -p "$TMP/gen"
+GEN=(generate --core "$TMP/gen-core.dts" --features link,plain --out "$TMP/gen"
+     --name p)
+expect_stderr 1 "fdt-emit" "$LLHSC" "${GEN[@]}" --deltas "$TMP/gen-link.deltas"
+if "$LLHSC" "${GEN[@]}" --deltas "$TMP/gen-link.deltas" 2>/dev/null \
+    | grep -q '^wrote'; then
+  echo "FAIL: generate printed a wrote line for a product emission rejected"
+  fail=1
+fi
+if [ -e "$TMP/gen/p.dts" ] || [ -e "$TMP/gen/p.dtb" ]; then
+  echo "FAIL: generate wrote output for a product emission rejected"
+  fail=1
+fi
+mkdir -p "$TMP/gen/p.dtb"
+expect_stderr 2 "cannot write $TMP/gen/p.dtb" "$LLHSC" "${GEN[@]}" \
+    --deltas "$TMP/gen-plain.deltas"
+rmdir "$TMP/gen/p.dtb"
+expect 0 "$LLHSC" "${GEN[@]}" --deltas "$TMP/gen-plain.deltas"
+
 # Unknown command -> 2.
 expect 2 "$LLHSC" frobnicate
 

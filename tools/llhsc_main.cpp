@@ -573,15 +573,26 @@ int cmd_generate(int argc, char** argv) {
     return 1;
   }
 
-  std::string out_dir = args.value("out", ".");
-  std::string name = args.value("name", "product");
-  std::string dts_path = out_dir + "/" + name + ".dts";
+  // Emission can still reject the product (say, a reference no checker
+  // stage resolved); then nothing is written.
+  support::DiagnosticEngine emit_diags;
+  auto blob = fdt::emit(*tree, emit_diags);
+  if (!blob) {
+    std::cerr << emit_diags.render();
+    return 1;
+  }
+  const std::string out_dir = args.value("out", ".");
+  const std::string name = args.value("name", "product");
+  const std::string dts_path = out_dir + "/" + name + ".dts";
+  const std::string dtb_path = out_dir + "/" + name + ".dtb";
   if (!write_file(dts_path, dts::print_dts(*tree))) {
     std::cerr << "cannot write " << dts_path << "\n";
     return 2;
   }
-  auto blob = fdt::emit(*tree, diags);
-  if (blob) write_file(out_dir + "/" + name + ".dtb", *blob);
+  if (!write_file(dtb_path, *blob)) {
+    std::cerr << "cannot write " << dtb_path << "\n";
+    return 2;
+  }
   std::cout << "wrote " << dts_path << " and " << name << ".dtb\n";
   return 0;
 }
