@@ -1,5 +1,9 @@
 #include "checkers/syntactic.hpp"
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "checkers/crossref/context.hpp"
 #include "support/strings.hpp"
 
@@ -46,10 +50,27 @@ uint32_t SyntacticChecker::intern(const std::string& s) {
   return id;
 }
 
-bool SyntacticChecker::violated(logic::Formula fact,
-                                logic::Formula constraint) {
+size_t SyntacticChecker::ObligationHash::operator()(
+    const Obligation& o) const noexcept {
+  size_t h = std::hash<const void*>()(o.constraint);
+  for (uint64_t v : {static_cast<uint64_t>(o.rule), o.value,
+                     static_cast<uint64_t>(o.stride)}) {
+    h ^= std::hash<uint64_t>()(v) + 0x9e3779b97f4a7c15ull + (h << 6) +
+         (h >> 2);
+  }
+  return h;
+}
+
+template <typename Build>
+bool SyntacticChecker::violated(const Obligation& obligation, Build&& build) {
+  auto it = verdicts_.find(obligation);
+  if (it != verdicts_.end()) return it->second;
+  const auto [fact, constraint] = build();
   const logic::Formula query[] = {fact, constraint};
-  return planner_.check(query).result == smt::CheckResult::kUnsat;
+  const bool verdict =
+      planner_.check(query).result == smt::CheckResult::kUnsat;
+  verdicts_.emplace(obligation, verdict);
+  return verdict;
 }
 
 Findings SyntacticChecker::check(const dts::Tree& tree) {
@@ -90,7 +111,10 @@ void SyntacticChecker::check_schema(const crossref::AnalysisContext& ctx,
   // instance closure fact R(x) <-> x is present (constraints 5+6).
   for (const std::string& req : schema.required) {
     const bool present = node.find_property(req) != nullptr;
-    if (violated(present ? present_ : fa.mk_not(present_), present_)) {
+    if (violated({nullptr, Rule::kRequired, present}, [&] {
+          return std::pair(present ? present_ : fa.mk_not(present_),
+                           present_);
+        })) {
       Finding f;
       f.kind = FindingKind::kMissingRequired;
       f.subject = path;
@@ -139,14 +163,18 @@ void SyntacticChecker::check_schema(const crossref::AnalysisContext& ctx,
     if (const dts::Property* reg = node.find_property("reg")) {
       auto cells = reg->as_cells();
       if (cells) {
-        uint32_t stride = entry_stride(ctx, node, "reg");
-        const logic::Formula shape[] = {
-            bv.eq(count_, bv.bv_mul(entries_, bv.bv_const(stride, 16))),
-            bv.uge(entries_, bv.bv_const(1, 16)),
-            // Guard against multiplication wrap-around for large k.
-            bv.ule(entries_, bv.bv_const(4096, 16))};
-        if (violated(bv.eq(count_, bv.bv_const(cells->size() & 0xffff, 16)),
-                     fa.mk_and(shape))) {
+        const uint32_t stride = entry_stride(ctx, node, "reg");
+        const uint64_t count = cells->size() & 0xffff;
+        if (violated({nullptr, Rule::kRegShape, count, stride}, [&] {
+              const logic::Formula shape[] = {
+                  bv.eq(count_,
+                        bv.bv_mul(entries_, bv.bv_const(stride, 16))),
+                  bv.uge(entries_, bv.bv_const(1, 16)),
+                  // Guard against multiplication wrap-around for large k.
+                  bv.ule(entries_, bv.bv_const(4096, 16))};
+              return std::pair(bv.eq(count_, bv.bv_const(count, 16)),
+                               fa.mk_and(shape));
+            })) {
           Finding f;
           f.kind = FindingKind::kRegShapeViolation;
           f.subject = path;
@@ -169,16 +197,18 @@ void SyntacticChecker::check_schema(const crossref::AnalysisContext& ctx,
     for (const auto& child : node.children()) {
       if (support::glob_match(rule.name_pattern, child->name())) ++count;
     }
-    logic::Formula in_bounds = fa.make_true();
-    if (rule.min_count) {
-      in_bounds = fa.mk_and(
-          in_bounds, bv.uge(count_, bv.bv_const(*rule.min_count, 16)));
-    }
-    if (rule.max_count) {
-      in_bounds = fa.mk_and(
-          in_bounds, bv.ule(count_, bv.bv_const(*rule.max_count, 16)));
-    }
-    if (violated(bv.eq(count_, bv.bv_const(count, 16)), in_bounds)) {
+    if (violated({&rule, Rule::kChildren, count}, [&] {
+          logic::Formula in_bounds = fa.make_true();
+          if (rule.min_count) {
+            in_bounds = fa.mk_and(
+                in_bounds, bv.uge(count_, bv.bv_const(*rule.min_count, 16)));
+          }
+          if (rule.max_count) {
+            in_bounds = fa.mk_and(
+                in_bounds, bv.ule(count_, bv.bv_const(*rule.max_count, 16)));
+          }
+          return std::pair(bv.eq(count_, bv.bv_const(count, 16)), in_bounds);
+        })) {
       Finding f;
       f.kind = FindingKind::kChildRuleViolation;
       f.subject = path;
@@ -255,22 +285,27 @@ void SyntacticChecker::check_property_values(
   if (ps.const_string || !ps.enum_strings.empty() || ps.pattern) {
     if (!str && strs && strs->size() == 1) str = (*strs)[0];
     if (str) {
-      const logic::Formula fact =
-          bv.eq(string_, bv.bv_const(intern(*str), 32));
+      // Interned before any constraint string, as the fact comes first.
+      const uint32_t id = intern(*str);
+      auto fact = [&] { return bv.eq(string_, bv.bv_const(id, 32)); };
       if (ps.const_string) {
-        const uint32_t want = intern(*ps.const_string);
-        if (violated(fact, bv.eq(string_, bv.bv_const(want, 32)))) {
+        if (violated({&ps, Rule::kConstString, id}, [&] {
+              const uint32_t want = intern(*ps.const_string);
+              return std::pair(fact(), bv.eq(string_, bv.bv_const(want, 32)));
+            })) {
           add_finding(FindingKind::kConstMismatch,
                       "value \"" + *str + "\" must be \"" + *ps.const_string +
                           "\"");
         }
       }
       if (!ps.enum_strings.empty()) {
-        std::vector<logic::Formula> options;
-        for (const std::string& e : ps.enum_strings) {
-          options.push_back(bv.eq(string_, bv.bv_const(intern(e), 32)));
-        }
-        if (violated(fact, fa.mk_or(options))) {
+        if (violated({&ps, Rule::kEnumString, id}, [&] {
+              std::vector<logic::Formula> options;
+              for (const std::string& e : ps.enum_strings) {
+                options.push_back(bv.eq(string_, bv.bv_const(intern(e), 32)));
+              }
+              return std::pair(fact(), fa.mk_or(options));
+            })) {
           add_finding(FindingKind::kEnumViolation,
                       "value \"" + *str + "\" is not one of the " +
                           std::to_string(ps.enum_strings.size()) +
@@ -288,20 +323,26 @@ void SyntacticChecker::check_property_values(
   // --- const / enum over single-cell values ---
   if ((ps.const_cell || !ps.enum_cells.empty()) && cells &&
       cells->size() == 1) {
-    const logic::Formula fact = bv.eq(cell_, bv.bv_const((*cells)[0], 64));
+    const uint64_t value = (*cells)[0];
+    auto fact = [&] { return bv.eq(cell_, bv.bv_const(value, 64)); };
     if (ps.const_cell) {
-      if (violated(fact, bv.eq(cell_, bv.bv_const(*ps.const_cell, 64)))) {
+      if (violated({&ps, Rule::kConstCell, value}, [&] {
+            return std::pair(fact(),
+                             bv.eq(cell_, bv.bv_const(*ps.const_cell, 64)));
+          })) {
         add_finding(FindingKind::kConstMismatch,
                     "value " + support::hex((*cells)[0]) + " must be " +
                         support::hex(*ps.const_cell));
       }
     }
     if (!ps.enum_cells.empty()) {
-      std::vector<logic::Formula> options;
-      for (uint64_t e : ps.enum_cells) {
-        options.push_back(bv.eq(cell_, bv.bv_const(e, 64)));
-      }
-      if (violated(fact, fa.mk_or(options))) {
+      if (violated({&ps, Rule::kEnumCell, value}, [&] {
+            std::vector<logic::Formula> options;
+            for (uint64_t e : ps.enum_cells) {
+              options.push_back(bv.eq(cell_, bv.bv_const(e, 64)));
+            }
+            return std::pair(fact(), fa.mk_or(options));
+          })) {
         add_finding(FindingKind::kEnumViolation,
                     "value " + support::hex((*cells)[0]) +
                         " is not in the allowed set");
@@ -312,16 +353,19 @@ void SyntacticChecker::check_property_values(
   // --- minimum / maximum over every cell value (manufacturer ranges) ---
   if ((ps.minimum || ps.maximum) && cells) {
     for (size_t i = 0; i < cells->size(); ++i) {
-      logic::Formula in_range = fa.make_true();
-      if (ps.minimum) {
-        in_range = fa.mk_and(in_range,
-                             bv.uge(cell_, bv.bv_const(*ps.minimum, 64)));
-      }
-      if (ps.maximum) {
-        in_range = fa.mk_and(in_range,
-                             bv.ule(cell_, bv.bv_const(*ps.maximum, 64)));
-      }
-      if (violated(bv.eq(cell_, bv.bv_const((*cells)[i], 64)), in_range)) {
+      if (violated({&ps, Rule::kRange, (*cells)[i]}, [&] {
+            logic::Formula in_range = fa.make_true();
+            if (ps.minimum) {
+              in_range = fa.mk_and(
+                  in_range, bv.uge(cell_, bv.bv_const(*ps.minimum, 64)));
+            }
+            if (ps.maximum) {
+              in_range = fa.mk_and(
+                  in_range, bv.ule(cell_, bv.bv_const(*ps.maximum, 64)));
+            }
+            return std::pair(bv.eq(cell_, bv.bv_const((*cells)[i], 64)),
+                             in_range);
+          })) {
         add_finding(FindingKind::kEnumViolation,
                     "cell " + std::to_string(i) + " value " +
                         support::hex((*cells)[i]) + " is outside [" +
@@ -337,17 +381,19 @@ void SyntacticChecker::check_property_values(
     uint32_t entries = stride == 0
                            ? static_cast<uint32_t>(cells->size())
                            : static_cast<uint32_t>(cells->size() / stride);
-    logic::Formula in_bounds = fa.make_true();
-    if (ps.min_items) {
-      in_bounds = fa.mk_and(in_bounds,
-                            bv.uge(count_, bv.bv_const(*ps.min_items, 16)));
-    }
-    if (ps.max_items) {
-      in_bounds = fa.mk_and(in_bounds,
-                            bv.ule(count_, bv.bv_const(*ps.max_items, 16)));
-    }
-    if (violated(bv.eq(count_, bv.bv_const(entries & 0xffff, 16)),
-                 in_bounds)) {
+    if (violated({&ps, Rule::kItems, entries & 0xffff}, [&] {
+          logic::Formula in_bounds = fa.make_true();
+          if (ps.min_items) {
+            in_bounds = fa.mk_and(
+                in_bounds, bv.uge(count_, bv.bv_const(*ps.min_items, 16)));
+          }
+          if (ps.max_items) {
+            in_bounds = fa.mk_and(
+                in_bounds, bv.ule(count_, bv.bv_const(*ps.max_items, 16)));
+          }
+          return std::pair(bv.eq(count_, bv.bv_const(entries & 0xffff, 16)),
+                           in_bounds);
+        })) {
       add_finding(FindingKind::kItemCountViolation,
                   "entry count " + std::to_string(entries) +
                       " is outside [" +

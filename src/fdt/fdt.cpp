@@ -74,7 +74,8 @@ bool serialize_value(const dts::Property& p, std::vector<uint8_t>& out,
           if (cell.is_ref) {
             diags.error("fdt-emit",
                         "unresolved reference &" + cell.ref + " in property '" +
-                            p.name + "' (run resolve_references first)",
+                            p.name + "': no node carries the label '" +
+                            cell.ref + "'",
                         p.location);
             return false;
           }

@@ -1,7 +1,9 @@
 // Query planner — the one obligation layer between the checkers and the
 // solver. Two loops decide every solver-backed obligation here:
-//   - the syntactic checker (§IV-B): one query per schema constraint, the
-//     instance fact plus the constraint;
+//   - the syntactic checker (§IV-B): one query per distinct obligation, a
+//     schema constraint with the instance values its fact pins (the
+//     checker's own verdict table answers every repeat before it gets
+//     here), the instance fact plus the constraint;
 //   - checkers::discharge, the one semantic obligation loop (§IV-C: region
 //     disjointness, interrupt and clock uniqueness), through its decide
 //     callback: the per-product semantic checker's, and the lifted family

@@ -25,6 +25,8 @@ std::unique_ptr<dts::Tree> parse_ok(std::string_view src) {
   return t;
 }
 
+using FindingKey = std::tuple<int, std::string, std::string>;
+
 class SyntacticTest : public ::testing::TestWithParam<smt::Backend> {
  protected:
   schema::SchemaSet schemas = schema::builtin_schemas();
@@ -325,9 +327,15 @@ TEST_P(SyntacticTest, SolverIsActuallyConsulted) {
       << "the checker must discharge constraints through the solver";
 }
 
+uint64_t planner_calls(const SyntacticChecker& checker) {
+  const smt::QueryPlanStats& s = checker.plan_stats();
+  return s.queries_issued + s.memo_hits + s.cache_hits;
+}
+
 // Instances that differ only in values no constraint reads (unit address,
-// reg base) pose structurally identical queries, which the planner decides
-// once: a ladder of UARTs costs the solver what a single UART does.
+// reg base) pose the same obligations, which the checker decides once: a
+// ladder of UARTs costs the planner, and so the solver, what a single UART
+// does.
 TEST_P(SyntacticTest, IdenticalInstancesCostOneInstanceOfSolverChecks) {
   auto board = [](int uarts) {
     std::string src =
@@ -345,6 +353,64 @@ TEST_P(SyntacticTest, IdenticalInstancesCostOneInstanceOfSolverChecks) {
   EXPECT_EQ(error_count(ladder.check(*board(8))), 0u);
   EXPECT_GT(one.solver_checks(), 0u);
   EXPECT_EQ(ladder.solver_checks(), one.solver_checks());
+  EXPECT_GT(planner_calls(one), 0u);
+  EXPECT_EQ(planner_calls(ladder), planner_calls(one));
+}
+
+// A shared verdict is keyed by every input its query is built from: the
+// reg stride, the constraint and which of its rules. Each pair of
+// instances below agrees on every other input, so a key missing one of
+// them hands the second instance the first one's verdict.
+TEST_P(SyntacticTest, SharedVerdictsKeepEveryQueryInput) {
+  schema::PropertySchema x;
+  x.name = "x";
+  x.type = schema::PropertyType::kCells;
+  x.const_cell = 1;
+  x.enum_cells = {1, 2};
+  schema::PropertySchema y;
+  y.name = "y";
+  y.type = schema::PropertyType::kCells;
+  y.enum_cells = {2};
+  schema::PropertySchema reg;
+  reg.name = "reg";
+  reg.type = schema::PropertyType::kCells;
+  schema::SchemaSet set;
+  set.add(schema::SchemaBuilder("keyed")
+              .select_node_name("dev@*")
+              .property(std::move(x))
+              .property(std::move(y))
+              .property(std::move(reg))
+              .build());
+  // Four cells are two entries under stride 2 but not under stride 3;
+  // three cells the other way round. x = <2> passes its enum and fails its
+  // const; y = <1> fails the enum x's value 1 passes.
+  auto tree = parse_ok(R"(
+/ {
+    a { #address-cells = <1>; #size-cells = <1>;
+        dev@0 { reg = <0 1 2 3>; x = <1>; y = <2>; }; };
+    b { #address-cells = <2>; #size-cells = <1>;
+        dev@0 { reg = <0 1 2 3>; x = <2>; y = <1>; }; };
+    c { #address-cells = <1>; #size-cells = <1>;
+        dev@0 { reg = <0 1 2>; }; };
+    d { #address-cells = <2>; #size-cells = <1>;
+        dev@0 { reg = <0 1 2>; }; };
+};
+)");
+  SyntacticChecker checker(set, GetParam());
+  const Findings found = checker.check(*tree);
+  std::vector<FindingKey> got;
+  for (const Finding& f : found) {
+    got.emplace_back(static_cast<int>(f.kind), f.subject, f.property);
+  }
+  std::sort(got.begin(), got.end());
+  std::vector<FindingKey> want = {
+      {static_cast<int>(FindingKind::kRegShapeViolation), "/b/dev@0", "reg"},
+      {static_cast<int>(FindingKind::kRegShapeViolation), "/c/dev@0", "reg"},
+      {static_cast<int>(FindingKind::kConstMismatch), "/b/dev@0", "x"},
+      {static_cast<int>(FindingKind::kEnumViolation), "/b/dev@0", "y"},
+  };
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got, want) << render(found);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, SyntacticTest,
@@ -361,7 +427,9 @@ INSTANTIATE_TEST_SUITE_P(Backends, SyntacticTest,
 // seeds, additionalProperties: false — and a board whose values straddle
 // every bound. The oracle evaluates each constraint directly on the
 // concrete values; the checker must report exactly the same
-// (kind, subject, property) multiset through the solver.
+// (kind, subject, property) multiset through the solver. With `copies` > 1
+// every drawn node appears that many times, so each value repeats across
+// that many instances.
 
 struct SchemaCase {
   uint32_t seed;
@@ -374,15 +442,16 @@ void PrintTo(const SchemaCase& c, std::ostream* os) {
   *os << smt::to_string(c.backend) << "_seed" << c.seed;
 }
 
-using FindingKey = std::tuple<int, std::string, std::string>;
-
 struct RandomBoard {
   schema::SchemaSet schemas;
   std::string dts;
   std::vector<FindingKey> expected;  // the oracle's verdict, sorted
+  // The distinct (constraint, value) pairs the board poses: an upper bound
+  // on the obligations a checker must decide.
+  size_t obligations = 0;
 };
 
-RandomBoard random_board(uint32_t seed) {
+RandomBoard random_board(uint32_t seed, uint32_t copies = 1) {
   std::mt19937 rng(seed);
   auto pick = [&](uint32_t n) { return static_cast<uint32_t>(rng() % n); };
   auto coin = [&] { return pick(2) == 0; };
@@ -455,48 +524,63 @@ RandomBoard random_board(uint32_t seed) {
     }
     return out + ">";
   };
-  auto expect = [&](FindingKind kind, const std::string& path,
-                    const std::string& property) {
-    board.expected.emplace_back(static_cast<int>(kind), path, property);
+  // One drawn node's findings, as (kind, property), and the obligations it
+  // poses, as (constraint, value).
+  std::vector<std::pair<FindingKind, std::string>> faults;
+  std::set<std::pair<std::string, uint64_t>> obligations;
+  auto expect = [&](FindingKind kind, const std::string& property) {
+    faults.emplace_back(kind, property);
   };
   const uint32_t nodes = 3 + pick(4);
   for (uint32_t n = 0; n < nodes; ++n) {
-    const std::string path = "/dev@" + std::to_string(n);
+    faults.clear();
     std::string body;
     std::set<std::string> present;
     if (pick(4) != 0) {
-      const std::string& v = words[pick(4)];
+      const uint32_t w = pick(4);
+      const std::string& v = words[w];
       body += " mode = \"" + v + "\";";
       present.insert("mode");
-      if (mode.const_string && v != *mode.const_string) {
-        expect(FindingKind::kConstMismatch, path, "mode");
+      if (mode.const_string) {
+        obligations.emplace("mode const", w);
+        if (v != *mode.const_string) {
+          expect(FindingKind::kConstMismatch, "mode");
+        }
       }
-      if (!mode.enum_strings.empty() &&
-          std::find(mode.enum_strings.begin(), mode.enum_strings.end(), v) ==
-              mode.enum_strings.end()) {
-        expect(FindingKind::kEnumViolation, path, "mode");
+      if (!mode.enum_strings.empty()) {
+        obligations.emplace("mode enum", w);
+        if (std::find(mode.enum_strings.begin(), mode.enum_strings.end(),
+                      v) == mode.enum_strings.end()) {
+          expect(FindingKind::kEnumViolation, "mode");
+        }
       }
     }
     if (pick(4) != 0) {
       const uint64_t v = pick(5);
       body += " level = <" + std::to_string(v) + ">;";
       present.insert("level");
-      if (level.const_cell && v != *level.const_cell) {
-        expect(FindingKind::kConstMismatch, path, "level");
+      if (level.const_cell) {
+        obligations.emplace("level const", v);
+        if (v != *level.const_cell) {
+          expect(FindingKind::kConstMismatch, "level");
+        }
       }
-      if (!level.enum_cells.empty() &&
-          std::find(level.enum_cells.begin(), level.enum_cells.end(), v) ==
-              level.enum_cells.end()) {
-        expect(FindingKind::kEnumViolation, path, "level");
+      if (!level.enum_cells.empty()) {
+        obligations.emplace("level enum", v);
+        if (std::find(level.enum_cells.begin(), level.enum_cells.end(), v) ==
+            level.enum_cells.end()) {
+          expect(FindingKind::kEnumViolation, "level");
+        }
       }
     }
     if (pick(4) != 0) {
       std::vector<uint64_t> cells(1 + pick(3));
       for (uint64_t& c : cells) {
         c = pick(25);
+        obligations.emplace("freq range", c);
         if ((freq.minimum && c < *freq.minimum) ||
             (freq.maximum && c > *freq.maximum)) {
-          expect(FindingKind::kEnumViolation, path, "freq");
+          expect(FindingKind::kEnumViolation, "freq");
         }
       }
       body += " freq = " + cells_text(cells) + ";";
@@ -507,35 +591,51 @@ RandomBoard random_board(uint32_t seed) {
       body += " reg = " + cells_text(cells) + ";";
       present.insert("reg");
       const uint64_t entries = cells.size() / stride;
-      if ((reg.min_items && entries < *reg.min_items) ||
-          (reg.max_items && entries > *reg.max_items)) {
-        expect(FindingKind::kItemCountViolation, path, "reg");
+      if (reg.min_items || reg.max_items) {
+        obligations.emplace("reg items", entries);
+        if ((reg.min_items && entries < *reg.min_items) ||
+            (reg.max_items && entries > *reg.max_items)) {
+          expect(FindingKind::kItemCountViolation, "reg");
+        }
       }
-      if (s.check_reg_shape && cells.size() % stride != 0) {
-        expect(FindingKind::kRegShapeViolation, path, "reg");
+      if (s.check_reg_shape) {
+        obligations.emplace("reg shape", cells.size());
+        if (cells.size() % stride != 0) {
+          expect(FindingKind::kRegShapeViolation, "reg");
+        }
       }
     }
     if (pick(4) == 0) {
       body += " rogue = <1>;";
       if (!s.additional_properties) {
-        expect(FindingKind::kUnknownProperty, path, "rogue");
+        expect(FindingKind::kUnknownProperty, "rogue");
       }
     }
     const uint32_t subs = pick(4);
     for (uint32_t c = 0; c < subs; ++c) {
       body += " sub@" + std::to_string(c) + " { };";
     }
+    obligations.emplace("children", subs);
     if ((children.min_count && subs < *children.min_count) ||
         (children.max_count && subs > *children.max_count)) {
-      expect(FindingKind::kChildRuleViolation, path, "");
+      expect(FindingKind::kChildRuleViolation, "");
     }
     for (const std::string& req : s.required) {
+      obligations.emplace("required " + req, present.count(req));
       if (present.count(req) == 0) {
-        expect(FindingKind::kMissingRequired, path, req);
+        expect(FindingKind::kMissingRequired, req);
       }
     }
-    board.dts += "    dev@" + std::to_string(n) + " {" + body + " };\n";
+    for (uint32_t c = 0; c < copies; ++c) {
+      const std::string name = "dev@" + std::to_string(n * copies + c);
+      for (const auto& [kind, property] : faults) {
+        board.expected.emplace_back(static_cast<int>(kind), "/" + name,
+                                    property);
+      }
+      board.dts += "    " + name + " {" + body + " };\n";
+    }
   }
+  board.obligations = obligations.size();
   board.dts += "};\n";
   std::sort(board.expected.begin(), board.expected.end());
   return board;
@@ -575,6 +675,25 @@ TEST_P(RandomSchemaTest, FindingsMatchTheDirectOracle) {
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, board.expected) << board.dts << render(found);
   EXPECT_GT(checker.solver_checks(), 0u);
+}
+
+// Every drawn node four times over: the findings still match the oracle
+// instance by instance, while the checker decides each distinct
+// (constraint, value) obligation once, however many instances pose it.
+TEST_P(RandomSchemaTest, RepeatedValuesDecideEachObligationOnce) {
+  const RandomBoard board = random_board(GetParam().seed, 4);
+  auto tree = parse_ok(board.dts);
+  ASSERT_NE(tree, nullptr);
+  SyntacticChecker checker(board.schemas, GetParam().backend);
+  const Findings found = checker.check(*tree);
+  std::vector<FindingKey> got;
+  for (const Finding& f : found) {
+    got.emplace_back(static_cast<int>(f.kind), f.subject, f.property);
+  }
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, board.expected) << board.dts << render(found);
+  EXPECT_GT(planner_calls(checker), 0u);
+  EXPECT_LE(planner_calls(checker), board.obligations) << board.dts;
 }
 
 std::vector<SchemaCase> schema_cases() {
