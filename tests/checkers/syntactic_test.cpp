@@ -27,6 +27,16 @@ std::unique_ptr<dts::Tree> parse_ok(std::string_view src) {
 
 using FindingKey = std::tuple<int, std::string, std::string>;
 
+// The findings as a sorted (kind, subject, property) multiset.
+std::vector<FindingKey> sorted_keys(const Findings& found) {
+  std::vector<FindingKey> keys;
+  for (const Finding& f : found) {
+    keys.emplace_back(static_cast<int>(f.kind), f.subject, f.property);
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
 class SyntacticTest : public ::testing::TestWithParam<smt::Backend> {
  protected:
   schema::SchemaSet schemas = schema::builtin_schemas();
@@ -398,11 +408,6 @@ TEST_P(SyntacticTest, SharedVerdictsKeepEveryQueryInput) {
 )");
   SyntacticChecker checker(set, GetParam());
   const Findings found = checker.check(*tree);
-  std::vector<FindingKey> got;
-  for (const Finding& f : found) {
-    got.emplace_back(static_cast<int>(f.kind), f.subject, f.property);
-  }
-  std::sort(got.begin(), got.end());
   std::vector<FindingKey> want = {
       {static_cast<int>(FindingKind::kRegShapeViolation), "/b/dev@0", "reg"},
       {static_cast<int>(FindingKind::kRegShapeViolation), "/c/dev@0", "reg"},
@@ -410,7 +415,7 @@ TEST_P(SyntacticTest, SharedVerdictsKeepEveryQueryInput) {
       {static_cast<int>(FindingKind::kEnumViolation), "/b/dev@0", "y"},
   };
   std::sort(want.begin(), want.end());
-  EXPECT_EQ(got, want) << render(found);
+  EXPECT_EQ(sorted_keys(found), want) << render(found);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, SyntacticTest,
@@ -668,12 +673,7 @@ TEST_P(RandomSchemaTest, FindingsMatchTheDirectOracle) {
   ASSERT_NE(tree, nullptr);
   SyntacticChecker checker(board.schemas, GetParam().backend);
   const Findings found = checker.check(*tree);
-  std::vector<FindingKey> got;
-  for (const Finding& f : found) {
-    got.emplace_back(static_cast<int>(f.kind), f.subject, f.property);
-  }
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, board.expected) << board.dts << render(found);
+  EXPECT_EQ(sorted_keys(found), board.expected) << board.dts << render(found);
   EXPECT_GT(checker.solver_checks(), 0u);
 }
 
@@ -686,12 +686,7 @@ TEST_P(RandomSchemaTest, RepeatedValuesDecideEachObligationOnce) {
   ASSERT_NE(tree, nullptr);
   SyntacticChecker checker(board.schemas, GetParam().backend);
   const Findings found = checker.check(*tree);
-  std::vector<FindingKey> got;
-  for (const Finding& f : found) {
-    got.emplace_back(static_cast<int>(f.kind), f.subject, f.property);
-  }
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, board.expected) << board.dts << render(found);
+  EXPECT_EQ(sorted_keys(found), board.expected) << board.dts << render(found);
   EXPECT_GT(planner_calls(checker), 0u);
   EXPECT_LE(planner_calls(checker), board.obligations) << board.dts;
 }
