@@ -300,10 +300,10 @@ Formula BvArena::uadd_overflow(BvTerm a, BvTerm b) {
   return formulas_->mk_bv_atom(BvPred::kUaddOverflow, a.id(), b.id());
 }
 
-Formula BvArena::blast_atom(const BvAtom& atom) {
-  AtomKey key{atom.pred, atom.lhs_term, atom.rhs_term};
-  for (const auto& [k, f] : blasted_atoms_) {
-    if (k == key) return f;
+Formula BvArena::blast_atom(const BvAtom& atom_ref) {
+  const BvAtom atom = atom_ref;  // the reference may point into a growing pool
+  if (auto it = blasted_atoms_.find(atom); it != blasted_atoms_.end()) {
+    return it->second;
   }
   FormulaArena& fa = *formulas_;
   const auto& ba = blast(BvTerm(atom.lhs_term));
@@ -342,7 +342,7 @@ Formula BvArena::blast_atom(const BvAtom& atom) {
       break;
     }
   }
-  blasted_atoms_.emplace_back(key, result);
+  blasted_atoms_.emplace(atom, result);
   return result;
 }
 

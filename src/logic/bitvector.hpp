@@ -137,13 +137,7 @@ class BvArena {
   FormulaArena* formulas_;
   std::vector<Node> nodes_;
   std::unordered_map<uint32_t, std::vector<Formula>> blasted_;
-  struct AtomKey {
-    BvPred pred;
-    uint32_t a;
-    uint32_t b;
-    friend bool operator==(const AtomKey&, const AtomKey&) = default;
-  };
-  std::vector<std::pair<AtomKey, Formula>> blasted_atoms_;
+  std::unordered_map<BvAtom, Formula, BvAtomHash> blasted_atoms_;
 };
 
 }  // namespace llhsc::logic

@@ -5,24 +5,28 @@
 namespace llhsc::logic {
 
 sat::Var CnfEncoder::sat_var(BoolVar v) {
-  auto it = var_map_.find(v.index);
-  if (it != var_map_.end()) return it->second;
-  sat::Var sv = solver_->new_var();
-  var_map_.emplace(v.index, sv);
+  if (v.index >= var_map_.size()) {
+    var_map_.resize(arena_->num_bool_vars(), kNoVar);
+  }
+  sat::Var& sv = var_map_[v.index];
+  if (sv == kNoVar) sv = solver_->new_var();
   return sv;
 }
 
 bool CnfEncoder::model_value(BoolVar v) const {
-  auto it = var_map_.find(v.index);
-  if (it == var_map_.end()) return false;
-  return solver_->model_bool(it->second);
+  if (v.index >= var_map_.size() || var_map_[v.index] == kNoVar) return false;
+  return solver_->model_bool(var_map_[v.index]);
 }
 
 sat::Lit CnfEncoder::encode(Formula f) {
-  auto it = cache_.find(f.id());
-  if (it != cache_.end()) return it->second;
+  if (f.id() < cache_.size() && cache_[f.id()] != sat::Lit()) {
+    return cache_[f.id()];
+  }
+  // Encoding children can create nodes (bit-vector atoms blast lazily), so
+  // size the table after encode_node returns.
   sat::Lit l = encode_node(f);
-  cache_.emplace(f.id(), l);
+  if (f.id() >= cache_.size()) cache_.resize(arena_->size());
+  cache_[f.id()] = l;
   return l;
 }
 
@@ -48,101 +52,81 @@ sat::Lit CnfEncoder::encode_node(Formula f) {
     }
     case Op::kNot:
       return ~encode(arena_->operands(f)[0]);
-    case Op::kAnd: {
-      // operands() spans the arena's operand pool; encoding children can
-      // create new nodes (bit-vector atoms blast lazily) and reallocate the
-      // pool, so copy the operand list before recursing.
-      std::vector<Formula> ops(arena_->operands(f).begin(),
-                               arena_->operands(f).end());
-      std::vector<Lit> lits;
-      lits.reserve(ops.size());
-      for (Formula g : ops) lits.push_back(encode(g));
-      sat::Var v = solver_->new_var();
-      Lit out = Lit::positive(v);
-      // out -> each lit; (all lits) -> out
-      std::vector<Lit> long_clause;
-      long_clause.reserve(lits.size() + 1);
-      for (Lit l : lits) {
-        solver_->add_clause(~out, l);
-        long_clause.push_back(~l);
-      }
-      long_clause.push_back(out);
-      solver_->add_clause(std::move(long_clause));
-      return out;
-    }
-    case Op::kOr: {
-      std::vector<Formula> ops(arena_->operands(f).begin(),
-                               arena_->operands(f).end());
-      std::vector<Lit> lits;
-      lits.reserve(ops.size());
-      for (Formula g : ops) lits.push_back(encode(g));
-      sat::Var v = solver_->new_var();
-      Lit out = Lit::positive(v);
-      std::vector<Lit> long_clause;
-      long_clause.reserve(lits.size() + 1);
-      for (Lit l : lits) {
-        solver_->add_clause(out, ~l);
-        long_clause.push_back(l);
-      }
-      long_clause.push_back(~out);
-      solver_->add_clause(std::move(long_clause));
-      return out;
-    }
-    case Op::kXor: {
-      auto span = arena_->operands(f);
-      assert(span.size() == 2);
-      Formula fa = span[0], fb = span[1];  // copy before pool reallocation
-      Lit a = encode(fa);
-      Lit b = encode(fb);
-      sat::Var v = solver_->new_var();
-      Lit out = Lit::positive(v);
+    default:
+      break;
+  }
+  // The remaining connectives are binary (FormulaArena builds n-ary AND/OR
+  // as nested pairs). operands() spans the arena's operand pool, which
+  // encoding the children can reallocate, so copy both handles first.
+  auto span = arena_->operands(f);
+  assert(span.size() == 2);
+  const Formula fa = span[0], fb = span[1];
+  const Lit a = encode(fa);
+  const Lit b = encode(fb);
+  const Lit out = Lit::positive(solver_->new_var());
+  switch (arena_->op(f)) {
+    case Op::kAnd:
+      solver_->add_clause(~out, a);
+      solver_->add_clause(~out, b);
+      solver_->add_clause(~a, ~b, out);
+      break;
+    case Op::kOr:
+      solver_->add_clause(out, ~a);
+      solver_->add_clause(out, ~b);
+      solver_->add_clause(a, b, ~out);
+      break;
+    case Op::kXor:
       solver_->add_clause(~out, a, b);
       solver_->add_clause(~out, ~a, ~b);
       solver_->add_clause(out, ~a, b);
       solver_->add_clause(out, a, ~b);
-      return out;
-    }
-    case Op::kImplies: {
-      auto span = arena_->operands(f);
-      Formula fa = span[0], fb = span[1];
-      Lit a = encode(fa);
-      Lit b = encode(fb);
-      sat::Var v = solver_->new_var();
-      Lit out = Lit::positive(v);
+      break;
+    case Op::kImplies:
       solver_->add_clause(~out, ~a, b);
       solver_->add_clause(out, a);
       solver_->add_clause(out, ~b);
-      return out;
-    }
-    case Op::kIff: {
-      auto span = arena_->operands(f);
-      Formula fa = span[0], fb = span[1];
-      Lit a = encode(fa);
-      Lit b = encode(fb);
-      sat::Var v = solver_->new_var();
-      Lit out = Lit::positive(v);
+      break;
+    case Op::kIff:
       solver_->add_clause(~out, ~a, b);
       solver_->add_clause(~out, a, ~b);
       solver_->add_clause(out, a, b);
       solver_->add_clause(out, ~a, ~b);
-      return out;
-    }
+      break;
+    default:
+      assert(false && "unreachable");
   }
-  assert(false && "unreachable");
-  return Lit::positive(0);
+  return out;
 }
 
 void CnfEncoder::assert_formula(Formula f) {
-  // Top-level conjunctions assert each conjunct directly — avoids gate vars
-  // for the common "big AND of axioms" shape. Copy the operand list: the
-  // recursion may grow the arena's operand pool.
+  // Copy operand handles before recursing: encoding may grow the arena's
+  // operand pool.
   if (arena_->op(f) == Op::kAnd) {
-    std::vector<Formula> ops(arena_->operands(f).begin(),
-                             arena_->operands(f).end());
-    for (Formula g : ops) assert_formula(g);
+    auto span = arena_->operands(f);
+    const Formula fa = span[0], fb = span[1];
+    assert_formula(fa);
+    assert_formula(fb);
     return;
   }
-  solver_->add_clause(encode(f));
+  if (arena_->op(f) != Op::kOr) {
+    solver_->add_clause(encode(f));
+    return;
+  }
+  // One clause over the leaves of the OR tree, left to right.
+  std::vector<sat::Lit> clause;
+  std::vector<Formula> pending{f};
+  while (!pending.empty()) {
+    const Formula g = pending.back();
+    pending.pop_back();
+    if (arena_->op(g) == Op::kOr) {
+      auto span = arena_->operands(g);
+      pending.push_back(span[1]);
+      pending.push_back(span[0]);
+    } else {
+      clause.push_back(encode(g));
+    }
+  }
+  solver_->add_clause(std::move(clause));
 }
 
 }  // namespace llhsc::logic

@@ -2,9 +2,16 @@
 // sat::Solver literals. Because formulas are hash-consed, each distinct gate
 // gets exactly one auxiliary variable regardless of how many times it is
 // shared, keeping the CNF linear in the DAG size.
+//
+// Asserted formulas skip the gates at the top: a top-level AND asserts each
+// conjunct, and a top-level OR (through nested ORs) becomes one clause over
+// its disjuncts' literals. A guarded disjunction g ⇒ (a ∨ ¬b ∨ …) — the
+// query planner's guards and the lift engine's blocking clauses — is thus a
+// single clause, and once ¬g is asserted sat::Solver::simplify() deletes it
+// whole. Gates *inside* a disjunct (a bit-blasted comparator, say) are
+// definitions over their inputs, not over g, so they outlive the guard.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "logic/bitvector.hpp"
@@ -42,8 +49,10 @@ class CnfEncoder {
   const FormulaArena* arena_;
   sat::Solver* solver_;
   BvArena* bitvectors_;
-  std::unordered_map<uint32_t, sat::Lit> cache_;       // formula id -> lit
-  std::unordered_map<uint32_t, sat::Var> var_map_;     // BoolVar -> sat var
+  // Dense memo tables; an absent entry is a default Lit / kNoVar.
+  static constexpr sat::Var kNoVar = -1;
+  std::vector<sat::Lit> cache_;    // formula id -> lit
+  std::vector<sat::Var> var_map_;  // BoolVar index -> sat var
 };
 
 }  // namespace llhsc::logic

@@ -13,40 +13,67 @@ uint64_t hash_node(Op op, uint32_t var, std::span<const Formula> operands) {
   for (Formula f : operands) {
     h = h * 0x100000001b3ULL ^ f.id();
   }
+  // splitmix64 finaliser: the multiply-xor chain above leaves its low bits
+  // (the ones the index masks) poorly mixed, which clusters linear probes.
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebULL;
+  h ^= h >> 31;
   return h;
 }
 }  // namespace
 
-FormulaArena::FormulaArena() {
+FormulaArena::FormulaArena() : index_(64, kEmptySlot) {
   true_ = intern(Op::kTrue, UINT32_MAX, {});
   false_ = intern(Op::kFalse, UINT32_MAX, {});
 }
 
+bool FormulaArena::same_node(uint32_t id, Op op, uint32_t var,
+                             std::span<const Formula> operands) const {
+  const Node& n = nodes_[id];
+  if (n.op != op || n.var != var || n.operands_count != operands.size()) {
+    return false;
+  }
+  return std::equal(operands.begin(), operands.end(),
+                    operand_pool_.begin() + n.operands_begin);
+}
+
+void FormulaArena::grow_index() {
+  std::vector<uint32_t> index(index_.size() * 2, kEmptySlot);
+  const size_t mask = index.size() - 1;
+  for (uint32_t id = 0; id < nodes_.size(); ++id) {
+    const Node& n = nodes_[id];
+    std::span<const Formula> ops(operand_pool_.data() + n.operands_begin,
+                                 n.operands_count);
+    size_t i = hash_node(n.op, n.var, ops) & mask;
+    while (index[i] != kEmptySlot) i = (i + 1) & mask;
+    index[i] = id;
+  }
+  index_ = std::move(index);
+}
+
 Formula FormulaArena::intern(Op op, uint32_t var,
                              std::span<const Formula> operands) {
-  uint64_t h = hash_node(op, var, operands);
-  auto& bucket = buckets_[h];
-  for (uint32_t id : bucket) {
-    const Node& n = nodes_[id];
-    if (n.op != op || n.var != var || n.operands_count != operands.size()) continue;
-    bool same = true;
-    for (size_t i = 0; i < operands.size(); ++i) {
-      if (operand_pool_[n.operands_begin + i] != operands[i]) {
-        same = false;
-        break;
-      }
-    }
-    if (same) return Formula(id);
+  const uint64_t h = hash_node(op, var, operands);
+  const size_t mask = index_.size() - 1;
+  size_t i = h & mask;
+  for (; index_[i] != kEmptySlot; i = (i + 1) & mask) {
+    if (same_node(index_[i], op, var, operands)) return Formula(index_[i]);
   }
+  const uint32_t id = static_cast<uint32_t>(nodes_.size());
   Node n;
   n.op = op;
   n.var = var;
   n.operands_begin = static_cast<uint32_t>(operand_pool_.size());
   n.operands_count = static_cast<uint32_t>(operands.size());
   operand_pool_.insert(operand_pool_.end(), operands.begin(), operands.end());
-  uint32_t id = static_cast<uint32_t>(nodes_.size());
   nodes_.push_back(n);
-  bucket.push_back(id);
+  if (nodes_.size() * 2 > index_.size()) {
+    grow_index();  // rehashes every node, this one included
+  } else {
+    index_[i] = id;
+  }
   return Formula(id);
 }
 

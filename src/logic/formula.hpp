@@ -39,6 +39,14 @@ struct BvAtom {
   friend bool operator==(const BvAtom&, const BvAtom&) = default;
 };
 
+struct BvAtomHash {
+  size_t operator()(const BvAtom& a) const noexcept {
+    return std::hash<uint64_t>{}(
+        (uint64_t{a.lhs_term} << 32 | a.rhs_term) * 31 +
+        static_cast<uint64_t>(a.pred));
+  }
+};
+
 /// Opaque handle into a FormulaArena. Value-semantic and cheap to copy.
 class Formula {
  public:
@@ -131,19 +139,19 @@ class FormulaArena {
   };
 
   Formula intern(Op op, uint32_t var, std::span<const Formula> operands);
+  [[nodiscard]] bool same_node(uint32_t id, Op op, uint32_t var,
+                               std::span<const Formula> operands) const;
+  void grow_index();
 
   std::vector<Node> nodes_;
   std::vector<Formula> operand_pool_;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> buckets_;
+  /// Hash-consing index: node ids in an open-addressing table with linear
+  /// probing, at most half full, probed from the node's structural hash.
+  /// kEmptySlot marks a free slot. Ids are assigned in creation order.
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+  std::vector<uint32_t> index_;
   std::vector<std::string> var_names_;
   std::vector<BvAtom> atoms_;
-  struct BvAtomHash {
-    size_t operator()(const BvAtom& a) const noexcept {
-      return std::hash<uint64_t>{}(
-          (uint64_t{a.lhs_term} << 32 | a.rhs_term) * 31 +
-          static_cast<uint64_t>(a.pred));
-    }
-  };
   std::unordered_map<BvAtom, uint32_t, BvAtomHash> atom_ids_;  // -> atoms_
   Formula true_;
   Formula false_;

@@ -26,33 +26,35 @@ bool Solver::add_clause(std::vector<Lit> lits) {
   if (!ok_) return false;
   assert(decision_level() == 0);
   // Sort, dedup, drop clauses with complementary or satisfied literals.
+  // Filters in place; the surviving prefix becomes the clause.
   std::sort(lits.begin(), lits.end());
-  std::vector<Lit> out;
-  out.reserve(lits.size());
+  size_t keep = 0;
   Lit prev = Lit::from_code(-2);
-  for (Lit l : lits) {
+  for (size_t i = 0; i < lits.size(); ++i) {
+    const Lit l = lits[i];
     assert(l.var() >= 0 && l.var() < num_vars());
     if (value(l) == Value::kTrue || l == ~prev) return true;  // tautology/satisfied
     if (value(l) != Value::kFalse && l != prev) {
-      out.push_back(l);
+      lits[keep++] = l;
       prev = l;
     }
   }
-  if (out.empty()) {
+  lits.resize(keep);
+  if (lits.empty()) {
     ok_ = false;
     return false;
   }
-  if (out.size() == 1) {
+  if (lits.size() == 1) {
     // Enqueue and propagate eagerly at level 0 so later add_clause calls see
     // the fixed values.
-    if (!enqueue(out[0], kNoReason) || propagate() != kNoReason) {
+    if (!enqueue(lits[0], kNoReason) || propagate() != kNoReason) {
       ok_ = false;
       return false;
     }
     return true;
   }
   ClauseRef cr = static_cast<ClauseRef>(clauses_.size());
-  clauses_.push_back(Clause{std::move(out), 0.0, false, false});
+  clauses_.push_back(Clause{std::move(lits), 0.0, false, false});
   attach_clause(cr);
   return true;
 }

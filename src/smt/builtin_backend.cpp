@@ -101,8 +101,17 @@ class BuiltinBackend final : public SolverBackend {
   bool model_bool(logic::BoolVar v) override { return encoder_.model_value(v); }
 
   uint64_t model_bv(logic::BvTerm t) override {
-    // Rebuild a full Boolean assignment from the SAT model, then evaluate the
-    // term. Unconstrained bits default to false — a legal model completion.
+    // Unconstrained bits read false — a legal model completion. A variable
+    // term reads its own bits; any other term is evaluated over a full
+    // Boolean assignment rebuilt from the SAT model.
+    if (bitvectors_->term_op(t) == logic::BvOp::kVar) {
+      const std::vector<logic::BoolVar>& bits = bitvectors_->var_bits(t);
+      uint64_t value = 0;
+      for (size_t i = 0; i < bits.size(); ++i) {
+        if (encoder_.model_value(bits[i])) value |= uint64_t{1} << i;
+      }
+      return value;
+    }
     std::vector<bool> assignment(formulas_->num_bool_vars(), false);
     for (uint32_t i = 0; i < assignment.size(); ++i) {
       assignment[i] = encoder_.model_value(logic::BoolVar{i});

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
+#include "logic/bitvector.hpp"
 #include "logic/formula.hpp"
 #include "sat/solver.hpp"
 
@@ -53,6 +55,89 @@ TEST(CnfEncoder, XorConstraint) {
   enc.assert_formula(arena.mk_xor(arena.var(a), arena.var(b)));
   ASSERT_EQ(solver.solve(), sat::SolveResult::kSat);
   EXPECT_NE(enc.model_value(a), enc.model_value(b));
+}
+
+// A top-level disjunction is one clause over its leaves' literals: no gate
+// variable, and retiring its guard lets simplify() delete it whole.
+TEST(CnfEncoder, TopLevelDisjunctionIsOneClause) {
+  FormulaArena arena;
+  sat::Solver solver;
+  CnfEncoder enc(arena, solver);
+  std::vector<BoolVar> v;
+  for (const char* name : {"g", "a", "b", "c"}) {
+    v.push_back(arena.new_bool_var(name));
+    (void)enc.sat_var(v.back());
+  }
+  const int vars_before = solver.num_vars();
+  const Formula disjuncts[] = {arena.mk_not(arena.var(v[0])), arena.var(v[1]),
+                               arena.mk_not(arena.var(v[2])), arena.var(v[3])};
+  enc.assert_formula(arena.mk_or(disjuncts));
+  EXPECT_EQ(solver.num_vars(), vars_before);
+
+  const uint64_t removed_before = solver.stats().simplify_removed;
+  solver.add_clause(sat::Lit::negative(enc.sat_var(v[0])));
+  solver.simplify();
+  EXPECT_EQ(solver.stats().simplify_removed, removed_before + 1);
+}
+
+// The lift engine's shape: many guarded blocking clauses, each checked under
+// its guard and then retired. Only the guards themselves become variables.
+TEST(CnfEncoder, RetiredGuardsLeaveNoVariables) {
+  FormulaArena arena;
+  sat::Solver solver;
+  CnfEncoder enc(arena, solver);
+  std::vector<BoolVar> base;
+  for (int i = 0; i < 12; ++i) {
+    base.push_back(arena.new_bool_var("x" + std::to_string(i)));
+    (void)enc.sat_var(base.back());
+  }
+  const int base_vars = solver.num_vars();
+  std::mt19937 rng(7);
+  constexpr int kClauses = 1000;
+  for (int i = 0; i < kClauses; ++i) {
+    // Five distinct variables with random signs: a clause that is never a
+    // tautology.
+    std::shuffle(base.begin(), base.end(), rng);
+    std::vector<Formula> blocking;
+    for (int k = 0; k < 5; ++k) {
+      const Formula x = arena.var(base[static_cast<size_t>(k)]);
+      blocking.push_back(rng() & 1 ? arena.mk_not(x) : x);
+    }
+    const BoolVar g = arena.new_bool_var("g" + std::to_string(i));
+    enc.assert_formula(arena.mk_implies(arena.var(g), arena.mk_or(blocking)));
+    const sat::Lit guard = sat::Lit::positive(enc.sat_var(g));
+    ASSERT_EQ(solver.solve({guard}), sat::SolveResult::kSat);
+    solver.add_clause(~guard);
+    solver.simplify();
+  }
+  EXPECT_EQ(solver.num_vars(), base_vars + kClauses);
+  EXPECT_EQ(solver.solve(), sat::SolveResult::kSat);
+}
+
+// One 64-bit formula-(7) overlap body (witness in both regions, pinned to
+// the larger base). The encoding's variable count is pinned: encoding must
+// not change the CNF it emits for a body, only how fast it emits it.
+constexpr int kOverlapBodyVars = 343;
+
+TEST(CnfEncoder, OverlapBodyVariableCountIsPinned) {
+  FormulaArena arena;
+  BvArena bv(arena);
+  sat::Solver solver;
+  CnfEncoder enc(arena, solver, &bv);
+  constexpr uint32_t kWidth = 64;
+  const BvTerm witness = bv.bv_var("w", kWidth);
+  auto in_range = [&](uint64_t base, uint64_t size) {
+    const BvTerm base_t = bv.bv_const(base, kWidth);
+    const BvTerm end_t = bv.bv_add(base_t, bv.bv_const(size, kWidth));
+    return arena.mk_and(bv.uge(witness, base_t), bv.ult(witness, end_t));
+  };
+  const Formula body[] = {in_range(0x80000000, 0x10000000),
+                          in_range(0x88000000, 0x01000000),
+                          bv.eq(witness, bv.bv_const(0x88000000, kWidth))};
+  (void)enc.encode(arena.mk_and(body));
+  EXPECT_EQ(solver.num_vars(), kOverlapBodyVars);
+  ASSERT_EQ(solver.solve({enc.encode(arena.mk_and(body))}),
+            sat::SolveResult::kSat);
 }
 
 // Random formula property test: Tseitin encoding preserves satisfiability and
@@ -129,6 +214,55 @@ TEST_P(RandomFormulaTest, EncodingIsEquisatisfiableAndModelsProject) {
         << "SAT model does not satisfy the source formula: "
         << arena.to_string(f);
   }
+}
+
+// Guarded assertion and retirement, as the query planner issues them:
+// g => f is satisfiable under {g} iff f is, and once g is retired the
+// solver must not have kept any of f — asserting ~f stays satisfiable
+// whenever ~f is.
+TEST_P(RandomFormulaTest, GuardedAssertionRetiresCleanly) {
+  const auto& param = GetParam();
+  std::mt19937 rng(param.seed);
+  FormulaArena arena;
+  std::vector<BoolVar> bool_vars;
+  std::vector<Formula> vars;
+  for (int i = 0; i < param.num_vars; ++i) {
+    bool_vars.push_back(arena.new_bool_var("v" + std::to_string(i)));
+    vars.push_back(arena.var(bool_vars.back()));
+  }
+  const Formula f = random_formula(arena, vars, rng, param.depth);
+  const Formula not_f = arena.mk_not(f);
+  auto brute_sat = [&](Formula h) {
+    for (uint32_t m = 0; m < (1u << param.num_vars); ++m) {
+      std::vector<bool> assignment;
+      for (int i = 0; i < param.num_vars; ++i) assignment.push_back((m >> i) & 1);
+      if (arena.evaluate(h, assignment)) return true;
+    }
+    return false;
+  };
+  auto model = [&](const CnfEncoder& enc) {
+    std::vector<bool> assignment;
+    for (BoolVar v : bool_vars) assignment.push_back(enc.model_value(v));
+    return assignment;
+  };
+
+  sat::Solver solver;
+  CnfEncoder enc(arena, solver);
+  const BoolVar g = arena.new_bool_var("g");
+  enc.assert_formula(arena.mk_implies(arena.var(g), f));
+  const sat::Lit guard = sat::Lit::positive(enc.sat_var(g));
+  const bool sat_under_guard = solver.solve({guard}) == sat::SolveResult::kSat;
+  EXPECT_EQ(sat_under_guard, brute_sat(f)) << arena.to_string(f);
+  if (sat_under_guard) {
+    EXPECT_TRUE(arena.evaluate(f, model(enc)));
+  }
+
+  solver.add_clause(~guard);
+  solver.simplify();
+  if (!brute_sat(not_f)) return;
+  enc.assert_formula(not_f);
+  ASSERT_EQ(solver.solve(), sat::SolveResult::kSat) << arena.to_string(f);
+  EXPECT_TRUE(arena.evaluate(not_f, model(enc)));
 }
 
 // At-most-one encodings: pairwise and sequential must admit exactly the

@@ -94,6 +94,8 @@ TEST_P(SmtBackendTest, BvEquationSolvable) {
   s.add(bv.eq(bv.bv_add(x, bv.bv_const(5, 32)), bv.bv_const(12, 32)));
   ASSERT_EQ(s.check(), CheckResult::kSat);
   EXPECT_EQ(s.model_bv(x), 7u);
+  // A compound term is evaluated over the same model.
+  EXPECT_EQ(s.model_bv(bv.bv_add(x, bv.bv_const(5, 32))), 12u);
 }
 
 TEST_P(SmtBackendTest, BvRangeConflict) {
