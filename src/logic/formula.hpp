@@ -39,6 +39,7 @@ struct BvAtom {
   friend bool operator==(const BvAtom&, const BvAtom&) = default;
 };
 
+/// Hash of a BvAtom, for maps keyed by atom structure.
 struct BvAtomHash {
   size_t operator()(const BvAtom& a) const noexcept {
     return std::hash<uint64_t>{}(
