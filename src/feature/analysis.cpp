@@ -102,44 +102,14 @@ bool is_valid_product(const FeatureModel& model, smt::Solver& solver,
 uint64_t enumerate_products(
     const FeatureModel& model, smt::Solver& solver,
     const std::function<bool(const Selection&)>& on_product,
-    uint64_t max_products) {
-  return enumerate_products(model, solver, on_product, max_products, nullptr);
-}
-
-uint64_t enumerate_products(
-    const FeatureModel& model, smt::Solver& solver,
-    const std::function<bool(const Selection&)>& on_product,
     uint64_t max_products, bool* capped) {
   solver.push();
-  Encoding enc = encode(model, solver);
-  auto& fa = solver.formulas();
-  if (capped != nullptr) *capped = false;
-  uint64_t found = 0;
-  while (found < max_products) {
-    if (solver.check() != smt::CheckResult::kSat) break;
-    Selection sel(model.size());
-    for (uint32_t i = 0; i < model.size(); ++i) {
-      sel[i] = solver.model_bool(enc.variables[i]);
-    }
-    ++found;
-    bool keep_going = on_product(sel);
-    // Block this product.
-    std::vector<logic::Formula> diff;
-    diff.reserve(model.size());
-    for (uint32_t i = 0; i < model.size(); ++i) {
-      diff.push_back(sel[i] ? fa.mk_not(enc.variables[i]) : enc.variables[i]);
-    }
-    solver.add(fa.mk_or(diff));
-    if (!keep_going) break;
-  }
-  // The cap only counts as tripped when a further product actually exists —
-  // one extra check, paid only on the cap boundary.
-  if (capped != nullptr && found == max_products &&
-      solver.check() == smt::CheckResult::kSat) {
-    *capped = true;
-  }
+  const Encoding enc = encode(model, solver);
+  const smt::Solver::Enumeration e =
+      solver.enumerate(enc.variables, {}, max_products, on_product);
   solver.pop();
-  return found;
+  if (capped != nullptr) *capped = e.capped;
+  return e.models;
 }
 
 uint64_t count_products(const FeatureModel& model, smt::Solver& solver,

@@ -44,25 +44,23 @@ using Selection = std::vector<bool>;
                                     smt::Solver& solver,
                                     const Selection& selection);
 
-/// Counts all valid products (up to `max_products`). Enumeration is blocking-
-/// clause based and leaves the solver state clean (push/pop).
+/// Counts all valid products (up to `max_products`). Enumeration is
+/// smt::Solver::enumerate inside a scope of its own, so the solver keeps no
+/// trace of it but learned clauses.
 uint64_t count_products(const FeatureModel& model, smt::Solver& solver,
                         uint64_t max_products = UINT64_MAX);
 
-/// Enumerates valid products; stop early by returning false.
+/// Enumerates valid products; stop early by returning false. When given,
+/// `*capped` is set iff `max_products` cut the enumeration short with at
+/// least one further valid product left (decided by one extra solver
+/// check, so a model with exactly `max_products` products is not flagged).
+/// Products stream through the callback one at a time — nothing is
+/// materialised, so a 2^20 family costs one Selection of working memory,
+/// not 2^20.
 uint64_t enumerate_products(const FeatureModel& model, smt::Solver& solver,
                             const std::function<bool(const Selection&)>& on_product,
-                            uint64_t max_products = UINT64_MAX);
-
-/// Same enumeration, but reports whether `max_products` cut it short:
-/// `*capped` is set iff the cap was reached with at least one further valid
-/// product left unenumerated (decided by one extra solver check, so a model
-/// with exactly `max_products` products is not flagged). Products stream
-/// through the callback one at a time — nothing is materialised, so a 2^20
-/// family costs one Selection of working memory, not 2^20.
-uint64_t enumerate_products(const FeatureModel& model, smt::Solver& solver,
-                            const std::function<bool(const Selection&)>& on_product,
-                            uint64_t max_products, bool* capped);
+                            uint64_t max_products = UINT64_MAX,
+                            bool* capped = nullptr);
 
 /// Features that can never be selected in any product.
 [[nodiscard]] std::vector<FeatureId> dead_features(const FeatureModel& model,

@@ -118,24 +118,10 @@ Selection Configurator::current_selection() const {
 
 uint64_t Configurator::remaining_products(uint64_t cap) {
   // Count models of (axioms ^ decisions) projected onto the feature vars.
-  auto decisions = decision_assumptions();
-  auto& fa = solver_.formulas();
-  solver_.push();
-  for (logic::Formula d : decisions) solver_.add(d);
-  uint64_t count = 0;
-  while (count < cap) {
-    if (solver_.check() != smt::CheckResult::kSat) break;
-    ++count;
-    std::vector<logic::Formula> block;
-    for (uint32_t i = 0; i < model_->size(); ++i) {
-      bool v = solver_.model_bool(encoding_.variables[i]);
-      block.push_back(v ? fa.mk_not(encoding_.variables[i])
-                        : encoding_.variables[i]);
-    }
-    solver_.add(fa.mk_or(block));
-  }
-  solver_.pop();
-  return count;
+  return solver_
+      .enumerate(encoding_.variables, decision_assumptions(), cap,
+                 [](const std::vector<bool>&) { return true; })
+      .models;
 }
 
 }  // namespace llhsc::feature

@@ -81,40 +81,32 @@ uint64_t enumerate_allocations(
     const std::function<bool(const Allocation&)>& on_allocation,
     uint64_t max_allocations) {
   solver.push();
-  auto& fa = solver.formulas();
   MultiVmEncoding enc = encode_multivm(model, solver, num_vms, exclusive);
-  uint64_t found = 0;
-  while (found < max_allocations) {
-    if (solver.check() != smt::CheckResult::kSat) break;
-    Allocation alloc;
-    alloc.platform_selection.resize(model.size());
-    for (uint32_t i = 0; i < model.size(); ++i) {
-      alloc.platform_selection[i] = solver.model_bool(enc.platform.variables[i]);
-    }
-    for (int k = 0; k < num_vms; ++k) {
-      Selection sel(model.size());
-      for (uint32_t i = 0; i < model.size(); ++i) {
-        sel[i] = solver.model_bool(enc.vms[static_cast<size_t>(k)].variables[i]);
-      }
-      alloc.vm_selections.push_back(std::move(sel));
-    }
-    ++found;
-    bool keep_going = on_allocation(alloc);
-    // Block this VM-assignment combination.
-    std::vector<logic::Formula> diff;
-    for (int k = 0; k < num_vms; ++k) {
-      const Encoding& vm = enc.vms[static_cast<size_t>(k)];
-      for (uint32_t i = 0; i < model.size(); ++i) {
-        diff.push_back(alloc.vm_selections[static_cast<size_t>(k)][i]
-                           ? fa.mk_not(vm.variables[i])
-                           : vm.variables[i]);
-      }
-    }
-    solver.add(fa.mk_or(diff));
-    if (!keep_going) break;
+  // Project onto the VM-assignment combination; the platform selection is
+  // read from the same model.
+  std::vector<logic::Formula> projection;
+  for (const Encoding& vm : enc.vms) {
+    projection.insert(projection.end(), vm.variables.begin(),
+                      vm.variables.end());
   }
+  const smt::Solver::Enumeration e = solver.enumerate(
+      projection, {}, max_allocations, [&](const std::vector<bool>& values) {
+        Allocation alloc;
+        alloc.platform_selection.resize(model.size());
+        for (uint32_t i = 0; i < model.size(); ++i) {
+          alloc.platform_selection[i] =
+              solver.model_bool(enc.platform.variables[i]);
+        }
+        size_t next = 0;
+        for (int k = 0; k < num_vms; ++k) {
+          Selection sel(model.size());
+          for (uint32_t i = 0; i < model.size(); ++i) sel[i] = values[next++];
+          alloc.vm_selections.push_back(std::move(sel));
+        }
+        return on_allocation(alloc);
+      });
   solver.pop();
-  return found;
+  return e.models;
 }
 
 }  // namespace llhsc::feature

@@ -381,42 +381,31 @@ class Engine {
   }
 
   /// All feature-reachable activation patterns of every component, by
-  /// projected all-SAT on the component's activation literals under a
-  /// retirable guard. Returns false (and reports) when a component blows
-  /// the pattern cap.
+  /// projected all-SAT on the component's activation literals. Returns
+  /// false (and reports) when a component blows the pattern cap.
   bool enumerate_patterns() {
     obs::Span span("lift.patterns", "lift");
-    auto& fa = solver_.formulas();
     patterns_.resize(components_.size());
     for (size_t c = 0; c < components_.size(); ++c) {
-      logic::Formula guard =
-          solver_.bool_var("lift!pat!" + std::to_string(c));
-      std::vector<logic::Formula> assume{guard};
-      while (true) {
-        if (solver_.check_assuming(assume) != smt::CheckResult::kSat) break;
-        if (patterns_[c].size() >= opts_.max_patterns) {
-          Finding f;
-          f.kind = FindingKind::kEnumerationCapped;
-          f.subject = "component " + std::to_string(c);
-          f.message = "activation-pattern enumeration exceeded the cap of " +
-                      std::to_string(opts_.max_patterns) +
-                      " patterns; the lifted result is incomplete";
-          result_.findings.push_back({std::move(f), {}, "", false, {}});
-          ok_ = false;
-          break;
-        }
-        std::vector<bool> pattern(components_[c].size());
-        std::vector<logic::Formula> blocking;
-        blocking.reserve(pattern.size());
-        for (size_t k = 0; k < components_[c].size(); ++k) {
-          const logic::Formula a = activation_[components_[c][k]];
-          pattern[k] = solver_.model_bool(a);
-          blocking.push_back(pattern[k] ? fa.mk_not(a) : a);
-        }
-        patterns_[c].push_back(std::move(pattern));
-        solver_.add(fa.mk_implies(guard, fa.mk_or(blocking)));
+      std::vector<logic::Formula> projection;
+      projection.reserve(components_[c].size());
+      for (size_t d : components_[c]) projection.push_back(activation_[d]);
+      const smt::Solver::Enumeration e = solver_.enumerate(
+          projection, {}, opts_.max_patterns,
+          [&](const std::vector<bool>& pattern) {
+            patterns_[c].push_back(pattern);
+            return true;
+          });
+      if (e.capped) {
+        Finding f;
+        f.kind = FindingKind::kEnumerationCapped;
+        f.subject = "component " + std::to_string(c);
+        f.message = "activation-pattern enumeration exceeded the cap of " +
+                    std::to_string(opts_.max_patterns) +
+                    " patterns; the lifted result is incomplete";
+        result_.findings.push_back({std::move(f), {}, "", false, {}});
+        ok_ = false;
       }
-      solver_.retire(guard);
       result_.patterns += patterns_[c].size();
       if (!ok_) return false;
     }
@@ -727,17 +716,17 @@ class Engine {
         d->when.collect_features(support_set);
       }
     }
-    std::vector<std::pair<std::string, logic::Formula>> support;
+    std::vector<std::string> support;
+    std::vector<logic::Formula> projection;
     for (const std::string& f : support_set) {
       if (auto id = model_.find(f)) {
-        support.emplace_back(f, enc_.variables[id->index]);
+        support.push_back(f);
+        projection.push_back(enc_.variables[id->index]);
       }
     }
 
     Expansion e;
-    logic::Formula g =
-        solver_.bool_var("lift!cfg!" + std::to_string(fresh_counter_++));
-    std::vector<logic::Formula> assume{g};
+    std::vector<logic::Formula> assume;
     for (const DeltaLiteral& l : cond) {
       const logic::Formula a = activation_[delta_index(l.delta)];
       assume.push_back(l.positive ? a : fa.mk_not(a));
@@ -746,40 +735,36 @@ class Engine {
       assume.insert(assume.end(), not_fail_.begin(), not_fail_.end());
     }
     std::vector<std::string> classes;
-    const uint64_t cap = std::max<uint64_t>(1, opts_.max_configs);
-    while (true) {
-      if (solver_.check_assuming(assume) != smt::CheckResult::kSat) break;
-      obs::count("lift.allsat_models", "lift", 1);
-      e.reachable = true;
-      if (e.sample.empty()) {
-        for (uint32_t i = 0; i < model_.size(); ++i) {
-          if (solver_.model_bool(enc_.variables[i])) {
-            e.sample.insert(model_.feature(feature::FeatureId{i}).name);
+    const smt::Solver::Enumeration found = solver_.enumerate(
+        projection, assume, std::max<uint64_t>(1, opts_.max_configs),
+        [&](const std::vector<bool>& values) {
+          obs::count("lift.allsat_models", "lift", 1);
+          e.reachable = true;
+          if (e.sample.empty()) {
+            for (uint32_t i = 0; i < model_.size(); ++i) {
+              if (solver_.model_bool(enc_.variables[i])) {
+                e.sample.insert(model_.feature(feature::FeatureId{i}).name);
+              }
+            }
           }
-        }
-      }
-      if (support.empty()) {
-        e.summary = "all configurations";
-        break;
-      }
-      if (classes.size() >= cap) {
-        e.capped = true;
-        break;
-      }
-      std::string cls;
-      std::vector<logic::Formula> blocking;
-      blocking.reserve(support.size());
-      for (const auto& [name, var] : support) {
-        const bool on = solver_.model_bool(var);
-        if (!cls.empty()) cls += " && ";
-        cls += on ? name : "!" + name;
-        blocking.push_back(on ? fa.mk_not(var) : var);
-      }
-      classes.push_back(std::move(cls));
-      obs::count("lift.violating_configs", "lift", 1);
-      solver_.add(fa.mk_implies(g, fa.mk_or(blocking)));
+          if (support.empty()) {
+            e.summary = "all configurations";
+            return false;
+          }
+          std::string cls;
+          for (size_t i = 0; i < support.size(); ++i) {
+            if (!cls.empty()) cls += " && ";
+            cls += values[i] ? support[i] : "!" + support[i];
+          }
+          classes.push_back(std::move(cls));
+          obs::count("lift.violating_configs", "lift", 1);
+          return true;
+        });
+    if (found.capped) {
+      // The model beyond the cap was found but not handed over.
+      obs::count("lift.allsat_models", "lift", 1);
+      e.capped = true;
     }
-    solver_.retire(g);
     if (e.summary.empty()) {
       std::sort(classes.begin(), classes.end());
       for (const std::string& c : classes) {
@@ -827,7 +812,6 @@ class Engine {
   std::vector<size_t> pending_expand_;
   std::vector<size_t> derive_fail_finding_;
   std::map<std::string, Expansion> expansion_memo_;
-  uint64_t fresh_counter_ = 0;
   LiftedResult result_;
   bool ok_ = true;
 };

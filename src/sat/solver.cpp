@@ -321,7 +321,7 @@ void Solver::clause_bump_activity(Clause& c) {
 
 void Solver::clause_decay_activity() { clause_inc_ /= clause_decay_; }
 
-void Solver::simplify(bool retain_learned) {
+void Solver::simplify() {
   if (!ok_) return;
   assert(decision_level() == 0);
   if (decision_level() != 0) return;
@@ -341,16 +341,9 @@ void Solver::simplify(bool retain_learned) {
   for (size_t i = 0; i < clauses_.size(); ++i) {
     Clause& c = clauses_[i];
     if (c.deleted) continue;
-    bool drop = !retain_learned && c.learned;
-    if (!drop) {
-      for (Lit l : c.lits) {
-        if (value(l) == Value::kTrue) {
-          drop = true;  // satisfied at level 0: can never propagate again
-          break;
-        }
-      }
-    }
-    if (drop) {
+    // Satisfied at level 0: the clause can never propagate again.
+    if (std::any_of(c.lits.begin(), c.lits.end(),
+                    [&](Lit l) { return value(l) == Value::kTrue; })) {
       detach_clause(static_cast<ClauseRef>(i));
       if (c.learned && num_learned_ > 0) --num_learned_;
       c.deleted = true;

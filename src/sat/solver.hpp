@@ -102,10 +102,8 @@ class Solver {
   /// After retiring an assumption guard with add_clause(~g), this sweeps
   /// exactly the clauses that depended on the guard being assumable —
   /// guard-independent learned clauses survive and keep pruning later
-  /// solve() calls. With retain_learned=false the entire learned-clause
-  /// database is dropped instead (the pre-retention behaviour, kept for
-  /// A/B benchmarking). Must be called at decision level 0.
-  void simplify(bool retain_learned = true);
+  /// solve() calls. Must be called at decision level 0.
+  void simplify();
 
   /// Bounds subsequent solve() calls: when the deadline expires mid-search,
   /// solve returns kUnknown instead of running on. A default-constructed

@@ -1,9 +1,8 @@
 // Builtin backend: Tseitin-encodes formulas onto the in-tree CDCL solver.
-// push/pop is implemented with activation literals: assertions inside scope
-// level k are guarded by that level's activation variable, which is assumed
-// during check() and permanently falsified on pop().
-#include <cassert>
-#include <cstdlib>
+// Scopes reach it already lowered by smt::Solver: a guarded assertion is one
+// more formula, the open guards are ordinary assumptions, and a closed
+// scope is the unit !g followed by simplify(), which deletes every clause
+// the unit satisfies.
 #include <vector>
 
 #include "logic/cnf.hpp"
@@ -20,31 +19,9 @@ class BuiltinBackend final : public SolverBackend {
   BuiltinBackend(logic::FormulaArena& formulas, logic::BvArena& bitvectors)
       : formulas_(&formulas),
         bitvectors_(&bitvectors),
-        encoder_(formulas, sat_, &bitvectors),
-        // A/B escape hatch for benchmarking: with LLHSC_NO_CLAUSE_RETENTION
-        // set, simplify() drops every learned clause (the pre-retention
-        // behaviour) instead of keeping the guard-independent ones.
-        retain_learned_(std::getenv("LLHSC_NO_CLAUSE_RETENTION") == nullptr) {}
+        encoder_(formulas, sat_, &bitvectors) {}
 
-  void add(logic::Formula f) override {
-    if (scopes_.empty()) {
-      encoder_.assert_formula(f);
-    } else {
-      sat::Lit act = scopes_.back();
-      sat_.add_clause(~act, encoder_.encode(f));
-    }
-  }
-
-  void push() override {
-    scopes_.push_back(sat::Lit::positive(sat_.new_var()));
-  }
-
-  void pop() override {
-    assert(!scopes_.empty());
-    if (scopes_.empty()) return;       // unbalanced pop: keep the store sound
-    sat_.add_clause(~scopes_.back());  // retire this scope's assertions
-    scopes_.pop_back();
-  }
+  void add(logic::Formula f) override { encoder_.assert_formula(f); }
 
   void set_deadline(const support::Deadline& deadline) override {
     sat_.set_deadline(deadline);
@@ -56,11 +33,11 @@ class BuiltinBackend final : public SolverBackend {
     for (logic::Formula f : assumptions) (void)encoder_.encode(f);
   }
 
-  void simplify() override { sat_.simplify(retain_learned_); }
+  void simplify() override { sat_.simplify(); }
 
   CheckResult check(std::span<const logic::Formula> assumptions) override {
-    std::vector<sat::Lit> assume(scopes_.begin(), scopes_.end());
-    assume.reserve(scopes_.size() + assumptions.size());
+    std::vector<sat::Lit> assume;
+    assume.reserve(assumptions.size());
     assumption_map_.clear();
     for (logic::Formula f : assumptions) {
       sat::Lit l = encoder_.encode(f);
@@ -69,9 +46,7 @@ class BuiltinBackend final : public SolverBackend {
     }
     const uint64_t conflicts_before = sat_.stats().conflicts;
     const sat::SolveResult r = sat_.solve(assume);
-    // Conflict accounting per check: how hard the CDCL search worked. The
-    // retention pipeline tests assert this drops when learned clauses
-    // survive guard retirement.
+    // Conflict accounting per check: how hard the CDCL search worked.
     obs::count("solver.conflicts", "solver",
                static_cast<int64_t>(sat_.stats().conflicts - conflicts_before));
     switch (r) {
@@ -83,9 +58,7 @@ class BuiltinBackend final : public SolverBackend {
   }
 
   std::vector<logic::Formula> unsat_core() override {
-    // Map the SAT-level core literals back to the user's assumption
-    // formulas; scope activation literals are implementation detail and
-    // excluded.
+    // Map the SAT-level core literals back to the assumption formulas.
     std::vector<logic::Formula> core;
     for (sat::Lit l : sat_.unsat_core()) {
       for (const auto& [lit, formula] : assumption_map_) {
@@ -124,9 +97,7 @@ class BuiltinBackend final : public SolverBackend {
   logic::BvArena* bitvectors_;
   sat::Solver sat_;
   logic::CnfEncoder encoder_;
-  std::vector<sat::Lit> scopes_;
   std::vector<std::pair<sat::Lit, logic::Formula>> assumption_map_;
-  bool retain_learned_;
 };
 
 }  // namespace

@@ -16,7 +16,6 @@
 // backend-independent by construction and findings are byte-identical
 // because witness terms are pinned at query construction.
 #include <atomic>
-#include <cassert>
 #include <thread>
 
 #include "obs/obs.hpp"
@@ -42,16 +41,6 @@ class PortfolioBackend final : public SolverBackend {
   void add(logic::Formula f) override {
     builtin_->add(f);
     z3_->add(f);
-  }
-
-  void push() override {
-    builtin_->push();
-    z3_->push();
-  }
-
-  void pop() override {
-    builtin_->pop();
-    z3_->pop();
   }
 
   void set_deadline(const support::Deadline& deadline) override {

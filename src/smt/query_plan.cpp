@@ -51,23 +51,19 @@ QueryPlanner::Outcome QueryPlanner::check(std::span<const logic::Formula> fs,
     }
   }
 
+  // One scope per query: shared structure stays encoded once, and closing
+  // the scope keeps the guard-independent learned clauses for later
+  // queries on the shared instance while no closed query constrains them.
   Outcome outcome;
-  logic::FormulaArena& fa = solver_->formulas();
-  const logic::Formula guard =
-      solver_->bool_var("qp.g" + std::to_string(guard_counter_++));
-  for (logic::Formula f : fs) {
-    solver_->add(fa.mk_implies(guard, f));
-  }
-  outcome.result = solver_->check_assuming(std::span(&guard, 1));
+  solver_->push();
+  for (logic::Formula f : fs) solver_->add(f);
+  outcome.result = solver_->check();
   ++stats_.queries_issued;
   obs::count("planner.queries_issued", "planner", 1);
   if (outcome.result == CheckResult::kSat && witness_term.valid()) {
     outcome.witness = solver_->model_bv(witness_term);
   }
-  // Retire the guard: the implications become vacuous and the backend sweeps
-  // any learned clauses that depended on the guard, while keeping the
-  // guard-independent ones to prune later queries on the shared instance.
-  solver_->retire(guard);
+  solver_->pop();
 
   if (cache_enabled() && outcome.result != CheckResult::kUnknown) {
     cache_->store(key, {outcome.result, outcome.witness});

@@ -26,11 +26,10 @@
 //                 outcome including kUnknown;
 //        qc1    — the persistent QueryCache, when a cache directory is
 //                 configured (never stores kUnknown);
-//        solver — the query's formulas are guarded by a fresh assumption
-//                 literal (g => f_i), decided with check_assuming({g}),
-//                 and retired with add(!g): shared structure stays
-//                 asserted and encoded once, and no retired query
-//                 constrains a later one.
+//        solver — the query's formulas are added in a scope of their
+//                 own (Solver::push, add f_i, check, pop): shared
+//                 structure stays asserted and encoded once, and no
+//                 closed query constrains a later one.
 //      A structurally identical query — same shape and constants, any
 //      variable names — is therefore decided at most once per planner and,
 //      with a warm cache, not at all.
@@ -38,7 +37,7 @@
 // Soundness of the division of labour: the planner never changes a
 // query's verdict — pruning is the callers' responsibility (and covered by
 // the planned-vs-exhaustive property tests), batching is equisatisfiable by
-// construction (guards are fresh and never reused), and memo and cache
+// construction (scope guards are fresh and never reused), and memo and cache
 // entries store the witness, so findings are byte-identical across cold,
 // batched, and warm-cache runs.
 #pragma once
@@ -85,8 +84,8 @@ class QueryPlanner {
   QueryPlanner(Solver& solver, const std::string& cache_dir);
 
   /// Decides the conjunction of `fs` as one batched query. The formulas
-  /// must be self-contained: the planner asserts them only under a fresh
-  /// guard, so nothing added directly to the solver by the caller may be
+  /// must be self-contained: the planner asserts them only inside a scope
+  /// of their own, so nothing added directly to the solver by the caller may be
   /// required for the verdict to be cache-portable.
   Outcome check(std::span<const logic::Formula> fs,
                 logic::BvTerm witness_term = {});
@@ -107,7 +106,6 @@ class QueryPlanner {
   /// Every outcome this planner decided, by canonical query text.
   std::unordered_map<std::string, Outcome> memo_;
   QueryPlanStats stats_;
-  uint64_t guard_counter_ = 0;
 };
 
 }  // namespace llhsc::smt

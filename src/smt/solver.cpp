@@ -1,5 +1,8 @@
 #include "smt/solver.hpp"
 
+#include <algorithm>
+#include <cassert>
+
 #include "obs/obs.hpp"
 
 namespace llhsc::smt {
@@ -65,11 +68,19 @@ logic::BvTerm Solver::bv_var(const std::string& name, uint32_t width) {
   return bitvectors_.bv_var(name, width);
 }
 
-void Solver::add(logic::Formula f) { backend_->add(f); }
-void Solver::push() { backend_->push(); }
-void Solver::pop() { backend_->pop(); }
+void Solver::add(logic::Formula f) {
+  backend_->add(guards_.empty() ? f : formulas_.mk_implies(guards_.back(), f));
+}
 
-void Solver::retire(logic::Formula guard) {
+void Solver::push() { guards_.push_back(bool_var("scope")); }
+
+void Solver::pop() {
+  assert(!guards_.empty());
+  if (guards_.empty()) return;  // unbalanced pop: keep the store sound
+  const logic::Formula guard = guards_.back();
+  guards_.pop_back();
+  // The guard is never assumed again, so !g holds at the top level: the
+  // scope's assertions go vacuous and the backend sweeps what they left.
   backend_->add(formulas_.mk_not(guard));
   backend_->simplify();
 }
@@ -82,6 +93,13 @@ void Solver::set_deadline(const support::Deadline& deadline) {
 CheckResult Solver::check() { return check_assuming({}); }
 
 CheckResult Solver::check_assuming(std::span<const logic::Formula> assumptions) {
+  std::vector<logic::Formula> scoped;
+  if (!guards_.empty()) {
+    scoped.reserve(guards_.size() + assumptions.size());
+    scoped.assign(guards_.begin(), guards_.end());
+    scoped.insert(scoped.end(), assumptions.begin(), assumptions.end());
+    assumptions = scoped;
+  }
   obs::Span span("solver.check", "solver");
   ++stats_.checks;
   CheckResult r = backend_->check(assumptions);
@@ -109,29 +127,39 @@ bool Solver::model_bool(logic::Formula var_formula) {
 uint64_t Solver::model_bv(logic::BvTerm t) { return backend_->model_bv(t); }
 
 std::vector<logic::Formula> Solver::unsat_core() {
-  return backend_->unsat_core();
+  std::vector<logic::Formula> core = backend_->unsat_core();
+  std::erase_if(core, [&](logic::Formula f) {
+    return std::find(guards_.begin(), guards_.end(), f) != guards_.end();
+  });
+  return core;
 }
 
-std::vector<logic::Formula> Solver::minimal_core(
-    std::span<const logic::Formula> assumptions) {
-  std::vector<logic::Formula> work(assumptions.begin(), assumptions.end());
-  if (check_assuming(work) != CheckResult::kUnsat) return {};
-  // Start from the backend's core (already a subset), then delete-test.
-  std::vector<logic::Formula> core = unsat_core();
-  if (core.empty()) core = work;
-  for (size_t i = 0; i < core.size();) {
-    std::vector<logic::Formula> candidate;
-    candidate.reserve(core.size() - 1);
-    for (size_t j = 0; j < core.size(); ++j) {
-      if (j != i) candidate.push_back(core[j]);
+Solver::Enumeration Solver::enumerate(
+    std::span<const logic::Formula> projection,
+    std::span<const logic::Formula> assumptions, uint64_t cap,
+    const ModelCallback& on_model) {
+  Enumeration e;
+  push();
+  std::vector<bool> values(projection.size());
+  std::vector<logic::Formula> blocking;
+  blocking.reserve(projection.size());
+  while (check_assuming(assumptions) == CheckResult::kSat) {
+    if (e.models == cap) {
+      e.capped = true;
+      break;
     }
-    if (check_assuming(candidate) == CheckResult::kUnsat) {
-      core = std::move(candidate);  // element i was redundant
-    } else {
-      ++i;  // element i is necessary
+    blocking.clear();
+    for (size_t i = 0; i < projection.size(); ++i) {
+      values[i] = model_bool(projection[i]);
+      blocking.push_back(values[i] ? formulas_.mk_not(projection[i])
+                                   : projection[i]);
     }
+    ++e.models;
+    if (!on_model(values)) break;
+    add(formulas_.mk_or(blocking));
   }
-  return core;
+  pop();
+  return e;
 }
 
 std::vector<Backend> all_backends() {

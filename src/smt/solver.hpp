@@ -14,9 +14,18 @@
 //
 // The checkers never talk to a backend directly; differential tests assert
 // both backends agree on every checker verdict.
+//
+// Scopes live here, once, for every backend: push() makes a fresh guard
+// variable g, add(f) inside the scope asserts g => f, every check assumes
+// the open guards (outer to inner) ahead of the caller's assumptions, and
+// pop() closes the scope for good by asserting !g at the top level and
+// letting the backend simplify. The query planner, the lift engine and the
+// feature analyses all scope their queries this way, and enumerate() is the
+// one projected all-SAT loop, built on it.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -54,8 +63,6 @@ class SolverBackend {
  public:
   virtual ~SolverBackend() = default;
   virtual void add(logic::Formula f) = 0;
-  virtual void push() = 0;
-  virtual void pop() = 0;
   /// Bounds subsequent check() calls; an expired deadline yields kUnknown
   /// (builtin: polled in the CDCL search loop; z3: mapped to the solver's
   /// timeout parameter). A default Deadline removes the limit.
@@ -75,12 +82,12 @@ class SolverBackend {
   /// After a kUnsat check with assumptions: the subset of those assumptions
   /// that conflicts with the asserted formulas (not necessarily minimal).
   [[nodiscard]] virtual std::vector<logic::Formula> unsat_core() = 0;
-  /// Housekeeping hook called after a guard literal is retired (asserted
-  /// false at the top level): backends drop state the retired guard poisons
-  /// while *retaining* everything independent of it. The builtin backend
-  /// maps this to sat::Solver::simplify(), which sweeps learned clauses
-  /// satisfied at level 0 out of the watch lists; Z3 manages its own learnt
-  /// store, so the default is a no-op.
+  /// Housekeeping hook called by Solver::pop() after it asserts a closed
+  /// scope's guard false at the top level: backends drop state that depends
+  /// on the dead guard while *keeping* everything independent of it.
+  /// The builtin backend maps this to sat::Solver::simplify(), which sweeps
+  /// every clause satisfied at level 0 out of the watch lists; Z3 manages
+  /// its own learnt store, so the default is a no-op.
   virtual void simplify() {}
   /// Asynchronously aborts an in-flight check() from another thread; the
   /// interrupted check returns kUnknown. Default no-op (the builtin backend
@@ -94,6 +101,16 @@ class SolverBackend {
 /// solver instance" extensibility claim (§VI).
 class Solver {
  public:
+  /// What enumerate() saw: the models it handed to the callback, and
+  /// whether a further model exists beyond the cap.
+  struct Enumeration {
+    uint64_t models = 0;
+    bool capped = false;
+  };
+  /// Receives one model's values of the projection, in projection order;
+  /// the full model stays readable meanwhile. Returns false to stop.
+  using ModelCallback = std::function<bool(const std::vector<bool>&)>;
+
   explicit Solver(Backend backend = Backend::kBuiltin);
   ~Solver();
   Solver(const Solver&) = delete;
@@ -107,18 +124,29 @@ class Solver {
   logic::Formula bool_var(const std::string& name);
   logic::BvTerm bv_var(const std::string& name, uint32_t width);
 
+  /// Asserts `f`; inside a scope, as innermost guard => f.
   void add(logic::Formula f);
+  /// Opens a scope guarded by a fresh variable.
   void push();
+  /// Closes the innermost scope for good: asserts !guard at the top level
+  /// and lets the backend sweep what depended on it, keeping the
+  /// guard-independent learned clauses for later checks.
   void pop();
-  /// Retires an assumption guard: asserts !guard and lets the backend sweep
-  /// guard-dependent learned clauses while keeping the guard-independent
-  /// ones for later check_assuming() calls (learned-clause retention).
-  void retire(logic::Formula guard);
   /// Wall-clock budget for each subsequent check; expired checks return
   /// kUnknown instead of blocking. Reset with a default Deadline.
   void set_deadline(const support::Deadline& deadline);
   CheckResult check();
   CheckResult check_assuming(std::span<const logic::Formula> assumptions);
+
+  /// Projected all-SAT under `assumptions`, in a scope of its own: after
+  /// each model it calls `on_model` with the values of `projection` (Boolean
+  /// variable formulas), then blocks that assignment with one clause
+  /// OR(v ? !x : x). At most `cap` models reach the callback; `capped` is
+  /// set only when one more exists. Issues models + 1 checks unless the
+  /// callback stops the loop.
+  Enumeration enumerate(std::span<const logic::Formula> projection,
+                        std::span<const logic::Formula> assumptions,
+                        uint64_t cap, const ModelCallback& on_model);
 
   /// Model access after kSat.
   [[nodiscard]] bool model_bool(logic::BoolVar v);
@@ -126,15 +154,9 @@ class Solver {
   [[nodiscard]] uint64_t model_bv(logic::BvTerm t);
 
   /// After a kUnsat check_assuming: the conflicting subset of the
-  /// assumptions (an unsat core; not necessarily minimal).
+  /// assumptions (an unsat core; not necessarily minimal). Scope guards
+  /// are never part of it.
   [[nodiscard]] std::vector<logic::Formula> unsat_core();
-
-  /// Deletion-minimises a conflicting assumption set: repeatedly drops one
-  /// element and re-checks, keeping the set unsat. Returns a *minimal* core
-  /// (every element necessary), at the cost of O(|core|) solver calls.
-  /// Returns empty when `assumptions` is actually satisfiable.
-  [[nodiscard]] std::vector<logic::Formula> minimal_core(
-      std::span<const logic::Formula> assumptions);
 
   [[nodiscard]] const SolverStats& stats() const { return stats_; }
 
@@ -146,6 +168,8 @@ class Solver {
   SolverStats stats_;
   /// Mirror of the backend's budget, so per-query spans can report it.
   support::Deadline deadline_;
+  /// Guards of the open scopes, outer to inner.
+  std::vector<logic::Formula> guards_;
 };
 
 /// Factory used by tests/benches to sweep both backends.

@@ -21,9 +21,6 @@ class Z3Backend final : public SolverBackend {
 
   void add(logic::Formula f) override { solver_.add(translate(f)); }
 
-  void push() override { solver_.push(); }
-  void pop() override { solver_.pop(); }
-
   void set_deadline(const support::Deadline& deadline) override {
     deadline_ = deadline;
   }
@@ -38,7 +35,7 @@ class Z3Backend final : public SolverBackend {
     // Solver-scoped interrupt, not ctx_.interrupt(): the context-level flag
     // is only consumed by an *in-flight* interruptible procedure, so an
     // interrupt landing just after check() returns would poison the context
-    // and make the next push()/add() throw "canceled". Z3_solver_interrupt
+    // and make the next add() throw "canceled". Z3_solver_interrupt
     // targets the running check and is a no-op between checks.
     Z3_solver_interrupt(ctx_, solver_);
   }

@@ -471,45 +471,6 @@ TEST(SatSolverRetention, SimplifySweepsGuardDependentLearnedClauses) {
   EXPECT_EQ(s.solve(), SolveResult::kSat);
 }
 
-TEST(SatSolverRetention, SimplifyWithoutRetentionDropsAllLearned) {
-  Solver s;
-  std::vector<Var> vars;
-  add_hard_sat_instance(s, vars);
-  ASSERT_EQ(s.solve(), SolveResult::kSat);
-  ASSERT_GT(s.stats().conflicts, 0u);
-
-  s.simplify(/*retain_learned=*/false);
-  EXPECT_EQ(s.stats().retained_learned, 0u);
-  // Correctness is unaffected either way — learned clauses are consequences.
-  EXPECT_EQ(s.solve(), SolveResult::kSat);
-}
-
-TEST(SatSolverRetention, RetainedClausesReduceLaterSearchWork) {
-  // Two identical solvers diverge only in simplify(retain): the retaining
-  // one re-solves the (restarted) instance with at most as many conflicts.
-  auto run = [](bool retain) {
-    Solver s;
-    std::vector<Var> vars;
-    add_hard_sat_instance(s, vars);
-    // Force real search on the re-solve: assume the complement of the first
-    // model's polarity on a few variables so saved phases do not trivialise
-    // the second run.
-    EXPECT_EQ(s.solve(), SolveResult::kSat);
-    s.simplify(retain);
-    std::vector<Lit> flip;
-    for (int i = 0; i < 6; ++i) {
-      flip.push_back(Lit(vars[i], s.model_bool(vars[i])));
-    }
-    const uint64_t before = s.stats().conflicts;
-    (void)s.solve(flip);
-    return s.stats().conflicts - before;
-  };
-  const uint64_t with_retention = run(true);
-  const uint64_t without_retention = run(false);
-  EXPECT_LE(with_retention, without_retention)
-      << "retained learned clauses must not increase search work";
-}
-
 // ---- Cancellation through the deadline token ----
 
 TEST(SatSolver, CancelTokenStopsSearchFromAnotherThread) {

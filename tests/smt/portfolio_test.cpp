@@ -138,8 +138,8 @@ TEST(PortfolioBackendTest, UnsatCoreComesFromTheWinner) {
 }
 
 TEST(PortfolioBackendTest, GuardRetirementStreamMatchesBuiltin) {
-  // The query planner's exact call sequence — guarded batch, check_assuming,
-  // retire, next batch — replayed on builtin and portfolio side by side.
+  // The query planner's exact call sequence — push, add the batch, check,
+  // pop, next batch — replayed on builtin and portfolio side by side.
   auto run = [](Backend backend) {
     Solver s(backend);
     QueryPlanner planner(s, "");

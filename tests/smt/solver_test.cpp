@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <random>
+#include <set>
 
 namespace llhsc::smt {
 namespace {
@@ -234,86 +236,213 @@ TEST_P(DifferentialTest, BackendsAgree) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,
                          ::testing::Range(1u, 21u));
 
-TEST_P(SmtBackendTest, MinimalCoreIsMinimal) {
-  Solver s(GetParam());
-  auto& fa = s.formulas();
-  logic::Formula a = s.bool_var("a");
-  logic::Formula b = s.bool_var("b");
-  logic::Formula c = s.bool_var("c");
-  logic::Formula d = s.bool_var("d");
-  s.add(fa.mk_implies(a, fa.mk_not(b)));  // a ^ b conflict
-  std::vector<logic::Formula> assumptions{a, b, c, d};
-  std::vector<logic::Formula> core = s.minimal_core(assumptions);
-  ASSERT_EQ(core.size(), 2u) << "only {a, b} is necessary";
-  bool has_a = false, has_b = false;
-  for (logic::Formula f : core) {
-    has_a = has_a || f == a;
-    has_b = has_b || f == b;
-  }
-  EXPECT_TRUE(has_a && has_b);
-  // Minimality: every strict subset is satisfiable.
-  for (size_t drop = 0; drop < core.size(); ++drop) {
-    std::vector<logic::Formula> sub;
-    for (size_t j = 0; j < core.size(); ++j) {
-      if (j != drop) sub.push_back(core[j]);
-    }
-    EXPECT_EQ(s.check_assuming(sub), CheckResult::kSat);
-  }
+// -- brute-force oracle for the scope and enumeration properties --
+
+// A literal over a handful of test variables, and a clause of them.
+struct TestLit {
+  int var;
+  bool positive;
+};
+using TestClause = std::vector<TestLit>;
+
+bool satisfies(const std::vector<TestClause>& clauses, uint32_t assignment) {
+  return std::all_of(clauses.begin(), clauses.end(), [&](const TestClause& c) {
+    return std::any_of(c.begin(), c.end(), [&](TestLit l) {
+      return (((assignment >> l.var) & 1u) != 0) == l.positive;
+    });
+  });
 }
 
-TEST_P(SmtBackendTest, MinimalCoreOfSatIsEmpty) {
-  Solver s(GetParam());
-  logic::Formula a = s.bool_var("a");
-  std::vector<logic::Formula> assumptions{a};
-  EXPECT_TRUE(s.minimal_core(assumptions).empty());
+bool satisfiable(const std::vector<TestClause>& clauses, int num_vars) {
+  for (uint32_t m = 0; m < (1u << num_vars); ++m) {
+    if (satisfies(clauses, m)) return true;
+  }
+  return false;
 }
 
-// Push/pop stress: random interleavings of scoped assertions and checks must
-// produce identical verdict sequences on both backends.
+logic::Formula literal(Solver& s, const std::vector<logic::Formula>& vars,
+                       TestLit l) {
+  return l.positive ? vars[l.var] : s.formulas().mk_not(vars[l.var]);
+}
+
+logic::Formula clause_formula(Solver& s,
+                              const std::vector<logic::Formula>& vars,
+                              const TestClause& c) {
+  std::vector<logic::Formula> lits;
+  for (TestLit l : c) lits.push_back(literal(s, vars, l));
+  return s.formulas().mk_or(lits);
+}
+
+uint32_t model_of(Solver& s, const std::vector<logic::Formula>& vars) {
+  uint32_t m = 0;
+  for (size_t i = 0; i < vars.size(); ++i) {
+    if (s.model_bool(vars[i])) m |= 1u << i;
+  }
+  return m;
+}
+
+// Random interleavings of push, pop, scoped assertions and checks under
+// random assumptions, on every backend. Each verdict must match a brute-force
+// oracle over the assertions still in force; each model must satisfy them;
+// each unsat core must be a subset of the caller's assumptions (so never a
+// scope guard) and be unsat again when re-checked.
 class ScopeStressTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(ScopeStressTest, BackendsAgreeUnderRandomScoping) {
-  auto run = [](Backend backend, uint32_t seed) {
-    std::mt19937 rng(seed);
+  constexpr int kVars = 6;
+  for (Backend backend : all_backends()) {
+    SCOPED_TRACE(std::string(to_string(backend)));
+    std::mt19937 rng(GetParam());
     Solver s(backend);
-    auto& fa = s.formulas();
     std::vector<logic::Formula> vars;
-    for (int i = 0; i < 6; ++i) {
+    for (int i = 0; i < kVars; ++i) {
       vars.push_back(s.bool_var("v" + std::to_string(i)));
     }
-    std::uniform_int_distribution<int> op(0, 9);
-    std::uniform_int_distribution<size_t> pick(0, vars.size() - 1);
+    std::uniform_int_distribution<int> op(0, 11);
+    std::uniform_int_distribution<int> pick(0, kVars - 1);
     std::uniform_int_distribution<int> coin(0, 1);
-    int depth = 0;
-    std::vector<CheckResult> verdicts;
-    for (int step = 0; step < 60; ++step) {
-      int o = op(rng);
+    std::uniform_int_distribution<int> num_assumptions(0, 3);
+    auto random_lit = [&] { return TestLit{pick(rng), coin(rng) == 1}; };
+    // scopes[0] is the top level; scopes[k] holds what scope k asserted.
+    std::vector<std::vector<TestClause>> scopes(1);
+    auto check = [&](int step) {
+      std::vector<TestClause> in_force;
+      for (const auto& level : scopes) {
+        in_force.insert(in_force.end(), level.begin(), level.end());
+      }
+      std::vector<logic::Formula> assume;
+      for (int n = num_assumptions(rng); n > 0; --n) {
+        const TestLit l = random_lit();
+        assume.push_back(literal(s, vars, l));
+        in_force.push_back({l});
+      }
+      const CheckResult want = satisfiable(in_force, kVars)
+                                   ? CheckResult::kSat
+                                   : CheckResult::kUnsat;
+      ASSERT_EQ(s.check_assuming(assume), want) << "step " << step;
+      if (want == CheckResult::kSat) {
+        EXPECT_TRUE(satisfies(in_force, model_of(s, vars))) << "step " << step;
+        return;
+      }
+      const std::vector<logic::Formula> core = s.unsat_core();
+      for (logic::Formula f : core) {
+        EXPECT_NE(std::find(assume.begin(), assume.end(), f), assume.end())
+            << "step " << step << ": core element is not an assumption";
+      }
+      EXPECT_EQ(s.check_assuming(core), CheckResult::kUnsat)
+          << "step " << step << ": the core alone must stay unsat";
+    };
+    for (int step = 0; step < 80; ++step) {
+      const int o = op(rng);
       if (o < 3) {
         s.push();
-        ++depth;
-      } else if (o < 5 && depth > 0) {
+        scopes.emplace_back();
+      } else if (o < 5 && scopes.size() > 1) {
         s.pop();
-        --depth;
+        scopes.pop_back();
       } else if (o < 8) {
-        // Random binary clause (possibly negated literals).
-        logic::Formula a = vars[pick(rng)];
-        logic::Formula b = vars[pick(rng)];
-        if (coin(rng)) a = fa.mk_not(a);
-        if (coin(rng)) b = fa.mk_not(b);
-        s.add(fa.mk_or(a, b));
+        const TestClause c{random_lit(), random_lit()};
+        s.add(clause_formula(s, vars, c));
+        scopes.back().push_back(c);
       } else {
-        verdicts.push_back(s.check());
+        check(step);
       }
     }
-    while (depth-- > 0) s.pop();
-    verdicts.push_back(s.check());
-    return verdicts;
-  };
-  uint32_t seed = GetParam();
-  EXPECT_EQ(run(Backend::kBuiltin, seed), run(Backend::kZ3, seed));
+    while (scopes.size() > 1) {
+      s.pop();
+      scopes.pop_back();
+    }
+    check(80);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScopeStressTest, ::testing::Range(1u, 41u));
+
+// Solver::enumerate against brute force on random instances, every backend:
+// the projected model set, `capped` exactly when one more model exists,
+// models + 1 checks unless the callback stopped the loop, the full model
+// readable inside the callback, and no blocking clause left behind.
+class EnumerateTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(EnumerateTest, MatchesBruteForce) {
+  constexpr int kVars = 6;
+  for (Backend backend : all_backends()) {
+    SCOPED_TRACE(std::string(to_string(backend)));
+    std::mt19937 rng(GetParam());
+    Solver s(backend);
+    std::vector<logic::Formula> vars;
+    for (int i = 0; i < kVars; ++i) {
+      vars.push_back(s.bool_var("v" + std::to_string(i)));
+    }
+    std::uniform_int_distribution<int> pick(0, kVars - 1);
+    std::uniform_int_distribution<int> coin(0, 1);
+    auto random_lit = [&] { return TestLit{pick(rng), coin(rng) == 1}; };
+
+    std::vector<TestClause> clauses;
+    for (int n = std::uniform_int_distribution<int>(0, 8)(rng); n > 0; --n) {
+      clauses.push_back({random_lit(), random_lit(), random_lit()});
+      s.add(clause_formula(s, vars, clauses.back()));
+    }
+    std::vector<logic::Formula> assume;
+    for (int n = std::uniform_int_distribution<int>(0, 2)(rng); n > 0; --n) {
+      const TestLit l = random_lit();
+      assume.push_back(literal(s, vars, l));
+      clauses.push_back({l});
+    }
+    std::vector<int> order{0, 1, 2, 3, 4, 5};
+    std::shuffle(order.begin(), order.end(), rng);
+    order.resize(std::uniform_int_distribution<size_t>(0, 4)(rng));
+    std::vector<logic::Formula> projection;
+    for (int v : order) projection.push_back(vars[v]);
+    const uint64_t caps[] = {0, 1, 2, 3, 5, 64, UINT64_MAX};
+    const uint64_t cap = caps[std::uniform_int_distribution<size_t>(0, 6)(rng)];
+    // 0: never stop; otherwise the callback stops after that many models.
+    const uint64_t stop_after = std::uniform_int_distribution<uint64_t>(0, 4)(rng);
+
+    std::set<std::vector<bool>> expected;
+    for (uint32_t m = 0; m < (1u << kVars); ++m) {
+      if (!satisfies(clauses, m)) continue;
+      std::vector<bool> key;
+      for (int v : order) key.push_back(((m >> v) & 1u) != 0);
+      expected.insert(key);
+    }
+
+    std::set<std::vector<bool>> seen;
+    uint64_t calls = 0;
+    const uint64_t checks_before = s.stats().checks;
+    const Solver::Enumeration e = s.enumerate(
+        projection, assume, cap, [&](const std::vector<bool>& values) {
+          ++calls;
+          EXPECT_TRUE(seen.insert(values).second) << "model repeated";
+          EXPECT_TRUE(expected.count(values)) << "not a projected model";
+          const uint32_t m = model_of(s, vars);
+          EXPECT_TRUE(satisfies(clauses, m));
+          for (size_t k = 0; k < order.size(); ++k) {
+            EXPECT_EQ(((m >> order[k]) & 1u) != 0, values[k]);
+          }
+          return stop_after == 0 || calls < stop_after;
+        });
+    const uint64_t checks = s.stats().checks - checks_before;
+
+    EXPECT_EQ(e.models, calls);
+    if (stop_after != 0 && calls == stop_after) {
+      EXPECT_EQ(checks, e.models);
+      EXPECT_FALSE(e.capped);
+    } else {
+      EXPECT_EQ(checks, e.models + 1);
+      EXPECT_EQ(e.models, std::min<uint64_t>(expected.size(), cap));
+      EXPECT_EQ(e.capped, expected.size() > cap);
+      if (!e.capped) {
+        EXPECT_EQ(seen, expected);
+      }
+    }
+    // The enumeration's scope is closed: its blocking clauses bind nothing.
+    EXPECT_EQ(s.check_assuming(assume),
+              expected.empty() ? CheckResult::kUnsat : CheckResult::kSat);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EnumerateTest, ::testing::Range(1u, 31u));
 
 // Regression: a base-level unsat verdict must survive repeated checks. The
 // builtin backend's CDCL core used to consume its level-0 trail on the way
