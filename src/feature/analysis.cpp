@@ -118,6 +118,15 @@ uint64_t count_products(const FeatureModel& model, smt::Solver& solver,
       model, solver, [](const Selection&) { return true; }, max_products);
 }
 
+std::string product_count_text(const FeatureModel& model,
+                               smt::Solver& solver, uint64_t cap) {
+  bool capped = false;
+  const uint64_t n = enumerate_products(
+      model, solver, [](const Selection&) { return true; }, cap, &capped);
+  return capped ? "at least " + std::to_string(n) + " (capped)"
+                : std::to_string(n);
+}
+
 std::vector<FeatureId> dead_features(const FeatureModel& model,
                                      smt::Solver& solver) {
   solver.push();

@@ -62,6 +62,12 @@ uint64_t enumerate_products(const FeatureModel& model, smt::Solver& solver,
                             uint64_t max_products = UINT64_MAX,
                             bool* capped = nullptr);
 
+/// The product count as `llhsc analyze` prints it: exact ("12"), or marked
+/// as a lower bound ("at least 1048576 (capped)") when more than `cap`
+/// valid products exist.
+[[nodiscard]] std::string product_count_text(const FeatureModel& model,
+                                             smt::Solver& solver, uint64_t cap);
+
 /// Features that can never be selected in any product.
 [[nodiscard]] std::vector<FeatureId> dead_features(const FeatureModel& model,
                                                    smt::Solver& solver);

@@ -38,6 +38,8 @@
 #include <set>
 #include <span>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -777,19 +779,28 @@ class Engine {
     return e;
   }
 
+  /// Orders findings by (kind, subject, other subject, message, rendered
+  /// condition), stably. Each key is built once; the views point into the
+  /// findings, which stay put until the permutation is applied.
   void sort_findings() {
-    std::stable_sort(result_.findings.begin(), result_.findings.end(),
-                     [](const LiftedFinding& x, const LiftedFinding& y) {
-                       const auto kx = std::make_tuple(
-                           static_cast<int>(x.finding.kind), x.finding.subject,
-                           x.finding.other_subject, x.finding.message,
-                           render_condition(x.condition));
-                       const auto ky = std::make_tuple(
-                           static_cast<int>(y.finding.kind), y.finding.subject,
-                           y.finding.other_subject, y.finding.message,
-                           render_condition(y.condition));
-                       return kx < ky;
-                     });
+    using Key = std::tuple<int, std::string_view, std::string_view,
+                           std::string_view, std::string>;
+    std::vector<LiftedFinding>& findings = result_.findings;
+    std::vector<Key> keys;
+    keys.reserve(findings.size());
+    for (const LiftedFinding& f : findings) {
+      keys.emplace_back(static_cast<int>(f.finding.kind), f.finding.subject,
+                        f.finding.other_subject, f.finding.message,
+                        render_condition(f.condition));
+    }
+    std::vector<size_t> order(findings.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](size_t a, size_t b) { return keys[a] < keys[b]; });
+    std::vector<LiftedFinding> sorted;
+    sorted.reserve(findings.size());
+    for (size_t i : order) sorted.push_back(std::move(findings[i]));
+    findings = std::move(sorted);
   }
 
   const delta::ProductLine& line_;

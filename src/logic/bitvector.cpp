@@ -322,12 +322,26 @@ Formula BvArena::blast_atom(const BvAtom& atom_ref) {
     case BvPred::kUlt:
     case BvPred::kUle: {
       // Ripple from LSB: lt_i = (~a_i & b_i) | (a_i<=>b_i) & lt_{i-1}.
-      // For <=, seed the recurrence with true.
-      Formula lt = atom.pred == BvPred::kUle ? fa.make_true() : fa.make_false();
+      // For <=, seed the recurrence with true. Against a constant bit the
+      // step is one gate: b_i = 1 gives ~a_i | lt, b_i = 0 gives ~a_i & lt,
+      // a_i = 1 gives b_i & lt and a_i = 0 gives b_i | lt.
+      const Formula one = fa.make_true(), zero = fa.make_false();
+      Formula lt = atom.pred == BvPred::kUle ? one : zero;
       for (size_t i = 0; i < ba.size(); ++i) {
-        Formula bit_lt = fa.mk_and(fa.mk_not(ba[i]), bb[i]);
-        Formula bit_eq = fa.mk_iff(ba[i], bb[i]);
-        lt = fa.mk_or(bit_lt, fa.mk_and(bit_eq, lt));
+        const Formula a = ba[i], b = bb[i];
+        if (b == one) {
+          lt = fa.mk_or(fa.mk_not(a), lt);
+        } else if (b == zero) {
+          lt = fa.mk_and(fa.mk_not(a), lt);
+        } else if (a == one) {
+          lt = fa.mk_and(b, lt);
+        } else if (a == zero) {
+          lt = fa.mk_or(b, lt);
+        } else {
+          const Formula bit_lt = fa.mk_and(fa.mk_not(a), b);
+          const Formula bit_eq = fa.mk_iff(a, b);
+          lt = fa.mk_or(bit_lt, fa.mk_and(bit_eq, lt));
+        }
       }
       result = lt;
       break;

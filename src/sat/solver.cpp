@@ -1,6 +1,7 @@
 #include "sat/solver.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -9,75 +10,154 @@ namespace llhsc::sat {
 Solver::Solver() = default;
 
 Var Solver::new_var() {
+  if (!free_vars_.empty()) {
+    // free_released_vars() reset the slot; only its heap entry is missing.
+    const Var v = free_vars_.back();
+    free_vars_.pop_back();
+    heap_insert(v);
+    return v;
+  }
   Var v = static_cast<Var>(assigns_.size());
   assigns_.push_back(Value::kUndef);
   var_data_.push_back({});
   polarity_.push_back(false);
   activity_.push_back(0.0);
   seen_.push_back(0);
+  released_.push_back(0);
   heap_index_.push_back(-1);
   watches_.emplace_back();
   watches_.emplace_back();
+  watch_dirty_.push_back(0);
+  watch_dirty_.push_back(0);
   heap_insert(v);
   return v;
 }
 
-bool Solver::add_clause(std::vector<Lit> lits) {
+bool Solver::add_clause(std::span<const Lit> input) {
   if (!ok_) return false;
   assert(decision_level() == 0);
   // Sort, dedup, drop clauses with complementary or satisfied literals.
   // Filters in place; the surviving prefix becomes the clause.
-  std::sort(lits.begin(), lits.end());
+  std::vector<Lit>& clause = add_buffer_;
+  clause.assign(input.begin(), input.end());
+  std::sort(clause.begin(), clause.end());
   size_t keep = 0;
   Lit prev = Lit::from_code(-2);
-  for (size_t i = 0; i < lits.size(); ++i) {
-    const Lit l = lits[i];
+  for (size_t i = 0; i < clause.size(); ++i) {
+    const Lit l = clause[i];
     assert(l.var() >= 0 && l.var() < num_vars());
     if (value(l) == Value::kTrue || l == ~prev) return true;  // tautology/satisfied
     if (value(l) != Value::kFalse && l != prev) {
-      lits[keep++] = l;
+      clause[keep++] = l;
       prev = l;
     }
   }
-  lits.resize(keep);
-  if (lits.empty()) {
+  if (keep == 0) {
     ok_ = false;
     return false;
   }
-  if (lits.size() == 1) {
+  if (keep == 1) {
     // Enqueue and propagate eagerly at level 0 so later add_clause calls see
     // the fixed values.
-    if (!enqueue(lits[0], kNoReason) || propagate() != kNoReason) {
+    if (!enqueue(clause[0], kNoReason) || propagate() != kNoReason) {
       ok_ = false;
       return false;
     }
     return true;
   }
-  ClauseRef cr = static_cast<ClauseRef>(clauses_.size());
-  clauses_.push_back(Clause{std::move(lits), 0.0, false, false});
+  const ClauseRef cr = alloc_clause(std::span<const Lit>(clause.data(), keep), false);
+  ++num_problem_;
   attach_clause(cr);
   return true;
 }
 
-void Solver::attach_clause(ClauseRef cr) {
-  const Clause& c = clauses_[static_cast<size_t>(cr)];
-  assert(c.lits.size() >= 2);
-  watches_[static_cast<size_t>((~c.lits[0]).code())].push_back({cr, c.lits[1]});
-  watches_[static_cast<size_t>((~c.lits[1]).code())].push_back({cr, c.lits[0]});
+Solver::ClauseRef Solver::alloc_clause(std::span<const Lit> clause,
+                                       bool is_learned) {
+  const auto cr = static_cast<ClauseRef>(arena_.size());
+  const uint32_t head =
+      static_cast<uint32_t>(clause.size()) << 2 | (is_learned ? 2u : 0u);
+  arena_.push_back(Lit::from_code(static_cast<int32_t>(head)));
+  arena_.push_back(Lit::from_code(std::bit_cast<int32_t>(0.0f)));
+  arena_.insert(arena_.end(), clause.begin(), clause.end());
+  return cr;
 }
 
-void Solver::detach_clause(ClauseRef cr) {
-  const Clause& c = clauses_[static_cast<size_t>(cr)];
+float Solver::activity(ClauseRef cr) const {
+  return std::bit_cast<float>(arena_[cr + 1].code());
+}
+
+void Solver::set_activity(ClauseRef cr, float a) {
+  arena_[cr + 1] = Lit::from_code(std::bit_cast<int32_t>(a));
+}
+
+void Solver::attach_clause(ClauseRef cr) {
+  const Lit* c = lits(cr);
+  assert(clause_size(cr) >= 2);
+  watches_[static_cast<size_t>((~c[0]).code())].push_back({cr, c[1]});
+  watches_[static_cast<size_t>((~c[1]).code())].push_back({cr, c[0]});
+}
+
+void Solver::delete_clause(ClauseRef cr) {
+  assert(!deleted(cr));
+  // A clause is watched through its first two literals; their lists are
+  // purged in one pass by purge_watches().
+  const Lit* c = lits(cr);
   for (int i = 0; i < 2; ++i) {
-    auto& ws = watches_[static_cast<size_t>((~c.lits[static_cast<size_t>(i)]).code())];
-    for (size_t j = 0; j < ws.size(); ++j) {
-      if (ws[j].clause == cr) {
-        ws[j] = ws.back();
-        ws.pop_back();
-        break;
-      }
+    const auto code = static_cast<size_t>((~c[i]).code());
+    if (watch_dirty_[code] == 0) {
+      watch_dirty_[code] = 1;
+      dirty_watches_.push_back(static_cast<int32_t>(code));
     }
   }
+  if (learned(cr)) {
+    --num_learned_;
+  } else {
+    --num_problem_;
+  }
+  arena_[cr] = Lit::from_code(static_cast<int32_t>(header(cr) | 1u));
+  wasted_ += kHeaderWords + clause_size(cr);
+}
+
+void Solver::purge_watches() {
+  for (int32_t code : dirty_watches_) {
+    std::erase_if(watches_[static_cast<size_t>(code)],
+                  [&](const Watcher& w) { return deleted(w.clause); });
+    watch_dirty_[static_cast<size_t>(code)] = 0;
+  }
+  dirty_watches_.clear();
+}
+
+bool Solver::locked(ClauseRef cr) const {
+  const Lit first = lits(cr)[0];
+  return value(first) == Value::kTrue &&
+         var_data_[static_cast<size_t>(first.var())].reason == cr;
+}
+
+void Solver::compact_arena() {
+  // Copy the live clauses in order, leaving each one's new offset in its old
+  // activity word, then relocate every watcher and every trail reason.
+  // Watch lists hold no deleted clause here (purge_watches() ran), and only
+  // trail literals have reasons that are ever read.
+  std::vector<Lit> to;
+  to.reserve(arena_.size() - wasted_);
+  for (ClauseRef cr = 0; cr < arena_.size(); cr = next_clause(cr)) {
+    if (deleted(cr)) continue;
+    const auto moved = static_cast<int32_t>(to.size());
+    to.insert(to.end(), arena_.begin() + cr, arena_.begin() + next_clause(cr));
+    arena_[cr + 1] = Lit::from_code(moved);
+  }
+  auto forward = [&](ClauseRef cr) {
+    return static_cast<ClauseRef>(arena_[cr + 1].code());
+  };
+  for (std::vector<Watcher>& ws : watches_) {
+    for (Watcher& w : ws) w.clause = forward(w.clause);
+  }
+  for (Lit l : trail_) {
+    ClauseRef& reason = var_data_[static_cast<size_t>(l.var())].reason;
+    if (reason != kNoReason) reason = forward(reason);
+  }
+  arena_.swap(to);
+  wasted_ = 0;
 }
 
 bool Solver::enqueue(Lit l, ClauseRef reason) {
@@ -90,48 +170,52 @@ bool Solver::enqueue(Lit l, ClauseRef reason) {
 
 Solver::ClauseRef Solver::propagate() {
   while (qhead_ < trail_.size()) {
-    Lit p = trail_[qhead_++];
+    const Lit p = trail_[qhead_++];
     ++stats_.propagations;
+    // A new watch never lands in this list (its literal is not false), so
+    // the reference stays valid while other lists grow.
     auto& ws = watches_[static_cast<size_t>(p.code())];
+    const Lit false_lit = ~p;
     size_t i = 0, j = 0;
     while (i < ws.size()) {
-      Watcher w = ws[i];
+      const Watcher w = ws[i];
       if (value(w.blocker) == Value::kTrue) {
         ws[j++] = ws[i++];
         continue;
       }
-      Clause& c = clauses_[static_cast<size_t>(w.clause)];
+      Lit* c = lits(w.clause);
       // Ensure the false literal (~p) is at position 1.
-      Lit false_lit = ~p;
-      if (c.lits[0] == false_lit) std::swap(c.lits[0], c.lits[1]);
-      assert(c.lits[1] == false_lit);
+      if (c[0] == false_lit) std::swap(c[0], c[1]);
+      assert(c[1] == false_lit);
       ++i;
       // If the other watch is true, keep watching.
-      if (c.lits[0] != w.blocker && value(c.lits[0]) == Value::kTrue) {
-        ws[j++] = {w.clause, c.lits[0]};
+      const Lit first = c[0];
+      if (first != w.blocker && value(first) == Value::kTrue) {
+        ws[j++] = {w.clause, first};
         continue;
       }
       // Look for a new literal to watch.
       bool moved = false;
-      for (size_t k = 2; k < c.lits.size(); ++k) {
-        if (value(c.lits[k]) != Value::kFalse) {
-          std::swap(c.lits[1], c.lits[k]);
-          watches_[static_cast<size_t>((~c.lits[1]).code())].push_back({w.clause, c.lits[0]});
+      const uint32_t size = clause_size(w.clause);
+      for (uint32_t k = 2; k < size; ++k) {
+        if (value(c[k]) != Value::kFalse) {
+          std::swap(c[1], c[k]);
+          watches_[static_cast<size_t>((~c[1]).code())].push_back({w.clause, first});
           moved = true;
           break;
         }
       }
       if (moved) continue;
       // Clause is unit or conflicting.
-      ws[j++] = {w.clause, c.lits[0]};
-      if (value(c.lits[0]) == Value::kFalse) {
+      ws[j++] = {w.clause, first};
+      if (value(first) == Value::kFalse) {
         // Conflict: copy remaining watchers back and return.
         while (i < ws.size()) ws[j++] = ws[i++];
         ws.resize(j);
         qhead_ = trail_.size();
         return w.clause;
       }
-      enqueue(c.lits[0], w.clause);
+      enqueue(first, w.clause);
     }
     ws.resize(j);
   }
@@ -149,10 +233,11 @@ void Solver::analyze(ClauseRef conflict, std::vector<Lit>& out_learnt,
 
   do {
     assert(cr != kNoReason);
-    Clause& c = clauses_[static_cast<size_t>(cr)];
-    if (c.learned) clause_bump_activity(c);
-    for (size_t k = (p.code() == -2 ? 0 : 1); k < c.lits.size(); ++k) {
-      Lit q = c.lits[k];
+    if (learned(cr)) clause_bump_activity(cr);
+    const Lit* c = lits(cr);
+    const uint32_t size = clause_size(cr);
+    for (uint32_t k = (p.code() == -2 ? 0 : 1); k < size; ++k) {
+      Lit q = c[k];
       Var v = q.var();
       if (!seen_[static_cast<size_t>(v)] && var_data_[static_cast<size_t>(v)].level > 0) {
         seen_[static_cast<size_t>(v)] = 1;
@@ -220,9 +305,10 @@ bool Solver::lit_redundant(Lit l, uint32_t abstract_levels) {
     analyze_stack_.pop_back();
     ClauseRef cr = var_data_[static_cast<size_t>(q.var())].reason;
     assert(cr != kNoReason);
-    const Clause& c = clauses_[static_cast<size_t>(cr)];
-    for (size_t k = 1; k < c.lits.size(); ++k) {
-      Lit r = c.lits[k];
+    const Lit* c = lits(cr);
+    const uint32_t size = clause_size(cr);
+    for (uint32_t k = 1; k < size; ++k) {
+      Lit r = c[k];
       Var v = r.var();
       int lvl = var_data_[static_cast<size_t>(v)].level;
       if (!seen_[static_cast<size_t>(v)] && lvl > 0) {
@@ -263,10 +349,11 @@ void Solver::analyze_final(Lit p) {
         core_.push_back(trail_[i]);
       }
     } else {
-      const Clause& c = clauses_[static_cast<size_t>(cr)];
-      for (size_t k = 1; k < c.lits.size(); ++k) {
-        if (var_data_[static_cast<size_t>(c.lits[k].var())].level > 0) {
-          seen_[static_cast<size_t>(c.lits[k].var())] = 1;
+      const Lit* c = lits(cr);
+      const uint32_t size = clause_size(cr);
+      for (uint32_t k = 1; k < size; ++k) {
+        if (var_data_[static_cast<size_t>(c[k].var())].level > 0) {
+          seen_[static_cast<size_t>(c[k].var())] = 1;
         }
       }
     }
@@ -309,17 +396,25 @@ void Solver::var_bump_activity(Var v) {
 
 void Solver::var_decay_activity() { var_inc_ /= var_decay_; }
 
-void Solver::clause_bump_activity(Clause& c) {
-  c.activity += clause_inc_;
-  if (c.activity > 1e20) {
-    for (Clause& cl : clauses_) {
-      if (cl.learned) cl.activity *= 1e-20;
+void Solver::clause_bump_activity(ClauseRef cr) {
+  const float a = activity(cr) + clause_inc_;
+  set_activity(cr, a);
+  if (a > 1e20f) {
+    for (ClauseRef c = 0; c < arena_.size(); c = next_clause(c)) {
+      if (learned(c) && !deleted(c)) set_activity(c, activity(c) * 1e-20f);
     }
-    clause_inc_ *= 1e-20;
+    clause_inc_ *= 1e-20f;
   }
 }
 
 void Solver::clause_decay_activity() { clause_inc_ /= clause_decay_; }
+
+void Solver::release(Var v) {
+  assert(decision_level() == 0);
+  if (released_[static_cast<size_t>(v)] != 0) return;
+  released_[static_cast<size_t>(v)] = 1;
+  pending_release_.push_back(v);
+}
 
 void Solver::simplify() {
   if (!ok_) return;
@@ -330,61 +425,80 @@ void Solver::simplify() {
     return;
   }
   ++stats_.simplifies;
+  if (trail_.size() == simplified_trail_ && pending_release_.empty()) {
+    stats_.retained_learned = num_learned_;
+    return;  // nothing fixed or released since the last sweep
+  }
   // Level-0 reasons are never traversed by conflict analysis (it stops at
   // level-0 variables), so clauses referenced as reasons on the level-0
   // trail may be deleted — null the references to keep the invariant
-  // obvious.
-  for (Lit l : trail_) {
-    var_data_[static_cast<size_t>(l.var())].reason = kNoReason;
+  // obvious. Earlier trail literals were cleared by earlier calls.
+  for (size_t i = simplified_trail_; i < trail_.size(); ++i) {
+    var_data_[static_cast<size_t>(trail_[i].var())].reason = kNoReason;
   }
-  size_t retained = 0;
-  for (size_t i = 0; i < clauses_.size(); ++i) {
-    Clause& c = clauses_[i];
-    if (c.deleted) continue;
-    // Satisfied at level 0: the clause can never propagate again.
-    if (std::any_of(c.lits.begin(), c.lits.end(),
-                    [&](Lit l) { return value(l) == Value::kTrue; })) {
-      detach_clause(static_cast<ClauseRef>(i));
-      if (c.learned && num_learned_ > 0) --num_learned_;
-      c.deleted = true;
-      c.lits.clear();
-      c.lits.shrink_to_fit();
-      ++stats_.simplify_removed;
-    } else if (c.learned) {
-      ++retained;
+  for (ClauseRef cr = 0; cr < arena_.size(); cr = next_clause(cr)) {
+    if (deleted(cr)) continue;
+    // Satisfied at level 0, the clause can never propagate again; mentioning
+    // a released variable, it goes with that variable.
+    const Lit* c = lits(cr);
+    const uint32_t size = clause_size(cr);
+    for (uint32_t k = 0; k < size; ++k) {
+      if (value(c[k]) == Value::kTrue ||
+          released_[static_cast<size_t>(c[k].var())] != 0) {
+        delete_clause(cr);
+        ++stats_.simplify_removed;
+        break;
+      }
     }
   }
-  stats_.retained_learned = retained;
+  purge_watches();
+  free_released_vars();
+  simplified_trail_ = trail_.size();
+  if (wasted_ > arena_.size() / 2) compact_arena();
+  stats_.retained_learned = num_learned_;
+}
+
+void Solver::free_released_vars() {
+  if (pending_release_.empty()) return;
+  // A released variable may be fixed at level 0; it leaves the trail with
+  // its clauses. The rest of the trail is fully propagated.
+  std::erase_if(trail_, [&](Lit l) {
+    return released_[static_cast<size_t>(l.var())] != 0;
+  });
+  qhead_ = trail_.size();
+  for (Var v : pending_release_) {
+    const auto i = static_cast<size_t>(v);
+    assert(watches_[2 * i].empty() && watches_[2 * i + 1].empty());
+    assigns_[i] = Value::kUndef;
+    var_data_[i] = {};
+    polarity_[i] = false;
+    activity_[i] = 0.0;
+    released_[i] = 0;
+    if (heap_contains(v)) heap_remove(v);
+    free_vars_.push_back(v);
+  }
+  pending_release_.clear();
+  std::sort(free_vars_.begin(), free_vars_.end(), std::greater<>());
 }
 
 void Solver::reduce_db() {
   ++stats_.reductions;
-  // Collect learned clause refs not currently used as reasons.
-  std::vector<ClauseRef> learned;
-  for (size_t i = 0; i < clauses_.size(); ++i) {
-    if (!clauses_[i].learned || clauses_[i].deleted) continue;
-    learned.push_back(static_cast<ClauseRef>(i));
+  std::vector<ClauseRef> learnts;
+  for (ClauseRef cr = 0; cr < arena_.size(); cr = next_clause(cr)) {
+    if (learned(cr) && !deleted(cr)) learnts.push_back(cr);
   }
-  std::sort(learned.begin(), learned.end(), [this](ClauseRef a, ClauseRef b) {
-    return clauses_[static_cast<size_t>(a)].activity <
-           clauses_[static_cast<size_t>(b)].activity;
+  std::sort(learnts.begin(), learnts.end(), [this](ClauseRef a, ClauseRef b) {
+    return activity(a) < activity(b);
   });
-  std::vector<bool> is_reason(clauses_.size(), false);
-  for (Lit l : trail_) {
-    ClauseRef cr = var_data_[static_cast<size_t>(l.var())].reason;
-    if (cr != kNoReason) is_reason[static_cast<size_t>(cr)] = true;
-  }
-  size_t limit = learned.size() / 2;
+  // Drop the less active half, keeping binary clauses and current reasons.
+  const size_t limit = learnts.size() / 2;
   for (size_t i = 0; i < limit; ++i) {
-    ClauseRef cr = learned[i];
-    Clause& c = clauses_[static_cast<size_t>(cr)];
-    if (c.lits.size() <= 2 || is_reason[static_cast<size_t>(cr)]) continue;
-    detach_clause(cr);
-    c.deleted = true;
-    c.lits.clear();
-    c.lits.shrink_to_fit();
-    if (num_learned_ > 0) --num_learned_;
+    const ClauseRef cr = learnts[i];
+    if (clause_size(cr) <= 2 || locked(cr)) continue;
+    delete_clause(cr);
   }
+  purge_watches();
+  if (wasted_ > arena_.size() / 2) compact_arena();
 }
 
 int64_t Solver::luby(int64_t i) {
@@ -406,11 +520,7 @@ SolveResult Solver::search_loop() {
   std::vector<Lit> learnt;
 
   if (max_learnts_ <= 0.0) {
-    size_t problem_clauses = 0;
-    for (const Clause& c : clauses_) {
-      if (!c.learned && !c.deleted) ++problem_clauses;
-    }
-    max_learnts_ = std::max(1000.0, static_cast<double>(problem_clauses) / 3.0);
+    max_learnts_ = std::max(1000.0, static_cast<double>(num_problem_) / 3.0);
   }
 
   // Decimated deadline/cancellation polling: the unlimited case is hoisted
@@ -446,10 +556,9 @@ SolveResult Solver::search_loop() {
           return SolveResult::kUnsat;
         }
       } else {
-        ClauseRef cr = static_cast<ClauseRef>(clauses_.size());
-        clauses_.push_back(Clause{learnt, 0.0, true, false});
+        const ClauseRef cr = alloc_clause(learnt, true);
         ++num_learned_;
-        clause_bump_activity(clauses_.back());
+        clause_bump_activity(cr);
         attach_clause(cr);
         enqueue(learnt[0], cr);
       }
@@ -514,7 +623,6 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
     ok_ = false;
     return SolveResult::kUnsat;
   }
-  rebuild_order_heap();
   SolveResult r = search_loop();
   cancel_until(0);
   assumptions_.clear();
@@ -578,6 +686,18 @@ void Solver::heap_update(Var v) {
   if (i >= 0) heap_sift_up(i);
 }
 
+void Solver::heap_remove(Var v) {
+  const int i = heap_index_[static_cast<size_t>(v)];
+  const Var last = heap_.back();
+  heap_.pop_back();
+  heap_index_[static_cast<size_t>(v)] = -1;
+  if (last == v) return;
+  heap_[static_cast<size_t>(i)] = last;
+  heap_index_[static_cast<size_t>(last)] = i;
+  heap_sift_up(i);
+  heap_sift_down(heap_index_[static_cast<size_t>(last)]);
+}
+
 Var Solver::heap_remove_max() {
   Var top = heap_[0];
   heap_[0] = heap_.back();
@@ -625,14 +745,6 @@ void Solver::heap_sift_down(int i) {
   }
   heap_[static_cast<size_t>(i)] = v;
   heap_index_[static_cast<size_t>(v)] = i;
-}
-
-void Solver::rebuild_order_heap() {
-  heap_.clear();
-  std::fill(heap_index_.begin(), heap_index_.end(), -1);
-  for (Var v = 0; v < num_vars(); ++v) {
-    if (value(v) == Value::kUndef) heap_insert(v);
-  }
 }
 
 }  // namespace llhsc::sat

@@ -1,8 +1,9 @@
 // Builtin backend: Tseitin-encodes formulas onto the in-tree CDCL solver.
-// Scopes reach it already lowered by smt::Solver: a guarded assertion is one
-// more formula, the open guards are ordinary assumptions, and a closed
-// scope is the unit !g followed by simplify(), which deletes every clause
-// the unit satisfies.
+// Scopes reach it from smt::Solver as guards: a guarded assertion goes to
+// the encoder with its guard, the open guards are ordinary assumptions, and
+// retire(g) lets the encoder close g's scope, which releases every SAT
+// variable the scope made and sweeps the clauses that mention them
+// (logic/cnf.hpp).
 #include <vector>
 
 #include "logic/cnf.hpp"
@@ -21,7 +22,9 @@ class BuiltinBackend final : public SolverBackend {
         bitvectors_(&bitvectors),
         encoder_(formulas, sat_, &bitvectors) {}
 
-  void add(logic::Formula f) override { encoder_.assert_formula(f); }
+  void add(logic::Formula f, logic::Formula guard) override {
+    encoder_.assert_formula(f, guard);
+  }
 
   void set_deadline(const support::Deadline& deadline) override {
     sat_.set_deadline(deadline);
@@ -33,7 +36,7 @@ class BuiltinBackend final : public SolverBackend {
     for (logic::Formula f : assumptions) (void)encoder_.encode(f);
   }
 
-  void simplify() override { sat_.simplify(); }
+  void retire(logic::Formula guard) override { encoder_.retire(guard); }
 
   CheckResult check(std::span<const logic::Formula> assumptions) override {
     std::vector<sat::Lit> assume;

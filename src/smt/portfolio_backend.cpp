@@ -38,18 +38,18 @@ class PortfolioBackend final : public SolverBackend {
     winner_ = builtin_.get();
   }
 
-  void add(logic::Formula f) override {
-    builtin_->add(f);
-    z3_->add(f);
+  void add(logic::Formula f, logic::Formula guard) override {
+    builtin_->add(f, guard);
+    z3_->add(f, guard);
   }
 
   void set_deadline(const support::Deadline& deadline) override {
     deadline_ = deadline;
   }
 
-  void simplify() override {
-    builtin_->simplify();
-    z3_->simplify();
+  void retire(logic::Formula guard) override {
+    builtin_->retire(guard);
+    z3_->retire(guard);
   }
 
   void prepare(std::span<const logic::Formula> assumptions) override {

@@ -69,7 +69,7 @@ logic::BvTerm Solver::bv_var(const std::string& name, uint32_t width) {
 }
 
 void Solver::add(logic::Formula f) {
-  backend_->add(guards_.empty() ? f : formulas_.mk_implies(guards_.back(), f));
+  backend_->add(f, guards_.empty() ? logic::Formula() : guards_.back());
 }
 
 void Solver::push() { guards_.push_back(bool_var("scope")); }
@@ -81,8 +81,7 @@ void Solver::pop() {
   guards_.pop_back();
   // The guard is never assumed again, so !g holds at the top level: the
   // scope's assertions go vacuous and the backend sweeps what they left.
-  backend_->add(formulas_.mk_not(guard));
-  backend_->simplify();
+  backend_->retire(guard);
 }
 
 void Solver::set_deadline(const support::Deadline& deadline) {

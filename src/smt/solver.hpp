@@ -18,10 +18,10 @@
 // Scopes live here, once, for every backend: push() makes a fresh guard
 // variable g, add(f) inside the scope asserts g => f, every check assumes
 // the open guards (outer to inner) ahead of the caller's assumptions, and
-// pop() closes the scope for good by asserting !g at the top level and
-// letting the backend simplify. The query planner, the lift engine and the
-// feature analyses all scope their queries this way, and enumerate() is the
-// one projected all-SAT loop, built on it.
+// pop() closes the scope for good through the backend's retire(g). The
+// query planner, the lift engine and the feature analyses all scope their
+// queries this way, and enumerate() is the one projected all-SAT loop,
+// built on it.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +62,10 @@ struct SolverStats {
 class SolverBackend {
  public:
   virtual ~SolverBackend() = default;
-  virtual void add(logic::Formula f) = 0;
+  /// Asserts `f` at the top level or, with a valid `guard` (the innermost
+  /// open scope's), as guard => f. The guard travels separately so the
+  /// builtin encoder can file what the assertion makes under its scope.
+  virtual void add(logic::Formula f, logic::Formula guard) = 0;
   /// Bounds subsequent check() calls; an expired deadline yields kUnknown
   /// (builtin: polled in the CDCL search loop; z3: mapped to the solver's
   /// timeout parameter). A default Deadline removes the limit.
@@ -82,13 +85,14 @@ class SolverBackend {
   /// After a kUnsat check with assumptions: the subset of those assumptions
   /// that conflicts with the asserted formulas (not necessarily minimal).
   [[nodiscard]] virtual std::vector<logic::Formula> unsat_core() = 0;
-  /// Housekeeping hook called by Solver::pop() after it asserts a closed
-  /// scope's guard false at the top level: backends drop state that depends
-  /// on the dead guard while *keeping* everything independent of it.
-  /// The builtin backend maps this to sat::Solver::simplify(), which sweeps
-  /// every clause satisfied at level 0 out of the watch lists; Z3 manages
-  /// its own learnt store, so the default is a no-op.
-  virtual void simplify() {}
+  /// The one scope hook, called by Solver::pop(): the scope `guard` opened
+  /// is closed for good and the guard is never used again. Backends make
+  /// !guard hold and drop what depended on it while *keeping* everything
+  /// independent of it. Z3 asserts !guard. The builtin backend needs the
+  /// hook to know which scope closed: its encoder releases the variables
+  /// the scope made, and sat::Solver::simplify() sweeps every clause that
+  /// mentions them, so the next query pays only for its own size.
+  virtual void retire(logic::Formula guard) = 0;
   /// Asynchronously aborts an in-flight check() from another thread; the
   /// interrupted check returns kUnknown. Default no-op (the builtin backend
   /// is cancelled through the Deadline token instead).
@@ -128,9 +132,9 @@ class Solver {
   void add(logic::Formula f);
   /// Opens a scope guarded by a fresh variable.
   void push();
-  /// Closes the innermost scope for good: asserts !guard at the top level
-  /// and lets the backend sweep what depended on it, keeping the
-  /// guard-independent learned clauses for later checks.
+  /// Closes the innermost scope for good: the backend makes !guard hold
+  /// and sweeps what depended on it, keeping the guard-independent learned
+  /// clauses for later checks.
   void pop();
   /// Wall-clock budget for each subsequent check; expired checks return
   /// kUnknown instead of blocking. Reset with a default Deadline.

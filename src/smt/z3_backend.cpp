@@ -19,7 +19,14 @@ class Z3Backend final : public SolverBackend {
   Z3Backend(logic::FormulaArena& formulas, logic::BvArena& bitvectors)
       : formulas_(&formulas), bitvectors_(&bitvectors), solver_(ctx_) {}
 
-  void add(logic::Formula f) override { solver_.add(translate(f)); }
+  void add(logic::Formula f, logic::Formula guard) override {
+    solver_.add(translate(guard.valid() ? formulas_->mk_implies(guard, f) : f));
+  }
+
+  /// Z3 manages its own learnt store: a closed scope is just !guard.
+  void retire(logic::Formula guard) override {
+    solver_.add(translate(formulas_->mk_not(guard)));
+  }
 
   void set_deadline(const support::Deadline& deadline) override {
     deadline_ = deadline;

@@ -209,6 +209,15 @@ TEST_P(AnalysisTest, CappedEnumerationReportsTruncation) {
   EXPECT_FALSE(capped);
 }
 
+// `llhsc analyze` prints a capped count as a lower bound, an exact one as is.
+TEST_P(AnalysisTest, ProductCountTextMarksACappedCount) {
+  FeatureModel m = running_example_model();
+  smt::Solver solver(GetParam());
+  EXPECT_EQ(product_count_text(m, solver, 5), "at least 5 (capped)");
+  EXPECT_EQ(product_count_text(m, solver, 12), "12");
+  EXPECT_EQ(product_count_text(m, solver, 1u << 20), "12");
+}
+
 TEST_P(AnalysisTest, RunningExampleCrossConstraintsEnforced) {
   FeatureModel m = running_example_model();
   smt::Solver solver(GetParam());

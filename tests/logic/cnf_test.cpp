@@ -81,7 +81,8 @@ TEST(CnfEncoder, TopLevelDisjunctionIsOneClause) {
 }
 
 // The lift engine's shape: many guarded blocking clauses, each checked under
-// its guard and then retired. Only the guards themselves become variables.
+// its guard and then retired. A retired guard's variable is released, so
+// the next guard reuses it: one variable beyond the base, not one per clause.
 TEST(CnfEncoder, RetiredGuardsLeaveNoVariables) {
   FormulaArena arena;
   sat::Solver solver;
@@ -103,21 +104,21 @@ TEST(CnfEncoder, RetiredGuardsLeaveNoVariables) {
       const Formula x = arena.var(base[static_cast<size_t>(k)]);
       blocking.push_back(rng() & 1 ? arena.mk_not(x) : x);
     }
-    const BoolVar g = arena.new_bool_var("g" + std::to_string(i));
-    enc.assert_formula(arena.mk_implies(arena.var(g), arena.mk_or(blocking)));
-    const sat::Lit guard = sat::Lit::positive(enc.sat_var(g));
-    ASSERT_EQ(solver.solve({guard}), sat::SolveResult::kSat);
-    solver.add_clause(~guard);
-    solver.simplify();
+    const Formula g = arena.var(arena.new_bool_var("g" + std::to_string(i)));
+    enc.assert_formula(arena.mk_or(blocking), g);
+    ASSERT_EQ(solver.solve({enc.encode(g)}), sat::SolveResult::kSat);
+    enc.retire(g);
   }
-  EXPECT_EQ(solver.num_vars(), base_vars + kClauses);
+  EXPECT_EQ(solver.num_vars(), base_vars + 1);
+  EXPECT_EQ(solver.num_live_vars(), base_vars);
   EXPECT_EQ(solver.solve(), sat::SolveResult::kSat);
 }
 
 // One 64-bit formula-(7) overlap body (witness in both regions, pinned to
 // the larger base). The encoding's variable count is pinned: encoding must
-// not change the CNF it emits for a body, only how fast it emits it.
-constexpr int kOverlapBodyVars = 343;
+// not change the CNF it emits for a body, only how fast it emits it. A
+// comparator step against a constant bit is one gate.
+constexpr int kOverlapBodyVars = 273;
 
 TEST(CnfEncoder, OverlapBodyVariableCountIsPinned) {
   FormulaArena arena;

@@ -471,6 +471,27 @@ TEST(SatSolverRetention, SimplifySweepsGuardDependentLearnedClauses) {
   EXPECT_EQ(s.solve(), SolveResult::kSat);
 }
 
+// A released variable's clauses go with it at the next simplify(), it
+// leaves the level-0 trail, and new_var() reuses the lowest free index.
+TEST(SatSolverRetention, ReleasedVariablesAreSweptAndReused) {
+  Solver s;
+  const Var a = s.new_var(), b = s.new_var(), c = s.new_var();
+  s.add_clause(Lit::positive(a), Lit::positive(b));
+  s.add_clause(Lit::negative(b), Lit::positive(c));
+  s.add_clause(Lit::positive(b));  // fixes b and c at level 0
+  ASSERT_EQ(s.solve({Lit::negative(a)}), SolveResult::kSat);
+  s.release(c);
+  s.release(b);
+  s.simplify();
+  EXPECT_EQ(s.num_live_vars(), 1);
+  EXPECT_EQ(s.arena_size() - s.arena_garbage(), 0u);
+  EXPECT_EQ(s.new_var(), b);
+  EXPECT_EQ(s.new_var(), c);
+  // Neither reused index remembers its old clauses or level-0 value.
+  EXPECT_EQ(s.solve({Lit::negative(a), Lit::negative(b), Lit::negative(c)}),
+            SolveResult::kSat);
+}
+
 // ---- Cancellation through the deadline token ----
 
 TEST(SatSolver, CancelTokenStopsSearchFromAnotherThread) {

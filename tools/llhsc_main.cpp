@@ -788,7 +788,7 @@ int cmd_analyze(int argc, char** argv) {
   std::cout << "void:            "
             << (feature::is_void(model, solver) ? "yes" : "no") << "\n";
   std::cout << "products:        "
-            << feature::count_products(model, solver, 1u << 20) << "\n";
+            << feature::product_count_text(model, solver, 1u << 20) << "\n";
   auto name_list = [&](const std::vector<feature::FeatureId>& ids) {
     std::string out;
     for (feature::FeatureId id : ids) {
