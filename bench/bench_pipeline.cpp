@@ -6,12 +6,8 @@
 // (core::emit). Identical products share one derive and one check.
 #include <benchmark/benchmark.h>
 
-#include <filesystem>
-
 #include "core/emit.hpp"
 #include "core/running_example.hpp"
-#include "obs/obs.hpp"
-#include "obs/summary.hpp"
 #include "server/session.hpp"
 
 using namespace llhsc;
@@ -102,93 +98,6 @@ void BM_PipelineParallel(benchmark::State& state) {
   state.SetLabel("jobs=" + std::to_string(state.range(0)));
 }
 BENCHMARK(BM_PipelineParallel)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-// Query-planner ablation on the eight-VM workload (the PR3 acceptance
-// workload): exhaustive per-pair solving vs the planned path vs a warm
-// persistent cache. Counters expose the trace totals the --trace-json
-// output reports, so the ratio is auditable from the benchmark output.
-//   mode 0 — exhaustive (plan=false)
-//   mode 1 — planned (sweep-line + bucket prefilters, batched queries)
-//   mode 2 — planned with a pre-populated --cache-dir (warm: zero queries)
-void BM_PipelineEightVmPlanner(benchmark::State& state) {
-  api::SessionRequest request = eight_vm_request();
-  const int64_t mode = state.range(0);
-  request.plan = mode != 0;
-  std::string cache_dir;
-  if (mode == 2) {
-    cache_dir =
-        (std::filesystem::temp_directory_path() / "llhsc-bench-pipeline-qc")
-            .string();
-    std::filesystem::remove_all(cache_dir);
-    request.cache_dir = cache_dir;
-    benchmark::DoNotOptimize(run_workflow(request));
-  }
-  std::vector<obs::Event> events;
-  for (auto _ : state) {
-    Run run = run_workflow(request);
-    benchmark::DoNotOptimize(run);
-    events = std::move(run.session.events);
-  }
-  if (!cache_dir.empty()) std::filesystem::remove_all(cache_dir);
-  // The trace reduction is the caller's (`demo --trace-json`), not the
-  // workflow's: reduce the last run outside the timed loop, so this row
-  // and the NoTrace / NoGraph rows time the same work.
-  uint64_t checks = 0, issued = 0, pruned = 0, hits = 0;
-  for (const obs::StageSummary& s : obs::reduce(events).stages) {
-    if (s.stage != "semantic") continue;
-    checks += s.solver_checks;
-    issued += s.queries_issued;
-    pruned += s.queries_pruned;
-    hits += s.cache_hits;
-  }
-  state.counters["semantic_solver_checks"] = static_cast<double>(checks);
-  state.counters["queries_issued"] = static_cast<double>(issued);
-  state.counters["queries_pruned"] = static_cast<double>(pruned);
-  state.counters["cache_hits"] = static_cast<double>(hits);
-  const char* mode_name[] = {"exhaustive", "planned", "warm-cache"};
-  state.SetLabel(mode_name[mode]);
-}
-BENCHMARK(BM_PipelineEightVmPlanner)->Arg(0)->Arg(1)->Arg(2);
-
-// PR5 tracing-overhead gate (tools/bench_pr5.sh): the planned eight-VM
-// workload with span capture killed. Compared against
-// BM_PipelineEightVmPlanner/1 (identical work, spans on) to bound the
-// observability layer's cost. Counter events still record either way — they
-// are the accounting substrate behind the verdicts, not a profiling
-// preference (src/obs/obs.hpp).
-void BM_PipelineEightVmNoTrace(benchmark::State& state) {
-  const api::SessionRequest request = eight_vm_request();
-  obs::set_enabled(false);
-  bool ok = false;
-  for (auto _ : state) {
-    Run run = run_workflow(request);
-    ok = run.session.exit_code == 0;
-    benchmark::DoNotOptimize(run);
-  }
-  obs::set_enabled(true);
-  state.counters["ok"] = ok ? 1 : 0;
-  state.SetLabel("planned-notrace");
-}
-BENCHMARK(BM_PipelineEightVmNoTrace);
-
-// PR6 graph-overhead gate (tools/bench_pr6.sh): the planned eight-VM
-// workload with the device-graph stage disabled. Compared against
-// BM_PipelineEightVmPlanner/1 (identical work plus graph build, per-unit
-// graph rules, and the cross-unit exclusive-provider analysis) to bound
-// the dataflow layer's cost — it must stay on by default.
-void BM_PipelineEightVmNoGraph(benchmark::State& state) {
-  api::SessionRequest request = eight_vm_request();
-  request.graph = false;
-  bool ok = false;
-  for (auto _ : state) {
-    Run run = run_workflow(request);
-    ok = run.session.exit_code == 0;
-    benchmark::DoNotOptimize(run);
-  }
-  state.counters["ok"] = ok ? 1 : 0;
-  state.SetLabel("planned-nograph");
-}
-BENCHMARK(BM_PipelineEightVmNoGraph);
 
 // Failure path: the omitted-d4 configuration (checkers find the collisions).
 void BM_PipelineFaultDetection(benchmark::State& state) {

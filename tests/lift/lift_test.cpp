@@ -135,6 +135,39 @@ TEST(LiftedSynthetic, PatternCapRefusesIncompleteResult) {
   EXPECT_EQ(r.findings[0].finding.kind, FindingKind::kEnumerationCapped);
 }
 
+TEST(LiftedSynthetic, DifferentialCoversWhole4096ProductFamily) {
+  // Every product of the 2^12 family, not a sample: the lifted verdicts
+  // equal per-product enumeration over all 4096.
+  lift::SyntheticSpl spl = lift::make_synthetic_spl(12, /*with_overlap=*/true);
+  support::DiagnosticEngine diags;
+  lift::LiftOptions opts;
+  opts.max_configs = 4;
+  lift::LiftedResult r = lift::check_family(*spl.line, spl.model, opts, diags);
+  EXPECT_TRUE(r.ok);
+  lift::DifferentialOptions dopts;
+  dopts.max_products = 4096;
+  lift::DifferentialReport report =
+      lift::compare_with_enumeration(*spl.line, spl.model, r, opts, dopts);
+  EXPECT_TRUE(report.equal);
+  for (const std::string& m : report.mismatches) ADD_FAILURE() << m;
+  EXPECT_FALSE(report.capped);
+  EXPECT_EQ(report.products, 4096u);
+}
+
+TEST(LiftedSynthetic, MillionProductFamilyNeedsLinearPatterns) {
+  // 2^20 products: the activation patterns grow with the deltas (two per
+  // independent delta at most), so the family completes without
+  // enumeration.
+  lift::SyntheticSpl spl = lift::make_synthetic_spl(20, /*with_overlap=*/true);
+  support::DiagnosticEngine diags;
+  lift::LiftOptions opts;
+  opts.max_configs = 4;
+  lift::LiftedResult r = lift::check_family(*spl.line, spl.model, opts, diags);
+  EXPECT_TRUE(r.ok);
+  EXPECT_GT(r.patterns, 0u);
+  EXPECT_LE(r.patterns, 64u);
+}
+
 TEST(LiftedSynthetic, ExclusivityLiftFlagsAlwaysSelectedFeature) {
   lift::SyntheticSpl spl = lift::make_synthetic_spl(2, /*with_overlap=*/false);
   support::DiagnosticEngine diags;

@@ -70,10 +70,51 @@ TEST(Session, WarmRunIsAllHits) {
   EXPECT_EQ(out.cost.unit_checks, 0u);
 }
 
-TEST(Session, EditingOneModuleRechecksOnlyItsProduct) {
-  ArtifactStore store;
-  (void)run_session_check(base_request(), store);
+/// The running example's eight VMs (alternating Fig. 1b / Fig. 1c); with
+/// `edit_d1`, d1's body gains one property. The veth schema allows
+/// additional properties, so every product stays finding-free.
+api::SessionRequest eight_vm_request(bool edit_d1) {
+  api::SessionRequest r;
+  r.core_source = core::running_example_core_dts();
+  r.core_name = "custom-sbc.dts";
+  r.includes.emplace_back("cpus.dtsi", core::running_example_cpus_dtsi());
+  r.deltas_source = core::running_example_deltas();
+  r.deltas_name = "custom-sbc.deltas";
+  if (edit_d1) {
+    const std::string needle = "id = <0>;";  // d1's veth0 body
+    const size_t pos = r.deltas_source.find(needle);
+    EXPECT_NE(pos, std::string::npos);
+    if (pos != std::string::npos) {
+      r.deltas_source.insert(pos + needle.size(),
+                             "\n            edit-revision = <1>;");
+    }
+  }
+  for (int i = 0; i < 8; ++i) {
+    r.products.push_back({"vm" + std::to_string(i + 1),
+                          i % 2 == 0 ? core::fig1b_features()
+                                     : core::fig1c_features()});
+  }
+  return r;
+}
 
+/// Primes a store with `before`, then runs `after`, which edits one delta
+/// module: exactly one composed tree re-derives and is re-checked, and the
+/// rest is served from the store.
+api::SessionResult run_one_delta_edit(const api::SessionRequest& before,
+                                      const api::SessionRequest& after) {
+  ArtifactStore store;
+  EXPECT_EQ(run_session_check(before, store).exit_code, 0);
+  api::SessionResult out = run_session_check(after, store);
+  EXPECT_EQ(out.exit_code, 0) << out.error_text;
+  EXPECT_EQ(out.cost.tree_parses, 0u) << "core text unchanged";
+  EXPECT_EQ(out.cost.delta_parses, 1u);
+  EXPECT_EQ(out.cost.derives, 1u) << "only one composed tree rebuilds";
+  EXPECT_EQ(out.cost.unit_checks, 1u);
+  EXPECT_GT(out.cost.hits, 0u);
+  return out;
+}
+
+TEST(Session, EditingOneModuleRechecksOnlyItsProduct) {
   // Edit db's body: pb must re-derive and re-check, pa must stay cached.
   api::SessionRequest edited = base_request();
   edited.deltas_source =
@@ -83,17 +124,16 @@ TEST(Session, EditingOneModuleRechecksOnlyItsProduct) {
       "delta db when fb {\n"
       "    modifies memory@40000000 { status = \"disabled\"; }\n"
       "}\n";
-  api::SessionResult out = run_session_check(edited, store);
-  EXPECT_EQ(out.exit_code, 0) << out.error_text;
+  api::SessionResult out = run_one_delta_edit(base_request(), edited);
   ASSERT_EQ(out.units.size(), 2u);
   EXPECT_TRUE(out.units[0].composed_cache_hit) << "pa does not activate db";
   EXPECT_TRUE(out.units[0].check_cache_hit);
   EXPECT_FALSE(out.units[1].composed_cache_hit);
   EXPECT_FALSE(out.units[1].check_cache_hit);
-  EXPECT_EQ(out.cost.tree_parses, 0u) << "core text unchanged";
-  EXPECT_EQ(out.cost.delta_parses, 1u);
-  EXPECT_EQ(out.cost.derives, 1u) << "only pb's composed tree rebuilds";
-  EXPECT_EQ(out.cost.unit_checks, 1u);
+
+  // Edit d1 under eight VMs: only the Fig. 1b configuration activates it,
+  // and its four VMs share one derive and one check.
+  (void)run_one_delta_edit(eight_vm_request(false), eight_vm_request(true));
 }
 
 TEST(Session, IncludeEditRebuildsEveryUnit) {

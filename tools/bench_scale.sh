@@ -2,8 +2,7 @@
 # Horizontal-scaling gate for the PR10 worker-pool daemon: drives a
 # 1-worker and a 4-worker llhscd with the bench_scale client load (8
 # concurrent clients, solver-backed, cache-defeating check requests) in
-# interleaved rounds, pools the per-leg best throughput (the pooled-min
-# wall-clock estimator of tools/bench_lib.sh), and composes
+# interleaved rounds, pools the per-leg best throughput, and composes
 # BENCH_pr10.json. On a >=4-CPU host the multi-worker leg must be >=2x the
 # 1-worker leg; on smaller hosts (CI containers are often 1-CPU) the
 # numbers are still recorded but the ratio gate is not enforced —
@@ -20,9 +19,6 @@ ROUNDS=3
 CLIENTS=8
 REQUESTS=6
 MULTI_WORKERS=4
-
-# shellcheck source=bench_lib.sh
-. "$(dirname "$0")/bench_lib.sh"
 
 PIDS=()
 cleanup() {

@@ -11,6 +11,8 @@
 #   2. `check` on the d3-truncation regression input (finding-rich, so real
 #      queries are issued and cached cold): the warm --stats line shows
 #      zero issued / nonzero cache hits, and the reports diff clean.
+#   3. `check` on every .dts of the examples directory, cold then warm
+#      against one cache: every warm --stats line shows zero issued.
 # Usage: check_warm_cache.sh <llhsc-binary> <examples-data-dir>
 set -eu
 
@@ -64,3 +66,19 @@ diff "$TMP/check-cold.out" "$TMP/check-warm.out"
 grep -q 'queries issued: 0,' "$TMP/check-warm.err"
 ! grep -q 'queries issued: 0,' "$TMP/check-cold.err"
 grep -qE 'cache hits: [1-9]' "$TMP/check-warm.err"
+
+# -- scenario 3: the whole example corpus --
+for pass in cold warm; do
+    for f in "$DATA"/*.dts; do
+        status=0
+        "$LLHSC" check "$f" --cache-dir "$TMP/qc-corpus" --stats \
+            > /dev/null 2> "$TMP/corpus.err" || status=$?
+        # Clean files exit 0, files with error findings 1.
+        [ "$status" -le 1 ]
+        if [ "$pass" = warm ] && ! grep -q 'queries issued: 0,' "$TMP/corpus.err"; then
+            echo "warm check of $f still issued solver queries:" >&2
+            cat "$TMP/corpus.err" >&2
+            exit 1
+        fi
+    done
+done
