@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <set>
 #include <string>
@@ -50,20 +51,24 @@ double thread_cpu_seconds() {
          static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-double cpu_time(const std::function<void()>& run) {
+double cpu_time(const std::function<bool()>& run) {
   const double start = thread_cpu_seconds();
-  run();
+  (void)run();
   return thread_cpu_seconds() - start;
 }
 
 /// The estimator: after one untimed run of each variant, 200 pairs of
 /// (a, b) runs, a first in even pairs and b first in odd ones; returns the
-/// median of the per-pair ratios time(a) / time(b).
-double paired_ratio(const std::function<void()>& a,
-                    const std::function<void()>& b) {
+/// median of the per-pair ratios time(a) / time(b). A variant returns true
+/// when its run succeeded; the untimed runs must, or the gate's workload is
+/// broken and the process exits 1 (a failing run may also be a fast one).
+double paired_ratio(const char* gate, const std::function<bool()>& a,
+                    const std::function<bool()>& b) {
   constexpr int kPairs = 200;
-  a();
-  b();
+  if (!a() || !b()) {
+    std::fprintf(stderr, "timing_gates: %s: a variant's run failed\n", gate);
+    std::exit(1);
+  }
   std::vector<double> ratios;
   ratios.reserve(kPairs);
   for (int i = 0; i < kPairs; ++i) {
@@ -84,8 +89,19 @@ double paired_ratio(const std::function<void()>& a,
                                 : (ratios[mid - 1] + ratios[mid]) / 2;
 }
 
+/// Eight VMs alternating the Fig. 1b / Fig. 1c configurations.
+std::vector<api::SessionProduct> eight_vms() {
+  std::vector<api::SessionProduct> products;
+  for (int i = 0; i < 8; ++i) {
+    products.push_back({"vm" + std::to_string(i + 1),
+                        i % 2 == 0 ? core::fig1b_features()
+                                   : core::fig1c_features()});
+  }
+  return products;
+}
+
 /// The session-store workload: the running example's core, include and
-/// deltas, eight VMs alternating the Fig. 1b / Fig. 1c configurations.
+/// deltas with the eight VMs, and no model or platform unit.
 api::SessionRequest session_request() {
   api::SessionRequest r;
   r.core_source = core::running_example_core_dts();
@@ -93,36 +109,35 @@ api::SessionRequest session_request() {
   r.includes.emplace_back("cpus.dtsi", core::running_example_cpus_dtsi());
   r.deltas_source = core::running_example_deltas();
   r.deltas_name = "custom-sbc.deltas";
-  for (int i = 0; i < 8; ++i) {
-    r.products.push_back({"vm" + std::to_string(i + 1),
-                          i % 2 == 0 ? core::fig1b_features()
-                                     : core::fig1c_features()});
-  }
+  r.products = eight_vms();
   return r;
 }
 
 /// The pipeline workload (bench_pipeline's eight-VM request): the running
-/// example request with the same eight VMs and the platform, allocation
-/// off (the eight VMs reuse the two-VM example's exclusive CPUs).
+/// example request with the eight VMs and the platform, allocation off (the
+/// eight VMs reuse the two-VM example's exclusive CPUs).
 api::SessionRequest pipeline_request() {
   api::SessionRequest request = core::running_example_request();
-  request.products = session_request().products;
+  request.products = eight_vms();
   request.check_allocation = false;
   return request;
 }
 
 /// What `llhsc demo` does: one session over a store local to the run, then
-/// artifact emission.
-void run_pipeline(const api::SessionRequest& request) {
+/// artifact emission. True when the session is clean.
+bool run_pipeline(const api::SessionRequest& request) {
   server::ArtifactStore store;
   server::SessionRun session = server::run_session_check(request, store);
   (void)core::emit(session.checked);
+  return session.exit_code == 0;
 }
 
-/// Derives and semantic-checks every product of the synthetic family.
-void enumerate_family(const lift::SyntheticSpl& spl) {
+/// Derives and semantic-checks every product of the synthetic family. True
+/// when there is at least one product and every one derives.
+bool enumerate_family(const lift::SyntheticSpl& spl) {
   checkers::SemanticChecker checker(smt::Backend::kBuiltin, {});
   smt::Solver solver(smt::Backend::kBuiltin);
+  bool derived = true;
   auto check_product = [&](const feature::Selection& sel) {
     std::set<std::string> names;
     for (uint32_t i = 0; i < sel.size(); ++i) {
@@ -130,10 +145,15 @@ void enumerate_family(const lift::SyntheticSpl& spl) {
     }
     support::DiagnosticEngine diags;
     auto tree = spl.line->derive(names, diags);
-    if (tree != nullptr) (void)checker.check(*tree);
+    if (tree == nullptr) {
+      derived = false;
+    } else {
+      (void)checker.check(*tree);
+    }
     return true;
   };
-  feature::enumerate_products(spl.model, solver, check_product);
+  return feature::enumerate_products(spl.model, solver, check_product) > 0 &&
+         derived;
 }
 
 /// Prints the gate's JSON line; true when it passes. A bound of kind
@@ -156,11 +176,12 @@ int main() {
     const api::SessionRequest request = session_request();
     api::CheckStore warm_store;
     const double speedup = paired_ratio(
+        "warm_session_speedup",
         [&] {
           api::CheckStore store;
-          (void)api::run_session(request, store);
+          return api::run_session(request, store).exit_code == 0;
         },
-        [&] { (void)api::run_session(request, warm_store); });
+        [&] { return api::run_session(request, warm_store).exit_code == 0; });
     pass &= report("warm_session_speedup", speedup, 5, true);
   }
 
@@ -169,10 +190,10 @@ int main() {
     lift::LiftOptions opts;
     opts.max_configs = 4;
     const double speedup = paired_ratio(
-        [&] { enumerate_family(spl); },
+        "lifted_speedup", [&] { return enumerate_family(spl); },
         [&] {
           support::DiagnosticEngine diags;
-          (void)lift::check_family(*spl.line, spl.model, opts, diags);
+          return lift::check_family(*spl.line, spl.model, opts, diags).ok;
         });
     pass &= report("lifted_speedup", speedup, 5, true);
   }
@@ -180,11 +201,12 @@ int main() {
   const api::SessionRequest traced = pipeline_request();
   {
     const double ratio = paired_ratio(
-        [&] { run_pipeline(traced); },
+        "tracing_overhead_pct", [&] { return run_pipeline(traced); },
         [&] {
           obs::set_enabled(false);
-          run_pipeline(traced);
+          const bool ok = run_pipeline(traced);
           obs::set_enabled(true);
+          return ok;
         });
     pass &= report("tracing_overhead_pct", (ratio - 1) * 100, 2, false);
   }
@@ -192,8 +214,9 @@ int main() {
   {
     api::SessionRequest ungraphed = traced;
     ungraphed.graph = false;
-    const double ratio = paired_ratio([&] { run_pipeline(traced); },
-                                      [&] { run_pipeline(ungraphed); });
+    const double ratio = paired_ratio("graph_overhead_pct",
+                                      [&] { return run_pipeline(traced); },
+                                      [&] { return run_pipeline(ungraphed); });
     pass &= report("graph_overhead_pct", (ratio - 1) * 100, 5, false);
   }
 

@@ -70,30 +70,16 @@ TEST(Session, WarmRunIsAllHits) {
   EXPECT_EQ(out.cost.unit_checks, 0u);
 }
 
-/// The running example's eight VMs (alternating Fig. 1b / Fig. 1c); with
-/// `edit_d1`, d1's body gains one property. The veth schema allows
-/// additional properties, so every product stays finding-free.
-api::SessionRequest eight_vm_request(bool edit_d1) {
-  api::SessionRequest r;
-  r.core_source = core::running_example_core_dts();
-  r.core_name = "custom-sbc.dts";
-  r.includes.emplace_back("cpus.dtsi", core::running_example_cpus_dtsi());
-  r.deltas_source = core::running_example_deltas();
-  r.deltas_name = "custom-sbc.deltas";
-  if (edit_d1) {
-    const std::string needle = "id = <0>;";  // d1's veth0 body
-    const size_t pos = r.deltas_source.find(needle);
-    EXPECT_NE(pos, std::string::npos);
-    if (pos != std::string::npos) {
-      r.deltas_source.insert(pos + needle.size(),
-                             "\n            edit-revision = <1>;");
-    }
-  }
+/// Eight VMs alternating Fig. 1b / Fig. 1c, plus the platform; allocation is
+/// off because the VMs reuse the two exclusive CPUs.
+api::SessionRequest eight_vm_request() {
+  api::SessionRequest r = core::running_example_request();
   for (int i = 0; i < 8; ++i) {
     r.products.push_back({"vm" + std::to_string(i + 1),
                           i % 2 == 0 ? core::fig1b_features()
                                      : core::fig1c_features()});
   }
+  r.check_allocation = false;
   return r;
 }
 
@@ -132,8 +118,18 @@ TEST(Session, EditingOneModuleRechecksOnlyItsProduct) {
   EXPECT_FALSE(out.units[1].check_cache_hit);
 
   // Edit d1 under eight VMs: only the Fig. 1b configuration activates it,
-  // and its four VMs share one derive and one check.
-  (void)run_one_delta_edit(eight_vm_request(false), eight_vm_request(true));
+  // and its four VMs share one derive and one check. The platform unit is
+  // off, since it composes d1 too. The veth schema allows additional
+  // properties, so every product stays finding-free.
+  api::SessionRequest eight_vms = eight_vm_request();
+  eight_vms.check_platform = false;
+  api::SessionRequest d1_edited = eight_vms;
+  const std::string needle = "id = <0>;";  // d1's veth0 body
+  const size_t pos = d1_edited.deltas_source.find(needle);
+  ASSERT_NE(pos, std::string::npos);
+  d1_edited.deltas_source.insert(pos + needle.size(),
+                                 "\n            edit-revision = <1>;");
+  (void)run_one_delta_edit(eight_vms, d1_edited);
 }
 
 TEST(Session, IncludeEditRebuildsEveryUnit) {
@@ -465,19 +461,6 @@ api::SessionRequest paper_request(const char* deltas) {
       core::running_example_request(core::running_example_core_dts(), deltas);
   r.products = {{"vm1", core::fig1b_features()},
                 {"vm2", core::fig1c_features()}};
-  return r;
-}
-
-/// Eight VMs alternating Fig. 1b / Fig. 1c, plus the platform; allocation is
-/// off because the VMs reuse the two exclusive CPUs.
-api::SessionRequest eight_vm_request() {
-  api::SessionRequest r = core::running_example_request();
-  for (int i = 0; i < 8; ++i) {
-    r.products.push_back({"vm" + std::to_string(i + 1),
-                          i % 2 == 0 ? core::fig1b_features()
-                                     : core::fig1c_features()});
-  }
-  r.check_allocation = false;
   return r;
 }
 

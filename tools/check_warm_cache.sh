@@ -3,7 +3,7 @@
 # a second run against the same --cache-dir issues zero solver queries and
 # produces byte-identical output — findings, witnesses and artifacts.
 #
-# Two scenarios:
+# Three scenarios:
 #   1. `demo` twice into the same cache: the warm trace reports zero issued
 #      queries, its syntactic rows zero solver checks (schema constraints
 #      are cached like semantic obligations), and the artifact directories
