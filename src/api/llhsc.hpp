@@ -137,7 +137,7 @@ struct StoreStats {
   uint64_t tree_parses = 0;   // dts parses actually executed
   uint64_t delta_parses = 0;
   uint64_t model_parses = 0;
-  uint64_t product_line_builds = 0;  // core clones into ProductLine objects
+  uint64_t product_line_builds = 0;  // ProductLine objects built
   uint64_t derives = 0;       // composed-tree rebuilds actually executed
   uint64_t unit_checks = 0;   // per-unit checker runs actually executed
   uint64_t graph_builds = 0;  // device-graph IR builds actually executed

@@ -7,7 +7,8 @@
 namespace llhsc::checkers {
 
 std::vector<OverlapPair> find_overlaps_sweepline(
-    const std::vector<MemRegion>& regions) {
+    const std::vector<MemRegion>& regions,
+    const std::function<bool(size_t, size_t)>& skip) {
   // Sort region indices by base address; scan with an active set of regions
   // whose end exceeds the current base. With the active set kept as a vector
   // pruned on entry, the scan is O(n log n + k·a) where a is the active-set
@@ -31,6 +32,7 @@ std::vector<OverlapPair> find_overlaps_sweepline(
       // Active regions all have end > r.base and base <= r.base: overlap.
       if (!overlap_is_fault(regions[a].region_class, r.region_class)) continue;
       OverlapPair pair{std::min(a, idx), std::max(a, idx)};
+      if (skip && skip(pair.first, pair.second)) continue;
       out.push_back(pair);
     }
     active.push_back(idx);

@@ -8,6 +8,7 @@
 // tests keep it verdict-equivalent with SemanticChecker on concrete inputs.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "checkers/semantic.hpp"
@@ -21,10 +22,13 @@ struct OverlapPair {
 };
 
 /// All pairs of regions that overlap and whose class combination is a fault
-/// (same rules as the semantic checker). Pairs are reported with
-/// first < second, sorted lexicographically.
+/// (same rules as the semantic checker), except those `skip(first, second)`
+/// rejects (the lifted discharge's never-co-present slices). Pairs are
+/// reported with first < second, sorted lexicographically. Only each
+/// region's base, size and class are read.
 [[nodiscard]] std::vector<OverlapPair> find_overlaps_sweepline(
-    const std::vector<MemRegion>& regions);
+    const std::vector<MemRegion>& regions,
+    const std::function<bool(size_t, size_t)>& skip = {});
 
 /// Findings-shaped adapter so the baseline can slot into the pipeline for
 /// A/B comparisons. No witnesses (structural tools cannot produce them).

@@ -353,8 +353,9 @@ std::vector<MemRegion> extract_regions(const dts::Tree& tree, Findings& out) {
   return extract_regions(crossref::AnalysisContext(tree), out);
 }
 
-std::vector<MemRegion> extract_regions(const crossref::AnalysisContext& ctx,
-                                       Findings& out) {
+std::vector<MemRegion> extract_regions(
+    const crossref::AnalysisContext& ctx, Findings& out,
+    const std::function<bool(const std::string&)>& keep) {
   // Cell widths resolve like Linux's of_n_addr_cells: the nearest ancestor
   // declaring #address-cells / #size-cells wins (spec defaults only when no
   // ancestor declares them). A pure spec-default reading would mis-parse the
@@ -364,7 +365,7 @@ std::vector<MemRegion> extract_regions(const crossref::AnalysisContext& ctx,
   // reference rules.
   std::vector<MemRegion> regions;
   for (const auto& [path, node] : ctx.nodes()) {
-    if (path == "/") continue;
+    if (path == "/" || (keep && !keep(path))) continue;
     extract_node_regions(ctx, *node, path, regions, out);
   }
   return regions;
@@ -524,9 +525,11 @@ std::vector<SetFinding> discharge(smt::Solver& solver,
         continue;
       }
       if (options.plan) {
-        MemRegion m = r;
-        m.base = mask_address(m.base, width);
-        m.size = mask_address(m.size, width);
+        // The sweep reads base, size and class only: no strings copied.
+        MemRegion m;
+        m.base = mask_address(r.base, width);
+        m.size = mask_address(r.size, width);
+        m.region_class = r.region_class;
         if (region_wraps(m.base, m.size, width)) {
           out.push_back({wrap_finding(r, width), s, s});
           continue;
@@ -547,9 +550,11 @@ std::vector<SetFinding> discharge(smt::Solver& solver,
     }
   }
   if (options.plan) {
-    for (const OverlapPair& p : find_overlaps_sweepline(masked)) {
-      const size_t k = survivor[p.first], l = survivor[p.second];
-      if (!exclusive(k, l)) pairs.emplace_back(k, l);
+    for (const OverlapPair& p : find_overlaps_sweepline(
+             masked, [&](size_t m, size_t n) {
+               return exclusive(survivor[m], survivor[n]);
+             })) {
+      pairs.emplace_back(survivor[p.first], survivor[p.second]);
     }
     if (pruned != nullptr) {
       // Queries the exhaustive path would issue: one wrap check per nonzero

@@ -197,9 +197,11 @@ using Decide = std::function<smt::QueryPlanner::Outcome(
                                                      Findings& out);
 /// Same extraction over a pre-built cross-reference context, so the cells
 /// environment and `ranges` translation are computed once and shared with
-/// the cross-reference rules.
+/// the cross-reference rules. With `keep`, only the nodes whose path it
+/// accepts are extracted: a region's and a finding's path is its node's.
 [[nodiscard]] std::vector<MemRegion> extract_regions(
-    const crossref::AnalysisContext& ctx, Findings& out);
+    const crossref::AnalysisContext& ctx, Findings& out,
+    const std::function<bool(const std::string&)>& keep = {});
 
 class SemanticChecker {
  public:

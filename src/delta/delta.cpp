@@ -104,14 +104,20 @@ Operation& Operation::operator=(const Operation& other) {
 
 // ---- ProductLine ----
 
-ProductLine::ProductLine(std::unique_ptr<dts::Tree> core,
-                         std::vector<DeltaModule> deltas)
+ProductLine::ProductLine(std::shared_ptr<const dts::Tree> core,
+                         std::shared_ptr<const std::vector<DeltaModule>> deltas)
     : core_(std::move(core)), deltas_(std::move(deltas)) {
-  assert(core_ != nullptr);
+  assert(core_ != nullptr && deltas_ != nullptr);
 }
 
+ProductLine::ProductLine(std::unique_ptr<dts::Tree> core,
+                         std::vector<DeltaModule> deltas)
+    : ProductLine(std::shared_ptr<const dts::Tree>(std::move(core)),
+                  std::make_shared<const std::vector<DeltaModule>>(
+                      std::move(deltas))) {}
+
 const DeltaModule* ProductLine::find_delta(std::string_view name) const {
-  for (const DeltaModule& d : deltas_) {
+  for (const DeltaModule& d : *deltas_) {
     if (d.name == name) return &d;
   }
   return nullptr;
@@ -120,7 +126,7 @@ const DeltaModule* ProductLine::find_delta(std::string_view name) const {
 std::vector<const DeltaModule*> ProductLine::active_deltas(
     const std::set<std::string>& selected_features) const {
   std::vector<const DeltaModule*> out;
-  for (const DeltaModule& d : deltas_) {
+  for (const DeltaModule& d : *deltas_) {
     if (d.when.evaluate(selected_features)) out.push_back(&d);
   }
   return out;

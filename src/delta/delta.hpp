@@ -126,13 +126,18 @@ struct AmbiguousPair {
     const std::vector<const DeltaModule*>& order,
     const std::vector<DeltaEffects>& effects);
 
-/// Core DTS + deltas. Owns its trees.
+/// Core DTS + deltas. Both are immutable and shared: derive() and the lift
+/// engine clone the core per product, so a product line can alias trees and
+/// modules its owner already caches (the daemon's artifact store).
 class ProductLine {
  public:
+  ProductLine(std::shared_ptr<const dts::Tree> core,
+              std::shared_ptr<const std::vector<DeltaModule>> deltas);
+  /// Takes sole ownership of a freshly built core and module list.
   ProductLine(std::unique_ptr<dts::Tree> core, std::vector<DeltaModule> deltas);
 
   [[nodiscard]] const dts::Tree& core() const { return *core_; }
-  [[nodiscard]] const std::vector<DeltaModule>& deltas() const { return deltas_; }
+  [[nodiscard]] const std::vector<DeltaModule>& deltas() const { return *deltas_; }
   [[nodiscard]] const DeltaModule* find_delta(std::string_view name) const;
 
   /// Deltas whose `when` holds under the selection, in declaration order.
@@ -163,8 +168,8 @@ class ProductLine {
       support::DiagnosticEngine& diags) const;
 
  private:
-  std::unique_ptr<dts::Tree> core_;
-  std::vector<DeltaModule> deltas_;
+  std::shared_ptr<const dts::Tree> core_;
+  std::shared_ptr<const std::vector<DeltaModule>> deltas_;
 };
 
 /// Applies one delta to a tree in place. Used by derive() and directly by

@@ -523,14 +523,9 @@ class Engine {
     // SIZE_MAX is ObligationSet::kAlwaysPresent.
     set.group = c;
     const checkers::crossref::AnalysisContext ctx(tree);
-    Findings ext;
-    std::vector<MemRegion> regions = checkers::extract_regions(ctx, ext);
-    for (MemRegion& r : regions) {
-      if (owner_of(r.path) == c) set.regions.push_back(std::move(r));
-    }
-    for (Finding& f : ext) {
-      if (owner_of(f.subject) == c) set.extracted.push_back(std::move(f));
-    }
+    set.regions = checkers::extract_regions(
+        ctx, set.extracted,
+        [&](const std::string& path) { return owner_of(path) == c; });
     if (owns_irq) set.irq = checkers::collect_interrupt_claims(ctx);
     if (owns_clock) set.clock = checkers::collect_clock_claims(ctx);
     return set;

@@ -274,9 +274,10 @@ std::shared_ptr<const ModelArtifact> ArtifactStore::model(
 }
 
 std::shared_ptr<const ProductLineArtifact> ArtifactStore::product_line(
-    const TreeArtifact& core, const DeltaArtifact& deltas, bool* was_hit) {
+    const TreeArtifact& core, const std::shared_ptr<const DeltaArtifact>& deltas,
+    bool* was_hit) {
   const uint64_t key = fnv_combine(fnv_combine(0xcbf29ce484222325ull, core.key),
-                                   deltas.key);
+                                   deltas->key);
   return get_or_build<ProductLineArtifact>(
       product_lines_, key,
       [&]() -> std::shared_ptr<ProductLineArtifact> {
@@ -284,7 +285,8 @@ std::shared_ptr<const ProductLineArtifact> ArtifactStore::product_line(
         auto artifact = std::make_shared<ProductLineArtifact>();
         artifact->key = key;
         artifact->product_line = std::make_shared<const delta::ProductLine>(
-            core.tree->clone(), deltas.modules);
+            core.tree, std::shared_ptr<const std::vector<delta::DeltaModule>>(
+                           deltas, &deltas->modules));
         return artifact;
       },
       was_hit, &api::StoreStats::product_line_builds);

@@ -160,10 +160,11 @@ class ArtifactStore {
                                              const std::string& filename,
                                              bool* was_hit = nullptr);
 
-  /// A ProductLine over a cached core tree + delta artifact (clones the core
-  /// once per (core, deltas) pair, not per request).
+  /// A ProductLine over a cached core tree + delta artifact, built once per
+  /// (core, deltas) pair. It copies neither: it shares the core's tree and
+  /// aliases the delta artifact's modules, which keeps both alive.
   std::shared_ptr<const ProductLineArtifact> product_line(
-      const TreeArtifact& core, const DeltaArtifact& deltas,
+      const TreeArtifact& core, const std::shared_ptr<const DeltaArtifact>& deltas,
       bool* was_hit = nullptr);
 
   /// Get-or-build for derived artifacts: the builder runs only on a miss,

@@ -106,7 +106,7 @@ void check_session(const api::SessionRequest& request, ArtifactStore& store,
     out.exit_code = 1;
     return;
   }
-  auto pl = store.product_line(*core, *deltas);
+  auto pl = store.product_line(*core, deltas);
   if (pl == nullptr || pl->product_line == nullptr) {
     out.error_text += "cannot build product line\n";
     out.exit_code = 1;

@@ -6,7 +6,7 @@
 //
 //   core text      -> TreeArtifact        (include-aware content key)
 //   deltas text    -> DeltaArtifact       (per-module fingerprints)
-//   (core, deltas) -> ProductLineArtifact (one clone of the core)
+//   (core, deltas) -> ProductLineArtifact (shares both, copies neither)
 //   (core, active-module fingerprints in application order)
 //                  -> ComposedArtifact    (derived tree)
 //   (composed, options) -> CheckArtifact  (checker verdict + counters)

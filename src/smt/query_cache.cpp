@@ -1,8 +1,11 @@
 #include "smt/query_cache.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
@@ -194,6 +197,24 @@ QueryCache::QueryCache(const std::string& dir, Backend backend) {
   enabled_ = true;
 }
 
+std::shared_ptr<const QueryCache> QueryCache::open(const std::string& dir,
+                                                   Backend backend) {
+  static std::mutex mutex;
+  static std::map<std::pair<std::string, Backend>,
+                  std::shared_ptr<const QueryCache>>
+      opened;
+  std::lock_guard<std::mutex> lock(mutex);
+  auto key = std::make_pair(dir, backend);
+  if (auto it = opened.find(key); it != opened.end()) {
+    std::error_code ec;
+    if (fs::is_directory(it->second->version_dir_, ec)) return it->second;
+    opened.erase(it);
+  }
+  auto cache = std::make_shared<const QueryCache>(dir, backend);
+  if (cache->enabled()) opened.emplace(std::move(key), cache);
+  return cache;
+}
+
 std::string QueryCache::entry_path(uint64_t fingerprint) const {
   return version_dir_ + "/" + hex64(fingerprint) + ".qc";
 }
@@ -213,10 +234,12 @@ std::optional<QueryCache::Entry> QueryCache::lookup_uncounted(
   if (!in) return std::nullopt;
   std::string header;
   if (!std::getline(in, header)) return std::nullopt;
+  // Any malformed header is a miss: an entry is a hint from another run,
+  // never trusted input, so a corrupted one must cost a solver query only.
   std::istringstream hs(header);
-  std::string magic, verdict, witness_hex;
+  std::string magic, verdict, witness_hex, rest;
   int version = 0;
-  if (!(hs >> magic >> version >> verdict >> witness_hex) ||
+  if (!(hs >> magic >> version >> verdict >> witness_hex) || (hs >> rest) ||
       magic != "llhsc-qc" || version != kCacheFormatVersion) {
     return std::nullopt;
   }
@@ -228,7 +251,10 @@ std::optional<QueryCache::Entry> QueryCache::lookup_uncounted(
   } else {
     return std::nullopt;
   }
-  entry.witness = std::stoull(witness_hex, nullptr, 16);
+  const char* const end = witness_hex.data() + witness_hex.size();
+  const auto [parsed_end, err] =
+      std::from_chars(witness_hex.data(), end, entry.witness, 16);
+  if (err != std::errc() || parsed_end != end) return std::nullopt;
   // Collision guard: the stored canonical text must match the probe. A
   // mismatch means two distinct queries share a 64-bit fingerprint — count
   // it and fall through to the solver instead of replaying a wrong verdict.
@@ -241,7 +267,8 @@ std::optional<QueryCache::Entry> QueryCache::lookup_uncounted(
   return entry;
 }
 
-void QueryCache::store(const std::string& canonical_text, const Entry& entry) {
+void QueryCache::store(const std::string& canonical_text,
+                       const Entry& entry) const {
   if (!enabled_ || entry.result == CheckResult::kUnknown) return;
   const std::string path = entry_path(query_fingerprint(canonical_text));
   // Single-writer discipline for the cross-process shared cache: the rename

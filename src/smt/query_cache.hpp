@@ -12,10 +12,13 @@
 // construction (different subdirectory). Writes go through a temp file +
 // rename, so concurrent units racing on the same key each land a complete
 // entry and readers never observe a partial file. Lookups verify the stored
-// canonical text against the probe to defeat fingerprint collisions.
+// canonical text against the probe to defeat fingerprint collisions. A cache
+// holds no state past its open, so one instance (QueryCache::open) serves
+// every planner and thread of a process.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -52,6 +55,15 @@ class QueryCache {
   /// warning finding) rather than a silent cold run every time.
   QueryCache(const std::string& dir, Backend backend);
 
+  /// The process-wide cache for (`dir`, `backend`): the first successful
+  /// open is shared by every later caller, so the directory creation and
+  /// the probe write run once per directory per process. Each reuse
+  /// revalidates with one stat; a directory removed since is opened (and
+  /// probed) afresh. A failed open is never remembered: every caller gets
+  /// its own disabled cache and error(), and a later call retries.
+  [[nodiscard]] static std::shared_ptr<const QueryCache> open(
+      const std::string& dir, Backend backend);
+
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Why the cache is disabled ("" when enabled or never requested).
@@ -64,7 +76,7 @@ class QueryCache {
 
   /// Persists a decided query. kUnknown results (deadline expiry) are never
   /// stored — a later run with more budget must re-attempt them.
-  void store(const std::string& canonical_text, const Entry& entry);
+  void store(const std::string& canonical_text, const Entry& entry) const;
 
   [[nodiscard]] const std::string& directory() const { return version_dir_; }
 

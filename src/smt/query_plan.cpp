@@ -7,7 +7,7 @@ namespace llhsc::smt {
 QueryPlanner::QueryPlanner(Solver& solver, const std::string& cache_dir)
     : solver_(&solver) {
   if (!cache_dir.empty()) {
-    cache_ = std::make_unique<QueryCache>(cache_dir, solver.backend());
+    cache_ = QueryCache::open(cache_dir, solver.backend());
     if (!cache_->enabled()) {
       stats_.cache_errors = 1;
       obs::count("planner.cache_errors", "planner", 1);

@@ -99,10 +99,13 @@ class QueryPlanner {
   }
   /// Why the requested cache is unusable ("" when fine or not requested).
   [[nodiscard]] const std::string& cache_error() const;
+  /// The persistent cache this planner reads and writes (null when none was
+  /// requested). Planners on one directory share one instance.
+  [[nodiscard]] const QueryCache* cache() const { return cache_.get(); }
 
  private:
   Solver* solver_;
-  std::unique_ptr<QueryCache> cache_;
+  std::shared_ptr<const QueryCache> cache_;  // QueryCache::open's instance
   /// Every outcome this planner decided, by canonical query text.
   std::unordered_map<std::string, Outcome> memo_;
   QueryPlanStats stats_;

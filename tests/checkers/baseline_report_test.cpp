@@ -59,6 +59,18 @@ TEST(IntervalBaseline, NestedAndChainedOverlaps) {
   ASSERT_EQ(pairs.size(), 2u);
   EXPECT_EQ(pairs[0], (OverlapPair{0, 1}));
   EXPECT_EQ(pairs[1], (OverlapPair{0, 2}));
+
+  // A skipped pair is dropped; the others keep their order. The predicate
+  // sees each pair as (first, second) with first < second.
+  std::vector<OverlapPair> asked;
+  pairs = find_overlaps_sweepline(regions, [&](size_t a, size_t b) {
+    asked.push_back({a, b});
+    return a == 0 && b == 1;
+  });
+  ASSERT_EQ(pairs.size(), 1u);
+  EXPECT_EQ(pairs[0], (OverlapPair{0, 2}));
+  EXPECT_EQ(asked.size(), 2u);
+  for (const OverlapPair& p : asked) EXPECT_LT(p.first, p.second);
 }
 
 class BaselineAgreementTest : public ::testing::TestWithParam<uint32_t> {};

@@ -57,6 +57,29 @@ TEST(QueryCacheError, FileAsCacheDirDisablesWithReason) {
   ::rmdir(dir.c_str());
 }
 
+TEST(QueryCacheError, FailedOpenIsNeverRemembered) {
+  // The process-wide open shares successes only: each failed open reports
+  // its reason, and once the file is gone the next open succeeds.
+  const std::string dir = make_temp_dir();
+  const std::string file_path = dir + "/plain-file";
+  std::ofstream(file_path) << "not a directory";
+
+  auto first = smt::QueryCache::open(file_path, smt::Backend::kBuiltin);
+  auto second = smt::QueryCache::open(file_path, smt::Backend::kBuiltin);
+  EXPECT_FALSE(first->enabled());
+  EXPECT_FALSE(second->enabled());
+  EXPECT_NE(first, second);
+  EXPECT_NE(second->error().find("not a directory"), std::string::npos)
+      << second->error();
+
+  std::remove(file_path.c_str());
+  auto third = smt::QueryCache::open(file_path, smt::Backend::kBuiltin);
+  EXPECT_TRUE(third->enabled()) << third->error();
+  ::rmdir(third->directory().c_str());
+  ::rmdir(file_path.c_str());
+  ::rmdir(dir.c_str());
+}
+
 TEST(QueryCacheError, UsableDirReportsNoError) {
   const std::string dir = make_temp_dir();
   smt::QueryCache cache(dir, smt::Backend::kBuiltin);

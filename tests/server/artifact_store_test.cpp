@@ -2,11 +2,14 @@
 
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "dts/printer.hpp"
 
 namespace llhsc::server {
 namespace {
@@ -253,6 +256,61 @@ TEST(ArtifactStore, DeltaModuleFingerprintsAreStableAndDistinct) {
   ASSERT_EQ(a->module_keys.size(), 2u);
   EXPECT_NE(a->module_keys[0], a->module_keys[1]);
   EXPECT_EQ(a->module_keys[0], delta_module_fingerprint(a->modules[0]));
+}
+
+TEST(ArtifactStore, ProductLinesShareTheCachedCoreAndModules) {
+  ArtifactStore store;
+  dts::SourceManager sm;
+  auto core = store.tree(kCore, "core.dts", sm);
+  ASSERT_NE(core->tree, nullptr);
+  auto d1 = store.deltas(
+      "delta da when fa {\n"
+      "    modifies memory@40000000 { status = \"okay\"; }\n"
+      "}\n",
+      "t.deltas");
+  auto d2 = store.deltas(
+      "delta da when fa {\n"
+      "    adds binding / { uart@20000000 { reg = <0x20000000 0x100>; }; }\n"
+      "}\n",
+      "t.deltas");
+  ASSERT_FALSE(d1->parse_errors) << d1->diagnostics_text;
+  ASSERT_FALSE(d2->parse_errors) << d2->diagnostics_text;
+
+  auto pl1 = store.product_line(*core, d1);
+  auto pl2 = store.product_line(*core, d2);
+  ASSERT_NE(pl1->product_line, nullptr);
+  ASSERT_NE(pl2->product_line, nullptr);
+  EXPECT_NE(pl1->key, pl2->key);
+  EXPECT_EQ(store.stats().product_line_builds, 2u);
+  // Neither line copies the core or the modules: both alias the store's.
+  EXPECT_EQ(&pl1->product_line->core(), core->tree.get());
+  EXPECT_EQ(&pl2->product_line->core(), core->tree.get());
+  EXPECT_EQ(&pl1->product_line->deltas(), &d1->modules);
+  EXPECT_EQ(&pl2->product_line->deltas(), &d2->modules);
+
+  // Derived products equal those of a line that owns private copies, and
+  // deriving leaves the shared core untouched.
+  const std::string core_text = dts::print_dts(*core->tree);
+  for (const auto& [pl, d] : {std::pair{pl1, d1}, std::pair{pl2, d2}}) {
+    const delta::ProductLine owned(core->tree->clone(), d->modules);
+    for (const std::set<std::string>& features :
+         {std::set<std::string>{}, std::set<std::string>{"fa"}}) {
+      support::DiagnosticEngine shared_diags, owned_diags;
+      auto shared = pl->product_line->derive(features, shared_diags);
+      auto expected = owned.derive(features, owned_diags);
+      ASSERT_NE(shared, nullptr) << shared_diags.render();
+      ASSERT_NE(expected, nullptr) << owned_diags.render();
+      EXPECT_EQ(dts::print_dts(*shared), dts::print_dts(*expected));
+      EXPECT_EQ(shared_diags.render(), owned_diags.render());
+    }
+  }
+  EXPECT_EQ(dts::print_dts(*core->tree), core_text);
+
+  // The line keeps the modules alive after the store lets go of them.
+  std::weak_ptr<const DeltaArtifact> weak = d1;
+  d1.reset();
+  EXPECT_FALSE(weak.expired()) << "the product line pins its delta artifact";
+  EXPECT_EQ(pl1->product_line->deltas().size(), 1u);
 }
 
 TEST(ArtifactStore, FnvCombineOrderSensitive) {

@@ -9,6 +9,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "smt/query_cache.hpp"
@@ -188,6 +190,72 @@ TEST(QueryCacheTest, FingerprintCollisionFallsThroughToTheSolver) {
     }
   }
   EXPECT_EQ(collisions, 1);
+}
+
+TEST(QueryCacheTest, MalformedHeaderIsAMiss) {
+  // An entry is a hint from another run, never trusted input: a witness
+  // that is not hex, does not fit 64 bits or is missing, and any trailing
+  // field, must read as a miss (the caller falls through to the solver)
+  // instead of throwing out of the lookup.
+  const std::string dir = fresh_cache_dir("malformed");
+  QueryCache cache(dir, Backend::kBuiltin);
+  ASSERT_TRUE(cache.enabled());
+  const std::string text = "probe malformed\n[1 f0]\nw t0\n";
+  std::ostringstream name;
+  name << std::hex << query_fingerprint(text);
+  const std::string path = dir + "/qc1-builtin/" + name.str() + ".qc";
+  auto plant = [&](const std::string& header) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << header << '\n' << text;
+  };
+
+  plant("llhsc-qc 1 sat ffffffffffffffff");
+  auto hit = cache.lookup(text);
+  ASSERT_TRUE(hit.has_value()) << "the well-formed control entry must hit";
+  EXPECT_EQ(hit->witness, 0xffffffffffffffffull);
+
+  for (const char* header :
+       {"llhsc-qc 1 sat zz", "llhsc-qc 1 sat 1g", "llhsc-qc 1 sat -1",
+        "llhsc-qc 1 sat 10000000000000000", "llhsc-qc 1 sat ",
+        "llhsc-qc 1 sat", "llhsc-qc 1 unsat 0 extra", "llhsc-qc x sat 0",
+        ""}) {
+    plant(header);
+    EXPECT_FALSE(cache.lookup(text).has_value()) << "header: " << header;
+  }
+}
+
+TEST(QueryCacheTest, OpenSharesOneInstancePerDirectoryAndBackend) {
+  const std::string dir = fresh_cache_dir("open");
+  auto first = QueryCache::open(dir, Backend::kBuiltin);
+  ASSERT_TRUE(first->enabled());
+  EXPECT_EQ(QueryCache::open(dir, Backend::kBuiltin), first);
+  auto z3 = QueryCache::open(dir, Backend::kZ3);
+  EXPECT_NE(z3, first) << "each backend keeps its own namespace";
+
+  // Concurrent opens (the daemon's in-process workers) share it too.
+  std::vector<std::shared_ptr<const QueryCache>> seen(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < seen.size(); ++t) {
+    threads.emplace_back(
+        [&, t] { seen[t] = QueryCache::open(dir, Backend::kBuiltin); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const auto& cache : seen) EXPECT_EQ(cache, first);
+
+  // Two planners on one directory read and write one cache.
+  Solver s1(Backend::kBuiltin), s2(Backend::kBuiltin);
+  QueryPlanner p1(s1, dir), p2(s2, dir);
+  EXPECT_EQ(p1.cache(), first.get());
+  EXPECT_EQ(p2.cache(), first.get());
+
+  // A directory removed after the open is created again on the next open.
+  std::filesystem::remove_all(dir);
+  QueryPlanner p3(s1, dir);
+  ASSERT_TRUE(p3.cache_enabled()) << p3.cache_error();
+  EXPECT_TRUE(std::filesystem::is_directory(p3.cache()->directory()));
+  const std::string text = "probe reopened\n";
+  p3.cache()->store(text, {CheckResult::kUnsat, 0});
+  EXPECT_TRUE(p3.cache()->lookup(text).has_value());
 }
 
 TEST(QueryCacheTest, EmptyDirectoryDisablesCache) {

@@ -3,7 +3,7 @@
 # a second run against the same --cache-dir issues zero solver queries and
 # produces byte-identical output — findings, witnesses and artifacts.
 #
-# Three scenarios:
+# Four scenarios:
 #   1. `demo` twice into the same cache: the warm trace reports zero issued
 #      queries, its syntactic rows zero solver checks (schema constraints
 #      are cached like semantic obligations), and the artifact directories
@@ -13,6 +13,9 @@
 #      zero issued / nonzero cache hits, and the reports diff clean.
 #   3. `check` on every .dts of the examples directory, cold then warm
 #      against one cache: every warm --stats line shows zero issued.
+#   4. scenario 2's cache with every entry's witness rewritten (non-hex,
+#      overlong, empty): each entry is a miss, so the run's output, --stats
+#      line and exit code equal the cold run's.
 # Usage: check_warm_cache.sh <llhsc-binary> <examples-data-dir>
 set -eu
 
@@ -81,4 +84,23 @@ for pass in cold warm; do
             exit 1
         fi
     done
+done
+
+# -- scenario 4: corrupted entries are misses, never a crash --
+for witness in zz 11111111111111111 ''; do
+    rm -rf "$TMP/qc-bad"
+    cp -r "$TMP/qc-check" "$TMP/qc-bad"
+    for entry in "$TMP"/qc-bad/*/*.qc; do
+        sed -i "1s/^\(llhsc-qc [0-9]* [a-z]*\) .*\$/\1 $witness/" "$entry"
+    done
+    status=0
+    "$LLHSC" check "$DATA/d3-truncation.dts" --cache-dir "$TMP/qc-bad" \
+        --stats > "$TMP/check-bad.out" 2> "$TMP/check-bad.err" || status=$?
+    if [ "$status" -ne 1 ] ||
+        ! cmp -s "$TMP/check-cold.out" "$TMP/check-bad.out" ||
+        ! cmp -s "$TMP/check-cold.err" "$TMP/check-bad.err"; then
+        echo "witness '$witness': exit $status, output differs from cold:" >&2
+        cat "$TMP/check-bad.err" >&2
+        exit 1
+    fi
 done
